@@ -255,8 +255,9 @@ def lebesgue_ensemble_rate(n_trajectories: int, n_steps: int, seed: int = 0,
     if measure.dimension < n_steps:
         raise ValueError("measure draws fewer bits than n_steps")
 
-    def builder(point):
-        return BernoulliTrajectory(BernoulliState.from_bits(point), n_steps)
+    def builder(points):
+        for bits in points:
+            yield BernoulliTrajectory(BernoulliState.from_bits(bits), n_steps)
 
     return ensemble_statistics(measure, builder, ThresholdExperiment(),
                                n_trajectories=n_trajectories,

@@ -205,6 +205,8 @@ def render_scenario_listing() -> str:
         for key, p in scen.schema.items():
             kind = p.kind if p.choices is None else \
                 "choice(" + "|".join(p.choices) + ")"
+            if p.min is not None:
+                kind += f" >= {p.min}"
             if p.required:
                 d = "required"
             elif isinstance(p.default, float):

@@ -281,8 +281,16 @@ def evaluate_rates(trajectory: Trajectory, experiment: Experiment,
     return RateResult(rates=rates, n_trials=n, flagged=n < int(n_min_trials))
 
 
+#: boundary points drawn and handed to a trajectory builder at a time. It
+#: bounds the memory of the drawn points (all 10,000 rows of 1000 bits of a
+#: Bernoulli ensemble would take 10 MB) and is the lockstep batch of the
+#: flipper kernel.
+BUILD_BLOCK = 256
+
+
 def ensemble_statistics(measure: "MeasureSpec",
-                        trajectory_builder: Callable[[np.ndarray], Trajectory],
+                        trajectory_builder: Callable[[np.ndarray],
+                                                     Iterable[Trajectory]],
                         experiment: Experiment,
                         n_trajectories: int,
                         n_min_trials: int = 1,
@@ -293,27 +301,38 @@ def ensemble_statistics(measure: "MeasureSpec",
     Boundary points are drawn one per trajectory from ``measure`` using the
     stream derived from ``(seed, index)``, so the result is reproducible bit
     for bit for a given ``(seed, n_trajectories)`` independent of evaluation
-    order. Trajectories with fewer than ``n_min_trials`` trials are excluded;
-    if all are excluded an :class:`EmptyEnsembleError` is raised.
+    order. ``trajectory_builder`` maps an ``(n, d)`` array of boundary
+    points to an iterable of their ``n`` trajectories in row order. It is
+    called on consecutive blocks of at most :data:`BUILD_BLOCK` rows, and a
+    row's trajectory must not depend on the other rows of its block.
+    Trajectories with fewer than ``n_min_trials`` trials are excluded; if
+    all are excluded an :class:`EmptyEnsembleError` is raised.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
+    n_trajectories = int(n_trajectories)
     rows = []
     excluded = 0
-    for i in range(int(n_trajectories)):
-        rng = trajectory_stream(seed, i)
-        point = measure.sampler(rng, 1)[0]
-        traj = trajectory_builder(point)
-        try:
-            rr = evaluate_rates(traj, experiment, horizon=horizon,
-                                n_min_trials=n_min_trials)
-        except NoTrialsError:
-            excluded += 1
-            continue
-        if rr.flagged:
-            excluded += 1
-            continue
-        rows.append(rr.rates)
+    built = 0
+    for start in range(0, n_trajectories, BUILD_BLOCK):
+        stop = min(start + BUILD_BLOCK, n_trajectories)
+        points = np.concatenate([measure.sampler(trajectory_stream(seed, i), 1)
+                                 for i in range(start, stop)])
+        for traj in trajectory_builder(points):
+            built += 1
+            try:
+                rr = evaluate_rates(traj, experiment, horizon=horizon,
+                                    n_min_trials=n_min_trials)
+            except NoTrialsError:
+                excluded += 1
+                continue
+            if rr.flagged:
+                excluded += 1
+                continue
+            rows.append(rr.rates)
+        if built != stop:
+            raise ValueError(f"trajectory builder returned {built - start} "
+                             f"trajectories for {stop - start} points")
     if not rows:
         raise EmptyEnsembleError(
             f"all {n_trajectories} trajectories had fewer than "

@@ -494,9 +494,11 @@ class FlipperScene:
         self.deflection = DeflectionFunction(potential, energy,
                                              check_monotone=False)
         # replicate centers whose action sphere pokes through a cell face,
-        # so straight segments inside the cell see every reachable sphere
+        # so straight segments inside the cell see every reachable sphere;
+        # center_index maps each row of centers_ext to its original center
         r0 = self.action_range * (1.0 + 1e-9)
         images = [centers]
+        originals = [np.arange(len(centers))]
         shifts = np.array(np.meshgrid(*([[-L, 0.0, L]] * 3))).T.reshape(-1, 3)
         for sh in shifts:
             if not np.any(sh):
@@ -505,7 +507,9 @@ class FlipperScene:
             keep = np.all((img > -r0) & (img < L + r0), axis=1)
             if keep.any():
                 images.append(img[keep])
+                originals.append(np.flatnonzero(keep))
         self.centers_ext = np.concatenate(images, axis=0)
+        self.center_index = np.concatenate(originals)
 
 
 def random_scene(n_centers: int, action_range: float, energy: float,
@@ -567,15 +571,177 @@ class FlipperTrajectory(Trajectory):
         return [Event(time=e.path_length, point=None, data=e) for e in enc]
 
 
-def _signed_theta(theta: float, u: np.ndarray, impact_dir: np.ndarray) -> float:
-    """Sign from the impact direction's azimuth in a fixed frame about u."""
-    e1 = np.cross([0.0, 0.0, 1.0], u)
-    if np.dot(e1, e1) < 1e-24:
-        e1 = np.cross([1.0, 0.0, 0.0], u)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
-    phi = math.atan2(float(np.dot(impact_dir, e2)), float(np.dot(impact_dir, e1)))
-    return theta if phi >= 0.0 else -theta
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of (n, 3) arrays, written out per component."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def _trace_batch(scene: FlipperScene, positions, directions,
+                 n_encounters: int, max_path_length: float | None,
+                 record_path: bool) -> list[FlipperTrajectory]:
+    """Trace n rays in lockstep; see :func:`trace_flipper` for the physics.
+
+    Each step advances every live ray by one free-flight segment (to the
+    next cell wall) or one encounter, with the ray-to-center quantities for
+    all rows times ``scene.centers_ext`` computed as arrays. Rays leave the
+    batch once they have ``n_encounters`` encounters or have used up
+    ``max_path_length``. Every operation acts on each row alone (dot
+    products are written out per component, not left to BLAS), so a ray
+    traced by itself gives bitwise the same trajectory as in any batch.
+    """
+    L = scene.cell_size
+    r0 = scene.action_range
+    r0sq = r0 * r0
+    push = 1e-9 * L
+    if max_path_length is None:
+        # a few mean free paths per requested encounter
+        mfp = L ** 3 / max(len(scene.centers), 1) / (math.pi * r0sq)
+        max_path_length = 20.0 * mfp * n_encounters
+    centers = scene.centers_ext
+    cx, cy, cz = (np.ascontiguousarray(c) for c in centers.T)
+    cx32, cy32, cz32 = (c.astype(np.float32) for c in (cx, cy, cz))
+    # Candidate pairs are found in float32 and tested exactly in float64.
+    # Between a point of the cell and a center of centers_ext,
+    # |w|^2 <= 3 (L + r0)^2, and float32 rounding moves the squared line
+    # distance by at most about 40 * 2^-24 * |w|^2; the cull keeps every
+    # pair within a margin some forty times wider than that.
+    cull = np.float32(r0sq + 3e-4 * (L + r0) ** 2)
+
+    P = np.asarray(positions, dtype=float) % L
+    U = np.array(directions, dtype=float)
+    U /= np.sqrt(_dot(U, U))[:, None]
+    n = len(P)
+    rows = np.arange(n)  # original row of each live ray
+    travelled = np.zeros(n)
+    count = np.zeros(n, dtype=np.intp)
+    enc_length = np.empty((n, n_encounters))
+    enc_center = np.empty((n, n_encounters), dtype=np.intp)
+    enc_s = np.empty((n, n_encounters))
+    enc_theta = np.empty((n, n_encounters))
+    enc_signed = np.empty((n, n_encounters))
+    # path vertices as (original rows, points), in the order they were made
+    log = [(rows, P.copy())]
+
+    while True:
+        done = (count[rows] >= n_encounters) | (travelled >= max_path_length)
+        if done.any():
+            if not record_path:
+                log.append((rows[done], P[done]))
+            live = ~done
+            rows, P, U, travelled = rows[live], P[live], U[live], \
+                travelled[live]
+        if not rows.size:
+            break
+
+        # distance to the next cell wall; axes with no motion never meet one
+        to_wall = np.full(U.shape, np.inf)
+        np.divide(np.where(U > 0, L - P, -P), U, out=to_wall, where=U != 0)
+        t_bound = to_wall.min(axis=1)
+
+        p32 = P.astype(np.float32)
+        u32 = U.astype(np.float32)
+        wx = cx32 - p32[:, 0:1]
+        wy = cy32 - p32[:, 1:2]
+        wz = cz32 - p32[:, 2:3]
+        t32 = wx * u32[:, 0:1] + wy * u32[:, 1:2] + wz * u32[:, 2:3]
+        near = wx * wx + wy * wy + wz * wz - t32 * t32 < cull
+        # flat indices: 2-d nonzero is several times slower here
+        r, c = np.divmod(np.flatnonzero(near), len(cx))
+        wx = cx[c] - P[r, 0]
+        wy = cy[c] - P[r, 1]
+        wz = cz[c] - P[r, 2]
+        t_ca = wx * U[r, 0] + wy * U[r, 1] + wz * U[r, 2]
+        gap = r0sq - (wx * wx + wy * wy + wz * wz - t_ca * t_ca)
+        t_enter = t_ca - np.sqrt(np.maximum(gap, 0.0))
+        # the segment to the wall enters the sphere
+        ok = (gap > 0) & (t_enter > push) & (t_enter <= t_bound[r])
+        r, c, t_ca, t_enter = r[ok], c[ok], t_ca[ok], t_enter[ok]
+        # first sphere entered by each ray (ties go to the lower index)
+        order = np.lexsort((t_enter, r))
+        h, first = np.unique(r[order], return_index=True)
+        k, t_k = c[order][first], t_ca[order][first]
+
+        if h.size:
+            u = U[h]
+            x_ca = P[h] + t_k[:, None] * u
+            at_encounter = travelled[h] + t_k
+            delta = x_ca - centers[k]
+            # impact offset perpendicular to u (remove roundoff component)
+            beta = delta - _dot(delta, u)[:, None] * u
+            s = np.sqrt(_dot(beta, beta))
+            head_on = s < 1e-12 * r0
+            turns = [math.pi if head else
+                     scene.deflection(min(si, r0 * (1 - 1e-15)))
+                     for si, head in zip(s.tolist(), head_on.tolist())]
+            theta = np.array(turns)
+            # scalar cos and sin: a row's value cannot depend on its batch
+            cos_t = np.array([math.cos(t) for t in turns])
+            sin_t = np.array([math.sin(t) for t in turns])
+
+            # fixed frame about u: e1 = z x u, or x x u near the poles;
+            # e2 = u x e1
+            ux, uy, uz = u.T
+            zero = np.zeros(len(h))
+            pole = (ux * ux + uy * uy < 1e-24)[:, None]
+            e1 = np.where(pole, np.column_stack([zero, -uz, uy]),
+                          np.column_stack([-uy, ux, zero]))
+            e1 /= np.sqrt(_dot(e1, e1))[:, None]
+            e2 = np.column_stack([uy * e1[:, 2] - uz * e1[:, 1],
+                                  uz * e1[:, 0] - ux * e1[:, 2],
+                                  ux * e1[:, 1] - uy * e1[:, 0]])
+            n_hat = np.where(head_on[:, None], e1,
+                             beta / np.where(head_on, 1.0, s)[:, None])
+            # the sign is the side of the impact direction in that frame
+            phi = np.arctan2(_dot(n_hat, e2), _dot(n_hat, e1))
+            u_new = cos_t[:, None] * u + sin_t[:, None] * n_hat
+            u_new /= np.sqrt(_dot(u_new, u_new))[:, None]
+
+            hit_rows = rows[h]
+            j = count[hit_rows]
+            enc_length[hit_rows, j] = at_encounter
+            enc_center[hit_rows, j] = scene.center_index[k]
+            enc_s[hit_rows, j] = s
+            enc_theta[hit_rows, j] = theta
+            enc_signed[hit_rows, j] = np.where(phi >= 0.0, theta, -theta)
+            count[hit_rows] += 1
+            log.append((hit_rows, x_ca % L))
+
+            # leave the action sphere along the new direction
+            b = _dot(delta, u_new)
+            t_leave = -b + np.sqrt(np.maximum(
+                b * b + r0sq - _dot(delta, delta), 0.0))
+            leave_step = t_leave + push
+            leave_at = (x_ca + leave_step[:, None] * u_new) % L
+
+        # every other ray flies to the wall and just past it
+        step = t_bound + push
+        P = (P + step[:, None] * U) % L
+        travelled = travelled + step
+        if record_path:
+            miss = np.ones(len(rows), dtype=bool)
+            miss[h] = False
+            log.append((rows[miss], P[miss]))
+        if h.size:
+            P[h] = leave_at
+            travelled[h] = at_encounter + leave_step
+            U[h] = u_new
+            if record_path:
+                log.append((hit_rows, leave_at))
+
+    ids = np.concatenate([i for i, _ in log])
+    order = np.argsort(ids, kind="stable")
+    points = np.concatenate([p for _, p in log])[order]
+    bounds = np.searchsorted(ids[order], np.arange(n + 1))
+    out = []
+    for i in range(n):
+        m = count[i]
+        encounters = [EncounterRecord(*e) for e in zip(
+            enc_length[i, :m].tolist(), enc_center[i, :m].tolist(),
+            enc_s[i, :m].tolist(), enc_theta[i, :m].tolist(),
+            enc_signed[i, :m].tolist())]
+        out.append(FlipperTrajectory(points[bounds[i]:bounds[i + 1]],
+                                     encounters))
+    return out
 
 
 def trace_flipper(scene: FlipperScene, position, direction,
@@ -589,98 +755,11 @@ def trace_flipper(scene: FlipperScene, position, direction,
     ``max_path_length`` is exhausted; callers exclude short trajectories via
     the trial-count floor. ``record_path=False`` keeps only encounter
     vertices (statistics unchanged, geometry coarse) for large ensembles.
+    This is the lockstep kernel with a batch of one ray.
     """
-    L = scene.cell_size
-    r0 = scene.action_range
-    r0sq = r0 * r0
-    pos = np.asarray(position, dtype=float) % L
-    u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
-    if max_path_length is None:
-        # a few mean free paths per requested encounter
-        mfp = L ** 3 / max(len(scene.centers), 1) / (math.pi * r0sq)
-        max_path_length = 20.0 * mfp * n_encounters
-    centers = scene.centers_ext
-
-    vertices = [pos.copy()]
-    encounters: list[EncounterRecord] = []
-    travelled = 0.0
-    push = 1e-9 * L
-
-    def face_params(uvec):
-        # per-axis wall coordinate and inverse speed, fixed between
-        # deflections; axes with no motion never meet a wall
-        moving = uvec != 0
-        tgt = np.where(uvec > 0, L, 0.0)
-        inv = np.where(moving, 1.0 / np.where(moving, uvec, 1.0), 0.0)
-        return tgt, inv, moving
-
-    targets, inv_u, moving = face_params(u)
-
-    while len(encounters) < n_encounters and travelled < max_path_length:
-        t_bound = float(np.min(np.where(moving, (targets - pos) * inv_u,
-                                        np.inf)))
-
-        w = centers - pos
-        t_ca = w @ u
-        d2 = np.einsum("ij,ij->i", w, w) - t_ca * t_ca
-        inside = d2 < r0sq
-        if not inside.any():
-            pos = (pos + (t_bound + push) * u) % L
-            travelled += t_bound + push
-            if record_path:
-                vertices.append(pos.copy())
-            continue
-        idx = np.flatnonzero(inside)
-        t_enter = t_ca[idx] - np.sqrt(r0sq - d2[idx])
-        ok = (t_enter > push) & (t_enter <= t_bound)
-        if not ok.any():
-            pos = (pos + (t_bound + push) * u) % L
-            travelled += t_bound + push
-            if record_path:
-                vertices.append(pos.copy())
-            continue
-
-        k = int(idx[ok][np.argmin(t_enter[ok])])
-        tk = float(t_ca[k])
-        x_ca = pos + tk * u
-        travelled += tk
-        beta = x_ca - centers[k]
-        # impact offset perpendicular to u (remove roundoff component)
-        beta -= np.dot(beta, u) * u
-        s = float(np.linalg.norm(beta))
-        if s < 1e-12 * r0:
-            theta = math.pi
-            n_hat = np.cross([0.0, 0.0, 1.0], u)
-            if np.dot(n_hat, n_hat) < 1e-24:
-                n_hat = np.cross([1.0, 0.0, 0.0], u)
-            n_hat /= np.linalg.norm(n_hat)
-        else:
-            theta = scene.deflection(min(s, r0 * (1 - 1e-15)))
-            n_hat = beta / s
-        th_signed = _signed_theta(theta, u, n_hat)
-        u_new = math.cos(theta) * u + math.sin(theta) * n_hat
-        u_new /= np.linalg.norm(u_new)
-
-        vertices.append(x_ca % L)
-        encounters.append(EncounterRecord(
-            path_length=travelled, center_index=k % len(scene.centers),
-            impact_parameter=s, theta=theta, theta_signed=th_signed))
-
-        # leave the action sphere along the new direction before searching on
-        delta = x_ca - centers[k]
-        b = float(np.dot(delta, u_new))
-        t_leave = -b + math.sqrt(max(b * b + r0sq - float(np.dot(delta, delta)), 0.0))
-        pos = (x_ca + (t_leave + push) * u_new) % L
-        travelled += t_leave + push
-        u = u_new
-        targets, inv_u, moving = face_params(u)
-        if record_path:
-            vertices.append(pos.copy())
-
-    if not record_path:
-        vertices.append(pos.copy())
-    return FlipperTrajectory(np.asarray(vertices), encounters)
+    return _trace_batch(scene, np.reshape(position, (1, 3)),
+                        np.reshape(direction, (1, 3)), n_encounters,
+                        max_path_length, record_path)[0]
 
 
 def bin_edges(n_bins: int) -> np.ndarray:
@@ -705,15 +784,33 @@ class AngleBinExperiment(Experiment):
 
 
 def entry_measure(scene: FlipperScene) -> MeasureSpec:
-    """Uniform entry point in the cell, isotropic direction (6-vector)."""
+    """Uniform entry point in the cell, isotropic direction (6-vector).
+
+    Starts within ``action_range`` of a center (min-image) are drawn again
+    from the same stream: a hard sphere's interior (V = +inf) cannot be
+    reached, and the tracer deflects only rays that enter a sphere from
+    outside. Rows that start outside keep their first draw.
+    """
 
     L = scene.cell_size
+    r0sq = scene.action_range ** 2
 
-    def sampler(rng, n):
+    def draw(rng, n):
         pos = rng.random((n, 3)) * L
         vec = rng.normal(size=(n, 3))
         vec /= np.linalg.norm(vec, axis=1, keepdims=True)
         return np.concatenate([pos, vec], axis=1)
+
+    def sampler(rng, n):
+        out = draw(rng, n)
+        redraw = np.arange(n)
+        while True:
+            d = (scene.centers[None, :, :] - out[redraw, None, :3]
+                 + L / 2.0) % L - L / 2.0
+            redraw = redraw[((d * d).sum(-1) <= r0sq).any(axis=1)]
+            if not redraw.size:
+                return out
+            out[redraw] = draw(rng, redraw.size)
 
     return MeasureSpec(dimension=6, sampler=sampler, density=None,
                        total_mass=1.0, name="flipper-entry")
@@ -722,11 +819,18 @@ def entry_measure(scene: FlipperScene) -> MeasureSpec:
 def flipper_trajectory_builder(scene: FlipperScene, n_encounters: int,
                                max_path_length: float | None = None,
                                record_path: bool = False):
-    """Builder for :func:`trajlab.core.ensemble_statistics`."""
+    """Builder for :func:`trajlab.core.ensemble_statistics`.
 
-    def build(point):
-        return trace_flipper(scene, point[:3], point[3:6], n_encounters,
-                             max_path_length, record_path=record_path)
+    Maps entry points of shape ``(n, 6)`` (position, then direction) to
+    their ``n`` trajectories in row order, traced as one lockstep batch.
+    ``ensemble_statistics`` hands it blocks of ``core.BUILD_BLOCK`` (256)
+    rows, which bounds the kernel's rows-times-centers arrays. A row's
+    trajectory does not depend on the other rows of its block.
+    """
+
+    def build(points):
+        return _trace_batch(scene, points[:, :3], points[:, 3:6],
+                            n_encounters, max_path_length, record_path)
 
     return build
 

@@ -47,12 +47,17 @@ REQUIRED = object()
 
 @dataclass(frozen=True)
 class Param:
-    """One schema entry: a kind tag, a default (or REQUIRED), and help text."""
+    """One schema entry: a kind tag, a default (or REQUIRED), and help text.
+
+    ``min`` is the smallest value an integer may take; runs below it are
+    refused before they start rather than failing inside the scenario.
+    """
 
     kind: str
     default: Any = REQUIRED
     help: str = ""
     choices: tuple[str, ...] | None = None
+    min: int | None = None
 
     @property
     def required(self) -> bool:
@@ -72,6 +77,8 @@ def _check_value(spec: Param, value, path: tuple[str, ...], lines):
     if k == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             fail(f"expected an integer, got {value!r}")
+        if spec.min is not None and value < spec.min:
+            fail(f"must be >= {spec.min}, got {value!r}")
         return int(value)
     if k == "float":
         return as_number(value, "value")
@@ -572,7 +579,8 @@ _register(
         "n_steps": Param("int", 1000, "steps (bits) per trajectory"),
         "bias": Param("float", 0.5, "P(bit = 1) of the product measure"),
         "orbit_numerator": Param("int", 2, "rational start: numerator"),
-        "orbit_denominator": Param("int", 7, "rational start: denominator"),
+        "orbit_denominator": Param("int", 7, "rational start: denominator",
+                                   min=1),
         "orbit_steps": Param("int", 3000, "steps of the exact orbit"),
     },
     _run_bernoulli)
@@ -591,7 +599,7 @@ _register(
         "screening_length": Param("float", 1.0, "screening length"),
         "theta_min": Param("float", 0.2, "transfer table lower angle"),
         "theta_max": Param("float", 3.0, "transfer table upper angle"),
-        "n_theta": Param("int", 100, "transfer table size"),
+        "n_theta": Param("int", 100, "transfer table size", min=1),
         "n_s": Param("int", 50, "deflection table size"),
     },
     _run_scattering)
@@ -601,13 +609,13 @@ _register(
     "cross sections from encounter rates in a periodic array of centers",
     True,
     {
-        "n_centers": Param("int", 216, "centers per periodic cell"),
+        "n_centers": Param("int", 216, "centers per periodic cell", min=1),
         "action_range": Param("float", 0.05, "hard-sphere radius r0"),
         "energy": Param("float", 1.0, "projectile kinetic energy"),
         "scene_seed": Param("int", 3, "placement seed for the cell"),
         "n_traj": Param("int", 300, "trajectories in the ensemble"),
         "n_encounters": Param("int", 20, "encounters followed per trajectory"),
-        "n_bins": Param("int", 8, "equal angle bins over (-pi, pi]"),
+        "n_bins": Param("int", 8, "equal angle bins over (-pi, pi]", min=1),
         "min_encounters": Param("int", 1, "trial floor below which a "
                                           "trajectory is excluded"),
     },
@@ -688,8 +696,9 @@ _register(
         "wavelength": Param("float", 2e-5, "wavelength setting the fringe "
                                            "scale"),
         "aperture": Param("float", 0.03, "half-angle of the source fan"),
-        "bins": Param("int", 256, "screen histogram bins"),
-        "fit_grid": Param("int", 8192, "grid for the emission-measure fit"),
+        "bins": Param("int", 256, "screen histogram bins", min=1),
+        "fit_grid": Param("int", 8192, "grid for the emission-measure fit",
+                          min=1),
         "push_grid": Param("int", 200_001, "grid for the deterministic "
                                            "pushforward"),
     },

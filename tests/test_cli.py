@@ -253,6 +253,30 @@ class TestErrorExits:
         assert run(["run", "bernoulli", "--config", cfg]) == 2
         assert "notes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, key", [
+        ("flipper", "n_bins"),
+        ("flipper", "n_centers"),
+        ("scattering", "n_theta"),
+        ("two-slit", "bins"),
+        ("two-slit", "fit_grid"),
+        ("bernoulli", "orbit_denominator"),
+    ])
+    def test_count_below_minimum_refused(self, tmp_path, capsys, scenario,
+                                         key):
+        # each of these crashed inside the scenario before it had a minimum
+        params = dict(FAST_PARAMS[scenario])
+        params[key] = 0
+        stochastic = SCENARIOS[scenario].stochastic
+        cfg = write_config(tmp_path / "cfg.yaml", scenario, parameters=params,
+                           seed=1 if stochastic else None)
+        out = tmp_path / "o"
+        assert run(["run", scenario, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err.strip()
+        assert f"parameters.{key}" in err and ">= 1" in err
+        assert f"line {3 + stochastic + list(params).index(key)}" in err
+        assert "\n" not in err
+        assert not out.exists()
+
 
 class TestListing:
     def test_listing_is_stable_and_complete(self, capsys):

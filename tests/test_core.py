@@ -124,7 +124,7 @@ class TestEnsemble:
             dimension=1,
             sampler=lambda rng, n: rng.random((n, 1)))
 
-        def builder(point):
+        def build_one(point):
             p = float(point[0])
 
             class T:
@@ -144,6 +144,9 @@ class TestEnsemble:
                     return [Event(time=float(k), point=None, data=int(b))
                             for k, b in enumerate(bits)]
             return T()
+
+        def builder(points):
+            return [build_one(point) for point in points]
 
         exp = Experiment(n_outcomes=2, classify=lambda ev: ev.data)
         return measure, builder, exp

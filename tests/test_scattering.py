@@ -14,7 +14,7 @@ from trajlab.scattering import (HardSphere, RepulsivePower, ScreenedCoulomb,
                                 cross_sections_from_rates,
                                 flipper_cross_section)
 from trajlab.core import ensemble_statistics
-from trajlab.rng import stream
+from trajlab.rng import stream, trajectory_stream
 
 
 class TestTurningRadius:
@@ -218,6 +218,143 @@ class TestTraceFlipper:
         assert len(tr.encounters) < 50
 
 
+def _gate_scene():
+    # criterion 06's scene: 216 centers, 21 periodic images in centers_ext
+    return random_scene(216, 0.05, 1.0, seed=3)
+
+
+def _brute_first_encounter(scene, p, u, max_len):
+    """First sphere the unwrapped ray enters, over every periodic image.
+
+    Returns (distance to closest approach, impact parameter, original
+    center index), or None if no sphere is entered within ``max_len``.
+    """
+    L, r0 = scene.cell_size, scene.action_range
+    K = int(math.ceil(max_len / L)) + 1
+    ks = np.arange(-K, K + 1)
+    shifts = L * np.array(np.meshgrid(ks, ks, ks)).reshape(3, -1).T
+    images = (scene.centers[None, :, :] + shifts[:, None, :]).reshape(-1, 3)
+    owner = np.tile(np.arange(len(scene.centers)), len(shifts))
+    w = images - p
+    t_ca = w @ u
+    perp = w - t_ca[:, None] * u
+    s2 = (perp * perp).sum(axis=1)
+    t_enter = np.where(s2 < r0 * r0,
+                       t_ca - np.sqrt(np.maximum(r0 * r0 - s2, 0.0)), np.inf)
+    t_enter[t_enter <= 0.0] = np.inf
+    i = int(np.argmin(t_enter))
+    if t_enter[i] > max_len:
+        return None
+    return float(t_ca[i]), math.sqrt(float(s2[i])), int(owner[i])
+
+
+def _min_image_distance(scene, x, j=slice(None)):
+    """Min-image distance from point ``x`` to center(s) ``j`` (all by
+    default)."""
+    L = scene.cell_size
+    d = (scene.centers[j] - x + L / 2.0) % L - L / 2.0
+    return np.sqrt((d * d).sum(axis=-1))
+
+
+class TestLockstepKernel:
+    def _rays(self, scene):
+        """Rays aimed near centers: half along a coordinate axis, a quarter
+        grazing their target sphere, where a coarse search would miss."""
+        rng = np.random.default_rng(17)
+        L, r0 = scene.cell_size, scene.action_range
+        starts = entry_measure(scene).sampler(rng, 12)[:, :3]
+        rays = []
+        for i, p in enumerate(starts):
+            c = scene.centers[rng.integers(len(scene.centers))]
+            if i % 2:
+                axis = i % 3
+                u = np.zeros(3)
+                u[axis] = 1.0 if i % 4 == 1 else -1.0
+                # start one unit before the center, offset inside r0
+                offset = rng.uniform(-0.6, 0.6, 3) * r0
+                offset[axis] = 0.0
+                p = (c - u + offset) % L
+            elif i % 4 == 2:
+                # the line passes (1 - 1e-7) r0 from the center
+                a = (c - p) / np.linalg.norm(c - p)
+                e = np.cross(a, rng.normal(size=3))
+                e /= np.linalg.norm(e)
+                sin = (1.0 - 1e-7) * r0 / np.linalg.norm(c - p)
+                u = math.sqrt(1.0 - sin * sin) * a + sin * e
+            else:
+                u = c + rng.uniform(-0.5, 0.5, 3) * r0 - p
+                u /= np.linalg.norm(u)
+            rays.append((p, u))
+        return rays
+
+    def test_first_encounter_matches_brute_force(self):
+        scene = _gate_scene()
+        r0 = scene.action_range
+        for p, u in self._rays(scene):
+            assert _min_image_distance(scene, p).min() > r0
+            oracle = _brute_first_encounter(scene, p, u, 3.0 * scene.cell_size)
+            assert oracle is not None
+            length, s, owner = oracle
+            tr = trace_flipper(scene, p, u, 1, record_path=False)
+            enc = tr.encounters[0]
+            assert abs(enc.path_length - length) < 1e-12
+            assert abs(enc.impact_parameter - s) < 1e-12
+            assert enc.center_index == owner
+            assert enc.theta == 2.0 * math.acos(enc.impact_parameter / r0)
+
+    def test_batch_rows_equal_rays_traced_alone(self):
+        scene = _gate_scene()
+        points = entry_measure(scene).sampler(stream(4), 64)
+        batch = list(flipper_trajectory_builder(scene, 20)(points))
+        assert len(batch) == 64
+        for point, tr in zip(points, batch):
+            alone = trace_flipper(scene, point[:3], point[3:], 20,
+                                  record_path=False)
+            assert np.array_equal(tr.vertices, alone.vertices)
+            assert tr.encounters == alone.encounters
+
+    def test_axis_aligned_batch_stays_finite(self):
+        scene = random_scene(64, 0.05, 1.0, seed=2)
+        dirs = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        starts = stream(5).random((6, 3)) * scene.cell_size
+        batch = flipper_trajectory_builder(scene, 8, record_path=True)(
+            np.concatenate([starts, dirs], axis=1))
+        for tr in batch:
+            assert np.isfinite(tr.vertices).all()
+            assert np.all((tr.vertices >= 0.0)
+                          & (tr.vertices <= scene.cell_size))
+            for e in tr.encounters:
+                assert np.isfinite([e.path_length, e.impact_parameter,
+                                    e.theta, e.theta_signed]).all()
+
+    def test_image_hit_names_its_original_center(self):
+        scene = _gate_scene()
+        L, r0 = scene.cell_size, scene.action_range
+        n = len(scene.centers)
+        images = scene.centers_ext[n:]
+        # an image that pokes through exactly one face, by less than r0 / 2
+        outside = (images < 0.0) | (images >= L)
+        depth = np.where(images < 0.0, -images, images - L)
+        pick = [i for i in range(len(images)) if outside[i].sum() == 1
+                and depth[i][outside[i]][0] < 0.5 * r0]
+        assert pick
+        img = images[pick[0]]
+        axis = int(np.flatnonzero(outside[pick[0]])[0])
+        # fly at the image from inside the cell, along the face normal
+        u = np.zeros(3)
+        u[axis] = -1.0 if img[axis] < 0.0 else 1.0
+        p = img - 0.3 * u
+        p[(axis + 1) % 3] += 0.1 * r0
+        tr = trace_flipper(scene, p, u, 1, record_path=False)
+        enc = tr.encounters[0]
+        expected = int(np.argmin(_min_image_distance(scene, img)))
+        assert enc.center_index == expected
+        assert enc.path_length == pytest.approx(0.3, abs=1e-12)
+        assert _min_image_distance(scene, tr.vertices[1],
+                                   enc.center_index) <= r0
+
+
 class TestAngleBins:
     def test_edges_partition(self):
         e = bin_edges(8)
@@ -251,6 +388,26 @@ class TestFlipperPipeline:
         assert np.all((pts[:, :3] >= 0) & (pts[:, :3] < scene.cell_size))
         norms = np.sqrt((pts[:, 3:] ** 2).sum(-1))
         assert np.allclose(norms, 1.0, atol=1e-12)
+
+    def test_entry_points_lie_outside_action_spheres(self):
+        scene = _gate_scene()
+        L, r0 = scene.cell_size, scene.action_range
+        sampler = entry_measure(scene).sampler
+        moved = 0
+        for i in range(3000):
+            pt = sampler(trajectory_stream(6, i), 1)[0]
+            assert _min_image_distance(scene, pt[:3]).min() > r0
+            # a start outside every sphere keeps its first draw
+            rng = trajectory_stream(6, i)
+            pos = rng.random((1, 3)) * L
+            vec = rng.normal(size=(1, 3))
+            vec /= np.linalg.norm(vec, axis=1, keepdims=True)
+            first = np.concatenate([pos, vec], axis=1)[0]
+            if not np.array_equal(pt, first):
+                moved += 1
+                assert _min_image_distance(scene, first[:3]).min() <= r0
+        # about 2.1e-3 of the cell lies inside a sphere
+        assert 1 <= moved <= 20
 
     def test_small_ensemble_roughly_isotropic(self):
         scene = random_scene(64, 0.05, 1.0, seed=3)
