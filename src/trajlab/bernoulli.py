@@ -14,7 +14,7 @@ binary is just the leading bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ __all__ = [
     "BernoulliTrajectory",
     "ThresholdExperiment",
     "bernoulli_step",
-    "orbit",
+    "orbit_bits",
     "orbit_rate",
     "bit_sequence_measure",
     "biased_measure",
@@ -125,28 +125,34 @@ def bernoulli_step(state: BernoulliState) -> BernoulliState:
     return BernoulliState(bits=state.bits, pos=state.pos + 1)
 
 
-def orbit(x0: RationalLike | BernoulliState, n_steps: int) -> Iterable[BernoulliState]:
-    """The first ``n_steps`` states of the orbit, starting at x0 itself."""
+def orbit_bits(x0: RationalLike | BernoulliState, n_steps: int) -> np.ndarray:
+    """Leading bits (x >= 1/2) of the first ``n_steps`` states of the orbit.
+
+    A rational start n/d is stepped on its numerator alone: the bit is
+    2n // d (that is, 2n >= d) and the next numerator is 2n mod d.
+    """
     state = x0 if isinstance(x0, BernoulliState) else BernoulliState.from_rational(x0)
-    for _ in range(int(n_steps)):
-        yield state
-        state = bernoulli_step(state)
+    n_steps = int(n_steps)
+    if state.bits is not None:
+        avail = state.bits.size - state.pos
+        if avail < n_steps:
+            raise PrecisionExhaustedError(
+                f"need {n_steps} bits, state has {avail}")
+        return state.bits[state.pos:state.pos + n_steps]
+    num, den = state.fraction.numerator, state.fraction.denominator
+    bits = []
+    for _ in range(n_steps):
+        bit, num = divmod(2 * num, den)
+        bits.append(bit)
+    return np.array(bits, dtype=np.uint8)
 
 
 def orbit_rate(x0: RationalLike | BernoulliState, n_steps: int) -> Fraction:
     """Exact yes-rate (x >= 1/2) over the first ``n_steps`` steps."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    state = x0 if isinstance(x0, BernoulliState) else BernoulliState.from_rational(x0)
-    if state.bits is not None:
-        avail = state.bits.size - state.pos
-        if avail < n_steps:
-            raise PrecisionExhaustedError(
-                f"need {n_steps} bits, state has {avail}")
-        count = int(state.bits[state.pos:state.pos + n_steps].sum(dtype=np.int64))
-        return Fraction(count, int(n_steps))
-    count = sum(s.leading_bit() for s in orbit(state, n_steps))
-    return Fraction(int(count), int(n_steps))
+    return Fraction(int(orbit_bits(x0, n_steps).sum(dtype=np.int64)),
+                    int(n_steps))
 
 
 class BernoulliTrajectory(Trajectory):
@@ -164,31 +170,24 @@ class BernoulliTrajectory(Trajectory):
         if state.bits is not None and state.bits.size - state.pos < self.n_steps:
             raise PrecisionExhaustedError(
                 f"trajectory of {self.n_steps} steps needs that many bits")
-        self._cache = [state]
 
     @property
     def domain(self):
         return 0.0, float(self.n_steps - 1)
 
-    def _state_at(self, k: int) -> BernoulliState:
-        while len(self._cache) <= k:
-            self._cache.append(bernoulli_step(self._cache[-1]))
-        return self._cache[k]
-
     def evaluate(self, t):
         k = int(round(float(t)))
         if not 0 <= k < self.n_steps:
             raise ValueError(f"step {k} outside orbit of {self.n_steps} steps")
-        return ConfigurationPoint(np.array([float(self._state_at(k).value())]))
+        s = self.state
+        x = s.fraction * 2 ** k % 1 if s.bits is None else \
+            BernoulliState(bits=s.bits, pos=s.pos + k).value()
+        return ConfigurationPoint(np.array([float(x)]))
 
     def events(self, horizon=None):
         n = self.n_steps if horizon is None else min(int(horizon), self.n_steps)
-        if self.state.bits is not None:
-            bits = self.state.bits[self.state.pos:self.state.pos + n]
-            return [Event(time=float(k), point=None, data=int(b))
-                    for k, b in enumerate(bits)]
-        return [Event(time=float(k), point=None, data=self._state_at(k).leading_bit())
-                for k in range(n)]
+        return [Event(time=float(k), point=None, data=int(b))
+                for k, b in enumerate(orbit_bits(self.state, n))]
 
 
 class ThresholdExperiment(Experiment):
@@ -197,14 +196,6 @@ class ThresholdExperiment(Experiment):
     def __init__(self):
         super().__init__(n_outcomes=2, classify=lambda ev: ev.data,
                          name="threshold x>=1/2")
-
-    def outcome_sequence(self, trajectory, horizon=None):
-        if isinstance(trajectory, BernoulliTrajectory) and trajectory.state.bits is not None:
-            n = trajectory.n_steps if horizon is None else min(int(horizon),
-                                                               trajectory.n_steps)
-            s = trajectory.state
-            return s.bits[s.pos:s.pos + n].astype(np.intp)
-        return super().outcome_sequence(trajectory, horizon)
 
 
 def bit_sequence_measure(n_steps: int, p_one: float = 0.5) -> MeasureSpec:
@@ -255,10 +246,7 @@ def lebesgue_ensemble_rate(n_trajectories: int, n_steps: int, seed: int = 0,
     if measure.dimension < n_steps:
         raise ValueError("measure draws fewer bits than n_steps")
 
-    def builder(points):
-        for bits in points:
-            yield BernoulliTrajectory(BernoulliState.from_bits(bits), n_steps)
-
-    return ensemble_statistics(measure, builder, ThresholdExperiment(),
+    # the outcome of step k is bit k of the point itself
+    return ensemble_statistics(measure, lambda bits: bits[:, :n_steps], 2,
                                n_trajectories=n_trajectories,
                                n_min_trials=n_min_trials, seed=seed)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -43,8 +44,21 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads exponents without a dot (``1e-8``) as floats.
+
+    YAML 1.1, which PyYAML implements, needs a dot in a float, so the plain
+    SafeLoader reads ``1e-8`` as a string. Quoted scalars stay strings.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"), list("-+0123456789"))
+
+
 def _construct_scalar(node):
-    loader = yaml.SafeLoader("")
+    loader = _Loader("")
     try:
         return loader.construct_object(node, deep=True)
     finally:
@@ -74,7 +88,7 @@ def load_config(path: str) -> tuple[dict, dict]:
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     try:
-        node = yaml.compose(text, Loader=yaml.SafeLoader)
+        node = yaml.compose(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise SchemaError(f"config is not parseable: {exc}",

@@ -31,7 +31,7 @@ from .errors import (
     NoTrialsError,
     PushforwardError,
 )
-from .rng import stream, trajectory_stream
+from .rng import stream, trajectory_streams
 
 __all__ = [
     "ConfigurationPoint",
@@ -46,6 +46,7 @@ __all__ = [
     "HistogramMeasure",
     "BoundaryMap",
     "point_mass",
+    "outcome_rates",
     "evaluate_rates",
     "ensemble_statistics",
     "is_well_defined",
@@ -203,36 +204,26 @@ class PiecewiseTrajectory(Trajectory):
 
 
 class Experiment:
-    """Repeatable yes/no-or-more experiment along a trajectory.
+    """Repeatable yes/no-or-more experiment along an object-valued trajectory.
 
-    ``trigger`` decides whether a trial happens at an event (None means every
-    event is a trial); ``classify`` maps a triggered event to an outcome
-    index in ``range(n_outcomes)``.
+    ``classify`` maps an event to its outcome index in ``range(n_outcomes)``,
+    or to -1 if the event is no trial, as in the outcome matrices that
+    ensemble builders return (see :func:`ensemble_statistics`).
     """
 
-    def __init__(self, n_outcomes: int,
-                 classify: Callable[[Event], int],
-                 trigger: Callable[[Event], bool] | None = None,
+    def __init__(self, n_outcomes: int, classify: Callable[[Event], int],
                  name: str = ""):
         if n_outcomes < 1:
             raise ValueError("n_outcomes must be >= 1")
         self.n_outcomes = int(n_outcomes)
         self.classify = classify
-        self.trigger = trigger
         self.name = name
 
     def outcome_sequence(self, trajectory: Trajectory,
                          horizon: int | None = None) -> np.ndarray:
-        """Outcome index per triggered trial, in time order.
-
-        Subclasses may override with a vectorized implementation; the
-        contract is identical.
-        """
-        out = []
-        for ev in trajectory.events(horizon):
-            if self.trigger is None or self.trigger(ev):
-                out.append(self.classify(ev))
-        return np.asarray(out, dtype=np.intp)
+        """Outcome index (or -1) per event, in time order."""
+        return np.asarray([self.classify(ev) for ev in
+                           trajectory.events(horizon)], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -259,29 +250,43 @@ class RateStatistics:
     n_min_trials: int
 
 
+def outcome_rates(outcomes, n_outcomes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rates ``(n, n_outcomes)`` and trial counts ``(n,)`` of each row.
+
+    ``outcomes`` is an ``(n, h)`` outcome matrix padded with -1 (see
+    :func:`ensemble_statistics`); a row without trials has zero rates.
+    """
+    outcomes = np.asarray(outcomes)
+    if outcomes.size and (outcomes.min() < -1
+                          or outcomes.max() >= n_outcomes):
+        raise ValueError("outcome index out of range")
+    counts = np.stack([np.count_nonzero(outcomes == j, axis=1)
+                       for j in range(n_outcomes)], axis=1)
+    trials = counts.sum(axis=1)
+    return counts / np.maximum(trials, 1)[:, None], trials
+
+
 def evaluate_rates(trajectory: Trajectory, experiment: Experiment,
                    horizon: int | None = None,
                    n_min_trials: int = 1) -> RateResult:
     """Relative rate of each outcome along ``trajectory``.
 
     ``horizon`` caps the number of events considered. Raises
-    :class:`NoTrialsError` if no event triggers at all; flags the result when
+    :class:`NoTrialsError` if no event is a trial; flags the result when
     fewer than ``n_min_trials`` trials occurred.
     """
-    outcomes = experiment.outcome_sequence(trajectory, horizon)
-    n = int(outcomes.size)
+    rates, trials = outcome_rates(
+        experiment.outcome_sequence(trajectory, horizon)[None, :],
+        experiment.n_outcomes)
+    n = int(trials[0])
     if n == 0:
         raise NoTrialsError(
             f"experiment {experiment.name or type(experiment).__name__!r} "
             "never triggered")
-    if outcomes.min() < 0 or outcomes.max() >= experiment.n_outcomes:
-        raise ValueError("classify returned an outcome index out of range")
-    counts = np.bincount(outcomes, minlength=experiment.n_outcomes)
-    rates = counts / float(n)
-    return RateResult(rates=rates, n_trials=n, flagged=n < int(n_min_trials))
+    return RateResult(rates=rates[0], n_trials=n, flagged=n < int(n_min_trials))
 
 
-#: boundary points drawn and handed to a trajectory builder at a time. It
+#: boundary points drawn and handed to an outcome builder at a time. It
 #: bounds the memory of the drawn points (all 10,000 rows of 1000 bits of a
 #: Bernoulli ensemble would take 10 MB) and is the lockstep batch of the
 #: flipper kernel.
@@ -289,62 +294,51 @@ BUILD_BLOCK = 256
 
 
 def ensemble_statistics(measure: "MeasureSpec",
-                        trajectory_builder: Callable[[np.ndarray],
-                                                     Iterable[Trajectory]],
-                        experiment: Experiment,
+                        outcome_builder: Callable[[np.ndarray], np.ndarray],
+                        n_outcomes: int,
                         n_trajectories: int,
                         n_min_trials: int = 1,
-                        seed: int = 0,
-                        horizon: int | None = None) -> RateStatistics:
+                        seed: int = 0) -> RateStatistics:
     """Mean and variance of outcome rates over a sampled trajectory ensemble.
 
     Boundary points are drawn one per trajectory from ``measure`` using the
     stream derived from ``(seed, index)``, so the result is reproducible bit
     for bit for a given ``(seed, n_trajectories)`` independent of evaluation
-    order. ``trajectory_builder`` maps an ``(n, d)`` array of boundary
-    points to an iterable of their ``n`` trajectories in row order. It is
-    called on consecutive blocks of at most :data:`BUILD_BLOCK` rows, and a
-    row's trajectory must not depend on the other rows of its block.
-    Trajectories with fewer than ``n_min_trials`` trials are excluded; if
-    all are excluded an :class:`EmptyEnsembleError` is raised.
+    order. ``outcome_builder`` maps consecutive blocks of at most
+    :data:`BUILD_BLOCK` boundary points ``(n, d)`` to their ``(n, h)``
+    outcome matrix: row i lists the outcome, in ``range(n_outcomes)``, of
+    each trial along trajectory i, padded with -1. A row must not depend on
+    the other rows of its block. Trajectories with fewer than
+    ``max(n_min_trials, 1)`` trials are excluded; if all are excluded an
+    :class:`EmptyEnsembleError` is raised.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
     n_trajectories = int(n_trajectories)
-    rows = []
-    excluded = 0
-    built = 0
+    kept = []
     for start in range(0, n_trajectories, BUILD_BLOCK):
         stop = min(start + BUILD_BLOCK, n_trajectories)
-        points = np.concatenate([measure.sampler(trajectory_stream(seed, i), 1)
-                                 for i in range(start, stop)])
-        for traj in trajectory_builder(points):
-            built += 1
-            try:
-                rr = evaluate_rates(traj, experiment, horizon=horizon,
-                                    n_min_trials=n_min_trials)
-            except NoTrialsError:
-                excluded += 1
-                continue
-            if rr.flagged:
-                excluded += 1
-                continue
-            rows.append(rr.rates)
-        if built != stop:
-            raise ValueError(f"trajectory builder returned {built - start} "
-                             f"trajectories for {stop - start} points")
-    if not rows:
+        points = np.concatenate([measure.sampler(rng, 1) for rng in
+                                 trajectory_streams(seed, start, stop)])
+        outcomes = np.asarray(outcome_builder(points))
+        if outcomes.ndim != 2 or len(outcomes) != stop - start:
+            raise ValueError(f"outcome builder returned shape "
+                             f"{outcomes.shape} for {stop - start} points")
+        rates, trials = outcome_rates(outcomes, n_outcomes)
+        kept.append(rates[trials >= max(int(n_min_trials), 1)])
+    R = np.concatenate(kept)
+    if not len(R):
         raise EmptyEnsembleError(
             f"all {n_trajectories} trajectories had fewer than "
             f"{n_min_trials} trials")
-    R = np.asarray(rows)
     mean = R.mean(axis=0)
     # two-pass form of <f^2> - <f>^2; nonnegative by construction
     variance = np.mean((R - mean) ** 2, axis=0)
     # snap pure roundoff to zero; genuine rate variances are quantized far above this
     variance[variance < 1e-30] = 0.0
     return RateStatistics(mean=mean, variance=variance,
-                          n_trajectories=len(rows), n_excluded=excluded,
+                          n_trajectories=len(R),
+                          n_excluded=n_trajectories - len(R),
                           n_min_trials=int(n_min_trials))
 
 

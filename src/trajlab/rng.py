@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 def _as_key(part) -> int:
@@ -39,3 +40,98 @@ def stream(master_seed: int, *path) -> np.random.Generator:
 def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     """Stream for the ``index``-th trajectory of an ensemble."""
     return stream(master_seed, index)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+
+
+class _Words:
+    """Seed words computed in advance, handed to ``PCG64`` as its seed.
+
+    ``PCG64`` asks its seed sequence for exactly ``generate_state(4,
+    uint64)``; any other request would mean it no longer seeds the way
+    :func:`trajectory_streams` reproduces, so it is refused.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only generate_state(4, uint64) is precomputed, "
+                             f"not ({n_words}, {np.dtype(dtype)})")
+        return self.words
+
+
+ISeedSequence.register(_Words)
+
+
+def _hasher(hash_const: int, mult: int):
+    """numpy's hashmix on uint32 scalars or arrays, with its running constant."""
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = np.uint32(value) ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def trajectory_streams(master_seed: int, start: int,
+                       stop: int) -> list[np.random.Generator]:
+    """``[trajectory_stream(master_seed, i) for i in range(start, stop)]``.
+
+    Each generator is draw for draw the one :func:`trajectory_stream`
+    returns. The SeedSequence hash of ``(master_seed, spawn_key=(i,))`` is
+    computed for all indices at once in uint32 array arithmetic (numpy
+    keeps the hash fixed under its stream-compatibility policy, NEP 19);
+    only the last entropy word, the index, differs between them. Indices
+    of 2**32 and above have a two-word spawn key and take the scalar path.
+    """
+    if master_seed < 0:
+        raise ValueError("master seed must be a nonnegative integer")
+    split = min(max(start, 2 ** 32), stop)
+    # entropy words: the seed's 32-bit words little end first, zero-padded
+    # to the pool size because a spawn key follows, then the index
+    entropy, rest = [], int(master_seed)
+    while True:
+        entropy.append(rest & _MASK32)
+        rest >>= 32
+        if not rest:
+            break
+    entropy += [0] * (_POOL - len(entropy))
+    # through uint64: an empty range may start at 2**32 or above
+    entropy.append(np.arange(start, max(start, split), dtype=np.uint64)
+                   .astype(np.uint32))
+    with np.errstate(over="ignore"):
+        # mix_entropy
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(w) for w in entropy[:_POOL]]
+        for i_src in range(_POOL):
+            for i_dst in range(_POOL):
+                if i_src != i_dst:
+                    pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+        for word in entropy[_POOL:]:
+            for i_dst in range(_POOL):
+                pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+        # generate_state(4, uint64): eight words cycling the pool, paired
+        # little end first
+        draw = _hasher(_INIT_B, _MULT_B)
+        state = np.stack([draw(pool[i % _POOL]) for i in range(8)], axis=1)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_Words(w))) for w in words] \
+        + [trajectory_stream(master_seed, i) for i in range(split, stop)]

@@ -61,8 +61,9 @@ __all__ = [
     "EncounterRecord",
     "AngleBinExperiment",
     "bin_edges",
+    "angle_bins",
     "entry_measure",
-    "flipper_trajectory_builder",
+    "flipper_outcome_builder",
     "flipper_cross_section",
 ]
 
@@ -578,7 +579,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _trace_batch(scene: FlipperScene, positions, directions,
                  n_encounters: int, max_path_length: float | None,
-                 record_path: bool) -> list[FlipperTrajectory]:
+                 record_path: bool):
     """Trace n rays in lockstep; see :func:`trace_flipper` for the physics.
 
     Each step advances every live ray by one free-flight segment (to the
@@ -588,6 +589,9 @@ def _trace_batch(scene: FlipperScene, positions, directions,
     ``max_path_length``. Every operation acts on each row alone (dot
     products are written out per component, not left to BLAS), so a ray
     traced by itself gives bitwise the same trajectory as in any batch.
+    Returns each ray's encounter count, the ``(n, n_encounters)`` arrays of
+    the :class:`EncounterRecord` fields (a row's first ``count`` valid), and
+    the path vertices as ``(rows, points)`` pairs in the order made.
     """
     L = scene.cell_size
     r0 = scene.action_range
@@ -728,20 +732,7 @@ def _trace_batch(scene: FlipperScene, positions, directions,
             if record_path:
                 log.append((hit_rows, leave_at))
 
-    ids = np.concatenate([i for i, _ in log])
-    order = np.argsort(ids, kind="stable")
-    points = np.concatenate([p for _, p in log])[order]
-    bounds = np.searchsorted(ids[order], np.arange(n + 1))
-    out = []
-    for i in range(n):
-        m = count[i]
-        encounters = [EncounterRecord(*e) for e in zip(
-            enc_length[i, :m].tolist(), enc_center[i, :m].tolist(),
-            enc_s[i, :m].tolist(), enc_theta[i, :m].tolist(),
-            enc_signed[i, :m].tolist())]
-        out.append(FlipperTrajectory(points[bounds[i]:bounds[i + 1]],
-                                     encounters))
-    return out
+    return count, (enc_length, enc_center, enc_s, enc_theta, enc_signed), log
 
 
 def trace_flipper(scene: FlipperScene, position, direction,
@@ -757,9 +748,13 @@ def trace_flipper(scene: FlipperScene, position, direction,
     vertices (statistics unchanged, geometry coarse) for large ensembles.
     This is the lockstep kernel with a batch of one ray.
     """
-    return _trace_batch(scene, np.reshape(position, (1, 3)),
-                        np.reshape(direction, (1, 3)), n_encounters,
-                        max_path_length, record_path)[0]
+    count, fields, log = _trace_batch(
+        scene, np.reshape(position, (1, 3)), np.reshape(direction, (1, 3)),
+        n_encounters, max_path_length, record_path)
+    return FlipperTrajectory(
+        np.concatenate([p for _, p in log]),
+        [EncounterRecord(*e) for e in zip(*(f[0, :count[0]].tolist()
+                                            for f in fields))])
 
 
 def bin_edges(n_bins: int) -> np.ndarray:
@@ -767,19 +762,19 @@ def bin_edges(n_bins: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * np.arange(n_bins + 1) / n_bins
 
 
+def angle_bins(theta_signed, n_bins: int) -> np.ndarray:
+    """Index of the equal bin of (-pi, pi] each signed angle falls in."""
+    i = np.floor((np.asarray(theta_signed) + math.pi) / (2.0 * math.pi / n_bins))
+    return np.clip(i, 0, n_bins - 1).astype(np.intp)
+
+
 class AngleBinExperiment(Experiment):
     """Outcome i iff the signed encounter angle falls in bin i of (-pi, pi]."""
 
     def __init__(self, n_bins: int):
-        self.edges = bin_edges(n_bins)
-        width = 2.0 * math.pi / n_bins
-
-        def classify(ev):
-            th = ev.data.theta_signed
-            i = int(math.floor((th + math.pi) / width))
-            return min(max(i, 0), n_bins - 1)
-
-        super().__init__(n_outcomes=n_bins, classify=classify,
+        super().__init__(n_outcomes=n_bins,
+                         classify=lambda ev: int(angle_bins(
+                             ev.data.theta_signed, n_bins)),
                          name=f"angle-bins({n_bins})")
 
 
@@ -816,21 +811,24 @@ def entry_measure(scene: FlipperScene) -> MeasureSpec:
                        total_mass=1.0, name="flipper-entry")
 
 
-def flipper_trajectory_builder(scene: FlipperScene, n_encounters: int,
-                               max_path_length: float | None = None,
-                               record_path: bool = False):
-    """Builder for :func:`trajlab.core.ensemble_statistics`.
+def flipper_outcome_builder(scene: FlipperScene, n_bins: int,
+                            n_encounters: int,
+                            max_path_length: float | None = None):
+    """Outcome builder for :func:`trajlab.core.ensemble_statistics`.
 
-    Maps entry points of shape ``(n, 6)`` (position, then direction) to
-    their ``n`` trajectories in row order, traced as one lockstep batch.
-    ``ensemble_statistics`` hands it blocks of ``core.BUILD_BLOCK`` (256)
-    rows, which bounds the kernel's rows-times-centers arrays. A row's
-    trajectory does not depend on the other rows of its block.
+    Entry points ``(n, 6)`` go to the ``(n, n_encounters)`` angle bins of
+    each ray's signed deflections, padded with -1 past a ray that stopped
+    early. A block (``core.BUILD_BLOCK`` rows) is one lockstep batch.
     """
 
     def build(points):
-        return _trace_batch(scene, points[:, :3], points[:, 3:6],
-                            n_encounters, max_path_length, record_path)
+        count, (*_, theta_signed), _ = _trace_batch(
+            scene, points[:, :3], points[:, 3:6], n_encounters,
+            max_path_length, False)
+        outcomes = np.full((len(points), n_encounters), -1, dtype=np.intp)
+        valid = np.arange(n_encounters) < count[:, None]
+        outcomes[valid] = angle_bins(theta_signed[valid], n_bins)
+        return outcomes
 
     return build
 
@@ -869,9 +867,10 @@ def flipper_cross_section(scene: FlipperScene, source_measure=None,
         source_measure = entry_measure(scene)
     stats = ensemble_statistics(
         source_measure,
-        flipper_trajectory_builder(scene, n_encounters, max_path_length),
-        AngleBinExperiment(n_outcomes),
-        n_trajectories=n_traj, n_min_trials=n_min_trials, seed=seed)
+        flipper_outcome_builder(scene, n_outcomes, n_encounters,
+                                max_path_length),
+        n_outcomes, n_trajectories=n_traj, n_min_trials=n_min_trials,
+        seed=seed)
     sigma = cross_sections_from_rates(stats.mean, scene.action_range)
     return FlipperResult(stats=stats, cross_sections=sigma,
                          n_outcomes=n_outcomes)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import SchemaError
 from .rng import stream
 from .core import is_well_defined
-from .bernoulli import (BernoulliState, orbit, orbit_rate,
+from .bernoulli import (BernoulliState, orbit_bits, orbit_rate,
                         bit_sequence_measure, lebesgue_ensemble_rate)
 from .scattering import (HardSphere, RepulsivePower, ScreenedCoulomb,
                          DeflectionFunction, transfer_density,
@@ -190,8 +190,9 @@ def _run_bernoulli(p, seed, out: OutputBundle):
     stats = lebesgue_ensemble_rate(
         p["n_traj"], n_steps, seed=seed,
         measure=bit_sequence_measure(n_steps, p["bias"]))
-    frac = orbit_rate(Fraction(p["orbit_numerator"], p["orbit_denominator"]),
+    bits = orbit_bits(Fraction(p["orbit_numerator"], p["orbit_denominator"]),
                       p["orbit_steps"])
+    frac = orbit_rate(BernoulliState.from_bits(bits), p["orbit_steps"])
     out.add_csv("results.csv", ("quantity", "value"), [
         ("yes_rate_mean", float(stats.mean[1])),
         ("yes_rate_spread", math.sqrt(float(stats.variance[1]))),
@@ -203,9 +204,6 @@ def _run_bernoulli(p, seed, out: OutputBundle):
         ("orbit_rate_numerator", frac.numerator),
         ("orbit_rate_denominator", frac.denominator),
     ])
-    state = BernoulliState.from_rational(
-        Fraction(p["orbit_numerator"], p["orbit_denominator"]))
-    bits = [s.leading_bit() for s in orbit(state, p["orbit_steps"])]
     cum = np.cumsum(bits)
     ks = np.arange(1, len(bits) + 1)
     step = max(1, len(bits) // 500)
@@ -519,10 +517,13 @@ def _run_bigbang(p, seed, out: OutputBundle):
         system = NBodySystem(masses, external_potential=CompactBumpPotential(
             p["amplitude"], p["bump_radius"], tuple(p["bump_center"])))
 
+    e0 = system.energy(vel * p["t0"], vel)
+    if e0 == 0.0:
+        raise ValueError("initial energy is zero, so the relative energy "
+                         "error is undefined")
     res = asymptotic_velocity(system, vel, t_max=p["t_max"],
                               tolerance=p["tolerance"], t0=p["t0"],
                               growth=p["growth"])
-    e0 = system.energy(vel * p["t0"], vel)
     vp = res.v_plus.reshape(len(masses), 3)
     ke = 0.5 * float(np.sum(np.asarray(masses)[:, None] * vp * vp))
 

@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trajlab.bernoulli import (BernoulliState, bernoulli_step, orbit,
+from trajlab import bernoulli
+from trajlab.bernoulli import (BernoulliState, bernoulli_step, orbit_bits,
                                orbit_rate, BernoulliTrajectory,
                                ThresholdExperiment, bit_sequence_measure,
                                biased_measure, lebesgue_ensemble_rate)
 from trajlab.core import evaluate_rates, is_well_defined
 from trajlab.errors import PrecisionExhaustedError
-from trajlab.rng import stream
+from trajlab.rng import stream, trajectory_stream
 
 
 class TestState:
@@ -70,6 +71,17 @@ class TestOrbitRate:
     def test_bit_state_rate_counts_bits(self):
         bits = [1, 1, 0, 1]
         assert orbit_rate(BernoulliState.from_bits(bits), 4) == Fraction(3, 4)
+
+    @pytest.mark.parametrize("x", [Fraction(2, 7), Fraction(5, 13),
+                                   Fraction(0), Fraction(1, 2),
+                                   Fraction(9, 7), Fraction(1, 1024)])
+    def test_integer_orbit_matches_state_steps(self, x):
+        state, expected = BernoulliState.from_rational(x), []
+        for _ in range(64):
+            expected.append(state.leading_bit())
+            state = bernoulli_step(state)
+        assert orbit_bits(x, 64).tolist() == expected
+        assert orbit_rate(x, 64) == Fraction(sum(expected), 64)
 
     def test_bit_state_runs_out(self):
         with pytest.raises(PrecisionExhaustedError):
@@ -144,6 +156,34 @@ class TestEnsembleRates:
         a = lebesgue_ensemble_rate(50, 100, seed=3)
         b = lebesgue_ensemble_rate(50, 100, seed=3)
         assert np.array_equal(a.mean, b.mean)
+
+    def test_matches_per_trajectory_rates(self):
+        # the rates of each trajectory through the event adapter, reduced
+        # the same way, give bitwise the same statistics
+        n_steps, measure = 60, biased_measure(0.7, 80)
+        stats = lebesgue_ensemble_rate(300, n_steps, seed=5, measure=measure)
+        R = np.asarray([evaluate_rates(
+            BernoulliTrajectory(BernoulliState.from_bits(
+                measure.sampler(trajectory_stream(5, i), 1)[0]), n_steps),
+            ThresholdExperiment()).rates for i in range(300)])
+        mean = R.mean(axis=0)
+        assert np.array_equal(stats.mean, mean)
+        assert np.array_equal(stats.variance,
+                              np.mean((R - mean) ** 2, axis=0))
+
+    def test_outcome_block_equals_rows_built_alone(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bernoulli, "ensemble_statistics",
+                            lambda *args, **kw: calls.append(args))
+        lebesgue_ensemble_rate(10, 30, measure=bit_sequence_measure(40))
+        builder = calls[0][1]
+        points = bit_sequence_measure(40).sampler(stream(2), 16)
+        block = builder(points)
+        assert block.shape == (16, 30)
+        for bits, row in zip(points, block):
+            alone = ThresholdExperiment().outcome_sequence(
+                BernoulliTrajectory(BernoulliState.from_bits(bits), 30))
+            assert np.array_equal(row, alone)
 
     def test_measure_must_cover_steps(self):
         with pytest.raises(ValueError):

@@ -278,6 +278,51 @@ class TestErrorExits:
         assert not out.exists()
 
 
+class TestFloatSyntax:
+    def _bigbang(self, tmp_path, tolerance):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenario: bigbang\n"
+                       "parameters:\n"
+                       "  t_max: 4096.0\n"
+                       f"  tolerance: {tolerance}\n")
+        out = tmp_path / "o"
+        return run(["run", "bigbang", "--config", cfg, "--out", out]), out
+
+    def test_exponent_without_dot_is_a_float(self, tmp_path):
+        code, out = self._bigbang(tmp_path, "1e-5")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["tolerance"] == 1e-5
+
+    def test_quoted_exponent_stays_a_string(self, tmp_path, capsys):
+        code, out = self._bigbang(tmp_path, '"1e-5"')
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert "parameters.tolerance" in err and "line 4" in err
+        assert "'1e-5'" in err
+        assert not out.exists()
+
+    def test_loader_reads_only_numbers_as_floats(self):
+        doc = yaml.load("a: 1e-8\nb: -3E+5\nc: e5\nd: 1e\ne: 12\n",
+                        Loader=cli._Loader)
+        assert doc == {"a": 1e-8, "b": -3e5, "c": "e5", "d": "1e", "e": 12}
+
+
+class TestBigbangAtRest:
+    def test_zero_initial_energy_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenario: bigbang\n"
+                       "parameters:\n"
+                       "  masses: [1.0]\n"
+                       "  velocities: [[0.0, 0.0, 0.0]]\n")
+        out = tmp_path / "o"
+        assert run(["run", "bigbang", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err.strip()
+        assert "ValueError" in err and "energy" in err
+        assert "\n" not in err
+        assert not out.exists()
+
+
 class TestListing:
     def test_listing_is_stable_and_complete(self, capsys):
         assert run(["list-scenarios"]) == 0

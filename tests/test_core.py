@@ -5,13 +5,15 @@ import pytest
 
 from trajlab.core import (ConfigurationPoint, Event, SampledTrajectory,
                           Segment, PiecewiseTrajectory, Experiment,
-                          evaluate_rates, ensemble_statistics,
+                          evaluate_rates, ensemble_statistics, outcome_rates,
+                          BUILD_BLOCK,
                           is_well_defined, MeasureSpec, point_mass,
                           HistogramMeasure, BoundaryMap, validate_jacobian,
                           pushforward, check_determinism)
 from trajlab.errors import (NoTrialsError, EmptyEnsembleError,
                             DegenerateMeasureError, PushforwardError)
-from trajlab.rng import stream, trajectory_stream
+from trajlab.rng import (_Words, stream, trajectory_stream,
+                         trajectory_streams)
 
 
 class TestConfigurationPoint:
@@ -117,6 +119,15 @@ class TestRates:
         with pytest.raises(ValueError):
             evaluate_rates(tr, self._experiment())
 
+    def test_minus_one_is_no_trial(self):
+        rr = evaluate_rates(self._traj_with_events([-1, 1, -1, 0]),
+                            self._experiment())
+        assert rr.n_trials == 2
+        assert np.array_equal(rr.rates, [0.5, 0.5])
+        with pytest.raises(NoTrialsError):
+            evaluate_rates(self._traj_with_events([-1, -1]),
+                           self._experiment())
+
 
 class TestEnsemble:
     def _setup(self, n_events=40):
@@ -124,57 +135,113 @@ class TestEnsemble:
             dimension=1,
             sampler=lambda rng, n: rng.random((n, 1)))
 
-        def build_one(point):
-            p = float(point[0])
-
-            class T:
-                branch_id = None
-                native_step = 1.0
-                domain = (0.0, float(n_events))
-
-                def evaluate(self, t):
-                    return ConfigurationPoint(np.array([p]))
-
-                def events(self, horizon=None):
-                    n = n_events if horizon is None else min(horizon,
-                                                             n_events)
-                    # deterministic bits from the boundary point
-                    rng = np.random.default_rng(int(p * 2 ** 40))
-                    bits = (rng.random(n) < 0.5).astype(int)
-                    return [Event(time=float(k), point=None, data=int(b))
-                            for k, b in enumerate(bits)]
-            return T()
-
         def builder(points):
-            return [build_one(point) for point in points]
+            # deterministic bits from each boundary point
+            return np.array([
+                (np.random.default_rng(int(float(point[0]) * 2 ** 40))
+                 .random(n_events) < 0.5).astype(int)
+                for point in points])
 
-        exp = Experiment(n_outcomes=2, classify=lambda ev: ev.data)
-        return measure, builder, exp
+        return measure, builder, 2
 
     def test_statistics_reproducible(self):
-        measure, builder, exp = self._setup()
-        s1 = ensemble_statistics(measure, builder, exp, 50, seed=9)
-        s2 = ensemble_statistics(measure, builder, exp, 50, seed=9)
+        measure, builder, n_outcomes = self._setup()
+        s1 = ensemble_statistics(measure, builder, n_outcomes, 50, seed=9)
+        s2 = ensemble_statistics(measure, builder, n_outcomes, 50, seed=9)
         assert np.array_equal(s1.mean, s2.mean)
         assert np.array_equal(s1.variance, s2.variance)
 
     def test_seed_changes_draws(self):
-        measure, builder, exp = self._setup()
-        s1 = ensemble_statistics(measure, builder, exp, 50, seed=9)
-        s2 = ensemble_statistics(measure, builder, exp, 50, seed=10)
+        measure, builder, n_outcomes = self._setup()
+        s1 = ensemble_statistics(measure, builder, n_outcomes, 50, seed=9)
+        s2 = ensemble_statistics(measure, builder, n_outcomes, 50, seed=10)
         assert not np.array_equal(s1.mean, s2.mean)
 
     def test_trial_floor_excludes_all(self):
-        measure, builder, exp = self._setup(n_events=3)
+        measure, builder, n_outcomes = self._setup(n_events=3)
         with pytest.raises(EmptyEnsembleError):
-            ensemble_statistics(measure, builder, exp, 10, seed=1,
+            ensemble_statistics(measure, builder, n_outcomes, 10, seed=1,
                                 n_min_trials=100)
 
     def test_well_defined_threshold(self):
-        measure, builder, exp = self._setup()
-        stats = ensemble_statistics(measure, builder, exp, 50, seed=2)
+        measure, builder, n_outcomes = self._setup()
+        stats = ensemble_statistics(measure, builder, n_outcomes, 50, seed=2)
         assert is_well_defined(stats, tolerance=1.0)
         assert not is_well_defined(stats, tolerance=1e-12)
+
+
+class TestOutcomeMatrix:
+    """The builder contract: (n, d) points to an (n, h) outcome matrix."""
+
+    measure = MeasureSpec(dimension=1,
+                          sampler=lambda rng, n: rng.random((n, 1)))
+
+    def test_rates_count_each_row(self):
+        rates, trials = outcome_rates(
+            np.array([[0, 1, 1, -1], [2, 2, -1, -1], [-1, -1, -1, -1]]), 3)
+        assert trials.tolist() == [3, 2, 0]
+        assert np.array_equal(rates, [[1 / 3, 2 / 3, 0.0], [0.0, 0.0, 1.0],
+                                      [0.0, 0.0, 0.0]])
+
+    def _ensemble(self, rows, n_trajectories, **kw):
+        """Ensemble whose trajectory i has the outcome row rows(i)."""
+        built = [0]
+
+        def builder(points):
+            first = built[0]
+            built[0] += len(points)
+            return np.array([rows(i) for i in range(first, built[0])])
+
+        return ensemble_statistics(self.measure, builder, 2, n_trajectories,
+                                   **kw)
+
+    def test_rows_without_trials_excluded(self):
+        stats = self._ensemble(
+            lambda i: [-1, -1, -1] if i % 3 == 0 else [1, 0, -1], 300)
+        assert (stats.n_trajectories, stats.n_excluded) == (200, 100)
+        assert np.array_equal(stats.mean, [0.5, 0.5])
+        assert np.array_equal(stats.variance, [0.0, 0.0])
+
+    def test_rows_under_trial_floor_excluded(self):
+        stats = self._ensemble(
+            lambda i: [1, -1, -1] if i % 2 else [0, 0, 1], 300,
+            n_min_trials=2)
+        assert (stats.n_trajectories, stats.n_excluded) == (150, 150)
+        assert np.allclose(stats.mean, [2 / 3, 1 / 3], rtol=0, atol=1e-12)
+        with pytest.raises(EmptyEnsembleError):
+            self._ensemble(lambda i: [-1, -1], 10)
+
+    @pytest.mark.parametrize("bad", [2, -2])
+    def test_out_of_range_outcome_rejected(self, bad):
+        with pytest.raises(ValueError):
+            self._ensemble(lambda i: [0, bad if i == 260 else 1], 300)
+        with pytest.raises(ValueError):
+            outcome_rates(np.array([[0, bad]]), 2)
+
+    @pytest.mark.parametrize("shape", [lambda n: (n - 1, 4),
+                                       lambda n: (n + 1, 4),
+                                       lambda n: (n,)])
+    def test_wrong_row_count_rejected(self, shape):
+        def builder(points):
+            return np.zeros(shape(len(points)), dtype=int)
+
+        with pytest.raises(ValueError, match="outcome builder"):
+            ensemble_statistics(self.measure, builder, 2, 10)
+
+    def test_blocks_are_consecutive_points(self):
+        seen = []
+
+        def builder(points):
+            seen.append(points[:, 0].copy())
+            return np.zeros((len(points), 1), dtype=int)
+
+        ensemble_statistics(self.measure, builder, 1, 2 * BUILD_BLOCK + 5,
+                            seed=4)
+        assert [len(b) for b in seen] == [BUILD_BLOCK, BUILD_BLOCK, 5]
+        drawn = np.concatenate(seen)
+        for i in (0, BUILD_BLOCK - 1, BUILD_BLOCK, 2 * BUILD_BLOCK + 4):
+            assert drawn[i] == self.measure.sampler(trajectory_stream(4, i),
+                                                    1)[0, 0]
 
 
 class TestMeasures:
@@ -319,3 +386,52 @@ class TestRng:
     def test_trajectory_stream_matches_indexed(self):
         assert trajectory_stream(3, 11).random() == \
             trajectory_stream(3, 11).random()
+
+
+def _same_draws(a, b):
+    return np.array_equal(a.random(64), b.random(64)) \
+        and a.normal() == b.normal()
+
+
+class TestTrajectoryStreams:
+    # 2**130 + 1 has five 32-bit entropy words, one more than the pool
+    SEEDS = (0, 1, 700_000, 2 ** 32 + 5, 2 ** 70 + 3, 2 ** 130 + 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("start, stop", [
+        (0, BUILD_BLOCK + 3),
+        (BUILD_BLOCK - 2, 2 * BUILD_BLOCK + 2),
+        (9_999, 10_001),
+    ])
+    def test_equal_to_indexed_streams(self, seed, start, stop):
+        streams = trajectory_streams(seed, start, stop)
+        assert len(streams) == stop - start
+        for i, g in zip(range(start, stop), streams):
+            assert _same_draws(g, trajectory_stream(seed, i)), i
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_two_word_indices_fall_back(self, seed):
+        start = 2 ** 32 - 2
+        streams = trajectory_streams(seed, start, 2 ** 32 + 2)
+        assert len(streams) == 4
+        assert [type(g.bit_generator.seed_seq).__name__ for g in streams] \
+            == ["_Words", "_Words", "SeedSequence", "SeedSequence"]
+        for i, g in enumerate(streams):
+            assert _same_draws(g, trajectory_stream(seed, start + i))
+
+    def test_empty_range(self):
+        assert trajectory_streams(3, 7, 7) == []
+        assert trajectory_streams(3, 7, 2) == []
+        assert trajectory_streams(3, 2 ** 33, 2 ** 33) == []
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            trajectory_streams(-1, 0, 4)
+
+    @pytest.mark.parametrize("n_words, dtype", [
+        (4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64)])
+    def test_stub_refuses_other_requests(self, n_words, dtype):
+        words = _Words(np.zeros(4, dtype=np.uint64))
+        assert words.generate_state(4, np.uint64) is words.words
+        with pytest.raises(ValueError):
+            words.generate_state(n_words, dtype)

@@ -10,7 +10,8 @@ from trajlab.scattering import (HardSphere, RepulsivePower, ScreenedCoulomb,
                                 isotropic_source_density, transverse_mass,
                                 solid_angle_mass, FlipperScene, random_scene,
                                 trace_flipper, bin_edges, AngleBinExperiment,
-                                entry_measure, flipper_trajectory_builder,
+                                entry_measure, flipper_outcome_builder,
+                                angle_bins, EncounterRecord, _trace_batch,
                                 cross_sections_from_rates,
                                 flipper_cross_section)
 from trajlab.core import ensemble_statistics
@@ -305,28 +306,31 @@ class TestLockstepKernel:
     def test_batch_rows_equal_rays_traced_alone(self):
         scene = _gate_scene()
         points = entry_measure(scene).sampler(stream(4), 64)
-        batch = list(flipper_trajectory_builder(scene, 20)(points))
-        assert len(batch) == 64
-        for point, tr in zip(points, batch):
+        count, fields, log = _trace_batch(scene, points[:, :3], points[:, 3:],
+                                          20, None, False)
+        assert len(count) == 64
+        for i, point in enumerate(points):
+            vertices = np.concatenate([p[rows == i] for rows, p in log])
+            encounters = [EncounterRecord(*e) for e in zip(
+                *(f[i, :count[i]].tolist() for f in fields))]
             alone = trace_flipper(scene, point[:3], point[3:], 20,
                                   record_path=False)
-            assert np.array_equal(tr.vertices, alone.vertices)
-            assert tr.encounters == alone.encounters
+            assert np.array_equal(vertices, alone.vertices)
+            assert encounters == alone.encounters
 
     def test_axis_aligned_batch_stays_finite(self):
         scene = random_scene(64, 0.05, 1.0, seed=2)
         dirs = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                          [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         starts = stream(5).random((6, 3)) * scene.cell_size
-        batch = flipper_trajectory_builder(scene, 8, record_path=True)(
-            np.concatenate([starts, dirs], axis=1))
-        for tr in batch:
-            assert np.isfinite(tr.vertices).all()
-            assert np.all((tr.vertices >= 0.0)
-                          & (tr.vertices <= scene.cell_size))
-            for e in tr.encounters:
-                assert np.isfinite([e.path_length, e.impact_parameter,
-                                    e.theta, e.theta_signed]).all()
+        count, fields, log = _trace_batch(scene, starts, dirs, 8, None, True)
+        vertices = np.concatenate([p for _, p in log])
+        assert np.isfinite(vertices).all()
+        assert np.all((vertices >= 0.0) & (vertices <= scene.cell_size))
+        length, _, s, theta, signed = fields
+        for i, m in enumerate(count):
+            assert np.isfinite([length[i, :m], s[i, :m], theta[i, :m],
+                                signed[i, :m]]).all()
 
     def test_image_hit_names_its_original_center(self):
         scene = _gate_scene()
@@ -427,6 +431,32 @@ class TestFlipperPipeline:
                                     n_encounters=10)
         stats = ensemble_statistics(
             entry_measure(scene),
-            flipper_trajectory_builder(scene, 10),
-            AngleBinExperiment(4), 40, seed=8)
+            flipper_outcome_builder(scene, 4, 10),
+            4, 40, seed=8)
         assert np.array_equal(res.stats.mean, stats.mean)
+
+    def test_outcome_block_equals_rays_binned_alone(self):
+        scene = random_scene(64, 0.05, 1.0, seed=3)
+        points = entry_measure(scene).sampler(stream(9), 48)
+        # a short path budget stops some rays before their 12th encounter
+        block = flipper_outcome_builder(scene, 5, 12, max_path_length=300.0)(
+            points)
+        assert block.shape == (48, 12)
+        exp = AngleBinExperiment(5)
+        short = 0
+        for point, row in zip(points, block):
+            alone = exp.outcome_sequence(trace_flipper(
+                scene, point[:3], point[3:], 12, max_path_length=300.0,
+                record_path=False))
+            assert np.array_equal(row[:len(alone)], alone)
+            assert np.all(row[len(alone):] == -1)
+            short += len(alone) < 12
+        assert 0 < short < 48
+
+    def test_angle_bins_match_scalar_binning(self):
+        th = np.concatenate([stream(3).uniform(-math.pi, math.pi, 500),
+                             bin_edges(8), [-math.pi, math.pi]])
+        width = 2.0 * math.pi / 8
+        expected = [min(max(int(math.floor((t + math.pi) / width)), 0), 7)
+                    for t in th.tolist()]
+        assert angle_bins(th, 8).tolist() == expected
