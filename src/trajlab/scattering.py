@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .core import (
     ConfigurationPoint,
@@ -158,35 +157,61 @@ class ScreenedCoulomb(Potential):
 # ---------------------------------------------------------------------------
 
 
-def turning_radius(potential: Potential, energy: float, s: float) -> float:
-    """Distance of closest approach: largest root of 1 - (s/r)^2 - V(r)/E."""
+_RTOL = 8.9e-16  # root finders stop within four ulps
+
+
+def _flat(x):
+    """``x`` as a 1-d float array, and the map back to ``x``'s shape. A
+    scalar runs as a one-element array: numpy's power of a 0-d array can
+    differ in the last bit from the same element of an array."""
+    a = np.asarray(x, dtype=float)
+    return a.reshape(-1), (lambda res: float(res[0]) if a.ndim == 0
+                           else res.reshape(a.shape))
+
+
+def turning_radius(potential: Potential, energy: float, s):
+    """Distance of closest approach: largest root of 1 - (s/r)^2 - V(r)/E.
+
+    ``s`` may be an array. In u = 1/r the root is the zero of the falling
+    G(u) = 1 - s^2 u^2 - V(1/u)/E, bracketed by doubling u from 1/s (from 1
+    for s = 0) and polished by Newton steps kept inside the bracket.
+    """
     if energy <= 0:
         raise ValueError("energy must be positive")
-    if s < 0:
+    s, back = _flat(s)
+    if np.any(s < 0):
         raise ValueError("impact parameter must be nonnegative")
     if isinstance(potential, HardSphere):
-        return max(float(s), potential.radius)
+        return back(np.maximum(s, potential.radius))
 
-    def radicand(r):
-        val = 1.0 - float(potential(r)) / energy
-        if s > 0:
-            val -= (s / r) ** 2
-        return val
+    def G(u, s):  # G and dG/du
+        r, su = 1.0 / u, s * u
+        return (1.0 - su * su - potential(r) / energy,
+                potential.derivative(r) * r * r / energy - 2.0 * s * su)
 
-    # for monotone repulsive V the radicand is increasing in r: bracket by doubling
-    lo = max(s, 1e-12) * (1.0 + 1e-12) if s > 0 else 1e-12
-    while radicand(lo) > 0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise IntegrationError("failed to bracket turning point from below")
-    hi = max(2.0 * lo, 2.0 * s, 1e-6)
+    hi = 1.0 / np.where(s > 0, s, 1.0)
+    idx = np.arange(len(s))
     for _ in range(2000):
-        if radicand(hi) > 0:
+        idx = idx[G(hi[idx], s[idx])[0] > 0]
+        if not idx.size:
             break
-        hi *= 2.0
+        hi[idx] *= 2.0
     else:
         raise IntegrationError("failed to bracket turning point from above")
-    return float(brentq(radicand, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300))
+    lo, u, idx = np.zeros_like(hi), hi.copy(), np.arange(len(s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            ui = u[idx]
+            g, slope = G(ui, s[idx])
+            lo[idx] = lo_i = np.where(g > 0, ui, lo[idx])
+            hi[idx] = hi_i = np.where(g > 0, hi[idx], ui)
+            new = ui - g / slope
+            u[idx] = new = np.where(g == 0, ui, np.where(
+                (new >= lo_i) & (new <= hi_i), new, 0.5 * (lo_i + hi_i)))
+            idx = idx[np.abs(new - ui) > _RTOL * new]
+            if not idx.size:
+                return back(1.0 / u)
+    raise IntegrationError("turning point did not converge")
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -202,25 +227,20 @@ def _gl_nodes(n):
 def _deflection_integral(potential, energy, s, n_nodes=256):
     """Quadrature of theta = pi - 2 s \\int_0^{u_max} du / sqrt(F(u)).
 
-    The turning-point square-root singularity is removed by u =
-    u_max*(1 - x^2), after which the integrand is smooth and Gauss-Legendre
-    converges at machine precision for the shipped potentials.
+    ``s`` is a 1-d array; all rows are one ``(len(s), n_nodes)`` array. The
+    turning-point square-root singularity is removed by u = u_max*(1 - x^2),
+    after which the integrand is smooth and Gauss-Legendre converges at
+    machine precision for the shipped potentials.
     """
-    if s == 0.0:
-        return math.pi
-    r_min = turning_radius(potential, energy, s)
-    u_max = 1.0 / r_min
+    u_max = 1.0 / turning_radius(potential, energy, s)
     x, w = _gl_nodes(n_nodes)
-    u = u_max * (1.0 - x * x)
-    with np.errstate(divide="ignore"):
-        r = np.where(u > 0, 1.0 / u, np.inf)
-    F = 1.0 - (s * u) ** 2 - np.asarray(potential(r), dtype=float) / energy
-    F = np.maximum(F, 0.0)
+    u = u_max[:, None] * (1.0 - x * x)
+    su = s[:, None] * u
+    F = 1.0 - su * su - np.asarray(potential(1.0 / u), dtype=float) / energy
     if np.any(F <= 0):
         raise IntegrationError("radicand vanished at an interior node")
-    integral = float(np.sum(w * x / np.sqrt(F)))
-    theta = math.pi - 4.0 * s * u_max * integral
-    return min(max(theta, 0.0), math.pi)
+    theta = math.pi - 4.0 * s * u_max * np.sum(w * x / np.sqrt(F), axis=1)
+    return np.clip(theta, 0.0, math.pi)
 
 
 def _deflection_ode(potential, energy, s, r_start=None, rtol=1e-11,
@@ -276,37 +296,43 @@ def _deflection_ode(potential, energy, s, r_start=None, rtol=1e-11,
     return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
 
 
-def deflection_angle(potential: Potential, energy: float, s: float,
-                     method: str = "auto", **kw) -> float:
-    """Polar scattering angle theta(s) in [0, pi].
+def deflection_angle(potential: Potential, energy: float, s,
+                     method: str = "auto", **kw):
+    """Polar scattering angle theta(s) in [0, pi]; ``s`` may be an array.
 
-    Hard spheres use the reflection law theta = 2*arccos(s/R). Smooth
+    Hard spheres use the reflection law theta = 2*arccos(s/R), element by
+    element in scalar libm (the flipper's per-encounter call). Smooth
     potentials default to the deflection-integral quadrature; pass
-    ``method="ode"`` to integrate the planar equations of motion instead
-    (the two are cross-checked in the test suite).
+    ``method="ode"`` to integrate the planar equations of motion instead.
     """
     if energy <= 0:
         raise ValueError("energy must be positive")
-    if s < 0:
+    if isinstance(potential, HardSphere) and np.ndim(s) == 0 and not s < 0:
+        return 2.0 * math.acos(min(s / potential.radius, 1.0))
+    s, back = _flat(s)
+    if np.any(s < 0):
         raise ValueError("impact parameter must be nonnegative")
     if isinstance(potential, HardSphere):
-        if s >= potential.radius:
-            return 0.0
-        return 2.0 * math.acos(s / potential.radius)
+        return back(np.array([deflection_angle(potential, energy, v)
+                              for v in s.tolist()]))
     if method in ("auto", "integral"):
-        return _deflection_integral(potential, energy, s, **kw)
+        return back(_deflection_integral(potential, energy, s, **kw))
     if method == "ode":
-        return _deflection_ode(potential, energy, s, **kw)
+        return back(np.array([_deflection_ode(potential, energy, v, **kw)
+                              for v in s.tolist()]))
     raise ValueError(f"unknown method {method!r}")
 
 
 class DeflectionFunction:
     """theta(s) for one (potential, energy), with inverse and derivative.
 
-    The map is strictly decreasing for the shipped repulsive potentials;
-    this is spot-checked on a grid at construction. The inverse is solved by
-    bracketed root finding on the forward map (no table interpolation), so
-    its accuracy is that of the quadrature.
+    Every method takes a float or an array, and a row gets the same bits
+    alone as in any batch. The map is strictly decreasing for the shipped
+    repulsive potentials; this is spot-checked on a grid at construction.
+    The inverse brackets each angle in one coarse theta(s) table (s from
+    1e-9 to about 2^200 head-on turning radii in steps of 2; linear on
+    [0, R] for a hard sphere) and polishes all angles at once by Illinois
+    regula falsi (Dowell & Jarratt, BIT 11, 1971) to four ulps in s.
     """
 
     def __init__(self, potential: Potential, energy: float,
@@ -316,50 +342,68 @@ class DeflectionFunction:
         self.method = method
         if isinstance(potential, HardSphere):
             self.s_max = potential.radius
+            s_tab = np.linspace(0.0, potential.radius, 33)
         else:
             self.s_max = math.inf
-        if check_monotone and not isinstance(potential, HardSphere):
             scale = turning_radius(potential, energy, 0.0)
-            grid = scale * np.geomspace(0.05, 50.0, 24)
-            th = [self(si) for si in grid]
-            if np.any(np.diff(th) >= 0):
+            s_tab = scale * 1e-9 * 2.0 ** np.arange(231)
+            if check_monotone and np.any(np.diff(
+                    self(scale * np.geomspace(0.05, 50.0, 24))) >= 0):
                 raise IntegrationError(
                     "deflection function is not strictly decreasing")
+        self._table = s_tab, self(s_tab)
 
-    def __call__(self, s: float) -> float:
+    def __call__(self, s):
         return deflection_angle(self.potential, self.energy, s,
                                 method=self.method)
 
-    def inverse(self, theta: float) -> float:
+    def inverse(self, theta):
         """Impact parameter with deflection ``theta`` in (0, pi)."""
-        if not 0.0 < theta < math.pi:
+        theta, back = _flat(theta)
+        if not np.all((theta > 0.0) & (theta < math.pi)):
             raise ValueError("theta must lie strictly inside (0, pi)")
-        if isinstance(self.potential, HardSphere):
-            # still solved numerically; the closed form is the test oracle
-            lo, hi = 0.0, self.potential.radius
-        else:
-            scale = turning_radius(self.potential, self.energy, 0.0)
-            lo = 1e-9 * scale
-            if self(lo) < theta:
-                raise IntegrationError(
-                    f"theta={theta} out of reach (backscatter limit)")
-            hi = scale
-            for _ in range(200):
-                if self(hi) < theta:
-                    break
-                hi *= 2.0
-            else:
-                raise IntegrationError("failed to bracket inverse deflection")
-        f = lambda s: self(s) - theta
-        return float(brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300))
+        s_tab, th_tab = self._table
+        j = np.searchsorted(-th_tab, -theta)  # first entry at or below theta
+        if np.any(j == 0):
+            raise IntegrationError(f"theta={theta[j == 0][0]} out of reach "
+                                   "(backscatter limit)")
+        if np.any(j == len(s_tab)):
+            raise IntegrationError("failed to bracket inverse deflection")
+        a, b = s_tab[j - 1], s_tab[j]
+        fa, fb = th_tab[j - 1] - theta, th_tab[j] - theta  # fa > 0 >= fb
+        side = np.zeros(len(theta))  # +1: a moved last, -1: b moved last
+        idx = np.flatnonzero(fb < 0)
+        for _ in range(200):
+            if not idx.size:
+                return back(b)
+            ai, bi, fai, fbi, si = a[idx], b[idx], fa[idx], fb[idx], side[idx]
+            c = bi - fbi * (bi - ai) / (fbi - fai)
+            fc = self(c) - theta[idx]
+            # c replaces the end of its sign; an end left behind twice
+            # running has its value halved (Illinois)
+            left = fc > 0
+            a[idx], b[idx] = np.where(left, c, ai), np.where(left, bi, c)
+            fa[idx] = np.where(left, fc, np.where(si < 0, 0.5 * fai, fai))
+            fb[idx] = np.where(left, np.where(si > 0, 0.5 * fbi, fbi), fc)
+            side[idx] = np.where(left, 1.0, -1.0)
+            # done when the bracket or the step is within four ulps
+            step = np.abs(c - np.where(si > 0, ai, bi))
+            done = (fc == 0) | (np.minimum(b[idx] - a[idx], step) <= _RTOL * c)
+            b[idx[done]] = c[done]
+            idx = idx[~done]
+        raise IntegrationError("inverse deflection did not converge")
 
-    def ds_dtheta(self, theta: float, rel_step: float = 1e-6) -> float:
+    def ds_dtheta(self, theta, rel_step: float = 1e-6):
         """d s / d theta by central differences on the inverse."""
-        h = rel_step * max(theta, math.pi - theta, 0.1)
-        h = min(h, 0.49 * theta, 0.49 * (math.pi - theta))
-        sp = self.inverse(theta + h)
-        sm = self.inverse(theta - h)
-        return (sp - sm) / (2.0 * h)
+        return self._inverse_and_slope(theta, rel_step)[1]
+
+    def _inverse_and_slope(self, theta, rel_step=1e-6):
+        theta, back = _flat(theta)  # s and ds/dtheta from one inverse call
+        h = rel_step * np.maximum(np.maximum(theta, math.pi - theta), 0.1)
+        h = np.minimum(np.minimum(h, 0.49 * theta), 0.49 * (math.pi - theta))
+        s, sp, sm = np.split(self.inverse(
+            np.concatenate([theta, theta + h, theta - h])), 3)
+        return back(s), back((sp - sm) / (2.0 * h))
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +419,12 @@ def transfer_density(source_density: Callable[[float], float],
     ``source_density(s)`` is the incoming density per transverse area
     (azimuthally symmetric); the result is the outgoing density per solid
     angle on ``theta_grid``, via rho_b = rho_a(s) * (s/sin theta) * |ds/dtheta|.
+    The whole grid and its difference steps are inverted in one call.
     """
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    out = np.empty_like(theta_grid)
-    for i, th in enumerate(theta_grid):
-        s = deflection.inverse(float(th))
-        dsdth = deflection.ds_dtheta(float(th))
-        out[i] = float(source_density(s)) * (s / math.sin(th)) * abs(dsdth)
-    return out
+    theta = np.asarray(theta_grid, dtype=float)
+    s, dsdth = deflection._inverse_and_slope(theta)
+    rho_a = np.array([float(source_density(v)) for v in s.tolist()])
+    return rho_a * (s / np.sin(theta)) * np.abs(dsdth)
 
 
 def inverse_transfer_density(target_density: Callable[[float], float],
@@ -394,15 +436,13 @@ def inverse_transfer_density(target_density: Callable[[float], float],
     Inverse Jacobian of :func:`transfer_density`; the round trip reproduces
     the source density (tested), which is what licenses using either route.
     """
-    s_grid = np.asarray(s_grid, dtype=float)
-    out = np.empty_like(s_grid)
-    for i, s in enumerate(s_grid):
-        th = deflection(float(s))
-        h = dtheta_step * max(1.0, s)
-        dthds = (deflection(float(s) + h) - deflection(max(float(s) - h, 0.0))) \
-            / (h + min(h, float(s)))
-        out[i] = float(target_density(th)) * (math.sin(th) / s) * abs(dthds)
-    return out
+    s = np.asarray(s_grid, dtype=float)
+    h = dtheta_step * np.maximum(1.0, s)
+    th, th_p, th_m = np.split(deflection(
+        np.concatenate([s, s + h, np.maximum(s - h, 0.0)])), 3)
+    dthds = (th_p - th_m) / (h + np.minimum(h, s))
+    rho_b = np.array([float(target_density(v)) for v in th.tolist()])
+    return rho_b * (np.sin(th) / s) * np.abs(dthds)
 
 
 def isotropic_source_density(deflection: DeflectionFunction) -> Callable:

@@ -49,8 +49,9 @@ REQUIRED = object()
 class Param:
     """One schema entry: a kind tag, a default (or REQUIRED), and help text.
 
-    ``min`` is the smallest value an integer may take; runs below it are
-    refused before they start rather than failing inside the scenario.
+    ``min`` is the smallest value an integer may take, and ``above`` names
+    a parameter the value must exceed; runs that break either are refused
+    before they start rather than failing inside the scenario.
     """
 
     kind: str
@@ -58,6 +59,7 @@ class Param:
     help: str = ""
     choices: tuple[str, ...] | None = None
     min: int | None = None
+    above: str | None = None
 
     @property
     def required(self) -> bool:
@@ -140,6 +142,13 @@ def validate_params(schema: dict[str, Param], data, lines=None,
             resolved[key] = spec.default
         else:
             resolved[key] = _check_value(spec, data[key], base + (key,), lines)
+    for key, spec in schema.items():
+        if spec.above is not None and not resolved[key] > resolved[spec.above]:
+            path = base + (key,)
+            raise SchemaError(f"must be > {spec.above} "
+                              f"({resolved[spec.above]!r}), got "
+                              f"{resolved[key]!r}", key_path=".".join(path),
+                              line=lines.get(path))
     return resolved
 
 
@@ -223,11 +232,14 @@ def _run_scattering(p, seed, out: OutputBundle):
     else:
         pot = ScreenedCoulomb(p["strength"], p["screening_length"])
     dfl = DeflectionFunction(pot, p["energy"])
-    s_max = dfl.s_max
+    # theta falls as s grows, so a smooth potential's beam is the disk that
+    # reaches down to theta_min; a hard sphere's is the sphere's shadow
+    s_beam = (dfl.s_max if kind == "hard-sphere"
+              else dfl.inverse(p["theta_min"]))
 
     n_s = p["n_s"]
-    s_grid = s_max * (np.arange(n_s) + 0.5) / n_s
-    thetas = np.array([dfl(float(s)) for s in s_grid])
+    s_grid = s_beam * (np.arange(n_s) + 0.5) / n_s
+    thetas = dfl(s_grid)
     out.add_dat("deflection.dat",
                 [f"deflection angle for the {kind} potential at energy "
                  f"{_fmt(p['energy'])}",
@@ -235,8 +247,8 @@ def _run_scattering(p, seed, out: OutputBundle):
                 list(zip(s_grid, thetas)))
 
     theta_grid = np.linspace(p["theta_min"], p["theta_max"], p["n_theta"])
-    disk = 1.0 / (math.pi * s_max ** 2)
-    rho_b = transfer_density(lambda s: disk if 0.0 < s < s_max else 0.0,
+    disk = 1.0 / (math.pi * s_beam ** 2)
+    rho_b = transfer_density(lambda s: disk if 0.0 < s <= s_beam else 0.0,
                              dfl, theta_grid)
     out.add_dat("transfer.dat",
                 ["solid-angle density transferred from a uniform disk beam",
@@ -245,7 +257,7 @@ def _run_scattering(p, seed, out: OutputBundle):
 
     rows = [
         ("energy", p["energy"]),
-        ("s_max", s_max),
+        ("s_max", s_beam),
         ("theta_min", p["theta_min"]),
         ("theta_max", p["theta_max"]),
         ("rho_b_mid", float(rho_b[len(rho_b) // 2])),
@@ -599,9 +611,10 @@ _register(
         "strength": Param("float", 1.0, "potential strength constant"),
         "screening_length": Param("float", 1.0, "screening length"),
         "theta_min": Param("float", 0.2, "transfer table lower angle"),
-        "theta_max": Param("float", 3.0, "transfer table upper angle"),
+        "theta_max": Param("float", 3.0, "transfer table upper angle",
+                           above="theta_min"),
         "n_theta": Param("int", 100, "transfer table size", min=1),
-        "n_s": Param("int", 50, "deflection table size"),
+        "n_s": Param("int", 50, "deflection table size", min=1),
     },
     _run_scattering)
 

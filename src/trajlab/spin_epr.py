@@ -35,7 +35,7 @@ from .errors import IntegrationError, UnconditionedSettingError, ZeroFieldError
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULI",
     "SpinVariable", "PhysicalConstants", "FieldMap", "SGDevice", "EPRSettings",
-    "spin_lagrangian", "align_spin", "propagate_sg", "branch_weights",
+    "align_spin", "propagate_sg", "branch_weights",
     "validate_field_map",
     "singlet_measure", "global_epr_measure", "epr_conditional_probabilities",
     "correlator", "chsh_value", "planar_setting", "chsh_optimal_angles",
@@ -205,17 +205,6 @@ class EPRSettings:
             if abs(n - 1.0) > 1e-12:
                 raise ValueError(f"{name} must be a unit vector, |v| = {n!r}")
             object.__setattr__(self, name, v)
-
-
-def spin_lagrangian(x_dot, x, s: SpinVariable, field: FieldMap,
-                    constants: PhysicalConstants) -> float:
-    """Kinetic term minus mu times the spin-projected field at x."""
-    v = np.asarray(x_dot, dtype=float)
-    b = np.asarray(field.B(np.asarray(x, dtype=float)), dtype=float)
-    sv = s.components
-    op = b[0] * SIGMA_X + b[1] * SIGMA_Y + b[2] * SIGMA_Z
-    projected = float(np.real(np.vdot(sv, op @ sv))) / float(np.real(np.vdot(sv, sv)))
-    return 0.5 * constants.m * float(v @ v) - constants.mu * projected
 
 
 def align_spin(s_in: SpinVariable, B) -> tuple[SpinVariable, SpinVariable]:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -260,6 +261,7 @@ class TestErrorExits:
         ("two-slit", "bins"),
         ("two-slit", "fit_grid"),
         ("bernoulli", "orbit_denominator"),
+        ("scattering", "n_s"),
     ])
     def test_count_below_minimum_refused(self, tmp_path, capsys, scenario,
                                          key):
@@ -276,6 +278,56 @@ class TestErrorExits:
         assert f"line {3 + stochastic + list(params).index(key)}" in err
         assert "\n" not in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("theta_min, theta_max", [(3.0, 0.2), (1.0, 1.0)])
+    def test_empty_angle_range_refused(self, tmp_path, capsys, theta_min,
+                                       theta_max):
+        # a reversed range used to exit 0 with a negative solid-angle mass
+        params = dict(FAST_PARAMS["scattering"], theta_min=theta_min,
+                      theta_max=theta_max)
+        cfg = write_config(tmp_path / "cfg.yaml", "scattering",
+                           parameters=params)
+        out = tmp_path / "o"
+        assert run(["run", "scattering", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "parameters.theta_max" in err and "> theta_min" in err
+        assert f"line {3 + list(params).index('theta_max')}" in err
+        assert "\n" not in err
+        assert not out.exists()
+
+
+class TestSmoothScattering:
+    @pytest.mark.parametrize("potential", ["inverse-square",
+                                           "screened-coulomb"])
+    def test_smooth_potentials_run(self, tmp_path, potential):
+        params = dict(FAST_PARAMS["scattering"], potential=potential)
+        cfg = write_config(tmp_path / "cfg.yaml", "scattering",
+                           parameters=params)
+        out = tmp_path / "o"
+        assert run(["run", "scattering", "--config", cfg, "--out", out]) == 0
+        _, rows = read_rows(out / "results.csv")
+        s_beam = float(rows["s_max"])
+        s, theta = np.loadtxt(out / "deflection.dat").T
+        assert np.all((s > 0) & (s <= s_beam))
+        assert np.all(np.diff(theta) < 0) and theta[-1] > 0.2
+        rho = np.loadtxt(out / "transfer.dat")[:, 1]
+        assert np.all(rho > 0)
+
+    def test_inverse_square_is_rutherford_over_beam_disk(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.yaml", "scattering",
+                           parameters={"potential": "inverse-square"})
+        out = tmp_path / "o"
+        assert run(["run", "scattering", "--config", cfg, "--out", out]) == 0
+        _, rows = read_rows(out / "results.csv")
+        s_beam = float(rows["s_max"])
+        # k = E = 1: s = cot(theta / 2) / 2, the beam reaches theta_min = 0.2
+        assert s_beam == pytest.approx(0.5 / math.tan(0.1), rel=1e-9)
+        theta, rho = np.loadtxt(out / "transfer.dat").T
+        assert len(theta) == 100 and theta[0] == 0.2 and theta[-1] == 3.0
+        rutherford = (1.0 / 4.0) ** 2 / np.sin(theta / 2.0) ** 4
+        assert np.allclose(rho, rutherford / (math.pi * s_beam ** 2),
+                           rtol=1e-3, atol=0.0)
 
 
 class TestFloatSyntax:

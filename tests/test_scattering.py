@@ -15,7 +15,9 @@ from trajlab.scattering import (HardSphere, RepulsivePower, ScreenedCoulomb,
                                 cross_sections_from_rates,
                                 flipper_cross_section)
 from trajlab.core import ensemble_statistics
+from trajlab.errors import IntegrationError
 from trajlab.rng import stream, trajectory_stream
+from scipy.optimize import brentq
 
 
 class TestTurningRadius:
@@ -147,6 +149,77 @@ class TestTransfer:
         grid = np.linspace(0.3, 2.9, 15)
         rho_b = transfer_density(rho_a, dfl, grid)
         assert np.allclose(rho_b, 1.0 / (4.0 * math.pi), rtol=1e-4)
+
+
+def brentq_inverse(pot, energy, theta):
+    """Scalar reference inverse: brentq on the forward map."""
+    scale = turning_radius(pot, energy, 0.0)
+    hi = scale
+    while deflection_angle(pot, energy, hi) >= theta:
+        hi *= 2.0
+    return brentq(lambda s: deflection_angle(pot, energy, s) - theta,
+                  1e-9 * scale, hi, xtol=1e-300, rtol=1e-13)
+
+
+class TestArrayKernel:
+    SMOOTH = [RepulsivePower(1.0, 1.0), RepulsivePower(0.8, 2.5),
+              ScreenedCoulomb(1.0, 2.0)]
+
+    @pytest.mark.parametrize("pot", SMOOTH, ids=repr)
+    def test_inverse_matches_scalar_brentq(self, pot):
+        dfl = DeflectionFunction(pot, 1.3)
+        grid = np.linspace(0.1, 3.0, 200)
+        ref = np.array([brentq_inverse(pot, 1.3, float(t)) for t in grid])
+        assert np.allclose(dfl.inverse(grid), ref, rtol=1e-9, atol=0.0)
+
+    def test_hard_sphere_inverse_is_closed_form(self):
+        dfl = DeflectionFunction(HardSphere(1.0), 1.0)
+        grid = np.linspace(1e-3, math.pi - 1e-3, 200)
+        assert np.allclose(dfl.inverse(grid), np.cos(grid / 2.0), rtol=1e-12,
+                           atol=0.0)
+
+    @pytest.mark.parametrize("pot", [HardSphere(1.3)] + SMOOTH, ids=repr)
+    def test_grid_point_alone_is_bitwise_equal(self, pot):
+        dfl = DeflectionFunction(pot, 1.0)
+        grid = np.linspace(0.2, 3.0, 57)
+        beam = lambda s: 1.0 / (1.0 + s * s)
+        full = transfer_density(beam, dfl, grid)
+        for i in range(0, len(grid), 8):
+            alone = transfer_density(beam, dfl, grid[i:i + 1])
+            assert alone[0] == full[i]
+            assert dfl.inverse(float(grid[i])) == dfl.inverse(grid)[i]
+
+    def test_scalars_in_scalars_out(self):
+        pot = ScreenedCoulomb(1.0, 2.0)
+        dfl = DeflectionFunction(pot, 1.0)
+        for value in (dfl(0.5), dfl.inverse(1.0), dfl.ds_dtheta(1.0),
+                      turning_radius(pot, 1.0, 0.5),
+                      deflection_angle(HardSphere(1.0), 1.0, 0.5)):
+            assert type(value) is float
+        s = np.array([[0.2, 0.5], [1.0, 2.0]])
+        assert dfl(s).shape == s.shape
+        assert dfl.inverse(dfl(s)) == pytest.approx(s, rel=1e-8)
+        assert np.array_equal(turning_radius(pot, 1.0, s),
+                              [[turning_radius(pot, 1.0, float(v))
+                                for v in row] for row in s])
+
+    @pytest.mark.parametrize("bad", [0.0, math.pi, -0.5, 4.0, math.nan])
+    def test_angle_outside_open_interval_raises(self, bad):
+        dfl = DeflectionFunction(RepulsivePower(1.0, 1.0), 1.0)
+        grid = np.array([0.5, bad, 1.5])
+        with pytest.raises(ValueError):
+            dfl.inverse(grid)
+        with pytest.raises(ValueError):
+            transfer_density(lambda s: 1.0, dfl, grid)
+
+    def test_backscatter_limit_raises(self):
+        # theta(1e-9 * r_min) = pi - 4e-9 for k = E = 1
+        dfl = DeflectionFunction(RepulsivePower(1.0, 1.0), 1.0)
+        grid = np.array([0.5, math.pi - 1e-12, 1.5])
+        with pytest.raises(IntegrationError, match="backscatter"):
+            dfl.inverse(grid)
+        with pytest.raises(IntegrationError, match="backscatter"):
+            transfer_density(lambda s: 1.0, dfl, grid)
 
 
 class TestFlipperScene:
