@@ -20,8 +20,6 @@ import numpy as np
 
 from .core import (
     ConfigurationPoint,
-    Event,
-    Experiment,
     MeasureSpec,
     RateStatistics,
     Trajectory,
@@ -32,7 +30,6 @@ from .errors import PrecisionExhaustedError
 __all__ = [
     "BernoulliState",
     "BernoulliTrajectory",
-    "ThresholdExperiment",
     "bernoulli_step",
     "orbit_bits",
     "orbit_rate",
@@ -156,7 +153,7 @@ def orbit_rate(x0: RationalLike | BernoulliState, n_steps: int) -> Fraction:
 
 
 class BernoulliTrajectory(Trajectory):
-    """Discrete-time orbit; step k is the event at integer time k."""
+    """Discrete-time orbit; step k sits at integer time k."""
 
     native_step = 1.0
 
@@ -183,19 +180,6 @@ class BernoulliTrajectory(Trajectory):
         x = s.fraction * 2 ** k % 1 if s.bits is None else \
             BernoulliState(bits=s.bits, pos=s.pos + k).value()
         return ConfigurationPoint(np.array([float(x)]))
-
-    def events(self, horizon=None):
-        n = self.n_steps if horizon is None else min(int(horizon), self.n_steps)
-        return [Event(time=float(k), point=None, data=int(b))
-                for k, b in enumerate(orbit_bits(self.state, n))]
-
-
-class ThresholdExperiment(Experiment):
-    """Outcome = leading bit: 0 for x < 1/2, 1 for x >= 1/2."""
-
-    def __init__(self):
-        super().__init__(n_outcomes=2, classify=lambda ev: ev.data,
-                         name="threshold x>=1/2")
 
 
 def bit_sequence_measure(n_steps: int, p_one: float = 0.5) -> MeasureSpec:

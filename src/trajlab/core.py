@@ -20,8 +20,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -37,9 +37,7 @@ __all__ = [
     "ConfigurationPoint",
     "Event",
     "Trajectory",
-    "SampledTrajectory",
     "PiecewiseTrajectory",
-    "Experiment",
     "RateResult",
     "RateStatistics",
     "MeasureSpec",
@@ -85,10 +83,10 @@ class ConfigurationPoint:
 
 @dataclass(frozen=True)
 class Event:
-    """One trial candidate along a trajectory.
+    """A marked point along a piecewise trajectory.
 
-    ``data`` carries the system-specific payload an experiment classifies
-    (a map iterate, an encounter record, a detector crossing, ...).
+    ``data`` carries the system-specific payload (a decay split, a detector
+    crossing, ...).
     """
 
     time: float
@@ -97,7 +95,7 @@ class Event:
 
 
 class Trajectory:
-    """Base class: a path ``t -> ConfigurationPoint`` plus its event stream.
+    """Base class: a path ``t -> ConfigurationPoint``.
 
     ``branch_id`` distinguishes co-existing continuations that share a past
     (an indeterministic split); ``None`` for unbranched paths.
@@ -113,42 +111,6 @@ class Trajectory:
 
     def evaluate(self, t: float) -> ConfigurationPoint:
         raise NotImplementedError
-
-    def events(self, horizon: int | None = None) -> Iterable[Event]:
-        """Trial candidates in time order; empty for event-free paths."""
-        return ()
-
-
-class SampledTrajectory(Trajectory):
-    """Piecewise-linear interpolant of sampled positions."""
-
-    def __init__(self, times, points, sector=None, branch_id=None):
-        self.times = np.asarray(times, dtype=float)
-        self.points = np.asarray(points, dtype=float)
-        if self.points.ndim == 1:
-            self.points = self.points[:, None]
-        if self.times.ndim != 1 or len(self.times) != len(self.points):
-            raise ValueError("times and points must have matching leading length")
-        if len(self.times) < 2 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing, length >= 2")
-        self.sector = sector
-        self.branch_id = branch_id
-
-    @property
-    def domain(self):
-        return float(self.times[0]), float(self.times[-1])
-
-    def evaluate(self, t):
-        t = float(t)
-        t0, t1 = self.domain
-        if t < t0 or t > t1:
-            raise ValueError(f"time {t} outside domain [{t0}, {t1}]")
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        i = min(max(i, 0), len(self.times) - 2)
-        h = self.times[i + 1] - self.times[i]
-        w = (t - self.times[i]) / h
-        coords = (1.0 - w) * self.points[i] + w * self.points[i + 1]
-        return ConfigurationPoint(coords, self.sector)
 
 
 @dataclass(frozen=True)
@@ -193,37 +155,14 @@ class PiecewiseTrajectory(Trajectory):
                                           seg.sector)
         raise AssertionError("unreachable")
 
-    def events(self, horizon=None):
-        evs = self._events if horizon is None else self._events[:horizon]
-        return list(evs)
+    def events(self) -> list[Event]:
+        """The events passed at construction."""
+        return list(self._events)
 
 
 # ---------------------------------------------------------------------------
-# experiments and rates
+# rates
 # ---------------------------------------------------------------------------
-
-
-class Experiment:
-    """Repeatable yes/no-or-more experiment along an object-valued trajectory.
-
-    ``classify`` maps an event to its outcome index in ``range(n_outcomes)``,
-    or to -1 if the event is no trial, as in the outcome matrices that
-    ensemble builders return (see :func:`ensemble_statistics`).
-    """
-
-    def __init__(self, n_outcomes: int, classify: Callable[[Event], int],
-                 name: str = ""):
-        if n_outcomes < 1:
-            raise ValueError("n_outcomes must be >= 1")
-        self.n_outcomes = int(n_outcomes)
-        self.classify = classify
-        self.name = name
-
-    def outcome_sequence(self, trajectory: Trajectory,
-                         horizon: int | None = None) -> np.ndarray:
-        """Outcome index (or -1) per event, in time order."""
-        return np.asarray([self.classify(ev) for ev in
-                           trajectory.events(horizon)], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -266,23 +205,23 @@ def outcome_rates(outcomes, n_outcomes: int) -> tuple[np.ndarray, np.ndarray]:
     return counts / np.maximum(trials, 1)[:, None], trials
 
 
-def evaluate_rates(trajectory: Trajectory, experiment: Experiment,
-                   horizon: int | None = None,
+def evaluate_rates(outcomes, n_outcomes: int,
                    n_min_trials: int = 1) -> RateResult:
-    """Relative rate of each outcome along ``trajectory``.
+    """Relative rate of each outcome along one trajectory.
 
-    ``horizon`` caps the number of events considered. Raises
-    :class:`NoTrialsError` if no event is a trial; flags the result when
-    fewer than ``n_min_trials`` trials occurred.
+    ``outcomes`` is the trajectory's outcome row: one row of the outcome
+    matrices of :func:`ensemble_statistics`, an index in ``range(n_outcomes)``
+    per trial and -1 for no trial. Raises :class:`NoTrialsError` if no entry
+    is a trial; flags the result when fewer than ``n_min_trials`` trials
+    occurred.
     """
-    rates, trials = outcome_rates(
-        experiment.outcome_sequence(trajectory, horizon)[None, :],
-        experiment.n_outcomes)
+    row = np.asarray(outcomes)
+    if row.ndim != 1:
+        raise ValueError(f"expected one outcome row, got shape {row.shape}")
+    rates, trials = outcome_rates(row[None, :], n_outcomes)
     n = int(trials[0])
     if n == 0:
-        raise NoTrialsError(
-            f"experiment {experiment.name or type(experiment).__name__!r} "
-            "never triggered")
+        raise NoTrialsError("no entry of the outcome row is a trial")
     return RateResult(rates=rates[0], n_trials=n, flagged=n < int(n_min_trials))
 
 

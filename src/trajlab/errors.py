@@ -6,7 +6,7 @@ class TrajlabError(Exception):
 
 
 class NoTrialsError(TrajlabError):
-    """An experiment never triggered along the supplied trajectory."""
+    """An outcome row held no trial."""
 
 
 class EmptyEnsembleError(TrajlabError):

@@ -432,7 +432,7 @@ class GaussianPairPotential:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("width must be positive")
 
     def value(self, r):
@@ -454,7 +454,7 @@ class CompactBumpPotential:
     center: np.ndarray = dataclass_field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center",
                            np.asarray(self.center, dtype=float))

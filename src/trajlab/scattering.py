@@ -24,20 +24,14 @@ symmetric for isotropic scenes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 
-from .core import (
-    ConfigurationPoint,
-    Event,
-    Experiment,
-    MeasureSpec,
-    Trajectory,
-)
+from .core import MeasureSpec
 from .errors import IntegrationError
 
 __all__ = [
@@ -58,7 +52,6 @@ __all__ = [
     "trace_flipper",
     "FlipperTrajectory",
     "EncounterRecord",
-    "AngleBinExperiment",
     "bin_edges",
     "angle_bins",
     "entry_measure",
@@ -92,7 +85,7 @@ class HardSphere(Potential):
     name = "hard-sphere"
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
 
     def __call__(self, r):
@@ -112,7 +105,7 @@ class RepulsivePower(Potential):
     name = "repulsive-power"
 
     def __post_init__(self):
-        if self.strength <= 0 or self.exponent <= 0:
+        if not (self.strength > 0 and self.exponent > 0):
             raise ValueError("strength and exponent must be positive")
 
     def __call__(self, r):
@@ -135,7 +128,7 @@ class ScreenedCoulomb(Potential):
     name = "screened-coulomb"
 
     def __post_init__(self):
-        if self.strength <= 0 or self.screening_length <= 0:
+        if not (self.strength > 0 and self.screening_length > 0):
             raise ValueError("strength and screening_length must be positive")
 
     def __call__(self, r):
@@ -176,7 +169,7 @@ def turning_radius(potential: Potential, energy: float, s):
     G(u) = 1 - s^2 u^2 - V(1/u)/E, bracketed by doubling u from 1/s (from 1
     for s = 0) and polished by Newton steps kept inside the bracket.
     """
-    if energy <= 0:
+    if not energy > 0:
         raise ValueError("energy must be positive")
     s, back = _flat(s)
     if np.any(s < 0):
@@ -305,7 +298,7 @@ def deflection_angle(potential: Potential, energy: float, s,
     potentials default to the deflection-integral quadrature; pass
     ``method="ode"`` to integrate the planar equations of motion instead.
     """
-    if energy <= 0:
+    if not energy > 0:
         raise ValueError("energy must be positive")
     if isinstance(potential, HardSphere) and np.ndim(s) == 0 and not s < 0:
         return 2.0 * math.acos(min(s / potential.radius, 1.0))
@@ -511,7 +504,7 @@ class FlipperScene:
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 2 or centers.shape[1] != 3:
             raise ValueError("centers must be an (N, 3) array")
-        if cell_size <= 0 or action_range <= 0:
+        if not (cell_size > 0 and action_range > 0):
             raise ValueError("cell_size and action_range must be positive")
         if np.any(centers < 0) or np.any(centers >= cell_size):
             raise ValueError("centers must lie inside [0, cell_size)^3")
@@ -585,31 +578,12 @@ def random_scene(n_centers: int, action_range: float, energy: float,
                         min_spacing_factor)
 
 
-class FlipperTrajectory(Trajectory):
-    """Unit-speed polyline through the scene with encounter events."""
+@dataclass(frozen=True)
+class FlipperTrajectory:
+    """Unit-speed polyline through the scene and its encounters."""
 
-    def __init__(self, vertices: np.ndarray, encounters: Sequence[EncounterRecord]):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.encounters = list(encounters)
-        seg = np.diff(self.vertices, axis=0)
-        self.lengths = np.sqrt((seg ** 2).sum(-1))
-        self.times = np.concatenate([[0.0], np.cumsum(self.lengths)])
-
-    @property
-    def domain(self):
-        return 0.0, float(self.times[-1])
-
-    def evaluate(self, t):
-        t = float(np.clip(t, 0.0, self.times[-1]))
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        i = min(max(i, 0), len(self.vertices) - 2)
-        h = self.times[i + 1] - self.times[i]
-        w = 0.0 if h == 0 else (t - self.times[i]) / h
-        return ConfigurationPoint((1 - w) * self.vertices[i] + w * self.vertices[i + 1])
-
-    def events(self, horizon=None):
-        enc = self.encounters if horizon is None else self.encounters[:horizon]
-        return [Event(time=e.path_length, point=None, data=e) for e in enc]
+    vertices: np.ndarray
+    encounters: list[EncounterRecord]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -806,16 +780,6 @@ def angle_bins(theta_signed, n_bins: int) -> np.ndarray:
     """Index of the equal bin of (-pi, pi] each signed angle falls in."""
     i = np.floor((np.asarray(theta_signed) + math.pi) / (2.0 * math.pi / n_bins))
     return np.clip(i, 0, n_bins - 1).astype(np.intp)
-
-
-class AngleBinExperiment(Experiment):
-    """Outcome i iff the signed encounter angle falls in bin i of (-pi, pi]."""
-
-    def __init__(self, n_bins: int):
-        super().__init__(n_outcomes=n_bins,
-                         classify=lambda ev: int(angle_bins(
-                             ev.data.theta_signed, n_bins)),
-                         name=f"angle-bins({n_bins})")
 
 
 def entry_measure(scene: FlipperScene) -> MeasureSpec:

@@ -73,7 +73,13 @@ def _check_value(spec: Param, value, path: tuple[str, ...], lines):
     def as_number(v, what):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             fail(f"{what} must be a number, got {v!r}")
-        return float(v)
+        try:
+            x = float(v)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            fail(f"{what} must be finite, got {v!r}")
+        return x
 
     k = spec.kind
     if k == "int":

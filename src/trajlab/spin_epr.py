@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -34,9 +34,8 @@ from .errors import IntegrationError, UnconditionedSettingError, ZeroFieldError
 
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULI",
-    "SpinVariable", "PhysicalConstants", "FieldMap", "SGDevice", "EPRSettings",
+    "SpinVariable", "PhysicalConstants", "SGDevice",
     "align_spin", "propagate_sg", "branch_weights",
-    "validate_field_map",
     "singlet_measure", "global_epr_measure", "epr_conditional_probabilities",
     "correlator", "chsh_value", "planar_setting", "chsh_optimal_angles",
     "cells_from_outcomes", "sample_epr_counts", "chsh_estimate",
@@ -90,36 +89,6 @@ class PhysicalConstants:
 
 
 @dataclass(frozen=True)
-class FieldMap:
-    """A field and the gradient of its magnitude, both as position maps."""
-
-    B: Callable[[np.ndarray], np.ndarray]
-    grad_abs_B: Callable[[np.ndarray], np.ndarray]
-
-
-def validate_field_map(fmap: FieldMap, points, rel_tol: float = 1e-4,
-                       step: float = 1e-6) -> None:
-    """Check grad_abs_B against central differences of |B| where B != 0."""
-    for p in np.atleast_2d(np.asarray(points, dtype=float)):
-        b = np.asarray(fmap.B(p), dtype=float)
-        mag = float(np.linalg.norm(b))
-        if mag == 0.0:
-            continue
-        fd = np.empty(3)
-        for k in range(3):
-            dp = np.zeros(3)
-            dp[k] = step
-            fd[k] = (np.linalg.norm(fmap.B(p + dp))
-                     - np.linalg.norm(fmap.B(p - dp))) / (2 * step)
-        g = np.asarray(fmap.grad_abs_B(p), dtype=float)
-        scale = max(float(np.linalg.norm(g)), mag, 1e-30)
-        if float(np.linalg.norm(g - fd)) > rel_tol * scale:
-            raise ValueError(
-                f"grad_abs_B disagrees with finite differences at {p}: "
-                f"{g} vs {fd}")
-
-
-@dataclass(frozen=True)
 class SGDevice:
     """Uniform-gradient slab between two planes normal to the beam axis x.
 
@@ -161,50 +130,6 @@ class SGDevice:
     @property
     def length(self) -> float:
         return self.exit_x - self.entry_x
-
-    def inside(self, position) -> bool:
-        x = float(np.asarray(position, dtype=float)[0])
-        return self.entry_x <= x <= self.exit_x
-
-    def magnitude(self, position) -> float:
-        """|B| at a position inside the slab (field is zero outside)."""
-        p = np.asarray(position, dtype=float)
-        if not self.inside(p):
-            return 0.0
-        return self.base_field + self.gradient * float(p @ self.orientation)
-
-    def field_map(self) -> FieldMap:
-        def b_of(p):
-            p = np.asarray(p, dtype=float)
-            if not self.inside(p):
-                return np.zeros(3)
-            return self.magnitude(p) * self.orientation
-
-        def grad_of(p):
-            p = np.asarray(p, dtype=float)
-            if not self.inside(p):
-                return np.zeros(3)
-            return self.gradient * self.orientation
-
-        return FieldMap(B=b_of, grad_abs_B=grad_of)
-
-
-@dataclass(frozen=True)
-class EPRSettings:
-    """One chosen setting pair: an axis at each wing."""
-
-    o_a: np.ndarray
-    o_b: np.ndarray
-
-    def __post_init__(self):
-        for name in ("o_a", "o_b"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            n = float(np.linalg.norm(v))
-            if abs(n - 1.0) > 1e-12:
-                raise ValueError(f"{name} must be a unit vector, |v| = {n!r}")
-            object.__setattr__(self, name, v)
 
 
 def align_spin(s_in: SpinVariable, B) -> tuple[SpinVariable, SpinVariable]:

@@ -7,7 +7,7 @@ import pytest
 from trajlab import bernoulli
 from trajlab.bernoulli import (BernoulliState, bernoulli_step, orbit_bits,
                                orbit_rate, BernoulliTrajectory,
-                               ThresholdExperiment, bit_sequence_measure,
+                               bit_sequence_measure,
                                biased_measure, lebesgue_ensemble_rate)
 from trajlab.core import evaluate_rates, is_well_defined
 from trajlab.errors import PrecisionExhaustedError
@@ -92,8 +92,11 @@ class TestTrajectory:
     def test_threshold_outcomes_match_bits(self):
         bits = [1, 0, 0, 1, 1]
         tr = BernoulliTrajectory(BernoulliState.from_bits(bits))
-        seq = ThresholdExperiment().outcome_sequence(tr)
+        seq = orbit_bits(tr.state, tr.n_steps)
         assert list(seq) == bits
+        # the leading bit is the threshold observation x >= 1/2
+        assert [int(tr.evaluate(k).coords[0] >= 0.5)
+                for k in range(tr.n_steps)] == bits
 
     def test_rational_trajectory_needs_horizon(self):
         with pytest.raises(ValueError):
@@ -106,13 +109,12 @@ class TestTrajectory:
         tr_bits = BernoulliTrajectory(BernoulliState.from_bits(bits))
         tr_frac = BernoulliTrajectory(BernoulliState.from_rational(frac),
                                       n_steps=len(bits))
-        exp = ThresholdExperiment()
-        assert list(exp.outcome_sequence(tr_bits)) == \
-            list(exp.outcome_sequence(tr_frac))
+        assert list(orbit_bits(tr_bits.state, tr_bits.n_steps)) == \
+            list(orbit_bits(tr_frac.state, tr_frac.n_steps))
 
     def test_rates_via_core(self):
-        tr = BernoulliTrajectory(BernoulliState.from_bits([1, 1, 0, 1]))
-        rr = evaluate_rates(tr, ThresholdExperiment())
+        rr = evaluate_rates(orbit_bits(BernoulliState.from_bits([1, 1, 0, 1]),
+                                       4), 2)
         assert rr.rates[1] == pytest.approx(0.75)
 
 
@@ -158,14 +160,13 @@ class TestEnsembleRates:
         assert np.array_equal(a.mean, b.mean)
 
     def test_matches_per_trajectory_rates(self):
-        # the rates of each trajectory through the event adapter, reduced
-        # the same way, give bitwise the same statistics
+        # the rates of each trajectory's orbit, one row at a time and
+        # reduced the same way, give bitwise the same statistics
         n_steps, measure = 60, biased_measure(0.7, 80)
         stats = lebesgue_ensemble_rate(300, n_steps, seed=5, measure=measure)
-        R = np.asarray([evaluate_rates(
-            BernoulliTrajectory(BernoulliState.from_bits(
-                measure.sampler(trajectory_stream(5, i), 1)[0]), n_steps),
-            ThresholdExperiment()).rates for i in range(300)])
+        R = np.asarray([evaluate_rates(orbit_bits(BernoulliState.from_bits(
+            measure.sampler(trajectory_stream(5, i), 1)[0]), n_steps),
+            2).rates for i in range(300)])
         mean = R.mean(axis=0)
         assert np.array_equal(stats.mean, mean)
         assert np.array_equal(stats.variance,
@@ -181,8 +182,7 @@ class TestEnsembleRates:
         block = builder(points)
         assert block.shape == (16, 30)
         for bits, row in zip(points, block):
-            alone = ThresholdExperiment().outcome_sequence(
-                BernoulliTrajectory(BernoulliState.from_bits(bits), 30))
+            alone = orbit_bits(BernoulliState.from_bits(bits), 30)
             assert np.array_equal(row, alone)
 
     def test_measure_must_cover_steps(self):

@@ -49,6 +49,14 @@ def write_config(path, scenario, parameters=None, seed=None, out=None,
     return str(path)
 
 
+def with_first_number(default, text):
+    """YAML text of ``default`` with its first number replaced by ``text``."""
+    if not isinstance(default, list):
+        return text
+    return "[" + ", ".join([with_first_number(default[0], text)]
+                           + [json.dumps(v) for v in default[1:]]) + "]"
+
+
 def run(args):
     return cli.main([str(a) for a in args])
 
@@ -293,6 +301,32 @@ class TestErrorExits:
         err = capsys.readouterr().err.strip()
         assert "parameters.theta_max" in err and "> theta_min" in err
         assert f"line {3 + list(params).index('theta_max')}" in err
+        assert "\n" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text", [".nan", ".inf", "-.inf", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "int-beyond-float"])
+    @pytest.mark.parametrize("scenario, key", [
+        (name, key) for name, scen in SCENARIOS.items()
+        for key, spec in scen.schema.items()
+        if spec.kind in ("float", "vec3", "floats", "vectors")])
+    def test_non_finite_number_refused(self, tmp_path, capsys, scenario, key,
+                                       text):
+        # .nan used to hang flipper (action_range) and bigbang (width),
+        # scattering wrote "energy": NaN into manifest.json, and float() of
+        # an integer beyond the float range raised OverflowError
+        stochastic = SCENARIOS[scenario].stochastic
+        value = with_first_number(SCENARIOS[scenario].schema[key].default,
+                                  text)
+        cfg = write_config(tmp_path / "cfg.yaml", scenario,
+                           parameters={key: value},
+                           seed=1 if stochastic else None)
+        out = tmp_path / "o"
+        assert run(["run", scenario, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err.strip()
+        assert f"parameters.{key}" in err and "must be finite" in err
+        assert f"line {3 + stochastic}" in err
         assert "\n" not in err
         assert not out.exists()
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trajlab.core import (ConfigurationPoint, Event, SampledTrajectory,
-                          Segment, PiecewiseTrajectory, Experiment,
+from trajlab.core import (ConfigurationPoint, Segment, PiecewiseTrajectory,
                           evaluate_rates, ensemble_statistics, outcome_rates,
                           BUILD_BLOCK,
                           is_well_defined, MeasureSpec, point_mass,
@@ -37,20 +36,6 @@ class TestConfigurationPoint:
         assert a.distance(a) == 0.0
 
 
-class TestSampledTrajectory:
-    def test_linear_interpolation(self):
-        times = np.array([0.0, 1.0, 2.0])
-        pts = np.array([[0.0], [2.0], [2.0]])
-        tr = SampledTrajectory(times, pts)
-        assert tr.evaluate(0.5).coords[0] == pytest.approx(1.0)
-        assert tr.evaluate(2.0).coords[0] == 2.0
-
-    def test_domain_enforced(self):
-        tr = SampledTrajectory(np.array([0.0, 1.0]), np.array([[0.], [1.]]))
-        with pytest.raises(ValueError):
-            tr.evaluate(1.5)
-
-
 class TestPiecewiseTrajectory:
     def _traj(self):
         return PiecewiseTrajectory(
@@ -73,60 +58,38 @@ class TestPiecewiseTrajectory:
 
 
 class TestRates:
-    def _experiment(self):
-        return Experiment(n_outcomes=2, classify=lambda ev: ev.data,
-                          name="parity")
-
-    def _traj_with_events(self, bits):
-        class T:
-            branch_id = None
-            native_step = 1.0
-            domain = (0.0, float(len(bits)))
-
-            def evaluate(self, t):
-                return ConfigurationPoint(np.array([0.0]))
-
-            def events(self, horizon=None):
-                seq = bits if horizon is None else bits[:horizon]
-                return [Event(time=float(k), point=None, data=b)
-                        for k, b in enumerate(seq)]
-        return T()
-
     def test_rates_count_outcomes(self):
-        tr = self._traj_with_events([0, 1, 1, 0, 1])
-        rr = evaluate_rates(tr, self._experiment())
+        rr = evaluate_rates([0, 1, 1, 0, 1], 2)
         assert rr.n_trials == 5
         assert np.allclose(rr.rates, [2 / 5, 3 / 5])
 
     def test_no_trials_raises(self):
-        tr = self._traj_with_events([])
         with pytest.raises(NoTrialsError):
-            evaluate_rates(tr, self._experiment())
+            evaluate_rates([], 2)
 
     def test_trial_floor_flags(self):
-        tr = self._traj_with_events([1, 1])
-        rr = evaluate_rates(tr, self._experiment(), n_min_trials=10)
+        rr = evaluate_rates([1, 1], 2, n_min_trials=10)
         assert rr.flagged
 
-    def test_horizon_caps_trials(self):
-        tr = self._traj_with_events([1, 1, 0, 0])
-        rr = evaluate_rates(tr, self._experiment(), horizon=2)
-        assert rr.n_trials == 2
-        assert rr.rates[1] == 1.0
-
     def test_out_of_range_outcome_rejected(self):
-        tr = self._traj_with_events([0, 5])
         with pytest.raises(ValueError):
-            evaluate_rates(tr, self._experiment())
+            evaluate_rates([0, 5], 2)
 
     def test_minus_one_is_no_trial(self):
-        rr = evaluate_rates(self._traj_with_events([-1, 1, -1, 0]),
-                            self._experiment())
+        rr = evaluate_rates([-1, 1, -1, 0], 2)
         assert rr.n_trials == 2
         assert np.array_equal(rr.rates, [0.5, 0.5])
         with pytest.raises(NoTrialsError):
-            evaluate_rates(self._traj_with_events([-1, -1]),
-                           self._experiment())
+            evaluate_rates([-1, -1], 2)
+
+    def test_row_is_one_row_of_outcome_rates(self):
+        block = np.array([[0, 2, -1, 2], [1, 1, 1, -1]])
+        rates, trials = outcome_rates(block, 3)
+        for row, r, n in zip(block, rates, trials):
+            rr = evaluate_rates(row, 3)
+            assert np.array_equal(rr.rates, r) and rr.n_trials == n
+        with pytest.raises(ValueError):
+            evaluate_rates(block, 3)
 
 
 class TestEnsemble:

@@ -257,6 +257,8 @@ class TestPotentials:
             assert pot.dvdr(r) < 0.0  # repulsive: energy falls with distance
         with pytest.raises(ValueError):
             GaussianPairPotential(1.0, 0.0)
+        with pytest.raises(ValueError):
+            GaussianPairPotential(1.0, float("nan"))
 
     def test_bump_compact_support(self):
         pot = CompactBumpPotential(2.0, 1.0)
@@ -267,6 +269,8 @@ class TestPotentials:
         assert pot.value(np.zeros(3)) == pytest.approx(2.0, rel=1e-12)
         with pytest.raises(ValueError):
             CompactBumpPotential(2.0, -1.0)
+        with pytest.raises(ValueError):
+            CompactBumpPotential(2.0, float("nan"))
 
     def test_bump_force_is_minus_gradient(self):
         pot = CompactBumpPotential(2.0, 1.0)

@@ -9,7 +9,7 @@ from trajlab.scattering import (HardSphere, RepulsivePower, ScreenedCoulomb,
                                 inverse_transfer_density,
                                 isotropic_source_density, transverse_mass,
                                 solid_angle_mass, FlipperScene, random_scene,
-                                trace_flipper, bin_edges, AngleBinExperiment,
+                                trace_flipper, bin_edges,
                                 entry_measure, flipper_outcome_builder,
                                 angle_bins, EncounterRecord, _trace_batch,
                                 cross_sections_from_rates,
@@ -241,6 +241,18 @@ class TestFlipperScene:
         b = random_scene(27, 0.05, 1.0, seed=5)
         assert np.array_equal(a.centers, b.centers)
 
+    def test_nan_sizes_refused(self):
+        # a NaN slipped past "<= 0" guards and the tracer never stopped
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            random_scene(8, nan, 1.0)
+        for pot in (lambda: HardSphere(nan), lambda: RepulsivePower(nan),
+                    lambda: ScreenedCoulomb(1.0, nan)):
+            with pytest.raises(ValueError):
+                pot()
+        with pytest.raises(ValueError):
+            random_scene(8, 0.05, nan)
+
 
 class TestTraceFlipper:
     def _scene(self):
@@ -439,16 +451,8 @@ class TestAngleBins:
         assert len(e) == 9
 
     def test_classification(self):
-        exp = AngleBinExperiment(4)
-
-        class E:
-            def __init__(self, th):
-                self.data = type("R", (), {"theta_signed": th})()
-
-        assert exp.classify(E(-math.pi + 1e-9)) == 0
-        assert exp.classify(E(-1e-9)) == 1
-        assert exp.classify(E(1e-9)) == 2
-        assert exp.classify(E(math.pi)) == 3
+        th = [-math.pi + 1e-9, -1e-9, 1e-9, math.pi]
+        assert angle_bins(th, 4).tolist() == [0, 1, 2, 3]
 
 
 class TestFlipperPipeline:
@@ -515,12 +519,11 @@ class TestFlipperPipeline:
         block = flipper_outcome_builder(scene, 5, 12, max_path_length=300.0)(
             points)
         assert block.shape == (48, 12)
-        exp = AngleBinExperiment(5)
         short = 0
         for point, row in zip(points, block):
-            alone = exp.outcome_sequence(trace_flipper(
-                scene, point[:3], point[3:], 12, max_path_length=300.0,
-                record_path=False))
+            tr = trace_flipper(scene, point[:3], point[3:], 12,
+                               max_path_length=300.0, record_path=False)
+            alone = angle_bins([e.theta_signed for e in tr.encounters], 5)
             assert np.array_equal(row[:len(alone)], alone)
             assert np.all(row[len(alone):] == -1)
             short += len(alone) < 12

@@ -13,8 +13,6 @@ from trajlab.errors import (
 )
 from trajlab.spin_epr import (
     PAULI,
-    EPRSettings,
-    FieldMap,
     PhysicalConstants,
     SGDevice,
     SpinVariable,
@@ -33,7 +31,6 @@ from trajlab.spin_epr import (
     propagate_sg,
     sample_epr_counts,
     singlet_measure,
-    validate_field_map,
 )
 
 UP = SpinVariable(np.array([1.0 + 0j, 0.0 + 0j]))
@@ -203,33 +200,6 @@ class TestPropagateSG:
                          DEVICE, CONSTANTS)
 
 
-class TestFieldMapValidation:
-    def slab_map(self, gradient=2.0):
-        def B(r):
-            return np.array([0.0, 0.0, 0.5 + gradient * r[2]])
-
-        def grad_abs(r):
-            return np.array([0.0, 0.0,
-                             gradient * math.copysign(1.0, 0.5 + gradient * r[2])])
-
-        return FieldMap(B=B, grad_abs_B=grad_abs)
-
-    def test_consistent_map_passes(self):
-        pts = [[1.2, 0.0, z] for z in (-0.1, 0.0, 0.15)]
-        validate_field_map(self.slab_map(), pts)
-
-    def test_wrong_gradient_caught(self):
-        fmap = FieldMap(B=self.slab_map().B,
-                        grad_abs_B=lambda r: np.array([0.0, 0.0, 3.0]))
-        with pytest.raises(ValueError):
-            validate_field_map(fmap, [[1.2, 0.0, 0.1]])
-
-    def test_zero_field_points_skipped(self):
-        fmap = FieldMap(B=lambda r: np.zeros(3),
-                        grad_abs_B=lambda r: np.ones(3))
-        validate_field_map(fmap, [[0.0, 0.0, 0.0]])
-
-
 class TestSingletMeasure:
     def test_weights_and_marginals(self):
         rng = np.random.default_rng(1)
@@ -364,8 +334,3 @@ class TestSettingsHelpers:
             v = planar_setting(deg)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(planar_setting(0.0), [0.0, 0.0, 1.0], atol=1e-15)
-
-    def test_epr_settings_container(self):
-        s = EPRSettings(planar_setting(0.0), planar_setting(90.0))
-        assert np.allclose(s.o_a, [0.0, 0.0, 1.0])
-        assert np.linalg.norm(s.o_b) == pytest.approx(1.0, abs=1e-15)
