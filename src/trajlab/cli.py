@@ -166,19 +166,14 @@ def run_scenario(config: ScenarioConfig) -> int:
 
     All output files are built in memory first and written atomically
     afterwards, results before the manifest, so an interrupted or failed
-    run leaves no partial files.
+    run leaves no partial files. ``config`` comes from
+    :func:`resolve_config`, which has checked the scenario name, the
+    parameters and the seed.
     """
-    scen = SCENARIOS.get(config.scenario)
-    if scen is None:
-        print(f"unknown scenario {config.scenario!r}; choose from: "
-              f"{', '.join(SCENARIOS)}", file=sys.stderr)
-        return 2
+    scen = SCENARIOS[config.scenario]
+    params = config.parameters
+    seed = 0 if config.seed is None else config.seed
     try:
-        params = validate_params(scen.schema, config.parameters)
-        if scen.stochastic and config.seed is None:
-            raise SchemaError(f"seed is required for the stochastic "
-                              f"scenario {scen.name!r}", key_path="seed")
-        seed = 0 if config.seed is None else config.seed
         bundle = OutputBundle()
         scen.run(params, seed, bundle)
     except SchemaError as exc:

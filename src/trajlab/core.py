@@ -228,7 +228,8 @@ def evaluate_rates(outcomes, n_outcomes: int,
 #: boundary points drawn and handed to an outcome builder at a time. It
 #: bounds the memory of the drawn points (all 10,000 rows of 1000 bits of a
 #: Bernoulli ensemble would take 10 MB) and is the lockstep batch of the
-#: flipper kernel.
+#: flipper kernel, which looks 64 // isqrt(live) wall crossings ahead per
+#: step: 4 for a full block, up to 64 for its last rays.
 BUILD_BLOCK = 256
 
 

@@ -306,7 +306,8 @@ def deflection_angle(potential: Potential, energy: float, s,
     if np.any(s < 0):
         raise ValueError("impact parameter must be nonnegative")
     if isinstance(potential, HardSphere):
-        return back(np.array([deflection_angle(potential, energy, v)
+        R = potential.radius
+        return back(np.array([2.0 * math.acos(min(v / R, 1.0))
                               for v in s.tolist()]))
     if method in ("auto", "integral"):
         return back(_deflection_integral(potential, energy, s, **kw))
@@ -596,16 +597,26 @@ def _trace_batch(scene: FlipperScene, positions, directions,
                  record_path: bool):
     """Trace n rays in lockstep; see :func:`trace_flipper` for the physics.
 
-    Each step advances every live ray by one free-flight segment (to the
-    next cell wall) or one encounter, with the ray-to-center quantities for
-    all rows times ``scene.centers_ext`` computed as arrays. Rays leave the
-    batch once they have ``n_encounters`` encounters or have used up
-    ``max_path_length``. Every operation acts on each row alone (dot
+    Each step lays out, for every live ray, its next ``depth`` free-flight
+    segments (cell wall to cell wall, as if no sphere were met) and tests
+    them all against ``scene.centers_ext`` at once. A ray with a hit goes to
+    the first sphere entered along its own segments and is deflected there;
+    a ray without one moves to the end of its last segment. ``depth`` is
+    ``64 // isqrt(live)``, at least 1: a deeper step shares its fixed cost
+    among more crossings but lays out more of them past a ray's hit, and
+    the two balance near a depth proportional to 1 / sqrt(live). A full
+    block of 256 rays looks 4 crossings ahead, its last ray 64.
+
+    Rays leave the batch once they have ``n_encounters`` encounters or have
+    used up ``max_path_length``. A float32 cull may keep extra ray-center
+    pairs but drops none that can hit; every pair it keeps is decided in
+    float64, and every float64 operation acts on each row alone (dot
     products are written out per component, not left to BLAS), so a ray
-    traced by itself gives bitwise the same trajectory as in any batch.
-    Returns each ray's encounter count, the ``(n, n_encounters)`` arrays of
-    the :class:`EncounterRecord` fields (a row's first ``count`` valid), and
-    the path vertices as ``(rows, points)`` pairs in the order made.
+    traced by itself gives bitwise the same trajectory as in any batch and
+    at any depth. Returns each ray's encounter count, the
+    ``(n, n_encounters)`` arrays of the :class:`EncounterRecord` fields (a
+    row's first ``count`` valid), and the path vertices as ``(rows,
+    points)`` pairs, each row's in the order made.
     """
     L = scene.cell_size
     r0 = scene.action_range
@@ -616,14 +627,23 @@ def _trace_batch(scene: FlipperScene, positions, directions,
         mfp = L ** 3 / max(len(scene.centers), 1) / (math.pi * r0sq)
         max_path_length = 20.0 * mfp * n_encounters
     centers = scene.centers_ext
+    n_ext = len(centers)
     cx, cy, cz = (np.ascontiguousarray(c) for c in centers.T)
-    cx32, cy32, cz32 = (c.astype(np.float32) for c in (cx, cy, cz))
     # Candidate pairs are found in float32 and tested exactly in float64.
-    # Between a point of the cell and a center of centers_ext,
-    # |w|^2 <= 3 (L + r0)^2, and float32 rounding moves the squared line
-    # distance by at most about 40 * 2^-24 * |w|^2; the cull keeps every
-    # pair within a margin some forty times wider than that.
+    # The cull takes the squared distance from c to a segment's line as
+    # |c - q|^2 - (u.c)^2, where q = p - (u.p) u is the line's point
+    # nearest the origin, so u.q = 0: one product [q, 1, |q|^2] @
+    # [-2c; |c|^2; 1] per segment and one u @ c per ray. With |q| <= |p|
+    # <= sqrt(3) L and |c| <= sqrt(3) (L + r0), the terms of the first sum
+    # to at most 12 (L + r0)^2 in absolute value and |u.c| <= sqrt(3)
+    # (L + r0); float32 rounding of the inputs, the sums, the square and
+    # the difference then moves the result by at most about
+    # 140 * 2^-24 (L + r0)^2. The cull keeps every pair within a margin
+    # some thirty-five times wider than that.
     cull = np.float32(r0sq + 3e-4 * (L + r0) ** 2)
+    c32 = np.vstack([-2.0 * centers.T, _dot(centers, centers),
+                     np.ones(n_ext)]).astype(np.float32)
+    cT32 = centers.T.astype(np.float32)
 
     P = np.asarray(positions, dtype=float) % L
     U = np.array(directions, dtype=float)
@@ -648,36 +668,75 @@ def _trace_batch(scene: FlipperScene, positions, directions,
             live = ~done
             rows, P, U, travelled = rows[live], P[live], U[live], \
                 travelled[live]
-        if not rows.size:
+        m = len(rows)
+        if not m:
             break
+        depth = max(1, 64 // math.isqrt(m))
 
-        # distance to the next cell wall; axes with no motion never meet one
-        to_wall = np.full(U.shape, np.inf)
-        np.divide(np.where(U > 0, L - P, -P), U, out=to_wall, where=U != 0)
-        t_bound = to_wall.min(axis=1)
+        # segment i runs from starts[i] to the next cell wall, t_bound[i]
+        # away, and ends just past it at starts[i + 1]. An axis with no
+        # motion meets its wall at (inf - p) / 1 = inf. For a wall at 0,
+        # 0 - p and -p differ only in the sign of a zero, which neither the
+        # minimum nor the step can see.
+        starts = np.empty((depth + 1, m, 3))
+        at = np.empty((depth + 1, m))
+        t_bound = np.empty((depth, m))
+        starts[0], at[0] = P, travelled
+        wall = np.where(U > 0, L, np.where(U < 0, 0.0, np.inf))
+        speed = np.where(U != 0, U, 1.0)
+        buf = np.empty(U.shape)
+        for i in range(depth):
+            np.subtract(wall, starts[i], out=buf)
+            buf /= speed
+            t_i = t_bound[i]
+            np.minimum(buf[:, 0], buf[:, 1], out=t_i)
+            np.minimum(t_i, buf[:, 2], out=t_i)
+            step = t_i + push
+            np.multiply(step[:, None], U, out=buf)
+            buf += starts[i]
+            np.remainder(buf, L, out=starts[i + 1])
+            np.add(at[i], step, out=at[i + 1])
+        # a segment is flown only if the path budget is left at its start
+        n_flown = (at[:-1] < max_path_length).sum(axis=0)
+        reach = np.where(np.arange(depth)[:, None] < n_flown, t_bound,
+                         -np.inf).reshape(-1)
 
-        p32 = P.astype(np.float32)
-        u32 = U.astype(np.float32)
-        wx = cx32 - p32[:, 0:1]
-        wy = cy32 - p32[:, 1:2]
-        wz = cz32 - p32[:, 2:3]
-        t32 = wx * u32[:, 0:1] + wy * u32[:, 1:2] + wz * u32[:, 2:3]
-        near = wx * wx + wy * wy + wz * wz - t32 * t32 < cull
+        # rows of the cull are segments, segment-major: row = i * m + ray
+        seg_p = starts[:-1].reshape(-1, 3)
+        q = (starts[:-1] - (starts[:-1] * U).sum(axis=2)[:, :, None] * U
+             ).reshape(-1, 3)
+        d2 = (np.column_stack([q, np.ones(len(q)), (q * q).sum(axis=1)])
+              .astype(np.float32) @ c32).reshape(depth, m, n_ext)
+        d2 -= np.square(U.astype(np.float32) @ cT32)
         # flat indices: 2-d nonzero is several times slower here
-        r, c = np.divmod(np.flatnonzero(near), len(cx))
-        wx = cx[c] - P[r, 0]
-        wy = cy[c] - P[r, 1]
-        wz = cz[c] - P[r, 2]
+        row, c = np.divmod(np.flatnonzero(d2 < cull), n_ext)
+        r = row % m
+        wx = cx[c] - seg_p[row, 0]
+        wy = cy[c] - seg_p[row, 1]
+        wz = cz[c] - seg_p[row, 2]
         t_ca = wx * U[r, 0] + wy * U[r, 1] + wz * U[r, 2]
         gap = r0sq - (wx * wx + wy * wy + wz * wz - t_ca * t_ca)
         t_enter = t_ca - np.sqrt(np.maximum(gap, 0.0))
-        # the segment to the wall enters the sphere
-        ok = (gap > 0) & (t_enter > push) & (t_enter <= t_bound[r])
-        r, c, t_ca, t_enter = r[ok], c[ok], t_ca[ok], t_enter[ok]
-        # first sphere entered by each ray (ties go to the lower index)
-        order = np.lexsort((t_enter, r))
+        # the flown segment to the wall enters the sphere
+        ok = (gap > 0) & (t_enter > push) & (t_enter <= reach[row])
+        row, r, c, t_ca, t_enter = row[ok], r[ok], c[ok], t_ca[ok], \
+            t_enter[ok]
+        # first sphere entered by each ray: earliest segment, then earliest
+        # entry (ties go to the lower index)
+        order = np.lexsort((t_enter, row // m, r))
         h, first = np.unique(r[order], return_index=True)
         k, t_k = c[order][first], t_ca[order][first]
+        # segments flown to their end: all flown ones, or those before the
+        # hit
+        n_free = n_flown.copy()
+        n_free[h] = row[order][first] // m
+        ray = np.arange(m)
+        P, travelled = starts[n_free, ray], at[n_free, ray]
+        if record_path:
+            # the wall crossings, in each ray's own order
+            crossed = np.arange(1, depth + 1) <= n_free[:, None]
+            log.append((np.broadcast_to(rows[:, None], crossed.shape)[crossed],
+                        starts[1:].swapaxes(0, 1)[crossed]))
 
         if h.size:
             u = U[h]
@@ -688,11 +747,13 @@ def _trace_batch(scene: FlipperScene, positions, directions,
             beta = delta - _dot(delta, u)[:, None] * u
             s = np.sqrt(_dot(beta, beta))
             head_on = s < 1e-12 * r0
-            turns = [math.pi if head else
-                     scene.deflection(min(si, r0 * (1 - 1e-15)))
-                     for si, head in zip(s.tolist(), head_on.tolist())]
-            theta = np.array(turns)
+            # one array call; a smooth potential's quadrature cannot take
+            # the head-on rows' vanishing s
+            theta = np.full(len(h), math.pi)
+            theta[~head_on] = scene.deflection(
+                np.minimum(s[~head_on], r0 * (1 - 1e-15)))
             # scalar cos and sin: a row's value cannot depend on its batch
+            turns = theta.tolist()
             cos_t = np.array([math.cos(t) for t in turns])
             sin_t = np.array([math.sin(t) for t in turns])
 
@@ -729,22 +790,11 @@ def _trace_batch(scene: FlipperScene, positions, directions,
             t_leave = -b + np.sqrt(np.maximum(
                 b * b + r0sq - _dot(delta, delta), 0.0))
             leave_step = t_leave + push
-            leave_at = (x_ca + leave_step[:, None] * u_new) % L
-
-        # every other ray flies to the wall and just past it
-        step = t_bound + push
-        P = (P + step[:, None] * U) % L
-        travelled = travelled + step
-        if record_path:
-            miss = np.ones(len(rows), dtype=bool)
-            miss[h] = False
-            log.append((rows[miss], P[miss]))
-        if h.size:
-            P[h] = leave_at
+            P[h] = (x_ca + leave_step[:, None] * u_new) % L
             travelled[h] = at_encounter + leave_step
             U[h] = u_new
             if record_path:
-                log.append((hit_rows, leave_at))
+                log.append((hit_rows, P[h]))
 
     return count, (enc_length, enc_center, enc_s, enc_theta, enc_signed), log
 
@@ -822,7 +872,9 @@ def flipper_outcome_builder(scene: FlipperScene, n_bins: int,
 
     Entry points ``(n, 6)`` go to the ``(n, n_encounters)`` angle bins of
     each ray's signed deflections, padded with -1 past a ray that stopped
-    early. A block (``core.BUILD_BLOCK`` rows) is one lockstep batch.
+    early. A block (``core.BUILD_BLOCK`` rows) is one lockstep batch; each
+    step looks ``64 // isqrt(live)`` wall crossings ahead, so a full block
+    steps 4 crossings at a time and its last ray 64.
     """
 
     def build(points):

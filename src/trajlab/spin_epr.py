@@ -119,8 +119,9 @@ class SGDevice:
         if not self.exit_x > self.entry_x:
             raise ValueError(f"exit plane {self.exit_x} must lie beyond entry "
                              f"plane {self.entry_x}")
-        if self.base_field <= 0:
-            raise ValueError("base_field must be positive inside the slab")
+        if not (math.isfinite(self.base_field) and self.base_field > 0):
+            raise ValueError("base_field must be positive and finite inside "
+                             "the slab")
         if self.screen_x == 0.0:
             object.__setattr__(self, "screen_x",
                                self.exit_x + (self.exit_x - self.entry_x))

@@ -342,6 +342,69 @@ def _min_image_distance(scene, x, j=slice(None)):
     return np.sqrt((d * d).sum(axis=-1))
 
 
+def _d(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _reference_trace(scene, p, u, n_encounters, max_path_length):
+    """One ray, one wall crossing at a time, every center tested exactly.
+
+    The arithmetic of each wall-to-wall step and each encounter is that of
+    the one-segment lockstep kernel, written for a single ray in float64
+    with no float32 cull. Returns the path vertices and the encounters.
+    """
+    L, r0 = scene.cell_size, scene.action_range
+    r0sq, push = r0 * r0, 1e-9 * L
+    cx, cy, cz = scene.centers_ext.T
+    P = np.asarray(p, dtype=float) % L
+    U = np.array(u, dtype=float)
+    U /= math.sqrt(_d(U, U))
+    travelled, vertices, encounters = 0.0, [P], []
+    while len(encounters) < n_encounters and travelled < max_path_length:
+        to_wall = [(L - P[i] if U[i] > 0 else -P[i]) / U[i] if U[i] else
+                   math.inf for i in range(3)]
+        t_bound = min(to_wall)
+        wx, wy, wz = cx - P[0], cy - P[1], cz - P[2]
+        t_ca = wx * U[0] + wy * U[1] + wz * U[2]
+        gap = r0sq - (wx * wx + wy * wy + wz * wz - t_ca * t_ca)
+        t_enter = t_ca - np.sqrt(np.maximum(gap, 0.0))
+        ok = np.flatnonzero((gap > 0) & (t_enter > push)
+                            & (t_enter <= t_bound))
+        if not ok.size:
+            P = (P + (t_bound + push) * U) % L
+            travelled += t_bound + push
+            vertices.append(P)
+            continue
+        k = min(ok.tolist(), key=lambda j: (t_enter[j], j))
+        x_ca = P + t_ca[k] * U
+        at_encounter = travelled + t_ca[k]
+        delta = x_ca - scene.centers_ext[k]
+        beta = delta - _d(delta, U) * U
+        s = math.sqrt(_d(beta, beta))
+        head_on = s < 1e-12 * r0
+        theta = (math.pi if head_on else
+                 scene.deflection(min(s, r0 * (1 - 1e-15))))
+        ux, uy, uz = U
+        e1 = (np.array([0.0, -uz, uy]) if ux * ux + uy * uy < 1e-24
+              else np.array([-uy, ux, 0.0]))
+        e1 /= math.sqrt(_d(e1, e1))
+        e2 = np.array([uy * e1[2] - uz * e1[1], uz * e1[0] - ux * e1[2],
+                       ux * e1[1] - uy * e1[0]])
+        n_hat = e1 if head_on else beta / s
+        phi = math.atan2(_d(n_hat, e2), _d(n_hat, e1))
+        U = math.cos(theta) * U + math.sin(theta) * n_hat
+        U /= math.sqrt(_d(U, U))
+        encounters.append(EncounterRecord(
+            at_encounter, int(scene.center_index[k]), s, theta,
+            theta if phi >= 0.0 else -theta))
+        b = _d(delta, U)
+        t_leave = -b + math.sqrt(max(b * b + r0sq - _d(delta, delta), 0.0))
+        P = (x_ca + (t_leave + push) * U) % L
+        travelled = at_encounter + (t_leave + push)
+        vertices += [x_ca % L, P]
+    return np.array(vertices), encounters
+
+
 class TestLockstepKernel:
     def _rays(self, scene):
         """Rays aimed near centers: half along a coordinate axis, a quarter
@@ -388,6 +451,57 @@ class TestLockstepKernel:
             assert enc.center_index == owner
             assert enc.theta == 2.0 * math.acos(enc.impact_parameter / r0)
 
+    def test_lookahead_equals_one_crossing_at_a_time(self):
+        scene = _gate_scene()
+        L, r0 = scene.cell_size, scene.action_range
+        n = len(scene.centers)
+        rng = np.random.default_rng(23)
+        # path budgets of about 16 and 160 wall crossings: the short ones
+        # run out inside a lookahead window
+        rays = [(p[:3], p[3:], 6, 40.0 if i % 2 else 400.0)
+                for i, p in enumerate(entry_measure(scene).sampler(rng, 8))]
+        rays += [(p, u, 4, 100.0) for p, u in self._rays(scene)[:4]]
+        # from the far corner, past the nearest images at (1 - 1e-7) r0:
+        # |p| and |c| are largest there, the worst case of the float32 cull
+        p = np.full(3, L * (1.0 - 1e-12))
+        grazed = []
+        for j in np.argsort(np.linalg.norm(scene.centers_ext[n:] - p,
+                                           axis=1))[:4]:
+            c = scene.centers_ext[n + j]
+            a = (c - p) / np.linalg.norm(c - p)
+            e = np.cross(a, rng.normal(size=3))
+            e /= np.linalg.norm(e)
+            sin = (1.0 - 1e-7) * r0 / np.linalg.norm(c - p)
+            rays.append((p, math.sqrt(1.0 - sin * sin) * a + sin * e, 3,
+                         200.0))
+            grazed.append(scene.center_index[n + j])
+        assert _min_image_distance(scene, p).min() > r0
+
+        short = 0
+        for i, (p, u, k, budget) in enumerate(rays):
+            vertices, encounters = _reference_trace(scene, p, u, k, budget)
+            tr = trace_flipper(scene, p, u, k, max_path_length=budget)
+            assert np.array_equal(tr.vertices, vertices)
+            assert tr.encounters == encounters
+            short += len(encounters) < k
+            if i >= 12:
+                first = encounters[0]
+                assert first.center_index == grazed[i - 12]
+                assert first.impact_parameter == pytest.approx(
+                    (1.0 - 1e-7) * r0, rel=1e-12)
+        assert short >= 2
+
+        # the same rays in one batch, with a shallower lookahead
+        count, fields, log = _trace_batch(
+            scene, np.array([r[0] for r in rays]),
+            np.array([r[1] for r in rays]), 6, 100.0, True)
+        for i, (p, u, _, _) in enumerate(rays):
+            vertices, encounters = _reference_trace(scene, p, u, 6, 100.0)
+            assert np.array_equal(
+                np.concatenate([q[rows == i] for rows, q in log]), vertices)
+            assert [EncounterRecord(*e) for e in zip(
+                *(f[i, :count[i]].tolist() for f in fields))] == encounters
+
     def test_batch_rows_equal_rays_traced_alone(self):
         scene = _gate_scene()
         points = entry_measure(scene).sampler(stream(4), 64)
@@ -400,6 +514,27 @@ class TestLockstepKernel:
                 *(f[i, :count[i]].tolist() for f in fields))]
             alone = trace_flipper(scene, point[:3], point[3:], 20,
                                   record_path=False)
+            assert np.array_equal(vertices, alone.vertices)
+            assert encounters == alone.encounters
+
+    def test_smooth_potential_batch_rows_equal_rays_traced_alone(self):
+        # one array deflection call per step must give each hit the bits
+        # it gets alone
+        scene = random_scene(64, 0.05, 1.0, potential=RepulsivePower(0.3),
+                             seed=5)
+        points = entry_measure(scene).sampler(stream(4), 24)
+        # the last ray meets a center head on
+        points[-1] = np.concatenate([scene.centers[0] - [0.3, 0.0, 0.0],
+                                     [1.0, 0.0, 0.0]])
+        count, fields, log = _trace_batch(scene, points[:, :3], points[:, 3:],
+                                          8, None, True)
+        assert count.sum() > 100
+        assert fields[3][-1, 0] == math.pi
+        for i, point in enumerate(points):
+            vertices = np.concatenate([p[rows == i] for rows, p in log])
+            encounters = [EncounterRecord(*e) for e in zip(
+                *(f[i, :count[i]].tolist() for f in fields))]
+            alone = trace_flipper(scene, point[:3], point[3:], 8)
             assert np.array_equal(vertices, alone.vertices)
             assert encounters == alone.encounters
 

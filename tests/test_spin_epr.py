@@ -194,6 +194,11 @@ class TestPropagateSG:
             propagate_sg(np.array([1.5, 0.0, 0.0]), BEAM_V, UP,
                          DEVICE, CONSTANTS)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5])
+    def test_base_field_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="base_field"):
+            SGDevice(entry_x=1.0, exit_x=2.0, base_field=bad, gradient=2.0)
+
     def test_rejects_backward_beam(self):
         with pytest.raises(ValueError):
             propagate_sg(np.zeros(3), np.array([-5.0, 0.0, 0.0]), UP,
