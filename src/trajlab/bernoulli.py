@@ -18,13 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import (
-    ConfigurationPoint,
-    MeasureSpec,
-    RateStatistics,
-    Trajectory,
-    ensemble_statistics,
-)
+from .core import MeasureSpec, RateStatistics, ensemble_statistics
 from .errors import PrecisionExhaustedError
 
 __all__ = [
@@ -152,10 +146,8 @@ def orbit_rate(x0: RationalLike | BernoulliState, n_steps: int) -> Fraction:
                     int(n_steps))
 
 
-class BernoulliTrajectory(Trajectory):
+class BernoulliTrajectory:
     """Discrete-time orbit; step k sits at integer time k."""
-
-    native_step = 1.0
 
     def __init__(self, state: BernoulliState, n_steps: int | None = None):
         self.state = state
@@ -168,10 +160,6 @@ class BernoulliTrajectory(Trajectory):
             raise PrecisionExhaustedError(
                 f"trajectory of {self.n_steps} steps needs that many bits")
 
-    @property
-    def domain(self):
-        return 0.0, float(self.n_steps - 1)
-
     def evaluate(self, t):
         k = int(round(float(t)))
         if not 0 <= k < self.n_steps:
@@ -179,7 +167,7 @@ class BernoulliTrajectory(Trajectory):
         s = self.state
         x = s.fraction * 2 ** k % 1 if s.bits is None else \
             BernoulliState(bits=s.bits, pos=s.pos + k).value()
-        return ConfigurationPoint(np.array([float(x)]))
+        return np.array([float(x)])
 
 
 def bit_sequence_measure(n_steps: int, p_one: float = 0.5) -> MeasureSpec:

@@ -21,7 +21,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from .errors import (
 from .rng import stream, trajectory_streams
 
 __all__ = [
-    "ConfigurationPoint",
-    "Event",
-    "Trajectory",
     "PiecewiseTrajectory",
     "RateResult",
     "RateStatistics",
@@ -55,82 +52,37 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# configuration points and trajectories
+# trajectories
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ConfigurationPoint:
-    """A point of configuration space.
-
-    ``sector`` labels the component of a piecewise configuration space
-    (e.g. before/after a decay, where the dimension changes). Points in
-    different sectors are never considered close.
-    """
-
-    coords: np.ndarray
-    sector: str | None = None
-
-    def distance(self, other: "ConfigurationPoint") -> float:
-        if self.sector != other.sector:
-            return np.inf
-        a = np.atleast_1d(np.asarray(self.coords, dtype=float))
-        b = np.atleast_1d(np.asarray(other.coords, dtype=float))
-        if a.shape != b.shape:
-            return np.inf
-        return float(np.max(np.abs(a - b))) if a.size else 0.0
-
-
-@dataclass(frozen=True)
-class Event:
-    """A marked point along a piecewise trajectory.
-
-    ``data`` carries the system-specific payload (a decay split, a detector
-    crossing, ...).
-    """
-
-    time: float
-    point: ConfigurationPoint | None
-    data: Any = None
-
-
-class Trajectory:
-    """Base class: a path ``t -> ConfigurationPoint``.
-
-    ``branch_id`` distinguishes co-existing continuations that share a past
-    (an indeterministic split); ``None`` for unbranched paths.
-    """
-
-    branch_id: str | None = None
-    #: natural sampling step for comparison grids; None means "pick from span"
-    native_step: float | None = None
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def evaluate(self, t: float) -> ConfigurationPoint:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
 class Segment:
+    """One closed-form piece of a path: ``path`` maps a 1-d array of n times
+    to their ``(n, d)`` configurations. ``sector`` labels the component of a
+    piecewise configuration space (e.g. before/after a decay, where d
+    changes); configurations in different sectors are never close."""
+
     t0: float
     t1: float
-    path: Callable[[float], np.ndarray]
+    path: Callable[[np.ndarray], np.ndarray]
     sector: str | None = None
 
 
-class PiecewiseTrajectory(Trajectory):
+class PiecewiseTrajectory:
     """Closed-form path pieces glued in time order.
 
     Segment ``i`` owns ``[t0_i, t0_{i+1})``; the last owns its right
     endpoint too. Sectors may differ between pieces (piecewise
-    configuration spaces).
+    configuration spaces). ``branch_id`` distinguishes co-existing
+    continuations that share a past (an indeterministic split), and
+    ``native_step`` is the sampling step :func:`check_determinism` uses
+    when given none.
     """
 
-    def __init__(self, segments: Sequence[Segment], branch_id=None,
-                 events_list: Sequence[Event] | None = None):
+    native_step: float | None = None
+
+    def __init__(self, segments: Sequence[Segment], branch_id=None):
         if not segments:
             raise ValueError("at least one segment required")
         for a, b in zip(segments, segments[1:]):
@@ -138,26 +90,38 @@ class PiecewiseTrajectory(Trajectory):
                 raise ValueError("segments must be contiguous in time")
         self.segments = list(segments)
         self.branch_id = branch_id
-        self._events = list(events_list) if events_list else []
 
     @property
     def domain(self):
         return float(self.segments[0].t0), float(self.segments[-1].t1)
 
-    def evaluate(self, t):
-        t = float(t)
+    def _pieces(self, times):
+        """``(segment, owned rows, (m, d) configurations)`` for each segment
+        owning some of the 1-d ``times``."""
         t0, t1 = self.domain
-        if t < t0 - 1e-12 or t > t1 + 1e-12:
-            raise ValueError(f"time {t} outside domain [{t0}, {t1}]")
-        for seg in self.segments:
-            if t < seg.t1 or seg is self.segments[-1]:
-                return ConfigurationPoint(np.asarray(seg.path(t), dtype=float),
-                                          seg.sector)
-        raise AssertionError("unreachable")
+        bad = times[(times < t0 - 1e-12) | (times > t1 + 1e-12)]
+        if bad.size:
+            raise ValueError(f"time {bad[0]} outside domain [{t0}, {t1}]")
+        owner = np.minimum(np.searchsorted([seg.t1 for seg in self.segments],
+                                           times, side="right"),
+                           len(self.segments) - 1)
+        for k in np.unique(owner):
+            rows = owner == k
+            seg = self.segments[k]
+            yield seg, rows, np.asarray(seg.path(times[rows]), dtype=float)
 
-    def events(self) -> list[Event]:
-        """The events passed at construction."""
-        return list(self._events)
+    def evaluate(self, t):
+        """Configuration ``(d,)`` at a time, or ``(n, d)`` at a 1-d array of
+        times; an array must not span sectors of different widths."""
+        times = np.asarray(t, dtype=float)
+        pieces = list(self._pieces(times.reshape(-1)))
+        widths = {x.shape[1] for _, _, x in pieces}
+        if len(widths) > 1:
+            raise ValueError("times span sectors of different widths")
+        out = np.empty((times.size, widths.pop() if widths else 0))
+        for _, rows, x in pieces:
+            out[rows] = x
+        return out[0] if times.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +431,7 @@ def pushforward(measure: MeasureSpec, bmap: BoundaryMap,
 # ---------------------------------------------------------------------------
 
 
-def check_determinism(trajectories: Sequence[Trajectory],
+def check_determinism(trajectories: Sequence[PiecewiseTrajectory],
                       match_window: float,
                       tolerance: float,
                       time_step: float | None = None) -> bool:
@@ -479,48 +443,56 @@ def check_determinism(trajectories: Sequence[Trajectory],
     Returns False iff a witness is found. Sampling is on a uniform grid
     (``time_step`` or each trajectory's native step or span/128), so this is
     a falsification search, not a proof of determinism.
+
+    Two samples agree when they lie in the same sector, have the same width
+    and differ by at most ``tolerance`` in every coordinate; NaN agrees with
+    nothing. Each trajectory is sampled once; a time shift between two of
+    them is one diagonal of their pairwise agreement array, and it is a
+    witness when it holds a run of at least window-many agreeing samples
+    followed by a disagreeing one.
     """
     if match_window <= 0:
         raise ValueError("match_window must be positive")
 
+    # zero-padded coordinates and a (sector, width) code of every sample
+    codes: dict = {}
     sampled = []
     for tr in trajectories:
         t0, t1 = tr.domain
-        if time_step is not None:
-            h = float(time_step)
-        elif tr.native_step is not None:
-            h = float(tr.native_step)
-        else:
-            h = (t1 - t0) / 128.0
+        h = float(time_step if time_step is not None else tr.native_step
+                  if tr.native_step is not None else (t1 - t0) / 128.0)
         if h <= 0:
             raise ValueError("nonpositive sampling step")
         times = np.arange(t0, t1 + h * 0.5, h)
-        pts = [tr.evaluate(t) for t in times]
-        sampled.append((h, pts))
+        pieces = list(tr._pieces(times))
+        coords = np.zeros((len(times), max(
+            (x.shape[1] for _, _, x in pieces), default=0)))
+        kind = np.empty(len(times), dtype=int)
+        for seg, rows, x in pieces:
+            coords[rows, :x.shape[1]] = x
+            kind[rows] = codes.setdefault((seg.sector, x.shape[1]), len(codes))
+        sampled.append((h, coords, kind))
+    if any(not np.isclose(h, sampled[0][0]) for h, _, _ in sampled):
+        raise ValueError("trajectories must share a sampling step "
+                         "for comparison; pass time_step explicitly")
 
-    def window_len(h):
-        return max(1, int(round(match_window / h))) + 1
-
-    for i in range(len(sampled)):
-        hi, pi = sampled[i]
-        wi = window_len(hi)
-        for j in range(i, len(sampled)):
-            hj, pj = sampled[j]
-            if not np.isclose(hi, hj):
-                raise ValueError("trajectories must share a sampling step "
-                                 "for comparison; pass time_step explicitly")
-            w = wi
-            for k1 in range(0, len(pi) - w + 1):
-                k2_start = k1 + 1 if i == j else 0
-                for k2 in range(k2_start, len(pj) - w + 1):
-                    agree = all(pi[k1 + m].distance(pj[k2 + m]) <= tolerance
-                                for m in range(w))
-                    if not agree:
-                        continue
-                    # matched window: must now agree for as long as both run
-                    m = w
-                    while k1 + m < len(pi) and k2 + m < len(pj):
-                        if pi[k1 + m].distance(pj[k2 + m]) > tolerance:
-                            return False
-                        m += 1
+    for i, (h, ci, ki) in enumerate(sampled):
+        w = max(1, int(round(match_window / h))) + 1
+        for _, cj, kj in sampled[i:]:
+            # equal widths fit in both paddings, whose extra columns are 0
+            dim = min(ci.shape[1], cj.shape[1])
+            # shift d compares sample k of i with sample k + d of j; a
+            # trajectory meets itself only at positive shifts
+            for d in range(1 if cj is ci else 1 - len(ci), len(cj)):
+                a = slice(max(0, -d), min(len(ci), len(cj) - d))
+                b = slice(a.start + d, a.stop + d)
+                if a.stop - a.start <= w:
+                    continue
+                agree = (ki[a] == kj[b]) & (np.max(
+                    np.abs(ci[a, :dim] - cj[b, :dim]), axis=1,
+                    initial=0.0) <= tolerance)
+                # lengths of the agreeing runs that end in a disagreement
+                breaks = np.flatnonzero(~agree)
+                if np.any(np.diff(breaks, prepend=-1) > w):
+                    return False
     return True

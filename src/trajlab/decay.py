@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Event, ConfigurationPoint, MeasureSpec, PiecewiseTrajectory, Segment
+from .core import MeasureSpec, PiecewiseTrajectory, Segment
 from .errors import NoSolutionError, NotAMinimumError
 
 __all__ = [
@@ -455,18 +455,16 @@ def decay_trajectory(masses: DecayMasses, boundary: DecayBoundary,
     v1, v2, v3 = vertex.v1, vertex.v2, vertex.v3
 
     def parent(t):
-        return x_a + v1 * (t - t_a)
+        return x_a + v1 * (t - t_a)[:, None]
 
     def products(t):
-        return np.concatenate([x_d + v2 * (t - t_d), x_d + v3 * (t - t_d)])
+        dt = (t - t_d)[:, None]
+        return np.concatenate([x_d + v2 * dt, x_d + v3 * dt], axis=1)
 
-    split_event = Event(time=t_d,
-                        point=ConfigurationPoint(x_d.copy(), sector="parent"),
-                        data={"kind": "split", "v2": v2, "v3": v3})
     traj = PiecewiseTrajectory(
         [Segment(t_a, t_d, parent, sector="parent"),
          Segment(t_d, boundary.t_b, products, sector="products")],
-        branch_id=branch_id, events_list=[split_event])
+        branch_id=branch_id)
     traj.native_step = (boundary.t_b - t_a) / 512.0
     return traj
 
@@ -482,20 +480,17 @@ def rest_decay_family(masses: DecayMasses, decay_times, t_b: float,
     diverge: the set is indeterministic even though every member obeys
     the dynamics.
     """
-    if x_a is None:
-        x_a = np.zeros(3)
-    x_a = np.asarray(x_a, dtype=float)
+    x_a = np.zeros(3) if x_a is None else np.asarray(x_a, dtype=float)
     d_hat = np.asarray(direction, dtype=float)
     d_hat = d_hat / np.linalg.norm(d_hat)
     out = []
-    for j, t_d in enumerate(decay_times):
+    for t_d in decay_times:
         if not t_a < t_d < t_b:
             raise ValueError(f"decay time {t_d} outside ({t_a}, {t_b})")
         v2, v3 = _product_velocities(masses, np.zeros(3), d_hat)
         tau2 = t_b - t_d
         boundary = DecayBoundary(x_a=x_a, t_a=t_a, x_b2=x_a + v2 * tau2,
                                  x_b3=x_a + v3 * tau2, t_b=t_b)
-        tau1 = t_d - t_a
         vertex = DecayVertex(x_d=x_a.copy(), t_d=float(t_d),
                              action=decay_action(masses, boundary, x_a, t_d),
                              v1=np.zeros(3), v2=v2, v3=v3, n_iterations=0)

@@ -165,9 +165,7 @@ def _flat(x):
 def turning_radius(potential: Potential, energy: float, s):
     """Distance of closest approach: largest root of 1 - (s/r)^2 - V(r)/E.
 
-    ``s`` may be an array. In u = 1/r the root is the zero of the falling
-    G(u) = 1 - s^2 u^2 - V(1/u)/E, bracketed by doubling u from 1/s (from 1
-    for s = 0) and polished by Newton steps kept inside the bracket.
+    ``s`` may be an array; see :func:`_turning_u` for the method.
     """
     if not energy > 0:
         raise ValueError("energy must be positive")
@@ -176,13 +174,26 @@ def turning_radius(potential: Potential, energy: float, s):
         raise ValueError("impact parameter must be nonnegative")
     if isinstance(potential, HardSphere):
         return back(np.maximum(s, potential.radius))
+    u_head = _turning_u(potential, energy, np.zeros(1))[0]
+    return back(1.0 / _turning_u(potential, energy, s, u_head))
 
+
+def _turning_u(potential, energy, s, u_head=math.inf):
+    """1/r_min for each row of the 1-d ``s``: the zero of the falling
+    G(u) = 1 - s^2 u^2 - V(1/u)/E, bracketed from above by min(1/s, u_head)
+    (G(1/s) = -V(s)/E and G(u_head) = -s^2 u_head^2 for the head-on root
+    u_head; the cap keeps a tiny s from overflowing V'), doubled while G > 0
+    (from 1 for s = 0 without a cap) and polished by Newton steps kept
+    inside the bracket.
+    """
     def G(u, s):  # G and dG/du
         r, su = 1.0 / u, s * u
         return (1.0 - su * su - potential(r) / energy,
                 potential.derivative(r) * r * r / energy - 2.0 * s * su)
 
-    hi = 1.0 / np.where(s > 0, s, 1.0)
+    with np.errstate(divide="ignore"):
+        hi = np.minimum(1.0 / s, u_head)
+    hi[np.isinf(hi)] = 1.0
     idx = np.arange(len(s))
     for _ in range(2000):
         idx = idx[G(hi[idx], s[idx])[0] > 0]
@@ -203,7 +214,7 @@ def turning_radius(potential: Potential, energy: float, s):
                 (new >= lo_i) & (new <= hi_i), new, 0.5 * (lo_i + hi_i)))
             idx = idx[np.abs(new - ui) > _RTOL * new]
             if not idx.size:
-                return back(1.0 / u)
+                return u
     raise IntegrationError("turning point did not converge")
 
 
@@ -217,15 +228,16 @@ def _gl_nodes(n):
     return _GL_CACHE[n]
 
 
-def _deflection_integral(potential, energy, s, n_nodes=256):
+def _deflection_integral(potential, energy, s, u_head, n_nodes=256):
     """Quadrature of theta = pi - 2 s \\int_0^{u_max} du / sqrt(F(u)).
 
-    ``s`` is a 1-d array; all rows are one ``(len(s), n_nodes)`` array. The
+    ``s`` is a 1-d array; all rows are one ``(len(s), n_nodes)`` array, and
+    ``u_head`` is the head-on root that caps each turning-point bracket. The
     turning-point square-root singularity is removed by u = u_max*(1 - x^2),
     after which the integrand is smooth and Gauss-Legendre converges at
     machine precision for the shipped potentials.
     """
-    u_max = 1.0 / turning_radius(potential, energy, s)
+    u_max = _turning_u(potential, energy, s, u_head)
     x, w = _gl_nodes(n_nodes)
     u = u_max[:, None] * (1.0 - x * x)
     su = s[:, None] * u
@@ -290,7 +302,7 @@ def _deflection_ode(potential, energy, s, r_start=None, rtol=1e-11,
 
 
 def deflection_angle(potential: Potential, energy: float, s,
-                     method: str = "auto", **kw):
+                     method: str = "integral", **kw):
     """Polar scattering angle theta(s) in [0, pi]; ``s`` may be an array.
 
     Hard spheres use the reflection law theta = 2*arccos(s/R), element by
@@ -309,8 +321,9 @@ def deflection_angle(potential: Potential, energy: float, s,
         R = potential.radius
         return back(np.array([2.0 * math.acos(min(v / R, 1.0))
                               for v in s.tolist()]))
-    if method in ("auto", "integral"):
-        return back(_deflection_integral(potential, energy, s, **kw))
+    if method == "integral":
+        u_head = _turning_u(potential, energy, np.zeros(1))[0]
+        return back(_deflection_integral(potential, energy, s, u_head, **kw))
     if method == "ode":
         return back(np.array([_deflection_ode(potential, energy, v, **kw)
                               for v in s.tolist()]))
@@ -330,26 +343,36 @@ class DeflectionFunction:
     """
 
     def __init__(self, potential: Potential, energy: float,
-                 method: str = "auto", check_monotone: bool = True):
+                 check_monotone: bool = True):
+        if not energy > 0:
+            raise ValueError("energy must be positive")
         self.potential = potential
         self.energy = float(energy)
-        self.method = method
         if isinstance(potential, HardSphere):
             self.s_max = potential.radius
             s_tab = np.linspace(0.0, potential.radius, 33)
         else:
             self.s_max = math.inf
-            scale = turning_radius(potential, energy, 0.0)
+            self._u_head = _turning_u(potential, energy, np.zeros(1))[0]
+            scale = 1.0 / self._u_head
             s_tab = scale * 1e-9 * 2.0 ** np.arange(231)
-            if check_monotone and np.any(np.diff(
-                    self(scale * np.geomspace(0.05, 50.0, 24))) >= 0):
-                raise IntegrationError(
-                    "deflection function is not strictly decreasing")
+            if check_monotone:
+                # only a rise to above 1e-9 counts, a hundredfold margin
+                # over theta's 1e-11 jitter; the far tail clips to 0
+                th = self(scale * np.geomspace(0.05, 50.0, 24))
+                if np.any((np.diff(th) >= 0) & (th[1:] > 1e-9)):
+                    raise IntegrationError(
+                        "deflection function is not strictly decreasing")
         self._table = s_tab, self(s_tab)
 
     def __call__(self, s):
-        return deflection_angle(self.potential, self.energy, s,
-                                method=self.method)
+        if isinstance(self.potential, HardSphere):
+            return deflection_angle(self.potential, self.energy, s)
+        s, back = _flat(s)
+        if np.any(s < 0):
+            raise ValueError("impact parameter must be nonnegative")
+        return back(_deflection_integral(self.potential, self.energy, s,
+                                         self._u_head))
 
     def inverse(self, theta):
         """Impact parameter with deflection ``theta`` in (0, pi)."""

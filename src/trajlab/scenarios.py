@@ -16,7 +16,6 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import SchemaError
-from .rng import stream
 from .core import is_well_defined
 from .bernoulli import (BernoulliState, orbit_bits, orbit_rate,
                         bit_sequence_measure, lebesgue_ensemble_rate)
@@ -372,16 +371,16 @@ def _run_stern_gerlach(p, seed, out: OutputBundle):
     for traj, label in ((t_plus, "plus"), (t_minus, "minus")):
         tau = traj.transit_time
         t_exit = t_entry + tau
-        r_entry = traj.evaluate(t_entry).coords
-        r_exit = traj.evaluate(t_exit).coords
+        t_scr = traj.screen_time
+        r_entry, r_exit, r_scr = traj.evaluate(
+            np.array([t_entry, t_exit, t_scr]))
         # transverse velocity is untouched by the entry kick, so the drift
         # term uses v0's component along the device axis
         defl = float(r_exit @ u_hat) - (float(r_entry @ u_hat)
                                         + float(v0 @ u_hat) * tau)
         sign = 1.0 if label == "plus" else -1.0
         pred = -sign * 0.5 * (p["mu"] * p["gradient"] / p["mass"]) * tau ** 2
-        t_scr = traj.screen_time
-        r_scr = traj.evaluate(t_scr).coords
+        # from positions, not the library's exit velocity: this checks it
         v_after = (r_scr - r_exit) / (t_scr - t_exit)
         e_out = 0.5 * p["mass"] * float(v_after @ v_after)
         rows += [(f"tau_{label}", tau),
@@ -390,10 +389,9 @@ def _run_stern_gerlach(p, seed, out: OutputBundle):
                  (f"screen_z_{label}", float(r_scr @ u_hat)),
                  (f"energy_drift_{label}", abs(e_out - e_in))]
         times = np.linspace(0.0, t_scr, p["n_table"])
-        table = [(float(t),
-                  float(traj.evaluate(float(t)).coords[0]),
-                  float(traj.evaluate(float(t)).coords @ u_hat))
-                 for t in times]
+        path = traj.evaluate(times)
+        table = [(float(t), float(r[0]), float(r @ u_hat))
+                 for t, r in zip(times, path)]
         out.add_dat(f"branch_{label}.dat",
                     [f"branch {traj.branch_id} path through the device",
                      "columns: t, x (beam axis), z (device axis)"], table)

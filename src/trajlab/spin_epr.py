@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Event, ConfigurationPoint, PiecewiseTrajectory, Segment
+from .core import PiecewiseTrajectory, Segment
 from .errors import IntegrationError, UnconditionedSettingError, ZeroFieldError
 
 __all__ = [
@@ -62,16 +62,6 @@ class SpinVariable:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"spin variable must be unit norm, got |s| = {norm!r}")
         object.__setattr__(self, "components", arr)
-
-    def overlap(self, other: "SpinVariable") -> complex:
-        return complex(np.vdot(self.components, other.components))
-
-    def same_ray(self, other: "SpinVariable", tol: float = 1e-12) -> bool:
-        return abs(abs(self.overlap(other)) - 1.0) < tol
-
-    def expectation(self, operator: np.ndarray) -> float:
-        s = self.components
-        return float(np.real(np.vdot(s, operator @ s)))
 
 
 @dataclass(frozen=True)
@@ -224,7 +214,6 @@ def propagate_sg(position, velocity, s_in: SpinVariable, device: SGDevice,
     s_plus, s_minus = align_spin(s_in, mag_entry * u_hat)
 
     branches = []
-    t_exit_latest = 0.0
     specs = []
     for sign, label, s_ray in ((+1, "+", s_plus), (-1, "-", s_minus)):
         v_long = _entry_speed(v0[0], sign, mu, m, mag_entry)
@@ -256,40 +245,27 @@ def propagate_sg(position, velocity, s_in: SpinVariable, device: SGDevice,
         v_out[0] = math.sqrt(v_exit_inside[0] ** 2 + sign * 2.0 * mu * mag_exit / m)
         t_exit = t_entry + tau
         t_screen = t_exit + (device.screen_x - device.exit_x) / v_out[0]
-        specs.append((sign, label, s_ray, v_in, accel, tau, r_exit, v_out,
-                      t_exit, t_screen))
-        t_exit_latest = max(t_exit_latest, t_screen)
+        specs.append((label, s_ray, v_in, accel, tau, r_exit, v_out, t_exit,
+                      t_screen))
 
-    t_final = t_exit_latest * 1.05 + 1e-12
+    t_final = max(spec[-1] for spec in specs) * 1.05 + 1e-12
 
-    for sign, label, s_ray, v_in, accel, tau, r_exit, v_out, t_exit, t_screen in specs:
+    for label, s_ray, v_in, accel, tau, r_exit, v_out, t_exit, t_screen in specs:
         def before(t, r0=r0, v0=v0):
-            return r0 + v0 * t
+            return r0 + v0 * t[:, None]
 
         def inside(t, r_e=r_entry, v=v_in, a=accel, te=t_entry):
-            dt = t - te
+            dt = (t - te)[:, None]
             return r_e + v * dt + 0.5 * a * dt * dt
 
         def after(t, r_x=r_exit, v=v_out, tx=t_exit):
-            return r_x + v * (t - tx)
+            return r_x + v * (t - tx)[:, None]
 
-        r_screen = r_exit + v_out * (t_screen - t_exit)
-        straight_u = float((r0 + v0 * t_screen) @ u_hat)
-        events = [
-            Event(time=t_entry,
-                  point=ConfigurationPoint(r_entry.copy()),
-                  data={"kind": "align", "branch": label,
-                        "spin": s_ray}),
-            Event(time=t_screen,
-                  point=ConfigurationPoint(r_screen),
-                  data={"kind": "screen", "branch": label,
-                        "deflection": float(r_screen @ u_hat) - straight_u}),
-        ]
         traj = PiecewiseTrajectory(
             [Segment(0.0, t_entry, before),
              Segment(t_entry, t_exit, inside),
              Segment(t_exit, t_final, after)],
-            branch_id=label, events_list=events)
+            branch_id=label)
         traj.native_step = min(tau, t_entry) / 64.0
         traj.spin = s_ray
         traj.transit_time = tau

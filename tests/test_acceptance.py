@@ -273,14 +273,14 @@ def test_criterion_10_spin_splitting():
     plus, minus = propagate_sg(np.zeros(3), v0, up, device, constants)
     t_entry = device.entry_x / v0[0]
     pre_equal = all(
-        np.array_equal(plus.evaluate(float(t)).coords,
-                       minus.evaluate(float(t)).coords)
+        np.array_equal(plus.evaluate(float(t)),
+                       minus.evaluate(float(t)))
         for t in np.linspace(0.0, t_entry, 33))
     rate = constants.mu * device.gradient / constants.m
     defl_err = 0.0
     for traj, sign in ((plus, 1), (minus, -1)):
         tau = traj.transit_time
-        z_exit = traj.evaluate(t_entry + tau).coords[2]
+        z_exit = traj.evaluate(t_entry + tau)[2]
         defl_err = max(defl_err, abs(z_exit + sign * 0.5 * rate * tau * tau))
     weights = branch_weights("quantum", np.array([0.0, 0.0, 1.0]), psi=up)
     elapsed = time.perf_counter() - t0

@@ -95,7 +95,7 @@ class TestTrajectory:
         seq = orbit_bits(tr.state, tr.n_steps)
         assert list(seq) == bits
         # the leading bit is the threshold observation x >= 1/2
-        assert [int(tr.evaluate(k).coords[0] >= 0.5)
+        assert [int(tr.evaluate(k)[0] >= 0.5)
                 for k in range(tr.n_steps)] == bits
 
     def test_rational_trajectory_needs_horizon(self):

@@ -348,6 +348,19 @@ class TestSmoothScattering:
         rho = np.loadtxt(out / "transfer.dat")[:, 1]
         assert np.all(rho > 0)
 
+    @pytest.mark.parametrize("screening_length", [0.02, 0.1, 0.3, 0.5])
+    def test_short_screening_lengths_run(self, tmp_path, screening_length):
+        # the far construction probe reaches theta clipped to 0 and jitter
+        # of about 1e-11 there; neither may read as a rise
+        params = dict(potential="screened-coulomb",
+                      screening_length=screening_length)
+        cfg = write_config(tmp_path / "cfg.yaml", "scattering",
+                           parameters=params)
+        out = tmp_path / "o"
+        assert run(["run", "scattering", "--config", cfg, "--out", out]) == 0
+        s, theta = np.loadtxt(out / "deflection.dat").T
+        assert len(s) == 50 and np.all(np.diff(theta) < 0)
+
     def test_inverse_square_is_rutherford_over_beam_disk(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.yaml", "scattering",
                            parameters={"potential": "inverse-square"})

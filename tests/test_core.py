@@ -3,58 +3,119 @@ import math
 import numpy as np
 import pytest
 
-from trajlab.core import (ConfigurationPoint, Segment, PiecewiseTrajectory,
+from trajlab.core import (Segment, PiecewiseTrajectory,
                           evaluate_rates, ensemble_statistics, outcome_rates,
                           BUILD_BLOCK,
                           is_well_defined, MeasureSpec, point_mass,
                           HistogramMeasure, BoundaryMap, validate_jacobian,
                           pushforward, check_determinism)
+from trajlab.decay import DecayMasses, rest_decay_family
 from trajlab.errors import (NoTrialsError, EmptyEnsembleError,
                             DegenerateMeasureError, PushforwardError)
 from trajlab.rng import (_Words, stream, trajectory_stream,
                          trajectory_streams)
 
 
-class TestConfigurationPoint:
+def _line(slope, offset=0.0):
+    return lambda t: offset + slope * t[:, None]
+
+
+class TestAgreementRule:
+    """Samples agree when sector and width match and every coordinate is
+    within the tolerance; NaN agrees with nothing. Every trajectory below
+    moves, so none meets its own time shift, and each pair shares its first
+    half only if that rule says so."""
+
+    @staticmethod
+    def _split(first, second, sector=None, first_sector=None):
+        return PiecewiseTrajectory(
+            [Segment(0.0, 5.0, first, sector=first_sector or sector),
+             Segment(5.0, 10.0, second, sector=sector)])
+
+    @staticmethod
+    def _witnessed(a, b, tolerance):
+        return not check_determinism([a, b], match_window=1.0,
+                                     tolerance=tolerance, time_step=0.1)
+
     def test_distance_is_max_abs(self):
-        a = ConfigurationPoint(np.array([1.0, 2.0, 3.0]))
-        b = ConfigurationPoint(np.array([1.5, 2.0, 1.0]))
-        assert a.distance(b) == 2.0
+        a = PiecewiseTrajectory([Segment(0.0, 10.0, _line([10.0, 0.0]))])
+        b = self._split(_line([10.0, 0.0], [0.3, 0.3]),
+                        _line([10.0, 0.0], [0.0, 10.0]))
+        # the Euclidean distance 0.42 would exceed 0.35
+        assert self._witnessed(a, b, tolerance=0.35)
+        assert not self._witnessed(a, b, tolerance=0.25)
 
-    def test_sector_mismatch_is_infinite(self):
-        a = ConfigurationPoint(np.array([0.0]), sector="parent")
-        b = ConfigurationPoint(np.array([0.0]), sector="products")
-        assert a.distance(b) == math.inf
+    def test_same_point_agrees_at_zero_tolerance(self):
+        a = self._split(_line([10.0, -3.0]), _line([10.0, 0.0]))
+        b = self._split(_line([10.0, -3.0]), _line([10.0, 0.0], [0.0, 1e-9]))
+        assert self._witnessed(a, b, tolerance=0.0)
+        assert not self._witnessed(a, a, tolerance=0.0)
 
-    def test_shape_mismatch_is_infinite(self):
-        a = ConfigurationPoint(np.array([0.0, 1.0]))
-        b = ConfigurationPoint(np.array([0.0, 1.0, 2.0]))
-        assert a.distance(b) == math.inf
+    def test_sector_mismatch_never_agrees(self):
+        a = PiecewiseTrajectory([Segment(0.0, 10.0, _line([10.0]), "x")])
+        for first_sector, witnessed in (("x", True), ("y", False)):
+            b = self._split(_line([10.0]), _line([10.0], [10.0]), sector="x",
+                            first_sector=first_sector)
+            assert self._witnessed(a, b, tolerance=1e-9) is witnessed
 
-    def test_same_point_zero(self):
-        a = ConfigurationPoint(np.array([0.3, -0.7]))
-        assert a.distance(a) == 0.0
+    def test_width_mismatch_never_agrees(self):
+        # zero-padded to width 2, a would equal b's first half
+        a = PiecewiseTrajectory([Segment(0.0, 10.0, _line([10.0]))])
+        for first, witnessed in ((_line([10.0]), True),
+                                 (_line([10.0, 0.0]), False)):
+            b = self._split(first, _line([10.0], [10.0]))
+            assert self._witnessed(a, b, tolerance=1e-9) is witnessed
+
+    def test_nan_never_agrees(self):
+        def nan(t):
+            return np.full((len(t), 1), np.nan)
+
+        a = self._split(nan, _line([10.0]))
+        b = self._split(nan, _line([10.0], [10.0]))
+        # NaN equal to NaN would make the shared first half a window
+        assert not self._witnessed(a, b, tolerance=1e-9)
+        c = self._split(_line([2.0]), _line([10.0]))
+        d = self._split(_line([2.0]), _line([10.0], [10.0]))
+        assert self._witnessed(c, d, tolerance=1e-9)
 
 
 class TestPiecewiseTrajectory:
     def _traj(self):
         return PiecewiseTrajectory(
-            [Segment(0.0, 1.0, lambda t: np.array([t, 0.0])),
-             Segment(1.0, 2.0, lambda t: np.array([1.0, t - 1.0]))],
+            [Segment(0.0, 1.0, lambda t: np.stack([t, 0.0 * t], axis=1)),
+             Segment(1.0, 2.0, lambda t: np.stack([1.0 + 0.0 * t, t - 1.0],
+                                                  axis=1))],
             branch_id="demo")
 
     def test_segment_ownership(self):
         tr = self._traj()
         # the boundary time belongs to the later segment
-        assert np.allclose(tr.evaluate(1.0).coords, [1.0, 0.0])
-        assert np.allclose(tr.evaluate(0.5).coords, [0.5, 0.0])
-        assert np.allclose(tr.evaluate(2.0).coords, [1.0, 1.0])
+        assert np.allclose(tr.evaluate(1.0), [1.0, 0.0])
+        assert np.allclose(tr.evaluate(0.5), [0.5, 0.0])
+        assert np.allclose(tr.evaluate(2.0), [1.0, 1.0])
 
     def test_domain(self):
         tr = self._traj()
         assert tr.domain == (0.0, 2.0)
         with pytest.raises(ValueError):
             tr.evaluate(2.5)
+
+    def test_array_of_times(self):
+        tr = self._traj()
+        times = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+        path = tr.evaluate(times)
+        assert path.shape == (5, 2)
+        for t, row in zip(times, path):
+            assert np.array_equal(row, tr.evaluate(float(t)))
+        with pytest.raises(ValueError):
+            tr.evaluate(np.array([0.5, 2.5]))
+
+    def test_array_across_widths_raises(self):
+        tr = PiecewiseTrajectory([Segment(0.0, 1.0, _line([1.0])),
+                                  Segment(1.0, 2.0, _line([1.0, 1.0]))])
+        assert tr.evaluate(np.array([1.2, 1.8])).shape == (2, 2)
+        with pytest.raises(ValueError, match="widths"):
+            tr.evaluate(np.array([0.5, 1.5]))
 
 
 class TestRates:
@@ -306,7 +367,7 @@ class TestBoundaryMaps:
 class TestDeterminism:
     def _line(self, slope, branch=None):
         return PiecewiseTrajectory(
-            [Segment(0.0, 10.0, lambda t, s=slope: np.array([s * t]))],
+            [Segment(0.0, 10.0, lambda t, s=slope: s * t[:, None])],
             branch_id=branch)
 
     def test_distinct_pasts_no_witness(self):
@@ -319,16 +380,115 @@ class TestDeterminism:
 
     def test_split_pair_is_witnessed(self):
         def f(t):
-            return np.array([0.0]) if t < 5.0 else np.array([t - 5.0])
+            return np.where(t < 5.0, 0.0, t - 5.0)[:, None]
 
         def g(t):
-            return np.array([0.0]) if t < 5.0 else np.array([5.0 - t])
+            return np.where(t < 5.0, 0.0, 5.0 - t)[:, None]
 
         a = PiecewiseTrajectory([Segment(0.0, 10.0, f)], branch_id="a")
         b = PiecewiseTrajectory([Segment(0.0, 10.0, g)], branch_id="b")
         a.native_step = b.native_step = 0.1
         assert not check_determinism([a, b], match_window=1.0,
                                      tolerance=1e-9)
+
+
+def _reference_check_determinism(trajectories, match_window, tolerance,
+                                 time_step):
+    """The per-sample search check_determinism replaced, kept as a
+    reference: four nested loops over (coordinates, sector) samples."""
+    def distance(p, q):
+        if p[1] != q[1] or p[0].shape != q[0].shape:
+            return math.inf
+        return float(np.max(np.abs(p[0] - q[0]))) if p[0].size else 0.0
+
+    def sample(tr, t):
+        seg = next(seg for seg in tr.segments
+                   if t < seg.t1 or seg is tr.segments[-1])
+        return np.asarray(seg.path(np.array([t])), dtype=float)[0], seg.sector
+
+    sampled = []
+    for tr in trajectories:
+        t0, t1 = tr.domain
+        h = time_step
+        sampled.append([sample(tr, float(t))
+                         for t in np.arange(t0, t1 + h * 0.5, h)])
+    w = max(1, int(round(match_window / time_step))) + 1
+    for i, pi in enumerate(sampled):
+        for j in range(i, len(sampled)):
+            pj = sampled[j]
+            for k1 in range(0, len(pi) - w + 1):
+                for k2 in range(k1 + 1 if i == j else 0, len(pj) - w + 1):
+                    if not all(distance(pi[k1 + m], pj[k2 + m]) <= tolerance
+                               for m in range(w)):
+                        continue
+                    m = w
+                    while k1 + m < len(pi) and k2 + m < len(pj):
+                        if distance(pi[k1 + m], pj[k2 + m]) > tolerance:
+                            return False
+                        m += 1
+    return True
+
+
+def _random_family(rng):
+    """A small random family and check_determinism arguments for it.
+
+    Half are rest-decay families (a shared past, then a sector change at
+    each split time). The rest glue pieces from a small pool, so members
+    often share stretches: constant or unit-slope pieces, values 0.5
+    apart, widths 1 and 2 and sectors None/"a"/"b"; tolerances fall below
+    and above the 0.5 jumps. There is no NaN: after a matched window the
+    reference counts a NaN sample as neither agreeing nor disagreeing,
+    where check_determinism counts it as a disagreement.
+    """
+    h = float(rng.choice([0.25, 0.5]))
+    window = float(rng.choice([0.5, 1.0, 1.5]))
+    n_members = int(rng.integers(1, 4))
+    if rng.random() < 0.5:
+        t_b = float(rng.choice([3.0, 4.0, 5.0]))
+        splits = rng.choice(np.arange(h, t_b, h), size=n_members)
+        splits = splits + rng.choice([0.0, 0.1], size=n_members)
+        direction = rng.normal(size=3)
+        family = rest_decay_family(DecayMasses(4.0, 1.0, 2.0), splits,
+                                   t_b=t_b, direction=direction)
+        tolerance = float(rng.choice([1e-9, 0.05, 0.2, 1.0]))
+        return family, window, tolerance, h
+
+    def piece(t0):
+        width = int(rng.integers(1, 3))
+        sector = [None, "a", "b"][rng.integers(0, 3)]
+        value = 0.5 * float(rng.integers(0, 3))
+        slope = float(rng.choice([0.0, 0.0, -1.0, 1.0]))
+        return sector, (lambda t: value + slope * (t - t0)[:, None]
+                        + np.zeros(width))
+
+    family = []
+    for _ in range(n_members):
+        start = h * float(rng.integers(0, 3))
+        cuts = np.sort(rng.choice(np.arange(1, 13), size=int(
+            rng.integers(0, 3)), replace=False)) * h
+        bounds = [start] + list(start + cuts) + [start + 14 * h]
+        segs = []
+        for t0, t1 in zip(bounds, bounds[1:]):
+            sector, path = piece(t0)
+            segs.append(Segment(t0, t1, path, sector=sector))
+        family.append(PiecewiseTrajectory(segs))
+    tolerance = float(rng.choice([1e-9, 0.25, 0.75]))
+    return family, window, tolerance, h
+
+
+class TestDeterminismReference:
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(20260418)
+        outcomes = []
+        for _ in range(300):
+            family, window, tolerance, h = _random_family(rng)
+            got = check_determinism(family, match_window=window,
+                                    tolerance=tolerance, time_step=h)
+            assert got == _reference_check_determinism(family, window,
+                                                       tolerance, h)
+            outcomes.append(got)
+        # both answers occur often enough to mean something
+        assert 60 <= sum(outcomes) <= 240
 
 
 class TestRng:

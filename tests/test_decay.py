@@ -236,11 +236,16 @@ class TestDecayTrajectory:
         boundary, _ = sample_boundary(MASSES, rng)
         vertex = solve_decay_vertex(MASSES, boundary)
         traj = decay_trajectory(MASSES, boundary, vertex)
-        before = traj.evaluate(0.5 * (boundary.t_a + vertex.t_d))
-        after = traj.evaluate(0.5 * (vertex.t_d + boundary.t_b))
-        assert before.sector == "parent" and before.coords.shape == (3,)
-        assert after.sector == "products" and after.coords.shape == (6,)
-        assert math.isinf(before.distance(after))
+        t_before = 0.5 * (boundary.t_a + vertex.t_d)
+        t_after = 0.5 * (vertex.t_d + boundary.t_b)
+        before, after = traj.evaluate(t_before), traj.evaluate(t_after)
+        parent, products = traj.segments
+        assert parent.t1 == vertex.t_d == products.t0
+        assert parent.sector == "parent" and before.shape == (3,)
+        assert products.sector == "products" and after.shape == (6,)
+        # one array of configurations cannot span the split
+        with pytest.raises(ValueError, match="widths"):
+            traj.evaluate(np.array([t_before, t_after]))
 
     def test_endpoints_hit(self):
         rng = stream(4, "decay-traj-ends")
@@ -248,19 +253,9 @@ class TestDecayTrajectory:
         traj = decay_trajectory(MASSES, boundary)
         start = traj.evaluate(boundary.t_a)
         end = traj.evaluate(boundary.t_b)
-        assert np.allclose(start.coords, boundary.x_a, atol=1e-12)
-        assert np.allclose(end.coords[:3], boundary.x_b2, atol=1e-9)
-        assert np.allclose(end.coords[3:], boundary.x_b3, atol=1e-9)
-
-    def test_split_event_recorded(self):
-        rng = stream(5, "decay-traj-event")
-        boundary, _ = sample_boundary(MASSES, rng)
-        vertex = solve_decay_vertex(MASSES, boundary)
-        traj = decay_trajectory(MASSES, boundary, vertex)
-        events = traj.events()
-        assert len(events) == 1
-        assert events[0].time == vertex.t_d
-        assert events[0].data["kind"] == "split"
+        assert np.allclose(start, boundary.x_a, atol=1e-12)
+        assert np.allclose(end[:3], boundary.x_b2, atol=1e-9)
+        assert np.allclose(end[3:], boundary.x_b3, atol=1e-9)
 
 
 class TestIndeterminismWitness:

@@ -76,6 +76,49 @@ class TestDeflection:
         assert weak < strong
 
 
+class TestTinyImpactParameters:
+    POTENTIALS = [RepulsivePower(0.3), RepulsivePower(0.8, 2.5),
+                  ScreenedCoulomb(1.0, 0.02)]
+    TINY = [1e-100, 1e-200, 1e-300]
+
+    @pytest.mark.parametrize("pot", POTENTIALS, ids=repr)
+    def test_near_head_on_backscatter(self, pot):
+        dfl = DeflectionFunction(pot, 1.0)
+        r_head = turning_radius(pot, 1.0, 0.0)
+        for s in self.TINY:
+            assert math.pi - dfl(s) <= 1e-12
+            assert math.pi - deflection_angle(pot, 1.0, s) <= 1e-12
+            assert turning_radius(pot, 1.0, s) == pytest.approx(r_head,
+                                                                rel=1e-12)
+
+    @pytest.mark.parametrize("pot", POTENTIALS, ids=repr)
+    def test_tiny_rows_alone_equal_batch(self, pot):
+        dfl = DeflectionFunction(pot, 1.0)
+        s = np.array(self.TINY + [0.0, 0.5])
+        assert np.array_equal(dfl(s), [dfl(float(v)) for v in s])
+
+
+class _Ramped(DeflectionFunction):
+    """theta(s) + height * s, which rises where the true theta has fallen
+    to 0 (the far probe points of a short screening length)."""
+
+    def __init__(self, pot, energy, height):
+        self.height = height
+        super().__init__(pot, energy)
+
+    def __call__(self, s):
+        return super().__call__(s) + self.height * np.asarray(s)
+
+
+class TestMonotoneProbe:
+    def test_rise_above_noise_raises(self):
+        with pytest.raises(IntegrationError, match="strictly decreasing"):
+            _Ramped(ScreenedCoulomb(1.0, 0.02), 1.0, 1e-7)
+
+    def test_rise_within_noise_passes(self):
+        _Ramped(ScreenedCoulomb(1.0, 0.02), 1.0, 1e-12)
+
+
 class TestDeflectionFunction:
     def test_inverse_roundtrip(self):
         dfl = DeflectionFunction(ScreenedCoulomb(1.0, 2.0), 1.0)
