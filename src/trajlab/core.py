@@ -395,16 +395,19 @@ def validate_jacobian(bmap: BoundaryMap, points: np.ndarray,
     return worst
 
 
+_MAX_UNDEFINED = 1e-3  # share of samples without an image that aborts a push
+
+
 def pushforward(measure: MeasureSpec, bmap: BoundaryMap,
                 n_samples: int = 100_000, seed: int = 0,
                 bins: int | Sequence[int] = 64,
-                value_range: Sequence[tuple[float, float]] | None = None,
-                max_undefined_fraction: float = 1e-3) -> HistogramMeasure:
+                value_range: Sequence[tuple[float, float]] | None = None
+                ) -> HistogramMeasure:
     """Carry ``measure`` through ``bmap`` by sampling, as a binned measure.
 
     The returned histogram measure has the same total mass. Sampled points
     with no image (NaN rows) are dropped; if their fraction exceeds
-    ``max_undefined_fraction`` the transfer aborts, since the image measure
+    ``_MAX_UNDEFINED`` the transfer aborts, since the image measure
     would silently lose mass.
     """
     if measure.dimension != bmap.source_dimension:
@@ -416,10 +419,10 @@ def pushforward(measure: MeasureSpec, bmap: BoundaryMap,
         img = img[:, None]
     ok = np.all(np.isfinite(img), axis=1)
     bad = int((~ok).sum())
-    if bad > max_undefined_fraction * n_samples:
+    if bad > _MAX_UNDEFINED * n_samples:
         raise PushforwardError(
             f"{bad} of {n_samples} samples had no image "
-            f"(> {max_undefined_fraction:.1%} allowed)")
+            f"(> {_MAX_UNDEFINED:.1%} allowed)")
     img = img[ok]
     hist, edges = np.histogramdd(img, bins=bins, range=value_range)
     return HistogramMeasure(edges, hist, total_mass=measure.total_mass,
@@ -464,6 +467,8 @@ def check_determinism(trajectories: Sequence[PiecewiseTrajectory],
         if h <= 0:
             raise ValueError("nonpositive sampling step")
         times = np.arange(t0, t1 + h * 0.5, h)
+        # h need not divide the span: keep a last point past t1 by rounding
+        times = np.minimum(times[times <= t1 + 1e-9 * h], t1)
         pieces = list(tr._pieces(times))
         coords = np.zeros((len(times), max(
             (x.shape[1] for _, _, x in pieces), default=0)))

@@ -10,10 +10,14 @@ products' relative motion.
 
 The total action is jointly convex in ``(x_d, t_d)`` on the open strip
 ``t_a < t_d < t_b`` (each kinetic term is a quadratic-over-linear form,
-the rest-energy terms are linear), so the stationary point found by
-Newton iteration is the global minimum. Conservation of momentum and
-energy at the vertex are exactly the stationarity conditions and are
-reported as residuals rather than imposed.
+the rest-energy terms are linear). At fixed ``t_d`` it is quadratic in
+``x_d`` with a closed-form minimiser, and minimising a jointly convex
+function over some of its variables leaves a convex function of the rest
+(Boyd & Vandenberghe, *Convex Optimization*, 2004, §3.2.5). So the vertex
+time is the one sign change of the reduced action's nondecreasing slope,
+found by Brent's method, and the vertex is the global minimum.
+Conservation of momentum and energy at the vertex are exactly the
+stationarity conditions and are reported as residuals rather than imposed.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .core import MeasureSpec, PiecewiseTrajectory, Segment
-from .errors import NoSolutionError, NotAMinimumError
+from .errors import DegenerateMeasureError, NoSolutionError, NotAMinimumError
+from .rng import stream
 
 __all__ = [
     "DecayMasses",
@@ -91,11 +97,11 @@ class DecayBoundary:
     def __post_init__(self):
         for name in ("x_a", "x_b2", "x_b3"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
+            if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be a finite 3-vector, got {arr}")
             object.__setattr__(self, name, arr)
-        if not self.t_b > self.t_a:
-            raise ValueError(f"t_b={self.t_b} must exceed t_a={self.t_a}")
+        if not -math.inf < self.t_a < self.t_b < math.inf:
+            raise ValueError(f"need finite t_a < t_b, got {self.t_a}, {self.t_b}")
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.x_a, [self.t_a], self.x_b2, self.x_b3,
@@ -119,7 +125,6 @@ class DecayVertex:
     v1: np.ndarray
     v2: np.ndarray
     v3: np.ndarray
-    n_iterations: int
 
 
 def _velocities(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d):
@@ -145,17 +150,23 @@ def decay_action(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) 
     return s
 
 
-def action_gradient(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) -> np.ndarray:
-    """Gradient in (x_d, t_d); its zeros are momentum and energy balance."""
-    x_d = np.asarray(x_d, dtype=float)
-    tau1, tau2, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
+def _balance(masses: DecayMasses, v1, v2, v3):
+    """Momentum mismatch and energy mismatch ``E2 + E3 - E1`` at the split."""
     m1, m2, m3 = masses.m1, masses.m2, masses.m3
     c2 = masses.c ** 2
-    g_x = m1 * v1 - m2 * v2 - m3 * v3
+    dp = m1 * v1 - m2 * v2 - m3 * v3
     e1 = 0.5 * m1 * float(v1 @ v1) + m1 * c2
     e2 = 0.5 * m2 * float(v2 @ v2) + m2 * c2
     e3 = 0.5 * m3 * float(v3 @ v3) + m3 * c2
-    return np.concatenate([g_x, [e2 + e3 - e1]])
+    return dp, e2 + e3 - e1
+
+
+def action_gradient(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) -> np.ndarray:
+    """Gradient in (x_d, t_d); its zeros are momentum and energy balance."""
+    x_d = np.asarray(x_d, dtype=float)
+    _, _, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
+    dp, de = _balance(masses, v1, v2, v3)
+    return np.concatenate([dp, [de]])
 
 
 def action_hessian(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) -> np.ndarray:
@@ -166,12 +177,7 @@ def action_hessian(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float
     b = -m1 * v1 / tau1 - (m2 * v2 + m3 * v3) / tau2
     d = (m1 * float(v1 @ v1) / tau1
          + (m2 * float(v2 @ v2) + m3 * float(v3 @ v3)) / tau2)
-    h = np.zeros((4, 4))
-    h[:3, :3] = a * np.eye(3)
-    h[:3, 3] = b
-    h[3, :3] = b
-    h[3, 3] = d
-    return h
+    return np.block([[a * np.eye(3), b[:, None]], [b, d]])
 
 
 def _best_x(masses: DecayMasses, boundary: DecayBoundary, t_d: float) -> np.ndarray:
@@ -185,115 +191,61 @@ def _best_x(masses: DecayMasses, boundary: DecayBoundary, t_d: float) -> np.ndar
     return num / (w1 + w23)
 
 
-def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary,
-                       tol: float = 1e-12, max_iter: int = 100) -> DecayVertex:
+def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVertex:
     """Find the interior vertex minimising the action.
 
-    Damped Newton on the 4-variable gradient with the analytic Hessian.
-    Raises NoSolutionError when the infimum sits on the time boundary
-    (the endpoint data demands more kinetic energy than the split
-    releases, so the best split is "immediately"), NotAMinimumError if
-    the curvature check fails at the reported point.
+    The vertex time is the Brent root of the reduced action's slope, which
+    by the envelope theorem is the time component of the gradient at
+    ``_best_x``. Raises NoSolutionError when the slope has no sign change
+    inside the interval (the infimum sits on the time boundary), and
+    NotAMinimumError if the curvature check fails at the reported point.
     """
     span = boundary.t_b - boundary.t_a
     eps = 1e-9 * span
+    lo, hi = boundary.t_a + eps, boundary.t_b - eps
 
-    # no interior stationary point exists when the time-derivative of the
-    # x-minimised action is already >= 0 next to t_a (it only grows after)
-    g_early = action_gradient(masses, boundary,
-                              _best_x(masses, boundary, boundary.t_a + eps),
-                              boundary.t_a + eps)[3]
-    if g_early >= 0:
+    def slope(t):
+        return action_gradient(masses, boundary,
+                               _best_x(masses, boundary, t), t)[3]
+
+    if not slope(lo) < 0:
         raise NoSolutionError(
             "endpoint data admits no interior split: the products would need "
             "more kinetic energy than the decay releases, so the action is "
             "minimised by splitting immediately")
-
-    t_d = boundary.t_a + 0.5 * span
+    if not slope(hi) > 0:
+        raise NoSolutionError(
+            "endpoint data admits no interior split: the action keeps falling "
+            "all the way to the final time")
+    # scaled by the span, as t_a may be negative and the root may sit near 0
+    t_d, info = brentq(slope, lo, hi, xtol=4 * np.finfo(float).eps * span,
+                       full_output=True, disp=False)
+    if not info.converged:
+        raise NoSolutionError(f"split-time root search failed: {info.flag}")
     x_d = _best_x(masses, boundary, t_d)
-    z = np.concatenate([x_d, [t_d]])
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        g = action_gradient(masses, boundary, z[:3], z[3])
-        if float(np.max(np.abs(g))) < tol * max(1.0, masses.m1 * masses.c ** 2):
-            break
-        h = action_hessian(masses, boundary, z[:3], z[3])
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            step = -g / max(float(np.trace(h)) / 4.0, 1e-30)
-        # damp so t_d stays strictly inside the interval
-        alpha = 1.0
-        t_new = z[3] + step[3]
-        if t_new <= boundary.t_a + eps:
-            alpha = (boundary.t_a + eps - z[3]) / step[3] * 0.5
-        elif t_new >= boundary.t_b - eps:
-            alpha = (boundary.t_b - eps - z[3]) / step[3] * 0.5
-        s_old = decay_action(masses, boundary, z[:3], z[3])
-        for _ in range(60):
-            z_new = z + alpha * step
-            if decay_action(masses, boundary, z_new[:3], z_new[3]) <= s_old + 1e-15 * abs(s_old):
-                break
-            alpha *= 0.5
-        else:
-            break
-        z = z_new
-    else:
-        n_iter = max_iter
 
-    g = action_gradient(masses, boundary, z[:3], z[3])
-    if float(np.max(np.abs(g))) > 1e-6 * max(1.0, masses.m1 * masses.c ** 2):
-        # damped Newton stalled; hand the problem to a derivative-free search
-        from scipy.optimize import minimize
-
-        def obj(p):
-            t = min(max(p[3], boundary.t_a + eps), boundary.t_b - eps)
-            return decay_action(masses, boundary, p[:3], t)
-
-        best = None
-        for frac in (0.25, 0.5, 0.75):
-            t0 = boundary.t_a + frac * span
-            start = np.concatenate([_best_x(masses, boundary, t0), [t0]])
-            res = minimize(obj, start, method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14,
-                                    "maxiter": 20000})
-            if best is None or res.fun < best.fun:
-                best = res
-        z = best.x
-        z[3] = min(max(z[3], boundary.t_a + eps), boundary.t_b - eps)
-        g = action_gradient(masses, boundary, z[:3], z[3])
-        if float(np.max(np.abs(g))) > 1e-5 * max(1.0, masses.m1 * masses.c ** 2):
-            raise NoSolutionError(
-                "no interior stationary point of the action was found for "
-                "the given endpoint data")
-
-    if z[3] - boundary.t_a < 10 * eps or boundary.t_b - z[3] < 10 * eps:
+    if t_d - boundary.t_a < 10 * eps or boundary.t_b - t_d < 10 * eps:
         raise NoSolutionError(
             "least-action split time collapsed onto the interval boundary; "
             "the endpoint data admits no interior decay vertex")
 
-    h = action_hessian(masses, boundary, z[:3], z[3])
+    h = action_hessian(masses, boundary, x_d, t_d)
     eigs = np.linalg.eigvalsh(h)
     if float(eigs.min()) < -1e-8 * max(float(eigs.max()), 1.0):
         raise NotAMinimumError(
             f"stationary point has negative curvature (min eigenvalue "
             f"{eigs.min():.3e}); not an action minimum")
 
-    tau1, tau2, v1, v2, v3 = _velocities(masses, boundary, z[:3], z[3])
-    return DecayVertex(x_d=z[:3].copy(), t_d=float(z[3]),
-                       action=decay_action(masses, boundary, z[:3], z[3]),
-                       v1=v1, v2=v2, v3=v3, n_iterations=n_iter)
+    _, _, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
+    return DecayVertex(x_d=x_d, t_d=float(t_d),
+                       action=decay_action(masses, boundary, x_d, t_d),
+                       v1=v1, v2=v2, v3=v3)
 
 
 def conservation_residuals(masses: DecayMasses, vertex: DecayVertex) -> tuple[float, float]:
     """(|momentum mismatch|, |energy mismatch|) at the split."""
-    m1, m2, m3 = masses.m1, masses.m2, masses.m3
-    c2 = masses.c ** 2
-    dp = m1 * vertex.v1 - m2 * vertex.v2 - m3 * vertex.v3
-    e1 = 0.5 * m1 * float(vertex.v1 @ vertex.v1) + m1 * c2
-    e2 = 0.5 * m2 * float(vertex.v2 @ vertex.v2) + m2 * c2
-    e3 = 0.5 * m3 * float(vertex.v3 @ vertex.v3) + m3 * c2
-    return float(np.linalg.norm(dp)), abs(e1 - e2 - e3)
+    dp, de = _balance(masses, vertex.v1, vertex.v2, vertex.v3)
+    return float(np.linalg.norm(dp)), abs(de)
 
 
 def symmetric_decay_time(masses: DecayMasses, distance: float, t_b: float,
@@ -415,9 +367,6 @@ def mean_life(decay_time_measure: MeasureSpec, n_samples: int = 1000,
     once that time is drawn. Returns (estimate, standard error); a point
     mass comes back exact with zero error.
     """
-    from .errors import DegenerateMeasureError
-    from .rng import stream
-
     if decay_time_measure.dimension != 1:
         raise ValueError("mean life needs a one-dimensional measure over "
                          "split times")
@@ -493,7 +442,7 @@ def rest_decay_family(masses: DecayMasses, decay_times, t_b: float,
                                  x_b3=x_a + v3 * tau2, t_b=t_b)
         vertex = DecayVertex(x_d=x_a.copy(), t_d=float(t_d),
                              action=decay_action(masses, boundary, x_a, t_d),
-                             v1=np.zeros(3), v2=v2, v3=v3, n_iterations=0)
+                             v1=np.zeros(3), v2=v2, v3=v3)
         out.append(decay_trajectory(masses, boundary, vertex,
                                     branch_id=f"split@{t_d:g}"))
     return out

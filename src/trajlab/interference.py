@@ -47,6 +47,11 @@ __all__ = [
     "InterferenceDecomposition", "interference_decomposition",
 ]
 
+_FLAT_FRACTION = 0.6  # flat share of the targets' flat-top envelope
+_VISIBILITY_FRACTION = 1.0 / 3.0  # central window share fringe_visibility reads
+_SPACING_FRACTION = 0.55  # central window share estimate_fringe_spacing reads
+_NBODY_RTOL, _NBODY_ATOL = 1e-10, 1e-12  # DOP853 tolerances of integrate
+
 
 # ---------------------------------------------------------------------------
 # biprism bench
@@ -210,11 +215,11 @@ class ScreenDensity:
                              _norm=mass)
 
 
-def _flat_top_envelope(half_width: float, flat_fraction: float = 0.6):
+def _flat_top_envelope(half_width: float):
     """1 on the flat middle, cosine taper to 0 at +-half_width."""
     def env(x):
         x = np.abs(np.asarray(x, dtype=float))
-        flat = flat_fraction * half_width
+        flat = _FLAT_FRACTION * half_width
         out = np.ones_like(x)
         taper = (x > flat) & (x <= half_width)
         out[taper] = 0.5 * (1.0 + np.cos(
@@ -375,11 +380,10 @@ def screen_density_from_emission(measure: MeasureSpec, scene: BiprismScene,
     return edges, masses / width
 
 
-def fringe_visibility(edges: np.ndarray, density: np.ndarray,
-                      central_fraction: float = 1.0 / 3.0) -> float:
+def fringe_visibility(edges: np.ndarray, density: np.ndarray) -> float:
     """(max - min) / (max + min) over the central part of the window."""
     centers = 0.5 * (edges[1:] + edges[:-1])
-    half = central_fraction * 0.5 * (edges[-1] - edges[0])
+    half = _VISIBILITY_FRACTION * 0.5 * (edges[-1] - edges[0])
     mid = np.abs(centers - 0.5 * (edges[0] + edges[-1])) <= half
     vals = np.asarray(density, dtype=float)[mid]
     hi, lo = float(vals.max()), float(max(vals.min(), 0.0))
@@ -388,11 +392,10 @@ def fringe_visibility(edges: np.ndarray, density: np.ndarray,
     return (hi - lo) / (hi + lo)
 
 
-def estimate_fringe_spacing(edges: np.ndarray, density: np.ndarray,
-                            central_fraction: float = 0.55) -> float:
+def estimate_fringe_spacing(edges: np.ndarray, density: np.ndarray) -> float:
     """Mean distance between interior peaks, refined by local parabolas."""
     centers = 0.5 * (edges[1:] + edges[:-1])
-    half = central_fraction * 0.5 * (edges[-1] - edges[0])
+    half = _SPACING_FRACTION * 0.5 * (edges[-1] - edges[0])
     mid = np.abs(centers - 0.5 * (edges[0] + edges[-1])) <= half
     x = centers[mid]
     y = np.asarray(density, dtype=float)[mid]
@@ -531,8 +534,7 @@ class NBodySystem:
                 e += self.external_potential.value(pos[i])
         return e
 
-    def integrate(self, positions, velocities, t0: float, t1: float,
-                  rtol: float = 1e-10, atol: float = 1e-12):
+    def integrate(self, positions, velocities, t0: float, t1: float):
         """Propagate the state from t0 to t1; free systems go analytically."""
         pos = np.asarray(positions, dtype=float).reshape(self.n, 3)
         vel = np.asarray(velocities, dtype=float).reshape(self.n, 3)
@@ -546,7 +548,7 @@ class NBodySystem:
 
         sol = solve_ivp(rhs, (t0, t1),
                         np.concatenate([pos.ravel(), vel.ravel()]),
-                        method="DOP853", rtol=rtol, atol=atol)
+                        method="DOP853", rtol=_NBODY_RTOL, atol=_NBODY_ATOL)
         if not sol.success:
             raise IntegrationError(f"propagation {t0} -> {t1} failed: "
                                    f"{sol.message}")

@@ -151,6 +151,12 @@ class ScreenedCoulomb(Potential):
 
 
 _RTOL = 8.9e-16  # root finders stop within four ulps
+_N_NODES = 256  # Gauss-Legendre nodes of the deflection integral
+_ODE_RTOL, _ODE_ATOL = 1e-11, 1e-13  # planar-motion reference path
+_DIFF_STEP = 1e-6  # relative step of the central differences in theta and s
+_MIN_SPACING = 10.0  # least flipper center spacing, in action ranges
+_PACKING = 0.5  # n_centers * d_min^3 / cell volume of a random scene
+_MAX_TRIES = 100_000  # placement attempts before a random scene gives up
 
 
 def _flat(x):
@@ -228,17 +234,17 @@ def _gl_nodes(n):
     return _GL_CACHE[n]
 
 
-def _deflection_integral(potential, energy, s, u_head, n_nodes=256):
+def _deflection_integral(potential, energy, s, u_head):
     """Quadrature of theta = pi - 2 s \\int_0^{u_max} du / sqrt(F(u)).
 
-    ``s`` is a 1-d array; all rows are one ``(len(s), n_nodes)`` array, and
+    ``s`` is a 1-d array; all rows are one ``(len(s), _N_NODES)`` array, and
     ``u_head`` is the head-on root that caps each turning-point bracket. The
     turning-point square-root singularity is removed by u = u_max*(1 - x^2),
     after which the integrand is smooth and Gauss-Legendre converges at
     machine precision for the shipped potentials.
     """
     u_max = _turning_u(potential, energy, s, u_head)
-    x, w = _gl_nodes(n_nodes)
+    x, w = _gl_nodes(_N_NODES)
     u = u_max[:, None] * (1.0 - x * x)
     su = s[:, None] * u
     F = 1.0 - su * su - np.asarray(potential(1.0 / u), dtype=float) / energy
@@ -248,8 +254,7 @@ def _deflection_integral(potential, energy, s, u_head, n_nodes=256):
     return np.clip(theta, 0.0, math.pi)
 
 
-def _deflection_ode(potential, energy, s, r_start=None, rtol=1e-11,
-                    atol=1e-13):
+def _deflection_ode(potential, energy, s):
     """Deflection from integrating the planar equations of motion.
 
     Intended for short-range potentials where a finite start/exit radius
@@ -258,18 +263,17 @@ def _deflection_ode(potential, energy, s, r_start=None, rtol=1e-11,
     """
     mass = 1.0
     v0 = math.sqrt(2.0 * energy / mass)
-    if r_start is None:
-        # quiet radius: tail energy below integrator tolerance
-        r_start = max(turning_radius(potential, energy, 0.0), s, 1e-6)
-        for _ in range(200):
-            if float(potential(r_start)) / energy < 1e-13:
-                break
-            r_start *= 1.5
-        else:
-            raise IntegrationError(
-                "potential tail decays too slowly for the planar-motion "
-                "path; use the quadrature method")
+    # quiet radius: tail energy below integrator tolerance
+    r_start = max(turning_radius(potential, energy, 0.0), s, 1e-6)
+    for _ in range(200):
+        if float(potential(r_start)) / energy < 1e-13:
+            break
         r_start *= 1.5
+    else:
+        raise IntegrationError(
+            "potential tail decays too slowly for the planar-motion "
+            "path; use the quadrature method")
+    r_start *= 1.5
     if s >= r_start:
         return 0.0
 
@@ -291,7 +295,7 @@ def _deflection_ode(potential, energy, s, r_start=None, rtol=1e-11,
     escaped.direction = 1.0
     t_max = 10.0 * (2.0 * r_start / v0)
     # cap the step so the interaction region cannot be straddled unseen
-    sol = solve_ivp(rhs, (0.0, t_max), state0, rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (0.0, t_max), state0, rtol=_ODE_RTOL, atol=_ODE_ATOL,
                     method="DOP853", events=escaped, dense_output=False,
                     max_step=r_start / (30.0 * v0))
     if not sol.success or not len(sol.t_events[0]):
@@ -302,7 +306,7 @@ def _deflection_ode(potential, energy, s, r_start=None, rtol=1e-11,
 
 
 def deflection_angle(potential: Potential, energy: float, s,
-                     method: str = "integral", **kw):
+                     method: str = "integral"):
     """Polar scattering angle theta(s) in [0, pi]; ``s`` may be an array.
 
     Hard spheres use the reflection law theta = 2*arccos(s/R), element by
@@ -323,9 +327,9 @@ def deflection_angle(potential: Potential, energy: float, s,
                               for v in s.tolist()]))
     if method == "integral":
         u_head = _turning_u(potential, energy, np.zeros(1))[0]
-        return back(_deflection_integral(potential, energy, s, u_head, **kw))
+        return back(_deflection_integral(potential, energy, s, u_head))
     if method == "ode":
-        return back(np.array([_deflection_ode(potential, energy, v, **kw)
+        return back(np.array([_deflection_ode(potential, energy, v)
                               for v in s.tolist()]))
     raise ValueError(f"unknown method {method!r}")
 
@@ -410,13 +414,13 @@ class DeflectionFunction:
             idx = idx[~done]
         raise IntegrationError("inverse deflection did not converge")
 
-    def ds_dtheta(self, theta, rel_step: float = 1e-6):
+    def ds_dtheta(self, theta):
         """d s / d theta by central differences on the inverse."""
-        return self._inverse_and_slope(theta, rel_step)[1]
+        return self._inverse_and_slope(theta)[1]
 
-    def _inverse_and_slope(self, theta, rel_step=1e-6):
+    def _inverse_and_slope(self, theta):
         theta, back = _flat(theta)  # s and ds/dtheta from one inverse call
-        h = rel_step * np.maximum(np.maximum(theta, math.pi - theta), 0.1)
+        h = _DIFF_STEP * np.maximum(np.maximum(theta, math.pi - theta), 0.1)
         h = np.minimum(np.minimum(h, 0.49 * theta), 0.49 * (math.pi - theta))
         s, sp, sm = np.split(self.inverse(
             np.concatenate([theta, theta + h, theta - h])), 3)
@@ -446,15 +450,14 @@ def transfer_density(source_density: Callable[[float], float],
 
 def inverse_transfer_density(target_density: Callable[[float], float],
                              deflection: DeflectionFunction,
-                             s_grid: np.ndarray,
-                             dtheta_step: float = 1e-6) -> np.ndarray:
+                             s_grid: np.ndarray) -> np.ndarray:
     """Pull a solid-angle density back to the transverse plane.
 
     Inverse Jacobian of :func:`transfer_density`; the round trip reproduces
     the source density (tested), which is what licenses using either route.
     """
     s = np.asarray(s_grid, dtype=float)
-    h = dtheta_step * np.maximum(1.0, s)
+    h = _DIFF_STEP * np.maximum(1.0, s)
     th, th_p, th_m = np.split(deflection(
         np.concatenate([s, s + h, np.maximum(s - h, 0.0)])), 3)
     dthds = (th_p - th_m) / (h + np.minimum(h, s))
@@ -517,14 +520,13 @@ class FlipperScene:
 
     The cell tiles space, realizing a statistically homogeneous medium large
     enough that every trajectory keeps encountering centers. Centers must
-    keep a minimum mutual spacing of ``min_spacing_factor * action_range``
+    keep a minimum mutual spacing of ``_MIN_SPACING * action_range``
     (min-image metric), so encounters are isolated single-center scattering
     events.
     """
 
     def __init__(self, cell_size: float, centers: np.ndarray,
-                 potential: Potential, energy: float, action_range: float,
-                 min_spacing_factor: float = 10.0):
+                 potential: Potential, energy: float, action_range: float):
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 2 or centers.shape[1] != 3:
             raise ValueError("centers must be an (N, 3) array")
@@ -538,11 +540,11 @@ class FlipperScene:
         dist = np.sqrt((d ** 2).sum(-1))
         np.fill_diagonal(dist, np.inf)
         d_min = float(dist.min()) if len(centers) > 1 else math.inf
-        if d_min < min_spacing_factor * action_range:
+        if d_min < _MIN_SPACING * action_range:
             raise ValueError(
                 f"minimum center spacing {d_min:.4g} violates the required "
-                f"{min_spacing_factor} * action_range = "
-                f"{min_spacing_factor * action_range:.4g}")
+                f"{_MIN_SPACING} * action_range = "
+                f"{_MIN_SPACING * action_range:.4g}")
         self.cell_size = L
         self.centers = centers
         self.potential = potential
@@ -572,24 +574,22 @@ class FlipperScene:
 
 def random_scene(n_centers: int, action_range: float, energy: float,
                  potential: Potential | None = None,
-                 min_spacing_factor: float = 10.0,
-                 packing: float = 0.5, seed: int = 0,
-                 max_tries: int = 100_000) -> FlipperScene:
+                 seed: int = 0) -> FlipperScene:
     """Random sequential placement of centers in a periodic cell.
 
-    ``packing`` is n_centers * d_min^3 / cell volume; 0.5 leaves room for
-    rejection sampling to finish quickly.
+    The cell is sized so that n_centers * d_min^3 / cell volume is
+    ``_PACKING``; 0.5 leaves room for rejection sampling to finish quickly.
     """
     if potential is None:
         potential = HardSphere(action_range)
-    d_min = min_spacing_factor * action_range
-    L = (n_centers * d_min ** 3 / packing) ** (1.0 / 3.0)
+    d_min = _MIN_SPACING * action_range
+    L = (n_centers * d_min ** 3 / _PACKING) ** (1.0 / 3.0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     placed = np.empty((0, 3))
     tries = 0
     while len(placed) < n_centers:
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_TRIES:
             raise IntegrationError("center placement did not converge; "
                                    "lower packing or n_centers")
         cand = rng.random(3) * L
@@ -598,8 +598,7 @@ def random_scene(n_centers: int, action_range: float, energy: float,
             if np.min((d ** 2).sum(-1)) < d_min ** 2:
                 continue
         placed = np.vstack([placed, cand])
-    return FlipperScene(L, placed, potential, energy, action_range,
-                        min_spacing_factor)
+    return FlipperScene(L, placed, potential, energy, action_range)
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,14 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError):
             DecayBoundary.from_vector(np.zeros(10))
 
+    @pytest.mark.parametrize("entry", [0, 3, 4, 9, 10])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite(self, entry, value):
+        vec = np.array([0.0, 0, 0, 0, 1, 0, 0, -1, 0, 0, 10])
+        vec[entry] = value
+        with pytest.raises(ValueError):
+            DecayBoundary.from_vector(vec)
+
 
 class TestActionCalculus:
     # generic interior point, nowhere near the minimum
@@ -178,6 +186,34 @@ class TestSolverAgainstBruteForce:
         # parent leaves x_a with the velocity the vertex implies
         assert np.allclose(boundary.x_a + vertex.v1 * vertex.t_d, vertex.x_d,
                            atol=1e-9)
+
+
+class TestSolverPrecision:
+    """The vertex time is a root of the reduced action's slope found to
+    rounding, so conservation holds and the generating split time comes
+    back to within 1e-13."""
+
+    def test_oracle_boundaries_and_closed_forms(self):
+        cases = []
+        rng = stream(42, "decay-oracle")  # TestSolverAgainstBruteForce's data
+        for _ in range(50):
+            boundary, td_true = sample_boundary(MASSES, rng)
+            cases.append((MASSES, boundary, td_true))
+        # criterion 07's closed forms, and one split at t = 0 after t_a < 0
+        sym = DecayMasses(4.0, 1.5, 1.5)
+        flight = -symmetric_decay_time(sym, 1.0, 0.0, t_a=-5.0)
+        for d, t_a, t_b in ((0.5, 0.0, 10.0), (1.0, 0.0, 10.0),
+                            (2.0, 0.0, 10.0), (1.0, -5.0, flight)):
+            boundary = DecayBoundary(np.zeros(3), t_a, np.array([d, 0.0, 0.0]),
+                                     np.array([-d, 0.0, 0.0]), t_b)
+            cases.append((sym, boundary,
+                           symmetric_decay_time(sym, d, t_b, t_a=t_a)))
+        assert cases[-1][2] == 0.0
+        for masses, boundary, td_true in cases:
+            vertex = solve_decay_vertex(masses, boundary)
+            dp, de = conservation_residuals(masses, vertex)
+            assert dp <= 1e-13 and de <= 1e-13
+            assert abs(vertex.t_d - td_true) <= 1e-13
 
 
 class TestSymmetricClosedForm:
@@ -270,6 +306,13 @@ class TestIndeterminismWitness:
         family = rest_decay_family(MASSES, [5.0], t_b=10.0)
         assert check_determinism(family, match_window=1.0, tolerance=1e-9,
                                  time_step=0.05) is False
+
+    @pytest.mark.parametrize("time_step", [0.05, 0.3, 0.45, 0.6, 0.7])
+    def test_steps_that_do_not_divide_the_span(self, time_step):
+        # 10 / 0.6 is not whole: the grid stops short of t_b, not past it
+        family = rest_decay_family(MASSES, [2.0, 5.0], t_b=10.0)
+        assert check_determinism(family, match_window=1.0, tolerance=1e-9,
+                                 time_step=time_step) is False
 
     def test_rejects_split_outside_window(self):
         with pytest.raises(ValueError):
