@@ -193,7 +193,7 @@ def bit_sequence_measure(n_steps: int, p_one: float = 0.5) -> MeasureSpec:
         return np.exp(logp)
 
     return MeasureSpec(dimension=L, sampler=sampler, density=density,
-                       total_mass=1.0, name=f"bits(p={p_one})")
+                       name=f"bits(p={p_one})")
 
 
 def biased_measure(target_rate: float, n_steps: int) -> MeasureSpec:

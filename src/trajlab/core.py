@@ -1,11 +1,9 @@
-"""Trajectory sets, rate statistics, and measure transfer.
+"""Trajectory sets, rate statistics, and the measures they are drawn from.
 
 A dynamical system is represented extensionally as a set of trajectories
 through a configuration space; statistics enter only as a measure over the
 set. Outcome probabilities are relative rates along single trajectories,
-aggregated over an ensemble drawn from the measure. The measure can be
-carried from one boundary description to another by pushing samples through
-a boundary map.
+aggregated over an ensemble drawn from the measure.
 
 Conventions used throughout:
 
@@ -25,28 +23,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateMeasureError,
-    EmptyEnsembleError,
-    NoTrialsError,
-    PushforwardError,
-)
-from .rng import stream, trajectory_streams
+from .errors import EmptyEnsembleError, NoTrialsError
+from .rng import trajectory_streams
 
 __all__ = [
+    "Segment",
     "PiecewiseTrajectory",
     "RateResult",
     "RateStatistics",
     "MeasureSpec",
-    "HistogramMeasure",
-    "BoundaryMap",
     "point_mass",
     "outcome_rates",
     "evaluate_rates",
     "ensemble_statistics",
     "is_well_defined",
-    "pushforward",
-    "validate_jacobian",
     "check_determinism",
 ]
 
@@ -256,32 +246,26 @@ def is_well_defined(stats: RateStatistics, tolerance: float = 0.01) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# measures and maps
+# measures
 # ---------------------------------------------------------------------------
 
 
 class MeasureSpec:
-    """A measure given operationally: sampler, optional density, total mass.
+    """A probability measure given operationally: sampler, optional density.
 
     ``sampler(rng, n)`` returns an ``(n, dimension)`` array. ``density`` is
     the density with respect to the natural reference measure of the space
     (Lebesgue for continuous spaces, counting for sequence spaces) and may be
-    None when only sampling is needed. Zero or non-finite total mass is
-    rejected: everything downstream divides by it.
+    None when only sampling is needed. Every measure has mass 1.
     """
 
     def __init__(self, dimension: int,
                  sampler: Callable[[np.random.Generator, int], np.ndarray],
                  density: Callable[[np.ndarray], np.ndarray] | None = None,
-                 total_mass: float = 1.0,
                  name: str = ""):
-        if not np.isfinite(total_mass) or total_mass <= 0.0:
-            raise DegenerateMeasureError(
-                f"total mass must be finite and positive, got {total_mass}")
         self.dimension = int(dimension)
         self.sampler = sampler
         self.density = density
-        self.total_mass = float(total_mass)
         self.name = name
 
 
@@ -293,140 +277,7 @@ def point_mass(point, name: str = "point-mass") -> MeasureSpec:
         return np.tile(p, (n, 1))
 
     return MeasureSpec(dimension=p.size, sampler=sampler, density=None,
-                       total_mass=1.0, name=name)
-
-
-class HistogramMeasure(MeasureSpec):
-    """Measure represented by bin masses on a rectangular grid."""
-
-    def __init__(self, edges: Sequence[np.ndarray], masses: np.ndarray,
-                 total_mass: float = 1.0, name: str = ""):
-        self.edges = [np.asarray(e, dtype=float) for e in edges]
-        masses = np.asarray(masses, dtype=float)
-        if masses.shape != tuple(len(e) - 1 for e in self.edges):
-            raise ValueError("masses shape does not match bin edges")
-        if np.any(masses < 0):
-            raise ValueError("negative bin mass")
-        s = masses.sum()
-        if not np.isfinite(s) or s <= 0:
-            raise DegenerateMeasureError("histogram has zero total mass")
-        self.masses = masses * (total_mass / s)
-        dim = len(self.edges)
-        self._flat = self.masses.ravel()
-        self._probs = self._flat / self._flat.sum()
-        widths = [np.diff(e) for e in self.edges]
-        vol = widths[0]
-        for w in widths[1:]:
-            vol = np.multiply.outer(vol, w)
-        self._volumes = vol
-
-        super().__init__(dimension=dim, sampler=self._sample,
-                         density=self._density, total_mass=total_mass,
-                         name=name)
-
-    def _sample(self, rng, n):
-        idx = rng.choice(self._flat.size, size=n, p=self._probs)
-        unraveled = np.unravel_index(idx, self.masses.shape)
-        out = np.empty((n, len(self.edges)))
-        for d, e in enumerate(self.edges):
-            lo = e[unraveled[d]]
-            hi = e[unraveled[d] + 1]
-            out[:, d] = lo + (hi - lo) * rng.random(n)
-        return out
-
-    def _density(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = []
-        inside = np.ones(len(points), dtype=bool)
-        for d, e in enumerate(self.edges):
-            i = np.searchsorted(e, points[:, d], side="right") - 1
-            inside &= (i >= 0) & (i < len(e) - 1)
-            idx.append(np.clip(i, 0, len(e) - 2))
-        dens = self.masses[tuple(idx)] / self._volumes[tuple(idx)]
-        dens[~inside] = 0.0
-        return dens
-
-
-@dataclass(frozen=True)
-class BoundaryMap:
-    """Vectorized map between boundary-condition descriptions.
-
-    ``forward`` maps an ``(n, source_dimension)`` array to
-    ``(n, target_dimension)``; rows where the map is undefined must come back
-    as NaN. ``jacobian``, when given, returns per-point Jacobian matrices and
-    can be validated against finite differences with
-    :func:`validate_jacobian`.
-    """
-
-    source_dimension: int
-    target_dimension: int
-    forward: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = ""
-
-
-def validate_jacobian(bmap: BoundaryMap, points: np.ndarray,
-                      rel_tol: float = 1e-5, step: float = 1e-6) -> float:
-    """Max relative disagreement between ``bmap.jacobian`` and central FD.
-
-    Raises ValueError if the map has no jacobian, or if the disagreement
-    exceeds ``rel_tol``.
-    """
-    if bmap.jacobian is None:
-        raise ValueError("boundary map declares no jacobian")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    J = np.asarray(bmap.jacobian(points))
-    worst = 0.0
-    for k, p in enumerate(points):
-        fd = np.empty((bmap.target_dimension, bmap.source_dimension))
-        for d in range(bmap.source_dimension):
-            h = step * max(1.0, abs(p[d]))
-            pp, pm = p.copy(), p.copy()
-            pp[d] += h
-            pm[d] -= h
-            fp = bmap.forward(pp[None, :])[0]
-            fm = bmap.forward(pm[None, :])[0]
-            fd[:, d] = (fp - fm) / (2.0 * h)
-        scale = max(1.0, float(np.max(np.abs(fd))))
-        worst = max(worst, float(np.max(np.abs(J[k] - fd))) / scale)
-    if worst > rel_tol:
-        raise ValueError(f"jacobian disagrees with finite differences: "
-                         f"{worst:.3e} > {rel_tol:.3e}")
-    return worst
-
-
-_MAX_UNDEFINED = 1e-3  # share of samples without an image that aborts a push
-
-
-def pushforward(measure: MeasureSpec, bmap: BoundaryMap,
-                n_samples: int = 100_000, seed: int = 0,
-                bins: int | Sequence[int] = 64,
-                value_range: Sequence[tuple[float, float]] | None = None
-                ) -> HistogramMeasure:
-    """Carry ``measure`` through ``bmap`` by sampling, as a binned measure.
-
-    The returned histogram measure has the same total mass. Sampled points
-    with no image (NaN rows) are dropped; if their fraction exceeds
-    ``_MAX_UNDEFINED`` the transfer aborts, since the image measure
-    would silently lose mass.
-    """
-    if measure.dimension != bmap.source_dimension:
-        raise ValueError("measure dimension does not match map source")
-    rng = stream(seed)
-    pts = measure.sampler(rng, int(n_samples))
-    img = np.asarray(bmap.forward(pts), dtype=float)
-    if img.ndim == 1:
-        img = img[:, None]
-    ok = np.all(np.isfinite(img), axis=1)
-    bad = int((~ok).sum())
-    if bad > _MAX_UNDEFINED * n_samples:
-        raise PushforwardError(
-            f"{bad} of {n_samples} samples had no image "
-            f"(> {_MAX_UNDEFINED:.1%} allowed)")
-    img = img[ok]
-    hist, edges = np.histogramdd(img, bins=bins, range=value_range)
-    return HistogramMeasure(edges, hist, total_mass=measure.total_mass,
-                            name=f"pushforward({measure.name or 'measure'})")
+                       name=name)
 
 
 # ---------------------------------------------------------------------------

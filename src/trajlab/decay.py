@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import MeasureSpec, PiecewiseTrajectory, Segment
-from .errors import DegenerateMeasureError, NoSolutionError, NotAMinimumError
+from .errors import NoSolutionError, NotAMinimumError
 from .rng import stream
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "conservation_residuals",
     "symmetric_decay_time",
     "sample_boundary",
-    "boundary_measure",
     "exponential_life_measure",
     "uniform_life_measure",
     "mean_life",
@@ -102,17 +101,6 @@ class DecayBoundary:
             object.__setattr__(self, name, arr)
         if not -math.inf < self.t_a < self.t_b < math.inf:
             raise ValueError(f"need finite t_a < t_b, got {self.t_a}, {self.t_b}")
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.x_a, [self.t_a], self.x_b2, self.x_b3,
-                               [self.t_b]])
-
-    @classmethod
-    def from_vector(cls, vec) -> "DecayBoundary":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (11,):
-            raise ValueError(f"boundary vector must have 11 entries, got {vec.shape}")
-        return cls(vec[0:3], float(vec[3]), vec[4:7], vec[7:10], float(vec[10]))
 
 
 @dataclass(frozen=True)
@@ -309,24 +297,6 @@ def sample_boundary(masses: DecayMasses, rng: np.random.Generator,
     return boundary, t_d
 
 
-def boundary_measure(masses: DecayMasses, t_b: float = 10.0, t_a: float = 0.0,
-                     x_a=None, speed_fraction: float = 0.5,
-                     t_margin: float = 0.05) -> MeasureSpec:
-    """Normalised measure over endpoint data, sampled by forward kinematics."""
-
-    def sampler(rng, n):
-        out = np.empty((n, 11))
-        for i in range(n):
-            b, _ = sample_boundary(masses, rng, t_b=t_b, t_a=t_a, x_a=x_a,
-                                   speed_fraction=speed_fraction,
-                                   t_margin=t_margin)
-            out[i] = b.as_vector()
-        return out
-
-    return MeasureSpec(dimension=11, sampler=sampler,
-                       name=f"decay-boundary[t_b={t_b}]")
-
-
 def exponential_life_measure(tau0: float) -> MeasureSpec:
     """Normalised measure with density (1/tau0) exp(-t/tau0) on t >= 0."""
     if not (math.isfinite(tau0) and tau0 > 0):
@@ -338,8 +308,7 @@ def exponential_life_measure(tau0: float) -> MeasureSpec:
 
     return MeasureSpec(dimension=1,
                        sampler=lambda rng, n: rng.exponential(tau0, (n, 1)),
-                       density=density, total_mass=1.0,
-                       name=f"exponential-life[{tau0}]")
+                       density=density, name=f"exponential-life[{tau0}]")
 
 
 def uniform_life_measure(low: float = 0.0, high: float = 2.0) -> MeasureSpec:
@@ -354,8 +323,7 @@ def uniform_life_measure(low: float = 0.0, high: float = 2.0) -> MeasureSpec:
 
     return MeasureSpec(dimension=1,
                        sampler=lambda rng, n: rng.uniform(low, high, (n, 1)),
-                       density=density, total_mass=1.0,
-                       name=f"uniform-life[{low},{high}]")
+                       density=density, name=f"uniform-life[{low},{high}]")
 
 
 def mean_life(decay_time_measure: MeasureSpec, n_samples: int = 1000,
@@ -370,10 +338,6 @@ def mean_life(decay_time_measure: MeasureSpec, n_samples: int = 1000,
     if decay_time_measure.dimension != 1:
         raise ValueError("mean life needs a one-dimensional measure over "
                          "split times")
-    if abs(decay_time_measure.total_mass - 1.0) > 1e-12:
-        raise DegenerateMeasureError(
-            f"mean life needs a normalised measure, total mass is "
-            f"{decay_time_measure.total_mass!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = stream(seed, "mean-life")

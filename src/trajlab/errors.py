@@ -13,14 +13,6 @@ class EmptyEnsembleError(TrajlabError):
     """Every trajectory in the ensemble was excluded by the trial-count floor."""
 
 
-class DegenerateMeasureError(TrajlabError):
-    """Measure has zero or non-finite total mass and cannot be normalized."""
-
-
-class PushforwardError(TrajlabError):
-    """Too many sampled points had no image under the boundary map."""
-
-
 class PrecisionExhaustedError(TrajlabError):
     """A finite-precision state ran out of digits before the requested step."""
 

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import BoundaryMap, MeasureSpec
+from .core import MeasureSpec
 from .errors import (
     AbsorbedRayError,
     IntegrationError,
@@ -42,7 +42,7 @@ __all__ = [
     "screen_density_from_emission", "fringe_visibility",
     "estimate_fringe_spacing", "emission_tv_distance",
     "GaussianPairPotential", "CompactBumpPotential", "NBodySystem",
-    "AsymptoticVelocityResult", "asymptotic_velocity", "velocity_boundary_map",
+    "AsymptoticVelocityResult", "asymptotic_velocity",
     "free_quantum_momentum_measure",
     "InterferenceDecomposition", "interference_decomposition",
 ]
@@ -350,8 +350,7 @@ def emission_measure_from_screen(target: ScreenDensity, scene: BiprismScene,
         return np.interp(u, cdf, alpha_all).reshape(n, 1)
 
     state = "on" if scene.field_on else "off"
-    return MeasureSpec(dimension=1, sampler=sampler,
-                       density=normalized_density, total_mass=1.0,
+    return MeasureSpec(dimension=1, sampler=sampler, density=normalized_density,
                        name=f"emission[{target.name or 'target'}, field {state}]")
 
 
@@ -597,28 +596,6 @@ def asymptotic_velocity(system: NBodySystem, velocities, t_max: float,
     return AsymptoticVelocityResult(v_plus=history[-1][1].copy(),
                                     convergence_history=history,
                                     converged=converged)
-
-
-def velocity_boundary_map(system: NBodySystem, horizon: float,
-                          t0: float = 1.0) -> BoundaryMap:
-    """Map initial velocities to positions at a fixed later time.
-
-    Realizes final-position boundary data: a measure on velocities pushes
-    through this map to a measure on configurations at the horizon.
-    """
-    dim = 3 * system.n
-
-    def forward(batch):
-        batch = np.atleast_2d(np.asarray(batch, dtype=float))
-        out = np.empty_like(batch)
-        for k, v in enumerate(batch):
-            pos, _ = system.integrate(v.reshape(system.n, 3) * t0,
-                                      v.reshape(system.n, 3), t0, horizon)
-            out[k] = pos.ravel()
-        return out
-
-    return BoundaryMap(source_dimension=dim, target_dimension=dim,
-                       forward=forward, name=f"velocity->position@{horizon}")
 
 
 def free_quantum_momentum_measure(boxes, masses,

@@ -7,8 +7,8 @@ Jacobian
 
     rho_b(theta) = rho_a(s(theta)) * (s / sin theta) * |ds/dtheta|,
 
-which is the dual, density-level route to the sampling pushforward in
-:mod:`trajlab.core`; both are kept and cross-checked rather than collapsed.
+so boundary data given at the far side (a density over outgoing angles)
+is carried deterministically, with no sampling.
 
 The flipper is a statistically homogeneous medium of identical centers. A
 trajectory flies straight between encounters and is deflected by theta(s) at
@@ -56,6 +56,8 @@ __all__ = [
     "angle_bins",
     "entry_measure",
     "flipper_outcome_builder",
+    "cross_sections_from_rates",
+    "FlipperResult",
     "flipper_cross_section",
 ]
 
@@ -310,14 +312,12 @@ def deflection_angle(potential: Potential, energy: float, s,
     """Polar scattering angle theta(s) in [0, pi]; ``s`` may be an array.
 
     Hard spheres use the reflection law theta = 2*arccos(s/R), element by
-    element in scalar libm (the flipper's per-encounter call). Smooth
-    potentials default to the deflection-integral quadrature; pass
-    ``method="ode"`` to integrate the planar equations of motion instead.
+    element in scalar libm. Smooth potentials default to the
+    deflection-integral quadrature; pass ``method="ode"`` to integrate the
+    planar equations of motion instead.
     """
     if not energy > 0:
         raise ValueError("energy must be positive")
-    if isinstance(potential, HardSphere) and np.ndim(s) == 0 and not s < 0:
-        return 2.0 * math.acos(min(s / potential.radius, 1.0))
     s, back = _flat(s)
     if np.any(s < 0):
         raise ValueError("impact parameter must be nonnegative")
@@ -346,8 +346,7 @@ class DeflectionFunction:
     regula falsi (Dowell & Jarratt, BIT 11, 1971) to four ulps in s.
     """
 
-    def __init__(self, potential: Potential, energy: float,
-                 check_monotone: bool = True):
+    def __init__(self, potential: Potential, energy: float):
         if not energy > 0:
             raise ValueError("energy must be positive")
         self.potential = potential
@@ -360,13 +359,12 @@ class DeflectionFunction:
             self._u_head = _turning_u(potential, energy, np.zeros(1))[0]
             scale = 1.0 / self._u_head
             s_tab = scale * 1e-9 * 2.0 ** np.arange(231)
-            if check_monotone:
-                # only a rise to above 1e-9 counts, a hundredfold margin
-                # over theta's 1e-11 jitter; the far tail clips to 0
-                th = self(scale * np.geomspace(0.05, 50.0, 24))
-                if np.any((np.diff(th) >= 0) & (th[1:] > 1e-9)):
-                    raise IntegrationError(
-                        "deflection function is not strictly decreasing")
+            # only a rise to above 1e-9 counts, a hundredfold margin over
+            # theta's 1e-11 jitter; the far tail clips to 0
+            th = self(scale * np.geomspace(0.05, 50.0, 24))
+            if np.any((np.diff(th) >= 0) & (th[1:] > 1e-9)):
+                raise IntegrationError(
+                    "deflection function is not strictly decreasing")
         self._table = s_tab, self(s_tab)
 
     def __call__(self, s):
@@ -551,8 +549,7 @@ class FlipperScene:
         self.energy = float(energy)
         self.action_range = float(action_range)
         self.min_spacing = d_min
-        self.deflection = DeflectionFunction(potential, energy,
-                                             check_monotone=False)
+        self.deflection = DeflectionFunction(potential, energy)
         # replicate centers whose action sphere pokes through a cell face,
         # so straight segments inside the cell see every reachable sphere;
         # center_index maps each row of centers_ext to its original center
@@ -884,7 +881,7 @@ def entry_measure(scene: FlipperScene) -> MeasureSpec:
             out[redraw] = draw(rng, redraw.size)
 
     return MeasureSpec(dimension=6, sampler=sampler, density=None,
-                       total_mass=1.0, name="flipper-entry")
+                       name="flipper-entry")
 
 
 def flipper_outcome_builder(scene: FlipperScene, n_bins: int,

@@ -38,7 +38,7 @@ __all__ = [
     "align_spin", "propagate_sg", "branch_weights",
     "singlet_measure", "global_epr_measure", "epr_conditional_probabilities",
     "correlator", "chsh_value", "planar_setting", "chsh_optimal_angles",
-    "cells_from_outcomes", "sample_epr_counts", "chsh_estimate",
+    "sample_epr_counts", "chsh_estimate",
     "deterministic_strategies", "chsh_of_strategy",
 ]
 
@@ -84,7 +84,8 @@ class SGDevice:
 
     Inside entry_x <= x <= exit_x the field is (base_field + gradient * u)
     along ``orientation``, with u the position component along that axis;
-    outside it is zero. ``screen_x`` is the detection plane downstream.
+    outside it is zero. ``screen_x`` is the detection plane downstream;
+    None puts it one slab length past the exit plane.
     """
 
     entry_x: float
@@ -93,7 +94,7 @@ class SGDevice:
     gradient: float
     orientation: np.ndarray = dataclass_field(
         default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    screen_x: float = 0.0
+    screen_x: float | None = None
 
     def __post_init__(self):
         u = np.asarray(self.orientation, dtype=float)
@@ -112,11 +113,12 @@ class SGDevice:
         if not (math.isfinite(self.base_field) and self.base_field > 0):
             raise ValueError("base_field must be positive and finite inside "
                              "the slab")
-        if self.screen_x == 0.0:
+        if self.screen_x is None:
             object.__setattr__(self, "screen_x",
                                self.exit_x + (self.exit_x - self.entry_x))
-        if self.screen_x < self.exit_x:
-            raise ValueError("screen must sit at or beyond the exit plane")
+        if not self.exit_x <= self.screen_x < math.inf:
+            raise ValueError(f"screen must sit at or beyond the exit plane, "
+                             f"at a finite x; got {self.screen_x}")
 
     @property
     def length(self) -> float:
@@ -366,30 +368,6 @@ def chsh_value(measure_builder: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     return (corr(a, b) + corr(a, b_prime)
             + corr(a_prime, b) - corr(a_prime, b_prime))
-
-
-def cells_from_outcomes(setting_a, result_a, setting_b, result_b) -> np.ndarray:
-    """Count branch outcomes into the 16-cell layout.
-
-    Settings are 0/1 indices; results are +1/-1 (or the branch ids "+"/"-").
-    This is the bridge from sampled per-pair device outcomes to the measure
-    representation the conditionals consume.
-    """
-    def as_result_index(r):
-        arr = np.asarray(r)
-        if arr.dtype.kind in "USO":
-            return np.where(arr == "+", 0, 1).astype(np.intp)
-        return np.where(np.asarray(arr, dtype=float) > 0, 0, 1).astype(np.intp)
-
-    ia = np.asarray(setting_a, dtype=np.intp)
-    ib = np.asarray(setting_b, dtype=np.intp)
-    ra = as_result_index(result_a)
-    rb = as_result_index(result_b)
-    if not (ia.shape == ib.shape == ra.shape == rb.shape):
-        raise ValueError("outcome arrays must share one shape")
-    flat = ((ia * 2 + ra) * 2 + ib) * 2 + rb
-    counts = np.bincount(flat, minlength=16).astype(float)
-    return counts.reshape(2, 2, 2, 2)
 
 
 def sample_epr_counts(a, a_prime, b, b_prime, n_pairs: int,

@@ -230,6 +230,17 @@ class TestErrorExits:
         assert "NoSolutionError" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_screen_at_zero_is_before_exit_plane(self, tmp_path, capsys):
+        # 0.0 is a plane like any other, not a request for the default
+        cfg = write_config(tmp_path / "cfg.yaml", "stern-gerlach",
+                           parameters={"screen_x": 0.0})
+        out = tmp_path / "o"
+        assert run(["run", "stern-gerlach", "--config", cfg,
+                    "--out", out]) == 1
+        assert ("screen must sit at or beyond the exit plane"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["run", "bernoulli", "--config",
                     tmp_path / "nope.yaml"]) == 2

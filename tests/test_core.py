@@ -7,11 +7,9 @@ from trajlab.core import (Segment, PiecewiseTrajectory,
                           evaluate_rates, ensemble_statistics, outcome_rates,
                           BUILD_BLOCK,
                           is_well_defined, MeasureSpec, point_mass,
-                          HistogramMeasure, BoundaryMap, validate_jacobian,
-                          pushforward, check_determinism)
+                          check_determinism)
 from trajlab.decay import DecayMasses, rest_decay_family
-from trajlab.errors import (NoTrialsError, EmptyEnsembleError,
-                            DegenerateMeasureError, PushforwardError)
+from trajlab.errors import NoTrialsError, EmptyEnsembleError
 from trajlab.rng import (_Words, stream, trajectory_stream,
                          trajectory_streams)
 
@@ -269,99 +267,11 @@ class TestOutcomeMatrix:
 
 
 class TestMeasures:
-    def test_degenerate_mass_rejected(self):
-        with pytest.raises(DegenerateMeasureError):
-            MeasureSpec(dimension=1, sampler=lambda rng, n: None,
-                        total_mass=0.0)
-        with pytest.raises(DegenerateMeasureError):
-            MeasureSpec(dimension=1, sampler=lambda rng, n: None,
-                        total_mass=math.inf)
-
     def test_point_mass_sampler(self):
         m = point_mass([1.0, -2.0])
         pts = m.sampler(stream(0), 7)
         assert pts.shape == (7, 2)
         assert np.all(pts == [1.0, -2.0])
-
-    def test_histogram_sampling_stays_in_support(self):
-        edges = [np.array([0.0, 1.0, 2.0])]
-        m = HistogramMeasure(edges, np.array([0.0, 3.0]))
-        pts = m.sampler(stream(1), 500)
-        assert np.all((pts >= 1.0) & (pts < 2.0))
-        assert m.total_mass == 1.0
-
-    def test_histogram_density(self):
-        edges = [np.array([0.0, 1.0, 3.0])]
-        m = HistogramMeasure(edges, np.array([1.0, 1.0]))
-        d = m.density(np.array([[0.5], [2.0], [5.0]]))
-        assert d[0] == pytest.approx(0.5)
-        assert d[1] == pytest.approx(0.25)
-        assert d[2] == 0.0
-
-    def test_histogram_zero_mass_rejected(self):
-        with pytest.raises(DegenerateMeasureError):
-            HistogramMeasure([np.array([0.0, 1.0])], np.array([0.0]))
-
-
-class TestBoundaryMaps:
-    def _affine(self):
-        A = np.array([[2.0, 0.0], [1.0, 3.0]])
-
-        def forward(pts):
-            return np.asarray(pts) @ A.T + np.array([1.0, -1.0])
-
-        def jac(pts):
-            return np.tile(A, (len(pts), 1, 1))
-
-        return BoundaryMap(source_dimension=2, target_dimension=2,
-                           forward=forward, jacobian=jac, name="affine")
-
-    def test_jacobian_validates(self):
-        pts = stream(3).normal(size=(5, 2))
-        worst = validate_jacobian(self._affine(), pts)
-        assert worst < 1e-6
-
-    def test_wrong_jacobian_caught(self):
-        m = self._affine()
-        bad = BoundaryMap(source_dimension=2, target_dimension=2,
-                          forward=m.forward,
-                          jacobian=lambda pts: np.tile(np.eye(2),
-                                                       (len(pts), 1, 1)))
-        with pytest.raises(ValueError):
-            validate_jacobian(bad, np.zeros((1, 2)))
-
-    def test_missing_jacobian_rejected(self):
-        m = BoundaryMap(source_dimension=1, target_dimension=1,
-                        forward=lambda p: p)
-        with pytest.raises(ValueError):
-            validate_jacobian(m, np.zeros((1, 1)))
-
-    def test_pushforward_shifts_mean(self):
-        source = MeasureSpec(dimension=1,
-                             sampler=lambda rng, n: rng.normal(0.0, 1.0,
-                                                               (n, 1)))
-        bmap = BoundaryMap(source_dimension=1, target_dimension=1,
-                           forward=lambda p: np.asarray(p) + 5.0)
-        hist = pushforward(source, bmap, n_samples=20_000, seed=4, bins=50)
-        centers = 0.5 * (hist.edges[0][1:] + hist.edges[0][:-1])
-        mean = float((centers * hist.masses).sum() / hist.masses.sum())
-        assert abs(mean - 5.0) < 0.05
-        assert hist.total_mass == pytest.approx(1.0)
-
-    def test_pushforward_rejects_mass_loss(self):
-        source = MeasureSpec(dimension=1,
-                             sampler=lambda rng, n: rng.random((n, 1)))
-
-        def half_defined(pts):
-            pts = np.asarray(pts, dtype=float)
-            out = pts.copy()
-            out[pts[:, 0] > 0.5] = np.nan
-            return out
-
-        bmap = BoundaryMap(source_dimension=1, target_dimension=1,
-                           forward=half_defined)
-        with pytest.raises(PushforwardError):
-            pushforward(source, bmap, n_samples=2000, seed=5)
 
 
 class TestDeterminism:

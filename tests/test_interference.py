@@ -1,13 +1,12 @@
 """Biprism bench densities, the emission measures that generate them, and
-the long-time velocity material: potentials, n-body flights, velocity
-boundary data, and the momentum box measure."""
+the long-time velocity material: potentials, n-body flights and the
+momentum box measure."""
 
 import math
 
 import numpy as np
 import pytest
 
-from trajlab.core import validate_jacobian
 from trajlab.errors import AbsorbedRayError, UnsupportedInputError
 from trajlab.interference import (
     BiprismScene,
@@ -28,7 +27,6 @@ from trajlab.interference import (
     screen_density_from_emission,
     standard_bench,
     uniform_target_density,
-    velocity_boundary_map,
 )
 from trajlab.rng import stream
 
@@ -356,29 +354,6 @@ class TestAsymptoticVelocity:
         with pytest.raises(ValueError):
             asymptotic_velocity(system, np.zeros((1, 3)), t_max=8.0,
                                 growth=1.0)
-
-
-class TestVelocityBoundaryMap:
-    V0 = np.array([[0.8, 0.1, 0.0], [-2.4, -0.3, 0.0]])
-
-    def test_free_map_is_pure_scaling(self):
-        bmap = velocity_boundary_map(NBodySystem([1.5, 0.5]), horizon=64.0)
-        assert bmap.source_dimension == 6 and bmap.target_dimension == 6
-        batch = np.vstack([self.V0.ravel(), -0.5 * self.V0.ravel()])
-        out = bmap.forward(batch)
-        assert np.array_equal(out, batch * 64.0)
-        # the map is integrator-backed and declares no jacobian
-        with pytest.raises(ValueError):
-            validate_jacobian(bmap, batch)
-
-    def test_interacting_map_approaches_scaling(self):
-        system = NBodySystem([1.5, 0.5],
-                             pair_potential=GaussianPairPotential(2.0, 1.0))
-        H = 256.0
-        bmap = velocity_boundary_map(system, horizon=H)
-        out = bmap.forward(self.V0.ravel()[None, :])[0]
-        # positions grow like v_plus * H, so the offset stays O(1)
-        assert float(np.max(np.abs(out - self.V0.ravel() * H))) < 0.05 * H
 
 
 class TestMomentumMeasure:

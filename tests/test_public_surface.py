@@ -1,0 +1,50 @@
+"""The package's public surface: every ``__all__`` entry exists, and every
+name ``trajlab/__init__.py`` re-exports is public in the module it comes
+from."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import trajlab
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(trajlab.__path__))
+
+
+def public_names(module):
+    """``__all__``, or else every name the module defines without a leading
+    underscore."""
+    if hasattr(module, "__all__"):
+        return set(module.__all__)
+    return {name for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and getattr(obj, "__module__", None) == module.__name__}
+
+
+def reexports():
+    """``(module, name)`` for every ``from .module import name`` in the
+    package's ``__init__``."""
+    tree = ast.parse(inspect.getsource(trajlab))
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_exist(name):
+    module = importlib.import_module(f"trajlab.{name}")
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert not missing
+
+
+def test_reexports_are_public_in_their_module():
+    pairs = reexports()
+    assert len(pairs) > 100
+    stray = [f"{mod}.{name}" for mod, name in pairs
+             if name not in public_names(
+                 importlib.import_module(f"trajlab.{mod}"))]
+    assert not stray

@@ -18,7 +18,6 @@ from trajlab.spin_epr import (
     SpinVariable,
     align_spin,
     branch_weights,
-    cells_from_outcomes,
     chsh_estimate,
     chsh_of_strategy,
     chsh_optimal_angles,
@@ -190,6 +189,27 @@ class TestPropagateSG:
         with pytest.raises(ValueError, match="base_field"):
             SGDevice(entry_x=1.0, exit_x=2.0, base_field=bad, gradient=2.0)
 
+    def test_screen_defaults_one_slab_past_exit(self):
+        device = SGDevice(entry_x=1.0, exit_x=2.0, base_field=0.5,
+                          gradient=2.0)
+        assert device.screen_x == 3.0
+
+    def test_screen_at_origin(self):
+        # planes at -3 and -1 leave x = 0 downstream of the exit
+        device = SGDevice(entry_x=-3.0, exit_x=-1.0, base_field=0.5,
+                          gradient=2.0, screen_x=0.0)
+        assert device.screen_x == 0.0
+        for traj in propagate_sg(np.array([-4.0, 0.0, 0.0]), BEAM_V, UP,
+                                 device, CONSTANTS):
+            assert traj.evaluate(traj.screen_time)[0] == pytest.approx(
+                0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("screen_x", [0.0, 1.999, math.inf, math.nan])
+    def test_rejects_screen_before_exit_or_not_finite(self, screen_x):
+        with pytest.raises(ValueError, match="exit plane"):
+            SGDevice(entry_x=1.0, exit_x=2.0, base_field=0.5, gradient=2.0,
+                     screen_x=screen_x)
+
     def test_rejects_backward_beam(self):
         with pytest.raises(ValueError):
             propagate_sg(np.zeros(3), np.array([-5.0, 0.0, 0.0]), UP,
@@ -272,18 +292,6 @@ class TestCHSH:
 
 
 class TestCellsAndConditionals:
-    def test_strings_and_signs_agree(self):
-        ia, ib = [0, 0, 1, 1], [1, 0, 1, 0]
-        ra_str, rb_str = ["+", "-", "-", "+"], ["-", "-", "+", "+"]
-        ra_int, rb_int = [1, -1, -1, 1], [-1, -1, 1, 1]
-        assert np.array_equal(cells_from_outcomes(ia, ra_str, ib, rb_str),
-                              cells_from_outcomes(ia, ra_int, ib, rb_int))
-        assert cells_from_outcomes(ia, ra_str, ib, rb_str).sum() == 4.0
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            cells_from_outcomes([0, 1], [1, -1, 1], [0, 1], [1, -1])
-
     def test_global_measure_normalised(self):
         g = global_epr_measure(*[planar_setting(x)
                                  for x in chsh_optimal_angles()])
