@@ -16,7 +16,6 @@ from .errors import (
     NotAMinimumError,
     ZeroFieldError,
     UnconditionedSettingError,
-    AbsorbedRayError,
     UnsupportedInputError,
     SchemaError,
 )
@@ -109,11 +108,9 @@ from .spin_epr import (
 from .interference import (
     BiprismScene,
     standard_bench,
-    biprism_deflection,
     ScreenDensity,
     fringe_target_density,
     envelope_target_density,
-    uniform_target_density,
     emission_measure_from_screen,
     screen_density_from_emission,
     fringe_visibility,

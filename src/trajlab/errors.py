@@ -37,10 +37,6 @@ class UnconditionedSettingError(TrajlabError):
     """Conditioning on a setting pair that carries zero measure."""
 
 
-class AbsorbedRayError(TrajlabError):
-    """A ray terminates on the beam stop and never reaches the screen."""
-
-
 class UnsupportedInputError(TrajlabError):
     """The input is structurally outside what the operation supports."""
 

@@ -4,13 +4,18 @@ The centerpiece is a biprism bench: a point source emits at an angle, the
 ray passes a charged wire and lands on a screen. With the wire's field on,
 each ray gets a fixed angular kick toward the axis on whichever side it
 passes, so two overlapping virtual beams form and the screen shows
-fringes. The emission measure is CONSTRUCTED by pulling the desired screen
-density back through the deflection map, one Jacobian factor per branch.
-Doing this for the fringe pattern (field on) and for the smooth envelope
-(field off) yields two different angular densities at the same source,
-which is the point: the source statistics cannot be fixed independently of
-the downstream device. The total-variation distance between the two
-pullbacks quantifies that dependence.
+fringes. On each passage side the map from angle to screen point is
+strictly increasing and inverts in closed form (one root of a quadratic in
+tan(angle)). The emission measure is CONSTRUCTED by pulling the desired
+screen density back through that map, one Jacobian factor per side; the
+push-forward back onto the screen pulls each screen bin's edges back to
+angles and integrates the emission density over them, so every bin mass
+is exact up to quadrature rounding. Doing this for the fringe pattern
+(field on) and for the smooth envelope (field off) yields two different
+angular densities at the same source, which is the point: the source
+statistics cannot be fixed independently of the downstream device. The
+total-variation distance between the two pullbacks quantifies that
+dependence.
 
 The same module hosts the late-time machinery: asymptotic velocity
 lim x(t)/t for bounded interactions probed at geometric checkpoints, the
@@ -29,16 +34,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import MeasureSpec
-from .errors import (
-    AbsorbedRayError,
-    IntegrationError,
-    UnsupportedInputError,
-)
+from .errors import IntegrationError, UnsupportedInputError
+from .scattering import _gl_nodes
 
 __all__ = [
     "BiprismScene", "ScreenDensity", "standard_bench",
-    "biprism_deflection", "fringe_target_density", "envelope_target_density",
-    "uniform_target_density", "emission_measure_from_screen",
+    "fringe_target_density", "envelope_target_density",
+    "emission_measure_from_screen",
     "screen_density_from_emission", "fringe_visibility",
     "estimate_fringe_spacing", "emission_tv_distance",
     "GaussianPairPotential", "CompactBumpPotential", "NBodySystem",
@@ -51,6 +53,10 @@ _FLAT_FRACTION = 0.6  # flat share of the targets' flat-top envelope
 _VISIBILITY_FRACTION = 1.0 / 3.0  # central window share fringe_visibility reads
 _SPACING_FRACTION = 0.55  # central window share estimate_fringe_spacing reads
 _NBODY_RTOL, _NBODY_ATOL = 1e-10, 1e-12  # DOP853 tolerances of integrate
+_NORM_GRID = 32769  # trapezoid points of ScreenDensity.normalized
+_FIT_GRID = 8192  # points per side of the emission measure's CDF table
+_TV_GRID = 200_001  # trapezoid points of emission_tv_distance
+_GAUSS_NODES = 32  # Gauss-Legendre nodes per screen bin's angle interval
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +71,9 @@ class BiprismScene:
     when the field is on. The two virtual sources then sit at transverse
     offsets +-(source_to_wire * kick_angle), so their separation is
     ``2 * source_to_wire * kick_angle`` and the fringe spacing on the
-    screen is ``wavelength * source_to_screen / separation``.
+    screen is ``wavelength * source_to_screen / separation``. The kick
+    stays below pi/2 - aperture, so no ray turns past the screen's normal
+    and the map is strictly increasing on each passage side.
     """
 
     source_to_screen: float
@@ -77,18 +85,19 @@ class BiprismScene:
     aperture: float
 
     def __post_init__(self):
-        if not 0 < self.source_to_wire < self.source_to_screen:
-            raise ValueError("need 0 < source_to_wire < source_to_screen")
-        if self.wire_radius < 0:
+        if not 0 < self.source_to_wire < self.source_to_screen < math.inf:
+            raise ValueError("need 0 < source_to_wire < source_to_screen "
+                             "< inf")
+        if not self.wire_radius >= 0:
             raise ValueError("wire_radius must be nonnegative")
-        if self.field_on and self.kick_angle <= 0:
-            raise ValueError("field on needs a positive kick angle")
-        if self.kick_angle < 0:
-            raise ValueError("kick angle must be nonnegative")
         if not 0 < self.aperture < 0.5:
             raise ValueError("aperture must be a small positive angle (rad)")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
+        if self.field_on and not self.kick_angle > 0:
+            raise ValueError("field on needs a positive kick angle")
+        if not 0 <= self.kick_angle < 0.5 * math.pi - self.aperture:
+            raise ValueError("kick angle must lie in [0, pi/2 - aperture)")
+        if not 0 < self.wavelength < math.inf:
+            raise ValueError("wavelength must be positive and finite")
         if self.shadow_angle >= self.aperture:
             raise ValueError("wire shadow swallows the whole aperture")
 
@@ -131,7 +140,6 @@ def _deflect_array(angles: np.ndarray, scene: BiprismScene) -> np.ndarray:
     d = scene.source_to_wire
     rest = scene.source_to_screen - d
     x_wire = d * np.tan(a)
-    out = np.empty_like(x_wire)
     absorbed = (np.abs(x_wire) <= scene.wire_radius) & (scene.wire_radius > 0)
     if scene.field_on:
         side = np.sign(x_wire)
@@ -143,22 +151,23 @@ def _deflect_array(angles: np.ndarray, scene: BiprismScene) -> np.ndarray:
     return out
 
 
-def biprism_deflection(emission_angle: float, scene: BiprismScene) -> float:
-    """Screen coordinate reached by a ray emitted at the given angle.
+def _pull_back(x, scene: BiprismScene, side: int) -> np.ndarray:
+    """Emission angle that reaches screen point ``x`` on passage side +-1.
 
-    Field off: straight flight. Field on: straight to the wire plane, a
-    fixed angular kick toward the axis on the side of passage, straight
-    to the screen.
+    Inverts ``_deflect_array`` on one side. With t = tan(angle) and
+    k = side * tan(kick_angle) the map is the quadratic
+    d k t^2 + (d + r - x k) t - (x + r k) = 0 (d source to wire, r wire to
+    screen), whose small root is taken in the cancellation-free form
+    2c / (-b - sign(b) sqrt(b^2 - 4ac)). With the field off, t = x/(d + r).
     """
-    if abs(emission_angle) > scene.aperture:
-        raise ValueError(f"emission angle {emission_angle} beyond the "
-                         f"aperture {scene.aperture}")
-    x = _deflect_array(np.array([emission_angle]), scene)[0]
-    if math.isnan(x):
-        raise AbsorbedRayError(
-            f"ray at angle {emission_angle} hits the wire "
-            f"(radius {scene.wire_radius}) and is absorbed")
-    return float(x)
+    d = scene.source_to_wire
+    r = scene.source_to_screen - d
+    if not scene.field_on:
+        return np.arctan(x / (d + r))
+    k = side * math.tan(scene.kick_angle)
+    a, b, c = d * k, d + r - x * k, -(x + r * k)
+    return np.arctan(2.0 * c / (-b - np.copysign(
+        np.sqrt(b * b - 4.0 * a * c), b)))
 
 
 def _branch_ranges(scene: BiprismScene) -> list[tuple[float, float]]:
@@ -168,19 +177,24 @@ def _branch_ranges(scene: BiprismScene) -> list[tuple[float, float]]:
     return [(-scene.aperture, -(lo + pad)), (lo + pad, scene.aperture)]
 
 
+def _side_images(scene: BiprismScene) -> list[tuple[float, float]]:
+    """Screen interval each passage side reaches, in ``_branch_ranges`` order.
+
+    The map increases on each side, so an image runs from the image of its
+    range's first angle to that of its last.
+    """
+    return [tuple(float(x) for x in _deflect_array(np.array(r), scene))
+            for r in _branch_ranges(scene)]
+
+
 def _overlap_window(scene: BiprismScene) -> tuple[float, float]:
     """Screen interval covered by both passage sides (field on)."""
-    ranges = _branch_ranges(scene)
-    images = []
-    for a0, a1 in ranges:
-        x0, x1 = _deflect_array(np.array([a0, a1]), scene)
-        images.append((min(x0, x1), max(x0, x1)))
-    lo = max(img[0] for img in images)
-    hi = min(img[1] for img in images)
+    (lo0, hi0), (lo1, hi1) = _side_images(scene)
+    lo, hi = max(lo0, lo1), min(hi0, hi1)
     if not hi > lo:
         raise UnsupportedInputError(
-            "the two passage sides do not overlap on the screen; increase "
-            "the kick angle or the aperture")
+            "the passage sides do not overlap on the screen: the kick must "
+            "turn rays beside the wire, not the outermost, across the axis")
     return lo, hi
 
 
@@ -204,9 +218,9 @@ class ScreenDensity:
         return out
 
     @staticmethod
-    def normalized(window, profile, fringe_spacing=None, name="",
-                   n_grid: int = 32769) -> "ScreenDensity":
-        xs = np.linspace(window[0], window[1], n_grid)
+    def normalized(window, profile, fringe_spacing=None,
+                   name="") -> "ScreenDensity":
+        xs = np.linspace(window[0], window[1], _NORM_GRID)
         mass = float(np.trapezoid(profile(xs), xs))
         if not (math.isfinite(mass) and mass > 0):
             raise ValueError("screen profile must have positive finite mass")
@@ -247,9 +261,8 @@ def fringe_target_density(scene: BiprismScene) -> ScreenDensity:
     if not scene.field_on:
         raise ValueError("fringe target is defined for the field-on state")
     lo, hi = _screen_window(scene)
-    half = hi
     spacing = scene.fringe_spacing
-    env = _flat_top_envelope(half)
+    env = _flat_top_envelope(hi)
 
     def profile(x):
         return env(x) * (1.0 + np.cos(2.0 * math.pi * x / spacing))
@@ -265,13 +278,6 @@ def envelope_target_density(scene: BiprismScene) -> ScreenDensity:
     return ScreenDensity.normalized((lo, hi), env, name="envelope")
 
 
-def uniform_target_density(scene: BiprismScene) -> ScreenDensity:
-    lo, hi = _screen_window(scene)
-    return ScreenDensity.normalized(
-        (lo, hi), lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        name="uniform")
-
-
 def _jacobian(angles: np.ndarray, scene: BiprismScene) -> np.ndarray:
     """d(screen position)/d(angle), positive on each branch."""
     a = np.asarray(angles, dtype=float)
@@ -283,30 +289,18 @@ def _jacobian(angles: np.ndarray, scene: BiprismScene) -> np.ndarray:
     return d / np.cos(a) ** 2 + rest / np.cos(a) ** 2
 
 
-def emission_measure_from_screen(target: ScreenDensity, scene: BiprismScene,
-                                 n_grid: int = 8192) -> MeasureSpec:
+def emission_measure_from_screen(target: ScreenDensity,
+                                 scene: BiprismScene) -> MeasureSpec:
     """Angular measure whose pushforward through the bench is the target.
 
-    Per passage side the map is strictly monotone, so the pullback is the
-    Jacobian transfer of the target; where both sides reach the same
-    screen point the mass is split evenly between them. Pushing the
-    result forward reproduces the target.
+    Per passage side the map is strictly increasing, so the pullback is
+    the Jacobian transfer of the target; where both sides reach the same
+    screen point the mass is split evenly between them. A trapezoid table
+    of the density on ``_FIT_GRID`` angles per side gives the
+    normalisation and the inverse-CDF sampler.
     """
     ranges = _branch_ranges(scene)
-    images = []
-    grids = []
-    for a0, a1 in ranges:
-        alphas = np.linspace(a0, a1, n_grid)
-        xs = _deflect_array(alphas, scene)
-        if np.any(np.isnan(xs)):
-            raise UnsupportedInputError("branch range crosses the wire shadow")
-        diffs = np.diff(xs)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise UnsupportedInputError(
-                "deflection map is not monotone on a passage side; the "
-                "pullback needs piecewise invertibility")
-        grids.append(alphas)
-        images.append((float(min(xs[0], xs[-1])), float(max(xs[0], xs[-1]))))
+    images = _side_images(scene)
 
     def coverage(x):
         x = np.asarray(x, dtype=float)
@@ -330,8 +324,8 @@ def emission_measure_from_screen(target: ScreenDensity, scene: BiprismScene,
         out[valid] = target(xs) * _jacobian(av, scene) * w
         return out
 
-    # dense tabulation for the inverse-CDF sampler, then exact renormalization
-    alpha_all = np.concatenate(grids)
+    alpha_all = np.concatenate([np.linspace(a0, a1, _FIT_GRID)
+                                for a0, a1 in ranges])
     q_all = density(alpha_all)
     cdf = np.concatenate([[0.0], np.cumsum(
         0.5 * (q_all[1:] + q_all[:-1]) * np.diff(alpha_all))])
@@ -356,27 +350,28 @@ def emission_measure_from_screen(target: ScreenDensity, scene: BiprismScene,
 
 def screen_density_from_emission(measure: MeasureSpec, scene: BiprismScene,
                                  bins: int = 256,
-                                 window: tuple[float, float] | None = None,
-                                 n_grid: int = 200_001):
-    """Deterministic pushforward of an angular density onto screen bins.
+                                 window: tuple[float, float] | None = None):
+    """Exact pushforward of an angular density onto screen bins.
 
-    Returns (bin edges, per-bin density). Quadrature masses of a dense
-    angle grid are routed through the deflection map and histogrammed, so
-    the result is noise-free and converges with the grid.
+    Returns (bin edges, per-bin density). On each passage side the bin
+    edges, clipped to that side's screen image, are pulled back to
+    emission angles in closed form, and the density is integrated over
+    every bin's angle interval by one Gauss-Legendre rule. A bin beyond a
+    side's image (in the wire's shadow, say) gets an empty interval and
+    exactly no mass from that side.
     """
     if window is None:
         window = _screen_window(scene)
     edges = np.linspace(window[0], window[1], bins + 1)
     masses = np.zeros(bins)
-    for a0, a1 in _branch_ranges(scene):
-        alphas = np.linspace(a0, a1, n_grid)
-        mids = 0.5 * (alphas[1:] + alphas[:-1])
-        dq = measure.density(mids) * np.diff(alphas)
-        xs = _deflect_array(mids, scene)
-        ok = ~np.isnan(xs)
-        masses += np.histogram(xs[ok], bins=edges, weights=dq[ok])[0]
-    width = edges[1] - edges[0]
-    return edges, masses / width
+    x, w = _gl_nodes(_GAUSS_NODES)  # on [0, 1]
+    for side, (lo, hi) in zip((-1, 1), _side_images(scene)):
+        alphas = _pull_back(np.clip(edges, lo, hi), scene, side)
+        widths = np.diff(alphas)
+        nodes = alphas[:-1, None] + widths[:, None] * x
+        masses += widths * (measure.density(nodes.ravel()).reshape(nodes.shape)
+                            @ w)
+    return edges, masses / (edges[1] - edges[0])
 
 
 def fringe_visibility(edges: np.ndarray, density: np.ndarray) -> float:
@@ -413,10 +408,9 @@ def estimate_fringe_spacing(edges: np.ndarray, density: np.ndarray) -> float:
 
 
 def emission_tv_distance(measure_a: MeasureSpec, measure_b: MeasureSpec,
-                         angle_window: tuple[float, float],
-                         n_grid: int = 200_001) -> float:
+                         angle_window: tuple[float, float]) -> float:
     """Total-variation distance between two angular densities."""
-    alphas = np.linspace(angle_window[0], angle_window[1], n_grid)
+    alphas = np.linspace(angle_window[0], angle_window[1], _TV_GRID)
     qa = measure_a.density(alphas)
     qb = measure_b.density(alphas)
     return 0.5 * float(np.trapezoid(np.abs(qa - qb), alphas))

@@ -465,15 +465,13 @@ def _run_two_slit(p, seed, out: OutputBundle):
     target_env = envelope_target_density(scene_on)
     target_off = envelope_target_density(scene_off)
 
-    mu_on = emission_measure_from_screen(target_on, scene_on,
-                                         n_grid=p["fit_grid"])
-    mu_off = emission_measure_from_screen(target_off, scene_off,
-                                          n_grid=p["fit_grid"])
+    mu_on = emission_measure_from_screen(target_on, scene_on)
+    mu_off = emission_measure_from_screen(target_off, scene_off)
 
-    edges_on, dens_on = screen_density_from_emission(
-        mu_on, scene_on, bins=p["bins"], n_grid=p["push_grid"])
-    edges_off, dens_off = screen_density_from_emission(
-        mu_off, scene_off, bins=p["bins"], n_grid=p["push_grid"])
+    edges_on, dens_on = screen_density_from_emission(mu_on, scene_on,
+                                                     bins=p["bins"])
+    edges_off, dens_off = screen_density_from_emission(mu_off, scene_off,
+                                                       bins=p["bins"])
 
     vis_on = fringe_visibility(edges_on, dens_on)
     vis_off = fringe_visibility(edges_off, dens_off)
@@ -714,11 +712,7 @@ _register(
         "wavelength": Param("float", 2e-5, "wavelength setting the fringe "
                                            "scale"),
         "aperture": Param("float", 0.03, "half-angle of the source fan"),
-        "bins": Param("int", 256, "screen histogram bins", min=1),
-        "fit_grid": Param("int", 8192, "grid for the emission-measure fit",
-                          min=1),
-        "push_grid": Param("int", 200_001, "grid for the deterministic "
-                                           "pushforward"),
+        "bins": Param("int", 256, "screen bins", min=1),
     },
     _run_two_slit)
 

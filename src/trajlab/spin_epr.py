@@ -113,6 +113,8 @@ class SGDevice:
         if not (math.isfinite(self.base_field) and self.base_field > 0):
             raise ValueError("base_field must be positive and finite inside "
                              "the slab")
+        if not abs(self.gradient) < math.inf:
+            raise ValueError("gradient must be finite")
         if self.screen_x is None:
             object.__setattr__(self, "screen_x",
                                self.exit_x + (self.exit_x - self.entry_x))

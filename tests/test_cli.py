@@ -23,7 +23,7 @@ FAST_PARAMS = {
     "decay": {"n_life_samples": 2000, "n_profile": 50},
     "stern-gerlach": {"n_table": 11},
     "epr": {"n_pairs": 2000, "scan_points": 9},
-    "two-slit": {"bins": 64, "fit_grid": 1024, "push_grid": 20001},
+    "two-slit": {"bins": 64},
     "bigbang": {"t_max": 4096.0, "tolerance": 0.00001},
 }
 
@@ -197,6 +197,18 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert "n_stepz" in err and "line 5" in err
         assert not (tmp_path / "o").exists()
+        # the two-slit grid sizes are gone with the histogram push-forward
+        for key in ("push_grid", "fit_grid"):
+            cfg.write_text("scenario: two-slit\n"
+                           "parameters:\n"
+                           "  bins: 64\n"
+                           f"  {key}: 20001\n")
+            assert run(["run", "two-slit", "--config", cfg,
+                        "--out", tmp_path / "o"]) == 2
+            err = capsys.readouterr().err.strip()
+            assert "unknown parameter" in err and f"parameters.{key}" in err
+            assert "line 4" in err and "\n" not in err
+            assert not (tmp_path / "o").exists()
 
     def test_wrong_type(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.yaml", "bernoulli",
@@ -278,7 +290,6 @@ class TestErrorExits:
         ("flipper", "n_centers"),
         ("scattering", "n_theta"),
         ("two-slit", "bins"),
-        ("two-slit", "fit_grid"),
         ("bernoulli", "orbit_denominator"),
         ("scattering", "n_s"),
     ])

@@ -7,15 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from trajlab.errors import AbsorbedRayError, UnsupportedInputError
+from trajlab.errors import UnsupportedInputError
 from trajlab.interference import (
     BiprismScene,
     CompactBumpPotential,
     GaussianPairPotential,
     NBodySystem,
     ScreenDensity,
+    _branch_ranges,
+    _deflect_array,
+    _pull_back,
+    _side_images,
     asymptotic_velocity,
-    biprism_deflection,
     emission_measure_from_screen,
     emission_tv_distance,
     envelope_target_density,
@@ -26,7 +29,6 @@ from trajlab.interference import (
     interference_decomposition,
     screen_density_from_emission,
     standard_bench,
-    uniform_target_density,
 )
 from trajlab.rng import stream
 
@@ -49,6 +51,32 @@ class TestSceneValidation:
             BiprismScene(source_to_screen=1.0, source_to_wire=0.25,
                          wire_radius=0.0, kick_angle=0.0, field_on=True,
                          wavelength=2e-5, aperture=0.03)
+        # 1.55 is past pi/2 - aperture (1.5408 here), where rays can turn
+        # past the screen's normal
+        for kick in (math.nan, math.inf, -0.01, 1.55):
+            for on in (True, False):
+                with pytest.raises(ValueError, match="kick"):
+                    BiprismScene(source_to_screen=1.0, source_to_wire=0.25,
+                                 wire_radius=0.0, kick_angle=kick,
+                                 field_on=on, wavelength=2e-5, aperture=0.03)
+
+    def test_kick_too_large_to_overlap(self):
+        # 1.5 is inside the bound, but it throws even the outermost rays
+        # across the axis, so the sides miss each other on the screen
+        scene = BiprismScene(source_to_screen=1.0, source_to_wire=0.25,
+                             wire_radius=0.0, kick_angle=1.5, field_on=True,
+                             wavelength=2e-5, aperture=0.03)
+        with pytest.raises(UnsupportedInputError,
+                           match="not the outermost"):
+            fringe_target_density(scene)
+
+    def test_wire_radius_must_be_nonnegative(self):
+        for radius in (-0.001, math.nan):
+            for on in (True, False):
+                with pytest.raises(ValueError, match="wire_radius"):
+                    BiprismScene(source_to_screen=1.0, source_to_wire=0.25,
+                                 wire_radius=radius, kick_angle=0.02,
+                                 field_on=on, wavelength=2e-5, aperture=0.03)
 
     def test_shadow_cannot_swallow_aperture(self):
         with pytest.raises(ValueError):
@@ -61,6 +89,13 @@ class TestSceneValidation:
             BiprismScene(source_to_screen=1.0, source_to_wire=0.25,
                          wire_radius=0.0, kick_angle=0.02, field_on=True,
                          wavelength=0.0, aperture=0.03)
+        for wavelength in (math.nan, math.inf):
+            for on in (True, False):
+                with pytest.raises(ValueError, match="wavelength"):
+                    BiprismScene(source_to_screen=1.0, source_to_wire=0.25,
+                                 wire_radius=0.0, kick_angle=0.02,
+                                 field_on=on, wavelength=wavelength,
+                                 aperture=0.03)
         with pytest.raises(ValueError):
             BiprismScene(source_to_screen=1.0, source_to_wire=0.25,
                          wire_radius=0.0, kick_angle=0.02, field_on=True,
@@ -83,43 +118,85 @@ class TestSceneValidation:
 class TestDeflection:
     def test_field_off_straight_flight(self):
         sc = standard_bench(field_on=False)
-        for a in (-0.02, -0.005, 0.0, 0.011, 0.029):
-            assert biprism_deflection(a, sc) == pytest.approx(
-                sc.source_to_screen * math.tan(a), rel=1e-12)
+        a = np.array([-0.02, -0.005, 0.0, 0.011, 0.029])
+        assert np.allclose(_deflect_array(a, sc),
+                           sc.source_to_screen * np.tan(a), rtol=1e-12,
+                           atol=0.0)
 
     def test_field_on_kick_toward_axis(self):
         sc = standard_bench()
         D, L, d = sc.source_to_wire, sc.source_to_screen, sc.kick_angle
         for a in (0.005, 0.02, 0.029):
             expect = D * math.tan(a) + (L - D) * math.tan(a - d)
-            assert biprism_deflection(a, sc) == pytest.approx(expect,
-                                                              rel=1e-12)
             expect_lo = -D * math.tan(a) + (L - D) * math.tan(-a + d)
-            assert biprism_deflection(-a, sc) == pytest.approx(expect_lo,
-                                                               rel=1e-12)
+            assert _deflect_array(np.array([a, -a]), sc) == pytest.approx(
+                [expect, expect_lo], rel=1e-12)
 
     def test_wire_absorbs_only_with_finite_radius(self):
-        assert math.isfinite(biprism_deflection(1e-9, standard_bench()))
-        with pytest.raises(AbsorbedRayError):
-            biprism_deflection(0.001, finite_radius_scene(True))
-        assert math.isfinite(biprism_deflection(0.01,
-                                                finite_radius_scene(True)))
+        assert np.all(np.isfinite(_deflect_array(np.array([1e-9, -1e-9]),
+                                                 standard_bench())))
+        x = _deflect_array(np.array([0.001, -0.001, 0.01]),
+                           finite_radius_scene(True))
+        assert np.isnan(x[0]) and np.isnan(x[1]) and math.isfinite(x[2])
 
     def test_rejects_rays_beyond_aperture(self):
-        with pytest.raises(ValueError):
-            biprism_deflection(0.05, standard_bench())
+        for on in (True, False):
+            x = _deflect_array(np.array([0.05, -0.031, 0.029]),
+                               standard_bench(on))
+            assert np.isnan(x[0]) and np.isnan(x[1]) and math.isfinite(x[2])
 
+
+ROUND_TRIP_SCENES = [standard_bench(True), standard_bench(False),
+                     finite_radius_scene(True), finite_radius_scene(False)]
+
+
+class TestPullBack:
+    @pytest.mark.parametrize("scene", ROUND_TRIP_SCENES,
+                             ids=["on", "off", "wire-on", "wire-off"])
+    def test_round_trip(self, scene):
+        for side, (a0, a1), (lo, hi) in zip(
+                (-1, 1), _branch_ranges(scene), _side_images(scene)):
+            x = np.linspace(lo, hi, 1001)
+            alpha = _pull_back(x, scene, side)
+            assert np.all(side * alpha > 0)
+            assert abs(alpha[0] - a0) < 1e-15 and abs(alpha[-1] - a1) < 1e-15
+            back = _deflect_array(alpha[1:-1], scene)
+            assert float(np.max(np.abs(back - x[1:-1]))) < 1e-15
+
+
+def reference_histogram(measure, scene, edges, n_grid=2_000_001):
+    """Midpoint masses of a dense angle grid routed through the map and
+    histogrammed; converges to the exact bin masses at first order."""
+    masses = np.zeros(len(edges) - 1)
+    for a0, a1 in _branch_ranges(scene):
+        alphas = np.linspace(a0, a1, n_grid)
+        mids = 0.5 * (alphas[1:] + alphas[:-1])
+        masses += np.histogram(_deflect_array(mids, scene), bins=edges,
+                               weights=measure.density(mids)
+                               * np.diff(alphas))[0]
+    return masses / (edges[1] - edges[0])
+
+
+class TestExactPushforward:
+    @pytest.mark.parametrize("on", [True, False], ids=["on", "off"])
+    def test_matches_dense_histogram(self, on):
+        scene = standard_bench(on)
+        target = (fringe_target_density if on
+                  else envelope_target_density)(scene)
+        mu = emission_measure_from_screen(target, scene)
+        edges, dens = screen_density_from_emission(mu, scene, bins=256)
+        ref = reference_histogram(mu, scene, edges)
+        assert float(np.max(np.abs(dens - ref))) < 2e-4 * float(ref.max())
 
 class TestEmissionRoundtrip:
     def setup_method(self):
         self.scene = standard_bench()
         self.target = fringe_target_density(self.scene)
-        self.measure = emission_measure_from_screen(self.target, self.scene,
-                                                    n_grid=8192)
+        self.measure = emission_measure_from_screen(self.target, self.scene)
 
     def test_pushforward_reproduces_target(self):
         edges, dens = screen_density_from_emission(self.measure, self.scene,
-                                                   bins=256, n_grid=200001)
+                                                   bins=256)
         mids = 0.5 * (edges[1:] + edges[:-1])
         want = self.target(mids)
         scale = float(np.max(want))
@@ -153,7 +230,7 @@ class TestEmissionRoundtrip:
         bad = ScreenDensity(window=(0.02, 0.03),
                             profile=lambda x: np.ones_like(x))
         with pytest.raises(UnsupportedInputError):
-            emission_measure_from_screen(bad, self.scene, n_grid=512)
+            emission_measure_from_screen(bad, self.scene)
 
     def test_massless_profile_rejected(self):
         with pytest.raises(ValueError):
@@ -168,10 +245,8 @@ class TestEmissionRoundtrip:
 class TestVisibilityAndSpacing:
     def test_field_on_fringes(self):
         scene = standard_bench()
-        mu = emission_measure_from_screen(fringe_target_density(scene), scene,
-                                          n_grid=8192)
-        edges, dens = screen_density_from_emission(mu, scene, bins=256,
-                                                   n_grid=200001)
+        mu = emission_measure_from_screen(fringe_target_density(scene), scene)
+        edges, dens = screen_density_from_emission(mu, scene, bins=256)
         assert fringe_visibility(edges, dens) > 0.9
         spacing = estimate_fringe_spacing(edges, dens)
         assert abs(spacing - scene.fringe_spacing) < 0.02 * scene.fringe_spacing
@@ -179,18 +254,16 @@ class TestVisibilityAndSpacing:
     def test_field_off_smooth(self):
         scene = standard_bench(field_on=False)
         mu = emission_measure_from_screen(envelope_target_density(scene),
-                                          scene, n_grid=8192)
-        edges, dens = screen_density_from_emission(mu, scene, bins=256,
-                                                   n_grid=200001)
+                                          scene)
+        edges, dens = screen_density_from_emission(mu, scene, bins=256)
         assert fringe_visibility(edges, dens) < 0.05
 
     def test_emission_measures_differ(self):
         on = standard_bench()
         off = on.with_field(False)
-        mu_on = emission_measure_from_screen(fringe_target_density(on), on,
-                                             n_grid=8192)
+        mu_on = emission_measure_from_screen(fringe_target_density(on), on)
         mu_off = emission_measure_from_screen(envelope_target_density(off),
-                                              off, n_grid=8192)
+                                              off)
         tv = emission_tv_distance(mu_on, mu_off,
                                   (-on.aperture, on.aperture))
         assert 0.1 < tv <= 1.0
@@ -210,10 +283,9 @@ class TestVisibilityAndSpacing:
 class TestOffStateShadow:
     def test_wire_shadow_is_dark(self):
         scene = finite_radius_scene(False)
-        mu = emission_measure_from_screen(uniform_target_density(scene),
-                                          scene, n_grid=4096)
-        edges, dens = screen_density_from_emission(mu, scene, bins=64,
-                                                   n_grid=20001)
+        mu = emission_measure_from_screen(envelope_target_density(scene),
+                                          scene)
+        edges, dens = screen_density_from_emission(mu, scene, bins=64)
         mids = 0.5 * (edges[1:] + edges[:-1])
         # geometric shadow half-width on the screen is r/D * L = 0.004
         assert np.all(dens[np.abs(mids) < 0.0035] == 0.0)

@@ -189,6 +189,11 @@ class TestPropagateSG:
         with pytest.raises(ValueError, match="base_field"):
             SGDevice(entry_x=1.0, exit_x=2.0, base_field=bad, gradient=2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_gradient_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="gradient"):
+            SGDevice(entry_x=1.0, exit_x=2.0, base_field=0.5, gradient=bad)
+
     def test_screen_defaults_one_slab_past_exit(self):
         device = SGDevice(entry_x=1.0, exit_x=2.0, base_field=0.5,
                           gradient=2.0)
