@@ -15,7 +15,8 @@ the rest-energy terms are linear). At fixed ``t_d`` it is quadratic in
 function over some of its variables leaves a convex function of the rest
 (Boyd & Vandenberghe, *Convex Optimization*, 2004, §3.2.5). So the vertex
 time is the one sign change of the reduced action's nondecreasing slope,
-found by Brent's method, and the vertex is the global minimum.
+found by the in-package Brent root (Brent, *Algorithms for Minimization
+without Derivatives*, 1973, ch. 4), and the vertex is the global minimum.
 Conservation of momentum and energy at the vertex are exactly the
 stationarity conditions and are reported as residuals rather than imposed.
 """
@@ -23,10 +24,10 @@ stationarity conditions and are reported as residuals rather than imposed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import MeasureSpec, PiecewiseTrajectory, Segment
 from .errors import NoSolutionError, NotAMinimumError
@@ -179,14 +180,68 @@ def _best_x(masses: DecayMasses, boundary: DecayBoundary, t_d: float) -> np.ndar
     return num / (w1 + w23)
 
 
+_BRENT_MAXITER = 100  # iterations of _brent_root before it gives up
+_BRENT_RTOL = 4 * sys.float_info.epsilon  # relative part of its tolerance
+
+
+def _brent_root(f, lo, hi, xtol):
+    """``(root, converged)`` of ``f`` on ``[lo, hi]``, where ``f`` changes
+    sign, by Brent's method (Brent 1973, ch. 4): inverse quadratic or secant
+    steps while they shrink fast enough, else bisection. The loop is step
+    for step the one scipy's ``brentq`` runs, so it returns the same bits."""
+    xpre, xcur, xtol = float(lo), float(hi), float(xtol)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre, True
+    if fcur == 0:
+        return xcur, True
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # den underflows for tiny slopes; brentq then bisects too
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
+                        else math.inf)
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    return xcur, False
+
+
 def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVertex:
     """Find the interior vertex minimising the action.
 
-    The vertex time is the Brent root of the reduced action's slope, which
-    by the envelope theorem is the time component of the gradient at
-    ``_best_x``. Raises NoSolutionError when the slope has no sign change
-    inside the interval (the infimum sits on the time boundary), and
-    NotAMinimumError if the curvature check fails at the reported point.
+    The vertex time is the root of the reduced action's slope, which by the
+    envelope theorem is the time component of the gradient at ``_best_x``,
+    found by the in-package Brent loop :func:`_brent_root`. Raises
+    NoSolutionError when the slope has no sign change inside the interval
+    (the infimum sits on the time boundary) or the root search does not
+    converge, and NotAMinimumError if the curvature check fails at the
+    reported point.
     """
     span = boundary.t_b - boundary.t_a
     eps = 1e-9 * span
@@ -206,10 +261,12 @@ def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVer
             "endpoint data admits no interior split: the action keeps falling "
             "all the way to the final time")
     # scaled by the span, as t_a may be negative and the root may sit near 0
-    t_d, info = brentq(slope, lo, hi, xtol=4 * np.finfo(float).eps * span,
-                       full_output=True, disp=False)
-    if not info.converged:
-        raise NoSolutionError(f"split-time root search failed: {info.flag}")
+    t_d, converged = _brent_root(slope, lo, hi,
+                                 xtol=4 * sys.float_info.epsilon * span)
+    if not converged:
+        raise NoSolutionError(
+            f"split-time root search did not converge in {_BRENT_MAXITER} "
+            "iterations")
     x_d = _best_x(masses, boundary, t_d)
 
     if t_d - boundary.t_a < 10 * eps or boundary.t_b - t_d < 10 * eps:

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import MeasureSpec
 from .errors import IntegrationError, UnsupportedInputError
@@ -533,6 +532,8 @@ class NBodySystem:
         vel = np.asarray(velocities, dtype=float).reshape(self.n, 3)
         if self.is_free:
             return pos + vel * (t1 - t0), vel.copy()
+        # scipy is imported here only: nothing else in trajlab needs it
+        from scipy.integrate import solve_ivp
 
         def rhs(_t, y):
             p = y[:3 * self.n].reshape(self.n, 3)

@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 
 from .core import MeasureSpec
 from .errors import IntegrationError
@@ -154,7 +153,6 @@ class ScreenedCoulomb(Potential):
 
 _RTOL = 8.9e-16  # root finders stop within four ulps
 _N_NODES = 256  # Gauss-Legendre nodes of the deflection integral
-_ODE_RTOL, _ODE_ATOL = 1e-11, 1e-13  # planar-motion reference path
 _DIFF_STEP = 1e-6  # relative step of the central differences in theta and s
 _MIN_SPACING = 10.0  # least flipper center spacing, in action ranges
 _PACKING = 0.5  # n_centers * d_min^3 / cell volume of a random scene
@@ -256,65 +254,12 @@ def _deflection_integral(potential, energy, s, u_head):
     return np.clip(theta, 0.0, math.pi)
 
 
-def _deflection_ode(potential, energy, s):
-    """Deflection from integrating the planar equations of motion.
-
-    Intended for short-range potentials where a finite start/exit radius
-    captures the whole interaction; the quadrature path is preferred for
-    slowly decaying tails.
-    """
-    mass = 1.0
-    v0 = math.sqrt(2.0 * energy / mass)
-    # quiet radius: tail energy below integrator tolerance
-    r_start = max(turning_radius(potential, energy, 0.0), s, 1e-6)
-    for _ in range(200):
-        if float(potential(r_start)) / energy < 1e-13:
-            break
-        r_start *= 1.5
-    else:
-        raise IntegrationError(
-            "potential tail decays too slowly for the planar-motion "
-            "path; use the quadrature method")
-    r_start *= 1.5
-    if s >= r_start:
-        return 0.0
-
-    x0 = -math.sqrt(max(r_start ** 2 - s ** 2, 0.0))
-    state0 = [x0, s, v0, 0.0]
-
-    def rhs(t, y):
-        x, yy, vx, vy = y
-        r = math.hypot(x, yy)
-        f = -float(potential.derivative(r)) / mass  # outward radial accel
-        return [vx, vy, f * x / r, f * yy / r]
-
-    def escaped(t, y):
-        x, yy, vx, vy = y
-        r = math.hypot(x, yy)
-        return r - r_start * (1.0 + 1e-9) if (x * vx + yy * vy) > 0 else -1.0
-
-    escaped.terminal = True
-    escaped.direction = 1.0
-    t_max = 10.0 * (2.0 * r_start / v0)
-    # cap the step so the interaction region cannot be straddled unseen
-    sol = solve_ivp(rhs, (0.0, t_max), state0, rtol=_ODE_RTOL, atol=_ODE_ATOL,
-                    method="DOP853", events=escaped, dense_output=False,
-                    max_step=r_start / (30.0 * v0))
-    if not sol.success or not len(sol.t_events[0]):
-        raise IntegrationError("planar integration did not escape the potential")
-    vx, vy = sol.y[2, -1], sol.y[3, -1]
-    cosang = vx / math.hypot(vx, vy)
-    return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-
-
-def deflection_angle(potential: Potential, energy: float, s,
-                     method: str = "integral"):
+def deflection_angle(potential: Potential, energy: float, s):
     """Polar scattering angle theta(s) in [0, pi]; ``s`` may be an array.
 
     Hard spheres use the reflection law theta = 2*arccos(s/R), element by
-    element in scalar libm. Smooth potentials default to the
-    deflection-integral quadrature; pass ``method="ode"`` to integrate the
-    planar equations of motion instead.
+    element in scalar libm. Smooth potentials use the deflection-integral
+    quadrature of :func:`_deflection_integral`.
     """
     if not energy > 0:
         raise ValueError("energy must be positive")
@@ -325,13 +270,8 @@ def deflection_angle(potential: Potential, energy: float, s,
         R = potential.radius
         return back(np.array([2.0 * math.acos(min(v / R, 1.0))
                               for v in s.tolist()]))
-    if method == "integral":
-        u_head = _turning_u(potential, energy, np.zeros(1))[0]
-        return back(_deflection_integral(potential, energy, s, u_head))
-    if method == "ode":
-        return back(np.array([_deflection_ode(potential, energy, v)
-                              for v in s.tolist()]))
-    raise ValueError(f"unknown method {method!r}")
+    u_head = _turning_u(potential, energy, np.zeros(1))[0]
+    return back(_deflection_integral(potential, energy, s, u_head))
 
 
 class DeflectionFunction:

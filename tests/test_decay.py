@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from trajlab import decay
 from trajlab.core import MeasureSpec, check_determinism, point_mass
 from trajlab.decay import (
     DecayBoundary,
@@ -204,6 +206,74 @@ class TestSolverPrecision:
             dp, de = conservation_residuals(masses, vertex)
             assert dp <= 1e-13 and de <= 1e-13
             assert abs(vertex.t_d - td_true) <= 1e-13
+
+
+def _slope_root_problem(masses, boundary):
+    """The reduced-action slope, bracket and tolerance solve_decay_vertex uses."""
+    span = boundary.t_b - boundary.t_a
+    eps = 1e-9 * span
+
+    def slope(t):
+        x = decay._best_x(masses, boundary, t)
+        return action_gradient(masses, boundary, x, t)[3]
+
+    return (slope, boundary.t_a + eps, boundary.t_b - eps,
+            4 * np.finfo(float).eps * span)
+
+
+class TestBrentRoot:
+    """The in-package Brent loop returns scipy brentq's root bit for bit."""
+
+    @staticmethod
+    def cases():
+        rng = stream(42, "decay-oracle")  # TestSolverAgainstBruteForce's data
+        out = [(MASSES, sample_boundary(MASSES, rng)[0]) for _ in range(50)]
+        sym = DecayMasses(4.0, 1.5, 1.5)
+        flight = -symmetric_decay_time(sym, 1.0, 0.0, t_a=-5.0)
+        # criterion 07's closed forms, then the exact split at t = 0
+        for d, t_a, t_b in ((0.5, 0.0, 10.0), (1.0, 0.0, 10.0),
+                            (2.0, 0.0, 10.0), (1.0, -5.0, flight)):
+            out.append((sym, DecayBoundary(np.zeros(3), t_a,
+                                           np.array([d, 0.0, 0.0]),
+                                           np.array([-d, 0.0, 0.0]), t_b)))
+        rng = stream(12, "brent-port")
+        # at masses of 1e-150 the interpolation step's denominator
+        # underflows to 0, where brentq's step is inf or nan and it bisects
+        for masses in (MASSES, DecayMasses(10.0, 1.0, 7.0),
+                       DecayMasses(2.0, 0.5, 0.5), DecayMasses(3.0, 1.0, 1.2),
+                       DecayMasses(50.0, 20.0, 29.0),
+                       DecayMasses(4e-150, 1e-150, 2e-150)):
+            for _ in range(100):
+                t_a = float(rng.uniform(-20.0, 20.0))
+                out.append((masses, sample_boundary(
+                    masses, rng, t_a=t_a,
+                    t_b=t_a + float(rng.uniform(0.1, 50.0)),
+                    x_a=rng.normal(size=3),
+                    speed_fraction=float(rng.uniform(0.0, 0.99)))[0]))
+        return out
+
+    def test_bitwise_equal_to_brentq(self):
+        cases = self.cases()
+        assert len(cases) == 654
+        for masses, boundary in cases:
+            slope, lo, hi, xtol = _slope_root_problem(masses, boundary)
+            ref = brentq(slope, lo, hi, xtol=xtol)
+            assert decay._brent_root(slope, lo, hi, xtol) == (ref, True)
+            assert solve_decay_vertex(masses, boundary).t_d == ref
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 3.0), (-2.0, 1.0)])
+    def test_root_at_an_endpoint(self, lo, hi):
+        def f(x):
+            return x - 1.0
+
+        assert decay._brent_root(f, lo, hi, 1e-12) == (1.0, True)
+        assert brentq(f, lo, hi, xtol=1e-12) == 1.0
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        boundary = sample_boundary(MASSES, stream(42, "decay-oracle"))[0]
+        monkeypatch.setattr(decay, "_BRENT_MAXITER", 1)
+        with pytest.raises(NoSolutionError, match="did not converge"):
+            solve_decay_vertex(MASSES, boundary)
 
 
 class TestSymmetricClosedForm:
