@@ -81,7 +81,8 @@ class DecayMasses:
 
     @property
     def reduced_mass(self) -> float:
-        return self.m2 * self.m3 / (self.m2 + self.m3)
+        # divided first: the product m2 * m3 underflows for masses near 1e-165
+        return self.m2 / (self.m2 + self.m3) * self.m3
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ _FLAT_FRACTION = 0.6  # flat share of the targets' flat-top envelope
 _VISIBILITY_FRACTION = 1.0 / 3.0  # central window share fringe_visibility reads
 _SPACING_FRACTION = 0.55  # central window share estimate_fringe_spacing reads
 _NBODY_RTOL, _NBODY_ATOL = 1e-10, 1e-12  # DOP853 tolerances of integrate
+_MAX_CHECKPOINTS = 10_000  # longest schedule asymptotic_velocity accepts
 _NORM_GRID = 32769  # trapezoid points of ScreenDensity.normalized
 _FIT_GRID = 8192  # points per side of the emission measure's CDF table
 _TV_GRID = 200_001  # trapezoid points of emission_tv_distance
@@ -526,28 +527,55 @@ class NBodySystem:
                 e += self.external_potential.value(pos[i])
         return e
 
-    def integrate(self, positions, velocities, t0: float, t1: float):
-        """Propagate the state from t0 to t1; free systems go analytically."""
+    def integrate(self, positions, velocities, t0: float, t1):
+        """Propagate the state from t0 to t1; free systems go analytically.
+
+        ``t1`` is one time or an increasing 1-d array of times from t0 on.
+        One time gives the (n, 3) positions and velocities there; an array
+        gives them stacked, (len(t1), n, 3) each. Free systems take the
+        closed form pos + vel * (t - t0) at every time. Interacting ones
+        make one DOP853 run to the last time: the states at earlier times
+        are read from the continuous extension of the step that passes
+        them, and the state at the last time is the run's own end state,
+        so it is bitwise what a call with that time alone returns.
+        """
         pos = np.asarray(positions, dtype=float).reshape(self.n, 3)
         vel = np.asarray(velocities, dtype=float).reshape(self.n, 3)
+        times = np.asarray(t1, dtype=float)
+        if times.ndim and not (times.ndim == 1 and len(times)
+                               and times[0] >= t0
+                               and np.all(np.diff(times) > 0)):
+            raise ValueError("t1 must be one time or an increasing array of "
+                             "times from t0 on")
         if self.is_free:
-            return pos + vel * (t1 - t0), vel.copy()
+            dt = times[..., None, None] - t0
+            return pos + vel * dt, np.broadcast_to(vel, dt.shape[:-2]
+                                                   + vel.shape).copy()
         # scipy is imported here only: nothing else in trajlab needs it
-        from scipy.integrate import solve_ivp
+        from scipy.integrate import DOP853
 
         def rhs(_t, y):
             p = y[:3 * self.n].reshape(self.n, 3)
             v = y[3 * self.n:]
             return np.concatenate([v, self.accelerations(p).ravel()])
 
-        sol = solve_ivp(rhs, (t0, t1),
-                        np.concatenate([pos.ravel(), vel.ravel()]),
-                        method="DOP853", rtol=_NBODY_RTOL, atol=_NBODY_ATOL)
-        if not sol.success:
-            raise IntegrationError(f"propagation {t0} -> {t1} failed: "
-                                   f"{sol.message}")
-        y = sol.y[:, -1]
-        return y[:3 * self.n].reshape(self.n, 3), y[3 * self.n:].reshape(self.n, 3)
+        ends = times.reshape(-1)
+        solver = DOP853(rhs, t0, np.concatenate([pos.ravel(), vel.ravel()]),
+                        float(ends[-1]), rtol=_NBODY_RTOL, atol=_NBODY_ATOL)
+        ys = np.empty((len(ends), 6 * self.n))
+        done = 0  # earlier times filled so far
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise IntegrationError(f"propagation {t0} -> {ends[-1]} "
+                                       f"failed: {message}")
+            passed = int(np.searchsorted(ends[:-1], solver.t, side="right"))
+            if passed > done:
+                ys[done:passed] = solver.dense_output()(ends[done:passed]).T
+                done = passed
+        ys[-1] = solver.y
+        ys = ys.reshape(times.shape + (2, self.n, 3))
+        return ys[..., 0, :, :], ys[..., 1, :, :]
 
 
 @dataclass(frozen=True)
@@ -566,24 +594,37 @@ def asymptotic_velocity(system: NBodySystem, velocities, t_max: float,
 
     All particles leave one point: the run starts at t0 > 0 from
     positions velocity * t0, which bounded interactions cannot tell from
-    the exact coincident start. Convergence means the last two
-    checkpoints of x(t)/t differ by less than ``tolerance`` in max norm.
-    With no interactions the flight is analytic and x(t)/t returns the
-    velocities bit for bit at power-of-two times.
+    the exact coincident start. The checkpoints are t0 * growth^k, clipped
+    to ``t_max``; a schedule of more than ``_MAX_CHECKPOINTS`` of them is
+    refused before anything is built. One ``integrate`` call over the
+    whole schedule gives the state at every checkpoint (read from the
+    integrator's dense output, so the steps grow as the bodies separate
+    rather than restarting at each checkpoint). The history of x(t)/t
+    stops at the first checkpoint within ``tolerance`` (max norm) of the
+    one before, which is convergence. With no interactions the flight is
+    analytic and x(t)/t returns the velocities bit for bit at power-of-two
+    times from t0 = 1.
     """
     vel = np.asarray(velocities, dtype=float).reshape(system.n, 3)
     if not (t_max > t0 > 0 and growth > 1):
         raise ValueError("need t_max > t0 > 0 and growth > 1")
-    pos = vel * t0
+    count = (math.log(t_max) - math.log(t0)) / math.log(growth)
+    if not count <= _MAX_CHECKPOINTS:
+        raise ValueError(f"the checkpoint schedule from t0 = {t0!r} to "
+                         f"t_max = {t_max!r} at growth {growth!r} needs "
+                         f"{count:.6g} checkpoints, more than "
+                         f"{_MAX_CHECKPOINTS}; raise growth or lower t_max")
+    times = []
     t = t0
-    history = [(t0, (pos / t0).ravel().copy())]
-    converged = False
-    cur_vel = vel
     while t < t_max:
-        t_next = min(t * growth, t_max)
-        pos, cur_vel = system.integrate(pos, cur_vel, t, t_next)
-        t = t_next
-        history.append((t, (pos / t).ravel().copy()))
+        t = min(t * growth, t_max)
+        times.append(t)
+    pos = vel * t0
+    history = [(t0, (pos / t0).ravel())]
+    converged = False
+    positions, _ = system.integrate(pos, vel, t0, np.array(times))
+    for t, pos in zip(times, positions):
+        history.append((t, (pos / t).ravel()))
         diff = float(np.max(np.abs(history[-1][1] - history[-2][1])))
         if diff < tolerance:
             converged = True

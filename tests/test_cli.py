@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 import yaml
 
 from trajlab import cli
+from trajlab.interference import NBodySystem
 from trajlab.scenarios import SCENARIOS
 
 FAST_PARAMS = {
@@ -440,6 +442,30 @@ class TestBigbangAtRest:
         assert run(["run", "bigbang", "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err.strip()
         assert "ValueError" in err and "energy" in err
+        assert "\n" not in err
+        assert not out.exists()
+
+
+def refuse_to_integrate(*args, **kwargs):
+    raise AssertionError("the schedule was not refused before integrating")
+
+
+class TestBigbangSchedule:
+    @pytest.mark.parametrize("interaction", ["gaussian", "none"])
+    def test_stalled_checkpoint_schedule_exits_1(self, tmp_path, capsys,
+                                                 monkeypatch, interaction):
+        # growth one ulp above 1 never reaches t_max in any real time; the
+        # run must stop before integrating, so a regression fails, not hangs
+        monkeypatch.setattr(NBodySystem, "integrate", refuse_to_integrate)
+        cfg = write_config(tmp_path / "cfg.yaml", "bigbang", parameters={
+            "interaction": interaction, "growth": 1.0000000000000002,
+            "t0": 1.5, "tolerance": 0.0})
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert run(["run", "bigbang", "--config", cfg, "--out", out]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.strip()
+        assert "ValueError" in err and "checkpoints" in err
         assert "\n" not in err
         assert not out.exists()
 

@@ -87,6 +87,22 @@ class TestMassValidation:
         assert MASSES.product_mass == 3.0
         assert MASSES.reduced_mass == pytest.approx(2.0 / 3.0)
 
+    def test_tiny_masses_sample_and_conserve(self):
+        # m2 * m3 underflows to 0 here; the reduced mass must not
+        masses = DecayMasses(4e-165, 1e-165, 2e-165)
+        assert masses.reduced_mass > 0
+        rng = stream(5, "tiny-masses")
+        for _ in range(100):
+            boundary, td_true = sample_boundary(masses, rng)
+            vertex = solve_decay_vertex(masses, boundary)
+            dp, de = conservation_residuals(masses, vertex)
+            p_scale = sum(m * float(np.linalg.norm(v)) for m, v in (
+                (masses.m1, vertex.v1), (masses.m2, vertex.v2),
+                (masses.m3, vertex.v3)))
+            assert dp <= 1e-12 * p_scale
+            assert de <= 1e-12 * masses.m1 * masses.c ** 2
+            assert vertex.t_d == pytest.approx(td_true, rel=1e-12)
+
 
 class TestBoundaryValidation:
     def test_rejects_bad_shapes(self):

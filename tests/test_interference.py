@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from trajlab import interference
 from trajlab.errors import UnsupportedInputError
 from trajlab.interference import (
     BiprismScene,
@@ -384,6 +385,59 @@ class TestNBodySystem:
         assert e1 == pytest.approx(e0, rel=1e-8)
         assert np.allclose(mom1, mom0, atol=1e-9)
 
+    def test_free_flight_at_many_times(self):
+        system = NBodySystem([1.5, 0.5])
+        p0 = np.array([[0.1, 0.2, 0.3], [-0.4, 0.5, -0.6]])
+        v0 = np.array([[0.8, 0.1, 0.0], [-2.4, -0.3, 0.0]])
+        times = 2.0 ** np.arange(1, 21)
+        p1, v1 = system.integrate(p0, v0, 1.0, times)
+        assert p1.shape == v1.shape == (20, 2, 3)
+        for t, p, v in zip(times, p1, v1):
+            assert np.array_equal(p, p0 + v0 * (t - 1.0))
+            assert np.array_equal(v, v0)
+
+    def test_interacting_flight_at_many_times(self):
+        system = NBodySystem([1.5, 0.5],
+                             pair_potential=GaussianPairPotential(2.0, 1.0))
+        v0 = np.array([[0.8, 0.1, 0.0], [-2.4, -0.3, 0.0]])
+        times = np.array([1.5, 2.0, 3.0, 8.0, 20.0, 33.0])
+        p1, v1 = system.integrate(v0, v0, 1.0, times)
+        assert p1.shape == v1.shape == (6, 2, 3)
+        for t, p, v in zip(times, p1, v1):
+            p_ref, v_ref = system.integrate(v0, v0, 1.0, t)
+            assert np.allclose(p, p_ref, rtol=0.0, atol=1e-9)
+            assert np.allclose(v, v_ref, rtol=0.0, atol=1e-9)
+        # the last time is the run's own end state, not an interpolant
+        assert np.array_equal(p1[-1], p_ref)
+        assert np.array_equal(v1[-1], v_ref)
+
+    @pytest.mark.parametrize("times", [[2.0, 2.0], [3.0, 2.0], [0.5, 2.0],
+                                       [], [[2.0, 3.0]]])
+    def test_times_must_increase_from_t0(self, times):
+        system = NBodySystem([1.5, 0.5])
+        with pytest.raises(ValueError, match="increasing"):
+            system.integrate(np.zeros((2, 3)), np.ones((2, 3)), 1.0,
+                             np.array(times))
+
+
+def refuse_to_integrate(*args, **kwargs):
+    raise AssertionError("the schedule was not refused before integrating")
+
+
+def restarted_sweep(system, velocities, t_max, tolerance):
+    """Checkpoints t = 2^k from t = 1, one integration restarted per step."""
+    vel = np.asarray(velocities, dtype=float)
+    pos, t = vel * 1.0, 1.0
+    history = [(t, pos.ravel().copy())]
+    while t < t_max:
+        t_next = min(2.0 * t, t_max)
+        pos, vel = system.integrate(pos, vel, t, t_next)
+        t = t_next
+        history.append((t, (pos / t).ravel()))
+        if np.max(np.abs(history[-1][1] - history[-2][1])) < tolerance:
+            break
+    return history
+
 
 class TestAsymptoticVelocity:
     V0 = np.array([[0.8, 0.1, 0.0], [-2.4, -0.3, 0.0]])
@@ -426,6 +480,55 @@ class TestAsymptoticVelocity:
         with pytest.raises(ValueError):
             asymptotic_velocity(system, np.zeros((1, 3)), t_max=8.0,
                                 growth=1.0)
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_refuses_schedule_past_the_cap(self, pair, monkeypatch):
+        # growth one ulp above 1 would need ~5e16 checkpoints; refusing
+        # means never integrating, so a regression fails instead of hanging
+        monkeypatch.setattr(NBodySystem, "integrate", refuse_to_integrate)
+        pot = GaussianPairPotential(2.0, 1.0) if pair else None
+        system = NBodySystem([1.5, 0.5], pair_potential=pot)
+        with pytest.raises(ValueError, match="checkpoints"):
+            asymptotic_velocity(system, self.V0, t_max=2.0 ** 24,
+                                tolerance=0.0, t0=1.5,
+                                growth=1.0000000000000002)
+
+    def test_cap_admits_schedules_up_to_it(self, monkeypatch):
+        monkeypatch.setattr(interference, "_MAX_CHECKPOINTS", 13)
+        system = NBodySystem([1.5, 0.5])
+        res = asymptotic_velocity(system, self.V0, t_max=2.0 ** 13,
+                                  tolerance=0.0)
+        assert len(res.convergence_history) == 14
+        with pytest.raises(ValueError, match="more than 13"):
+            asymptotic_velocity(system, self.V0, t_max=2.0 ** 14,
+                                tolerance=0.0)
+
+    def test_criterion_13_sweep_is_one_integration(self, monkeypatch):
+        system = NBodySystem([1.5, 0.5],
+                             pair_potential=GaussianPairPotential(2.0, 1.0))
+        ref = restarted_sweep(system, self.V0, 2.0 ** 31, 1e-9)
+        calls = {"integrate": 0, "accelerations": 0}
+
+        def counted(name):
+            method = getattr(NBodySystem, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(NBodySystem, name, counted(name))
+        res = asymptotic_velocity(system, self.V0, t_max=2.0 ** 31,
+                                  tolerance=1e-9)
+        assert calls["integrate"] == 1
+        assert calls["accelerations"] <= 400
+        assert res.converged
+        assert len(res.convergence_history) == len(ref)
+        for (t, ratio), (t_ref, ratio_ref) in zip(res.convergence_history,
+                                                  ref):
+            assert t == t_ref
+            assert np.allclose(ratio, ratio_ref, rtol=0.0, atol=1e-9)
 
 
 class TestMomentumMeasure:
