@@ -52,7 +52,7 @@ _FLAT_FRACTION = 0.6  # flat share of the targets' flat-top envelope
 _VISIBILITY_FRACTION = 1.0 / 3.0  # central window share fringe_visibility reads
 _SPACING_FRACTION = 0.55  # central window share estimate_fringe_spacing reads
 _NBODY_RTOL, _NBODY_ATOL = 1e-10, 1e-12  # DOP853 tolerances of integrate
-_MAX_CHECKPOINTS = 10_000  # longest schedule asymptotic_velocity accepts
+_MAX_CHECKPOINTS = 100_000  # longest schedule asymptotic_velocity builds
 _NORM_GRID = 32769  # trapezoid points of ScreenDensity.normalized
 _FIT_GRID = 8192  # points per side of the emission measure's CDF table
 _TV_GRID = 200_001  # trapezoid points of emission_tv_distance
@@ -527,17 +527,21 @@ class NBodySystem:
                 e += self.external_potential.value(pos[i])
         return e
 
-    def integrate(self, positions, velocities, t0: float, t1):
+    def integrate(self, positions, velocities, t0: float, t1, until=None):
         """Propagate the state from t0 to t1; free systems go analytically.
 
         ``t1`` is one time or an increasing 1-d array of times from t0 on.
         One time gives the (n, 3) positions and velocities there; an array
         gives them stacked, (len(t1), n, 3) each. Free systems take the
         closed form pos + vel * (t - t0) at every time. Interacting ones
-        make one DOP853 run to the last time: the states at earlier times
-        are read from the continuous extension of the step that passes
-        them, and the state at the last time is the run's own end state,
-        so it is bitwise what a call with that time alone returns.
+        make one DOP853 run towards the last time: a state at an earlier
+        time is read from the continuous extension of the step that passes
+        it, and the state at the last time is the run's own end state, so
+        it is bitwise what a call with that time alone returns.
+
+        ``until(t, positions, velocities)``, if given, is called at each
+        time in turn; the run stops after the first time it returns true,
+        and the stacks end with that time.
         """
         pos = np.asarray(positions, dtype=float).reshape(self.n, 3)
         vel = np.asarray(velocities, dtype=float).reshape(self.n, 3)
@@ -547,10 +551,23 @@ class NBodySystem:
                                and np.all(np.diff(times) > 0)):
             raise ValueError("t1 must be one time or an increasing array of "
                              "times from t0 on")
+        ends = times.reshape(-1)
         if self.is_free:
-            dt = times[..., None, None] - t0
-            return pos + vel * dt, np.broadcast_to(vel, dt.shape[:-2]
-                                                   + vel.shape).copy()
+            states = ((pos + vel * (t - t0), vel.copy()) for t in ends)
+        else:
+            states = self._dop853_states(pos, vel, t0, ends)
+        ps, vs = [], []
+        for t, (p, v) in zip(ends, states):
+            ps.append(p)
+            vs.append(v)
+            if until is not None and until(float(t), p, v):
+                break
+        if not times.ndim:
+            return ps[0], vs[0]
+        return np.array(ps), np.array(vs)
+
+    def _dop853_states(self, pos, vel, t0, ends):
+        """Yield (positions, velocities) at each of ``ends`` from one run."""
         # scipy is imported here only: nothing else in trajlab needs it
         from scipy.integrate import DOP853
 
@@ -559,23 +576,24 @@ class NBodySystem:
             v = y[3 * self.n:]
             return np.concatenate([v, self.accelerations(p).ravel()])
 
-        ends = times.reshape(-1)
         solver = DOP853(rhs, t0, np.concatenate([pos.ravel(), vel.ravel()]),
                         float(ends[-1]), rtol=_NBODY_RTOL, atol=_NBODY_ATOL)
-        ys = np.empty((len(ends), 6 * self.n))
-        done = 0  # earlier times filled so far
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise IntegrationError(f"propagation {t0} -> {ends[-1]} "
-                                       f"failed: {message}")
-            passed = int(np.searchsorted(ends[:-1], solver.t, side="right"))
-            if passed > done:
-                ys[done:passed] = solver.dense_output()(ends[done:passed]).T
-                done = passed
-        ys[-1] = solver.y
-        ys = ys.reshape(times.shape + (2, self.n, 3))
-        return ys[..., 0, :, :], ys[..., 1, :, :]
+        dense = None  # continuous extension of the last step, when needed
+        for t in ends:
+            while solver.direction * (t - solver.t) > 0:
+                message = solver.step()
+                dense = None
+                if solver.status == "failed":
+                    raise IntegrationError(f"propagation {t0} -> {ends[-1]} "
+                                           f"failed: {message}")
+            if solver.t == t:
+                y = solver.y.copy()
+            else:
+                if dense is None:
+                    dense = solver.dense_output()
+                y = dense(t)
+            yield (y[:3 * self.n].reshape(self.n, 3),
+                   y[3 * self.n:].reshape(self.n, 3))
 
 
 @dataclass(frozen=True)
@@ -596,14 +614,13 @@ def asymptotic_velocity(system: NBodySystem, velocities, t_max: float,
     positions velocity * t0, which bounded interactions cannot tell from
     the exact coincident start. The checkpoints are t0 * growth^k, clipped
     to ``t_max``; a schedule of more than ``_MAX_CHECKPOINTS`` of them is
-    refused before anything is built. One ``integrate`` call over the
-    whole schedule gives the state at every checkpoint (read from the
-    integrator's dense output, so the steps grow as the bodies separate
-    rather than restarting at each checkpoint). The history of x(t)/t
-    stops at the first checkpoint within ``tolerance`` (max norm) of the
-    one before, which is convergence. With no interactions the flight is
-    analytic and x(t)/t returns the velocities bit for bit at power-of-two
-    times from t0 = 1.
+    refused before it is built. One ``integrate`` call runs through the
+    schedule, reading each checkpoint from the integrator's dense output,
+    so the steps grow as the bodies separate rather than restarting at
+    each checkpoint. The run and the history of x(t)/t stop at the first
+    checkpoint within ``tolerance`` (max norm) of the one before, which is
+    convergence. With no interactions the flight is analytic and x(t)/t
+    returns the velocities bit for bit at power-of-two times from t0 = 1.
     """
     vel = np.asarray(velocities, dtype=float).reshape(system.n, 3)
     if not (t_max > t0 > 0 and growth > 1):
@@ -621,17 +638,18 @@ def asymptotic_velocity(system: NBodySystem, velocities, t_max: float,
         times.append(t)
     pos = vel * t0
     history = [(t0, (pos / t0).ravel())]
-    converged = False
-    positions, _ = system.integrate(pos, vel, t0, np.array(times))
-    for t, pos in zip(times, positions):
-        history.append((t, (pos / t).ravel()))
-        diff = float(np.max(np.abs(history[-1][1] - history[-2][1])))
-        if diff < tolerance:
-            converged = True
-            break
+
+    def gap():
+        return float(np.max(np.abs(history[-1][1] - history[-2][1])))
+
+    def settled(t, positions, _velocities):
+        history.append((t, (positions / t).ravel()))
+        return gap() < tolerance
+
+    system.integrate(pos, vel, t0, np.array(times), until=settled)
     return AsymptoticVelocityResult(v_plus=history[-1][1].copy(),
                                     convergence_history=history,
-                                    converged=converged)
+                                    converged=gap() < tolerance)
 
 
 def free_quantum_momentum_measure(boxes, masses,

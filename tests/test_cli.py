@@ -469,6 +469,20 @@ class TestBigbangSchedule:
         assert "\n" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("interaction", ["gaussian", "none"])
+    def test_fine_schedule_converging_early_runs(self, tmp_path,
+                                                 interaction):
+        # growth 1.001 to the default t_max is 16,640 checkpoints; the
+        # sweep settles long before the last and must stop there
+        cfg = write_config(tmp_path / "cfg.yaml", "bigbang", parameters={
+            "interaction": interaction, "growth": 1.001})
+        out = tmp_path / "o"
+        assert run(["run", "bigbang", "--config", cfg, "--out", out]) == 0
+        _, rows = read_rows(out / "results.csv")
+        assert rows["converged"] == "1"
+        assert int(rows["n_checkpoints"]) < 16_641
+        assert float(rows["t_final"]) < 1e3
+
 
 class TestListing:
     def test_listing_is_stable_and_complete(self, capsys):

@@ -419,6 +419,25 @@ class TestNBodySystem:
             system.integrate(np.zeros((2, 3)), np.ones((2, 3)), 1.0,
                              np.array(times))
 
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_until_stops_after_first_true(self, pair):
+        pot = GaussianPairPotential(2.0, 1.0) if pair else None
+        system = NBodySystem([1.5, 0.5], pair_potential=pot)
+        v0 = np.array([[0.8, 0.1, 0.0], [-2.4, -0.3, 0.0]])
+        times = np.array([2.0, 4.0, 8.0, 16.0, 32.0])
+        seen = []
+
+        def until(t, p, v):
+            seen.append(t)
+            return t >= 8.0
+
+        p1, v1 = system.integrate(v0, v0, 1.0, times, until=until)
+        assert seen == [2.0, 4.0, 8.0]
+        assert all(type(t) is float for t in seen)
+        p_all, v_all = system.integrate(v0, v0, 1.0, times)
+        assert p1.shape == v1.shape == (3, 2, 3)
+        assert np.array_equal(p1, p_all[:3]) and np.array_equal(v1, v_all[:3])
+
 
 def refuse_to_integrate(*args, **kwargs):
     raise AssertionError("the schedule was not refused before integrating")
@@ -502,6 +521,37 @@ class TestAsymptoticVelocity:
         with pytest.raises(ValueError, match="more than 13"):
             asymptotic_velocity(system, self.V0, t_max=2.0 ** 14,
                                 tolerance=0.0)
+
+    def test_bound_pair_stops_at_convergence(self, monkeypatch):
+        # an attractive pair with negative energy oscillates for ever; the
+        # run must end at the converged checkpoint, not step on to t_max
+        system = NBodySystem([1.5, 0.5],
+                             pair_potential=GaussianPairPotential(-2.0, 1.0))
+        vel = 0.1 * self.V0
+        assert system.energy(vel, vel) < 0
+        calls = []
+        acc = NBodySystem.accelerations
+
+        def counted(self, positions):
+            # stepping on to t_max takes millions of calls: fail, not hang
+            calls.append(None)
+            assert len(calls) <= 40_000
+            return acc(self, positions)
+
+        monkeypatch.setattr(NBodySystem, "accelerations", counted)
+        res = asymptotic_velocity(system, vel, t_max=2.0 ** 24,
+                                  tolerance=1e-3)
+        assert res.converged
+        assert res.convergence_history[-1][0] == 256.0
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_fine_schedule_converging_early_is_admitted(self, pair):
+        pot = GaussianPairPotential(2.0, 1.0) if pair else None
+        system = NBodySystem([1.5, 0.5], pair_potential=pot)
+        res = asymptotic_velocity(system, self.V0, t_max=2.0 ** 24,
+                                  tolerance=1e-6, growth=1.001)
+        assert res.converged
+        assert [t for t, _ in res.convergence_history] == [1.0, 1.001]
 
     def test_criterion_13_sweep_is_one_integration(self, monkeypatch):
         system = NBodySystem([1.5, 0.5],
