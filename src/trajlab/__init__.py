@@ -29,13 +29,11 @@ from .core import (
     ensemble_statistics,
     is_well_defined,
     MeasureSpec,
-    point_mass,
     check_determinism,
 )
 from .rng import stream, trajectory_stream, trajectory_streams
 from .bernoulli import (
     BernoulliState,
-    bernoulli_step,
     orbit_bits,
     orbit_rate,
     BernoulliTrajectory,
@@ -52,9 +50,6 @@ from .scattering import (
     deflection_angle,
     DeflectionFunction,
     transfer_density,
-    inverse_transfer_density,
-    isotropic_source_density,
-    transverse_mass,
     solid_angle_mass,
     EncounterRecord,
     FlipperScene,

@@ -24,7 +24,6 @@ from .errors import PrecisionExhaustedError
 __all__ = [
     "BernoulliState",
     "BernoulliTrajectory",
-    "bernoulli_step",
     "orbit_bits",
     "orbit_rate",
     "bit_sequence_measure",
@@ -101,19 +100,6 @@ class BernoulliState:
             raise PrecisionExhaustedError(
                 f"bit state exhausted after {self.bits.size} steps")
         return int(self.bits[self.pos])
-
-
-def bernoulli_step(state: BernoulliState) -> BernoulliState:
-    """One application of x -> 2x mod 1, exactly."""
-    if state.fraction is not None:
-        x = state.fraction * 2
-        if x >= 1:
-            x -= 1
-        return BernoulliState(fraction=x)
-    if state.pos + 1 > state.bits.size:
-        raise PrecisionExhaustedError(
-            f"bit state exhausted after {state.bits.size} steps")
-    return BernoulliState(bits=state.bits, pos=state.pos + 1)
 
 
 def orbit_bits(x0: RationalLike | BernoulliState, n_steps: int) -> np.ndarray:

@@ -32,7 +32,6 @@ __all__ = [
     "RateResult",
     "RateStatistics",
     "MeasureSpec",
-    "point_mass",
     "outcome_rates",
     "evaluate_rates",
     "ensemble_statistics",
@@ -267,17 +266,6 @@ class MeasureSpec:
         self.sampler = sampler
         self.density = density
         self.name = name
-
-
-def point_mass(point, name: str = "point-mass") -> MeasureSpec:
-    """Measure concentrated on a single boundary point."""
-    p = np.atleast_1d(np.asarray(point, dtype=float))
-
-    def sampler(rng, n):
-        return np.tile(p, (n, 1))
-
-    return MeasureSpec(dimension=p.size, sampler=sampler, density=None,
-                       name=name)
 
 
 # ---------------------------------------------------------------------------

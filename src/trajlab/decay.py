@@ -19,6 +19,21 @@ found by the in-package Brent root (Brent, *Algorithms for Minimization
 without Derivatives*, 1973, ch. 4), and the vertex is the global minimum.
 Conservation of momentum and energy at the vertex are exactly the
 stationarity conditions and are reported as residuals rather than imposed.
+
+The slope has a closed form. By the envelope theorem it is ``E2 + E3 - E1``
+at the best ``x_d``, where momentum balances; splitting the products'
+kinetic energy into centre-of-mass and relative parts gives
+
+    slope(t) = mu |r|^2 / (2 tau2^2)
+               + (m1 - M) (M/m1) |D|^2 / (2 (tau2 + (M/m1) tau1)^2) - Q
+
+with ``M = m2 + m3``, ``mu`` the products' reduced mass, ``Q`` the
+released energy, ``r = x_b2 - x_b3``, ``D`` the products' final centre of
+mass less ``x_a``, ``tau1 = t - t_a`` and ``tau2 = t_b - t``: the
+relative-motion energy plus the centre-of-mass excess over the parent's
+kinetic energy. The Hessian ``[[a I3, b], [b^T, d]]`` has the eigenvalue
+``a`` twice and the two of ``[[a, |b|], [|b|, d]]``, so the curvature check
+at the vertex needs no eigensolver.
 """
 
 from __future__ import annotations
@@ -159,15 +174,37 @@ def action_gradient(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: floa
     return np.concatenate([dp, [de]])
 
 
-def action_hessian(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) -> np.ndarray:
-    x_d = np.asarray(x_d, dtype=float)
-    tau1, tau2, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
+def _hessian_blocks(masses: DecayMasses, tau1, tau2, v1, v2, v3):
+    """Blocks of the Hessian ``[[a I3, b], [b^T, d]]`` in (x_d, t_d)."""
     m1, m2, m3 = masses.m1, masses.m2, masses.m3
     a = m1 / tau1 + (m2 + m3) / tau2
     b = -m1 * v1 / tau1 - (m2 * v2 + m3 * v3) / tau2
     d = (m1 * float(v1 @ v1) / tau1
          + (m2 * float(v2 @ v2) + m3 * float(v3 @ v3)) / tau2)
+    return a, b, d
+
+
+def action_hessian(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) -> np.ndarray:
+    x_d = np.asarray(x_d, dtype=float)
+    a, b, d = _hessian_blocks(masses, *_velocities(masses, boundary, x_d, t_d))
     return np.block([[a * np.eye(3), b[:, None]], [b, d]])
+
+
+def _curvature_range(masses: DecayMasses, tau1, tau2, v1, v2, v3) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the Hessian, in closed form.
+
+    ``[[a I3, b], [b^T, d]]`` has the eigenvalue ``a`` on the plane of x_d
+    orthogonal to ``b`` and the two of ``[[a, |b|], [|b|, d]]`` on the
+    rest. The larger of those two bounds ``a`` and ``d`` from above; the
+    smaller is the determinant over it, which does not cancel the way
+    ``(a + d)/2 - sqrt(...)`` does. Dividing before multiplying keeps the
+    products in range at masses near 1e-165.
+    """
+    a, b, d = _hessian_blocks(masses, tau1, tau2, v1, v2, v3)
+    nb = math.hypot(*b.tolist())
+    lam_max = 0.5 * (a + d) + math.hypot(0.5 * (a - d), nb)
+    lam_min = a * (d / lam_max) - nb * (nb / lam_max)
+    return min(a, lam_min), lam_max
 
 
 def _best_x(masses: DecayMasses, boundary: DecayBoundary, t_d: float) -> np.ndarray:
@@ -179,6 +216,37 @@ def _best_x(masses: DecayMasses, boundary: DecayBoundary, t_d: float) -> np.ndar
     num = (w1 * boundary.x_a
            + (masses.m2 * boundary.x_b2 + masses.m3 * boundary.x_b3) / tau2)
     return num / (w1 + w23)
+
+
+def _reduced_slope(masses: DecayMasses, boundary: DecayBoundary):
+    """The reduced action's slope, the closed form in the module docstring,
+    as a function of the split time on plain floats.
+
+    By the envelope theorem the slope is ``E2 + E3 - E1`` at ``_best_x``.
+    There momentum balances, ``m1 v1 = M V`` with ``V`` the products'
+    centre-of-mass velocity, and ``x_d`` lies on the segment from ``x_a``
+    to the products' final centre of mass, so ``V = D / (tau2 + (M/m1)
+    tau1)``. The products' kinetic energy is ``M |V|^2 / 2`` plus the
+    relative part ``mu |r|^2 / (2 tau2^2)``, and the parent's is
+    ``(M/m1) M |V|^2 / 2``. Both terms rise with ``t``, so the slope does
+    too unless ``r`` and ``D`` both vanish. Each term divides twice by its
+    flight time, not once by its square, which can underflow.
+    """
+    m1, m_prod = masses.m1, masses.product_mass
+    ratio = m_prod / m1
+    centre = ((masses.m2 / m_prod) * boundary.x_b2
+              + (masses.m3 / m_prod) * boundary.x_b3)
+    r, dist = boundary.x_b2 - boundary.x_b3, centre - boundary.x_a
+    kin = 0.5 * masses.reduced_mass * float(r @ r)
+    excess = 0.5 * (m1 - m_prod) * float(dist @ dist) * ratio
+    q, t_a, t_b = masses.released_energy, float(boundary.t_a), float(boundary.t_b)
+
+    def slope(t):
+        tau2 = t_b - t
+        flight = tau2 + ratio * (t - t_a)
+        return kin / tau2 / tau2 + excess / flight / flight - q
+
+    return slope
 
 
 _BRENT_MAXITER = 100  # iterations of _brent_root before it gives up
@@ -236,28 +304,40 @@ def _brent_root(f, lo, hi, xtol):
 def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVertex:
     """Find the interior vertex minimising the action.
 
-    The vertex time is the root of the reduced action's slope, which by the
-    envelope theorem is the time component of the gradient at ``_best_x``,
-    found by the in-package Brent loop :func:`_brent_root`. Raises
-    NoSolutionError when the slope has no sign change inside the interval
-    (the infimum sits on the time boundary) or the root search does not
-    converge, and NotAMinimumError if the curvature check fails at the
-    reported point.
+    The vertex time is the Brent root (:func:`_brent_root`) of the reduced
+    action's slope in closed form (:func:`_reduced_slope`): the products'
+    relative-motion energy plus their centre-of-mass excess over the
+    parent, less the released energy, from the envelope theorem at
+    ``_best_x``. ``x_d``, the action and the velocities come from
+    ``_best_x`` at that time, and the curvature check reads the Hessian's
+    extreme eigenvalues from a 2x2 block (:func:`_curvature_range`).
+
+    Raises NoSolutionError when the span is too short to bracket a time
+    strictly inside it, or the slope overflows at the bracket, has no sign
+    change inside the interval (the infimum sits on the time boundary) or
+    its root search does not converge; and NotAMinimumError if the
+    curvature check fails at the reported point.
     """
-    span = boundary.t_b - boundary.t_a
+    t_a, t_b = boundary.t_a, boundary.t_b
+    span = t_b - t_a
     eps = 1e-9 * span
-    lo, hi = boundary.t_a + eps, boundary.t_b - eps
-
-    def slope(t):
-        return action_gradient(masses, boundary,
-                               _best_x(masses, boundary, t), t)[3]
-
-    if not slope(lo) < 0:
+    lo, hi = t_a + eps, t_b - eps
+    if not t_a < lo < hi < t_b:
+        raise NoSolutionError(
+            f"time interval ({t_a!r}, {t_b!r}) is too short to bracket a "
+            "split time strictly inside it in floating point")
+    slope = _reduced_slope(masses, boundary)
+    s_lo, s_hi = slope(lo), slope(hi)
+    if not (math.isfinite(s_lo) and math.isfinite(s_hi)):
+        raise NoSolutionError(
+            "the reduced action's slope overflows at the ends of the time "
+            "interval: the endpoints are too far apart for its length")
+    if not s_lo < 0:
         raise NoSolutionError(
             "endpoint data admits no interior split: the products would need "
             "more kinetic energy than the decay releases, so the action is "
             "minimised by splitting immediately")
-    if not slope(hi) > 0:
+    if not s_hi > 0:
         raise NoSolutionError(
             "endpoint data admits no interior split: the action keeps falling "
             "all the way to the final time")
@@ -268,21 +348,19 @@ def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVer
         raise NoSolutionError(
             f"split-time root search did not converge in {_BRENT_MAXITER} "
             "iterations")
-    x_d = _best_x(masses, boundary, t_d)
-
-    if t_d - boundary.t_a < 10 * eps or boundary.t_b - t_d < 10 * eps:
+    if t_d - t_a < 10 * eps or t_b - t_d < 10 * eps:
         raise NoSolutionError(
             "least-action split time collapsed onto the interval boundary; "
             "the endpoint data admits no interior decay vertex")
 
-    h = action_hessian(masses, boundary, x_d, t_d)
-    eigs = np.linalg.eigvalsh(h)
-    if float(eigs.min()) < -1e-8 * max(float(eigs.max()), 1.0):
+    x_d = _best_x(masses, boundary, t_d)
+    tau1, tau2, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
+    lam_min, lam_max = _curvature_range(masses, tau1, tau2, v1, v2, v3)
+    if lam_min < -1e-8 * max(lam_max, 1.0):
         raise NotAMinimumError(
             f"stationary point has negative curvature (min eigenvalue "
-            f"{eigs.min():.3e}); not an action minimum")
+            f"{lam_min:.3e}); not an action minimum")
 
-    _, _, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
     return DecayVertex(x_d=x_d, t_d=float(t_d),
                        action=decay_action(masses, boundary, x_d, t_d),
                        v1=v1, v2=v2, v3=v3)

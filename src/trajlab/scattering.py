@@ -42,9 +42,6 @@ __all__ = [
     "deflection_angle",
     "DeflectionFunction",
     "transfer_density",
-    "inverse_transfer_density",
-    "isotropic_source_density",
-    "transverse_mass",
     "solid_angle_mass",
     "FlipperScene",
     "random_scene",
@@ -153,7 +150,7 @@ class ScreenedCoulomb(Potential):
 
 _RTOL = 8.9e-16  # root finders stop within four ulps
 _N_NODES = 256  # Gauss-Legendre nodes of the deflection integral
-_DIFF_STEP = 1e-6  # relative step of the central differences in theta and s
+_DIFF_STEP = 1e-6  # relative step of the central differences in theta
 _MIN_SPACING = 10.0  # least flipper center spacing, in action ranges
 _PACKING = 0.5  # n_centers * d_min^3 / cell volume of a random scene
 _MAX_TRIES = 100_000  # placement attempts before a random scene gives up
@@ -384,52 +381,6 @@ def transfer_density(source_density: Callable[[float], float],
     s, dsdth = deflection._inverse_and_slope(theta)
     rho_a = np.array([float(source_density(v)) for v in s.tolist()])
     return rho_a * (s / np.sin(theta)) * np.abs(dsdth)
-
-
-def inverse_transfer_density(target_density: Callable[[float], float],
-                             deflection: DeflectionFunction,
-                             s_grid: np.ndarray) -> np.ndarray:
-    """Pull a solid-angle density back to the transverse plane.
-
-    Inverse Jacobian of :func:`transfer_density`; the round trip reproduces
-    the source density (tested), which is what licenses using either route.
-    """
-    s = np.asarray(s_grid, dtype=float)
-    h = _DIFF_STEP * np.maximum(1.0, s)
-    th, th_p, th_m = np.split(deflection(
-        np.concatenate([s, s + h, np.maximum(s - h, 0.0)])), 3)
-    dthds = (th_p - th_m) / (h + np.minimum(h, s))
-    rho_b = np.array([float(target_density(v)) for v in th.tolist()])
-    return rho_b * (np.sin(th) / s) * np.abs(dthds)
-
-
-def isotropic_source_density(deflection: DeflectionFunction) -> Callable:
-    """Transverse density whose transfer is uniform on the sphere.
-
-    Returns rho_a with unit total mass: rho_a(s) = (sin theta / s) *
-    |dtheta/ds| / (4 pi). For a hard sphere this is the uniform disk
-    1/(pi R^2).
-    """
-
-    def rho_a(s: float) -> float:
-        s = float(s)
-        if s <= 0.0 or s >= deflection.s_max:
-            return 0.0
-        h = 1e-6 * max(1.0, s)
-        lo = max(s - h, 1e-12)
-        dthds = (deflection(s + h) - deflection(lo)) / (s + h - lo)
-        th = deflection(s)
-        return math.sin(th) / s * abs(dthds) / (4.0 * math.pi)
-
-    return rho_a
-
-
-def transverse_mass(density: Callable[[float], float], s_max: float,
-                    n: int = 4096) -> float:
-    """Total mass 2 pi \\int rho(s) s ds on (0, s_max]."""
-    s = np.linspace(0.0, s_max, n)[1:]
-    vals = np.array([float(density(si)) for si in s])
-    return 2.0 * math.pi * float(np.trapezoid(vals * s, s))
 
 
 def solid_angle_mass(density_on_grid: np.ndarray, theta_grid: np.ndarray) -> float:

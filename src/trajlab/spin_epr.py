@@ -33,7 +33,6 @@ from .core import PiecewiseTrajectory, Segment
 from .errors import IntegrationError, UnconditionedSettingError, ZeroFieldError
 
 __all__ = [
-    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULI",
     "SpinVariable", "PhysicalConstants", "SGDevice",
     "align_spin", "propagate_sg", "branch_weights",
     "singlet_measure", "global_epr_measure", "epr_conditional_probabilities",
@@ -41,11 +40,6 @@ __all__ = [
     "sample_epr_counts", "chsh_estimate",
     "deterministic_strategies", "chsh_of_strategy",
 ]
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trajlab import bernoulli
-from trajlab.bernoulli import (BernoulliState, bernoulli_step, orbit_bits,
+from trajlab.bernoulli import (BernoulliState, orbit_bits,
                                orbit_rate, BernoulliTrajectory,
                                bit_sequence_measure,
                                biased_measure, lebesgue_ensemble_rate)
@@ -19,15 +19,6 @@ class TestState:
         with pytest.raises(TypeError):
             BernoulliState(fraction=0.3)
 
-    def test_rational_step_is_exact(self):
-        s = BernoulliState.from_rational(Fraction(2, 7))
-        s = bernoulli_step(s)
-        assert s.value() == Fraction(4, 7)
-        s = bernoulli_step(s)
-        assert s.value() == Fraction(1, 7)
-        s = bernoulli_step(s)
-        assert s.value() == Fraction(2, 7)
-
     def test_leading_bit_thresholds(self):
         assert BernoulliState.from_rational(Fraction(2, 7)).leading_bit() == 0
         assert BernoulliState.from_rational(Fraction(4, 7)).leading_bit() == 1
@@ -36,13 +27,13 @@ class TestState:
     def test_bit_state_steps_by_shifting(self):
         s = BernoulliState.from_bits([1, 0, 1])
         assert s.leading_bit() == 1
-        s = bernoulli_step(s)
+        s = BernoulliState(bits=s.bits, pos=s.pos + 1)
         assert s.leading_bit() == 0
         assert s.remaining_bits == 2
 
     def test_bit_state_exhausts(self):
         s = BernoulliState.from_bits([1])
-        s = bernoulli_step(s)
+        s = BernoulliState(bits=s.bits, pos=s.pos + 1)
         with pytest.raises(PrecisionExhaustedError):
             s.leading_bit()
 
@@ -79,7 +70,7 @@ class TestOrbitRate:
         state, expected = BernoulliState.from_rational(x), []
         for _ in range(64):
             expected.append(state.leading_bit())
-            state = bernoulli_step(state)
+            state = BernoulliState.from_rational(2 * state.value())
         assert orbit_bits(x, 64).tolist() == expected
         assert orbit_rate(x, 64) == Fraction(sum(expected), 64)
 

@@ -446,6 +446,22 @@ class TestBigbangAtRest:
         assert not out.exists()
 
 
+class TestDecayTimeEdges:
+    # 1e-9 of a 1e-8 span is below one ulp of t_a, so the bracket's lower
+    # end would sit on t_a; at t_b = 1e-300 the slope overflows
+    @pytest.mark.parametrize("times", [{"t_a": 9.99999999},
+                                       {"t_b": 1.0e-300}])
+    def test_degenerate_interval_exits_1(self, tmp_path, capsys, times):
+        cfg = write_config(tmp_path / "cfg.yaml", "decay",
+                           parameters=times, seed=1)
+        out = tmp_path / "o"
+        assert run(["run", "decay", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error [NoSolutionError]")
+        assert "\n" not in err
+        assert not out.exists()
+
+
 def refuse_to_integrate(*args, **kwargs):
     raise AssertionError("the schedule was not refused before integrating")
 

@@ -6,7 +6,7 @@ import pytest
 from trajlab.core import (Segment, PiecewiseTrajectory,
                           evaluate_rates, ensemble_statistics, outcome_rates,
                           BUILD_BLOCK,
-                          is_well_defined, MeasureSpec, point_mass,
+                          is_well_defined, MeasureSpec,
                           check_determinism)
 from trajlab.decay import DecayMasses, rest_decay_family
 from trajlab.errors import NoTrialsError, EmptyEnsembleError
@@ -264,14 +264,6 @@ class TestOutcomeMatrix:
         for i in (0, BUILD_BLOCK - 1, BUILD_BLOCK, 2 * BUILD_BLOCK + 4):
             assert drawn[i] == self.measure.sampler(trajectory_stream(4, i),
                                                     1)[0, 0]
-
-
-class TestMeasures:
-    def test_point_mass_sampler(self):
-        m = point_mass([1.0, -2.0])
-        pts = m.sampler(stream(0), 7)
-        assert pts.shape == (7, 2)
-        assert np.all(pts == [1.0, -2.0])
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from trajlab import decay
-from trajlab.core import MeasureSpec, check_determinism, point_mass
+from trajlab.core import MeasureSpec, check_determinism
 from trajlab.decay import (
     DecayBoundary,
     DecayMasses,
@@ -228,12 +228,8 @@ def _slope_root_problem(masses, boundary):
     """The reduced-action slope, bracket and tolerance solve_decay_vertex uses."""
     span = boundary.t_b - boundary.t_a
     eps = 1e-9 * span
-
-    def slope(t):
-        x = decay._best_x(masses, boundary, t)
-        return action_gradient(masses, boundary, x, t)[3]
-
-    return (slope, boundary.t_a + eps, boundary.t_b - eps,
+    return (decay._reduced_slope(masses, boundary),
+            boundary.t_a + eps, boundary.t_b - eps,
             4 * np.finfo(float).eps * span)
 
 
@@ -290,6 +286,37 @@ class TestBrentRoot:
         monkeypatch.setattr(decay, "_BRENT_MAXITER", 1)
         with pytest.raises(NoSolutionError, match="did not converge"):
             solve_decay_vertex(MASSES, boundary)
+
+
+class TestClosedFormKernel:
+    """The closed forms solve_decay_vertex runs on agree with the general
+    gradient and Hessian they replace."""
+
+    def test_slope_matches_time_gradient(self):
+        for masses, boundary in TestBrentRoot.cases():
+            slope = decay._reduced_slope(masses, boundary)
+            span = boundary.t_b - boundary.t_a
+            for k in range(1, 10):
+                t = boundary.t_a + span * k / 10
+                x = decay._best_x(masses, boundary, t)
+                _, _, v1, v2, v3 = decay._velocities(masses, boundary, x, t)
+                # every term of E2 + E3 - E1, rest energies included
+                scale = sum(m * (0.5 * float(v @ v) + masses.c ** 2)
+                            for m, v in ((masses.m1, v1), (masses.m2, v2),
+                                         (masses.m3, v3)))
+                ref = action_gradient(masses, boundary, x, t)[3]
+                assert abs(slope(t) - ref) <= 1e-12 * scale
+
+    def test_curvature_range_matches_eigvalsh(self):
+        for masses, boundary in TestBrentRoot.cases():
+            vertex = solve_decay_vertex(masses, boundary)
+            eigs = np.linalg.eigvalsh(action_hessian(
+                masses, boundary, vertex.x_d, vertex.t_d))
+            lam_min, lam_max = decay._curvature_range(
+                masses, *decay._velocities(masses, boundary, vertex.x_d,
+                                           vertex.t_d))
+            assert abs(lam_min - eigs.min()) <= 1e-12 * eigs.max()
+            assert abs(lam_max - eigs.max()) <= 1e-12 * eigs.max()
 
 
 class TestSymmetricClosedForm:
@@ -414,12 +441,16 @@ class TestLifeMeasures:
         assert abs(est - 1.0) < 4.0 * se
 
     def test_point_mass_exact(self):
-        est, se = mean_life(point_mass([1.25]), n_samples=500, seed=0)
+        point = MeasureSpec(dimension=1,
+                            sampler=lambda rng, n: np.full((n, 1), 1.25))
+        est, se = mean_life(point, n_samples=500, seed=0)
         assert est == 1.25 and se == 0.0
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
-            mean_life(point_mass([1.0, 2.0]))
+            mean_life(MeasureSpec(
+                dimension=2,
+                sampler=lambda rng, n: np.tile([1.0, 2.0], (n, 1))))
 
     def test_rejects_negative_times(self):
         bad = MeasureSpec(dimension=1,

@@ -12,7 +12,6 @@ from trajlab.errors import (
     ZeroFieldError,
 )
 from trajlab.spin_epr import (
-    PAULI,
     PhysicalConstants,
     SGDevice,
     SpinVariable,
@@ -32,6 +31,8 @@ from trajlab.spin_epr import (
     singlet_measure,
 )
 
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                 dtype=complex)
 UP = SpinVariable(np.array([1.0 + 0j, 0.0 + 0j]))
 
 DEVICE = SGDevice(entry_x=1.0, exit_x=2.0, base_field=0.5, gradient=2.0,
