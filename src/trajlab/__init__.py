@@ -10,7 +10,6 @@ from .errors import (
     TrajlabError,
     NoTrialsError,
     EmptyEnsembleError,
-    PrecisionExhaustedError,
     IntegrationError,
     NoSolutionError,
     NotAMinimumError,
@@ -33,7 +32,6 @@ from .core import (
 )
 from .rng import stream, trajectory_stream, trajectory_streams
 from .bernoulli import (
-    BernoulliState,
     orbit_bits,
     orbit_rate,
     BernoulliTrajectory,

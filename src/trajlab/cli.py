@@ -45,16 +45,20 @@ class ScenarioConfig:
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads exponents without a dot (``1e-8``) as floats.
+    """SafeLoader that reads every exponent form (``1e-8``, ``1.0e10``,
+    ``.5e3``) as a float.
 
-    YAML 1.1, which PyYAML implements, needs a dot in a float, so the plain
-    SafeLoader reads ``1e-8`` as a string. Quoted scalars stay strings.
+    YAML 1.1, which PyYAML implements, needs a dot and a signed exponent in
+    a float, so the plain SafeLoader reads ``1e-8`` and ``1.0e10`` as
+    strings. Quoted scalars stay strings.
     """
 
 
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"), list("-+0123456789"))
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)"
+               r"[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
 
 
 def _construct_scalar(node):
@@ -218,9 +222,7 @@ def render_scenario_listing() -> str:
                 kind += f" >= {p.min}"
             if p.above is not None:
                 kind += f" > {p.above}"
-            if p.required:
-                d = "required"
-            elif isinstance(p.default, float):
+            if isinstance(p.default, float):
                 d = f"default {p.default:g}"
             else:
                 d = f"default {p.default}"

@@ -405,10 +405,13 @@ def _product_velocities(masses: DecayMasses, v1: np.ndarray, w_hat: np.ndarray):
     return v2, v3
 
 
+_T_MARGIN = 0.05  # share of [t_a, t_b] at each end sample_boundary avoids
+
+
 def sample_boundary(masses: DecayMasses, rng: np.random.Generator,
                     t_b: float = 10.0, t_a: float = 0.0,
                     x_a=None, speed_fraction: float = 0.5,
-                    t_margin: float = 0.05) -> tuple[DecayBoundary, float]:
+                    ) -> tuple[DecayBoundary, float]:
     """Draw endpoint data by running a kinematically consistent decay forward.
 
     Returns the boundary and the split time that generated it; the least
@@ -424,7 +427,7 @@ def sample_boundary(masses: DecayMasses, rng: np.random.Generator,
     v1 = d1 * (speed_fraction * v_cap * rng.random())
     w_hat = rng.normal(size=3)
     w_hat /= np.linalg.norm(w_hat)
-    t_d = t_a + span * (t_margin + (1.0 - 2.0 * t_margin) * rng.random())
+    t_d = t_a + span * (_T_MARGIN + (1.0 - 2.0 * _T_MARGIN) * rng.random())
     x_d = x_a + v1 * (t_d - t_a)
     v2, v3 = _product_velocities(masses, v1, w_hat)
     tau2 = t_b - t_d

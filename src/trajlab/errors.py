@@ -13,10 +13,6 @@ class EmptyEnsembleError(TrajlabError):
     """Every trajectory in the ensemble was excluded by the trial-count floor."""
 
 
-class PrecisionExhaustedError(TrajlabError):
-    """A finite-precision state ran out of digits before the requested step."""
-
-
 class IntegrationError(TrajlabError):
     """A numerical integration failed to reach the requested accuracy or region."""
 

@@ -204,7 +204,6 @@ class ScreenDensity:
 
     window: tuple[float, float]
     profile: Callable[[np.ndarray], np.ndarray]
-    fringe_spacing: float | None = None
     name: str = ""
     _norm: float = 1.0
 
@@ -218,14 +217,12 @@ class ScreenDensity:
         return out
 
     @staticmethod
-    def normalized(window, profile, fringe_spacing=None,
-                   name="") -> "ScreenDensity":
+    def normalized(window, profile, name="") -> "ScreenDensity":
         xs = np.linspace(window[0], window[1], _NORM_GRID)
         mass = float(np.trapezoid(profile(xs), xs))
         if not (math.isfinite(mass) and mass > 0):
             raise ValueError("screen profile must have positive finite mass")
-        return ScreenDensity(window=tuple(window), profile=profile,
-                             fringe_spacing=fringe_spacing, name=name,
+        return ScreenDensity(window=tuple(window), profile=profile, name=name,
                              _norm=mass)
 
 
@@ -267,8 +264,7 @@ def fringe_target_density(scene: BiprismScene) -> ScreenDensity:
     def profile(x):
         return env(x) * (1.0 + np.cos(2.0 * math.pi * x / spacing))
 
-    return ScreenDensity.normalized((lo, hi), profile,
-                                    fringe_spacing=spacing, name="fringes")
+    return ScreenDensity.normalized((lo, hi), profile, name="fringes")
 
 
 def envelope_target_density(scene: BiprismScene) -> ScreenDensity:
@@ -652,15 +648,14 @@ def asymptotic_velocity(system: NBodySystem, velocities, t_max: float,
                                     converged=gap() < tolerance)
 
 
-def free_quantum_momentum_measure(boxes, masses,
-                                  normalization: float | None = None) -> float:
+def free_quantum_momentum_measure(boxes, masses) -> float:
     """Measure of a union of velocity boxes under mass scaling.
 
     Each particle's velocity block is scaled by its mass (velocity boxes
     become momentum boxes), the scaled volumes add, and the total is
-    multiplied by ``normalization`` (default (2 pi)^(-3N)). The result is
-    proportional to the momentum-space volume: additive over disjoint
-    boxes, translation invariant, and scaling as the cube of each mass.
+    multiplied by (2 pi)^(-3N). The result is proportional to the
+    momentum-space volume: additive over disjoint boxes, translation
+    invariant, and scaling as the cube of each mass.
     """
     masses = np.asarray(masses, dtype=float)
     if masses.ndim != 1 or np.any(masses <= 0):
@@ -668,8 +663,6 @@ def free_quantum_momentum_measure(boxes, masses,
     n = len(masses)
     dim = 3 * n
     per_dim_mass = np.repeat(masses, 3)
-    if normalization is None:
-        normalization = (2.0 * math.pi) ** (-dim)
 
     parsed = []
     for k, (lo, hi) in enumerate(boxes):
@@ -695,7 +688,7 @@ def free_quantum_momentum_measure(boxes, masses,
     total = 0.0
     for lo, hi in parsed:
         total += float(np.prod(per_dim_mass * (hi - lo)))
-    return normalization * total
+    return (2.0 * math.pi) ** (-dim) * total
 
 
 @dataclass(frozen=True)

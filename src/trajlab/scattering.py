@@ -813,26 +813,23 @@ class FlipperResult:
     n_outcomes: int
 
 
-def flipper_cross_section(scene: FlipperScene, source_measure=None,
-                          n_outcomes: int = 8, n_traj: int = 1000,
-                          n_min_trials: int = 1, seed: int = 0,
-                          n_encounters: int = 20,
+def flipper_cross_section(scene: FlipperScene, n_outcomes: int = 8,
+                          n_traj: int = 1000, n_min_trials: int = 1,
+                          seed: int = 0, n_encounters: int = 20,
                           max_path_length: float | None = None) -> FlipperResult:
     """Binned encounter rates over an ensemble, scaled to cross sections.
 
-    Draws entry states from ``source_measure`` (isotropic over the cell by
-    default), integrates each trajectory through ``n_encounters``
-    encounters, classifies every signed deflection into ``n_outcomes``
-    equal angle bins, and reports mean rates, their spread, and the
-    per-bin cross sections ``f_i * pi * r0^2``. Trajectories with fewer
-    than ``n_min_trials`` encounters are excluded from the statistics.
+    Draws entry states isotropically over the cell (:func:`entry_measure`),
+    integrates each trajectory through ``n_encounters`` encounters,
+    classifies every signed deflection into ``n_outcomes`` equal angle bins,
+    and reports mean rates, their spread, and the per-bin cross sections
+    ``f_i * pi * r0^2``. Trajectories with fewer than ``n_min_trials``
+    encounters are excluded from the statistics.
     """
     from .core import ensemble_statistics
 
-    if source_measure is None:
-        source_measure = entry_measure(scene)
     stats = ensemble_statistics(
-        source_measure,
+        entry_measure(scene),
         flipper_outcome_builder(scene, n_outcomes, n_encounters,
                                 max_path_length),
         n_outcomes, n_trajectories=n_traj, n_min_trials=n_min_trials,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import SchemaError
 from .core import is_well_defined
-from .bernoulli import (BernoulliState, orbit_bits, orbit_rate,
-                        bit_sequence_measure, lebesgue_ensemble_rate)
+from .bernoulli import (orbit_bits, orbit_rate, bit_sequence_measure,
+                        lebesgue_ensemble_rate)
 from .scattering import (HardSphere, RepulsivePower, ScreenedCoulomb,
                          DeflectionFunction, transfer_density,
                          solid_angle_mass, random_scene, bin_edges,
@@ -41,12 +41,10 @@ from .interference import (BiprismScene, fringe_target_density,
                            CompactBumpPotential, NBodySystem,
                            asymptotic_velocity)
 
-REQUIRED = object()
-
 
 @dataclass(frozen=True)
 class Param:
-    """One schema entry: a kind tag, a default (or REQUIRED), and help text.
+    """One schema entry: a kind tag, a default, and help text.
 
     ``min`` is the smallest value an integer may take, and ``above`` names
     a parameter the value must exceed; runs that break either are refused
@@ -54,15 +52,11 @@ class Param:
     """
 
     kind: str
-    default: Any = REQUIRED
+    default: Any
     help: str = ""
     choices: tuple[str, ...] | None = None
     min: int | None = None
     above: str | None = None
-
-    @property
-    def required(self) -> bool:
-        return self.default is REQUIRED
 
 
 def _check_value(spec: Param, value, path: tuple[str, ...], lines):
@@ -89,10 +83,6 @@ def _check_value(spec: Param, value, path: tuple[str, ...], lines):
         return int(value)
     if k == "float":
         return as_number(value, "value")
-    if k == "bool":
-        if not isinstance(value, bool):
-            fail(f"expected true/false, got {value!r}")
-        return bool(value)
     if k == "str":
         if not isinstance(value, str):
             fail(f"expected a string, got {value!r}")
@@ -123,9 +113,9 @@ def validate_params(schema: dict[str, Param], data, lines=None,
                     base: tuple[str, ...] = ("parameters",)) -> dict:
     """Resolve a raw parameter mapping against a schema.
 
-    Unknown keys, missing required keys, and type mismatches raise
-    :class:`SchemaError` carrying the key path and, when the mapping came
-    from a file, the offending line.
+    Unknown keys and type mismatches raise :class:`SchemaError` carrying
+    the key path and, when the mapping came from a file, the offending
+    line.
     """
     lines = lines or {}
     if data is None:
@@ -141,9 +131,6 @@ def validate_params(schema: dict[str, Param], data, lines=None,
     resolved = {}
     for key, spec in schema.items():
         if key not in data:
-            if spec.required:
-                raise SchemaError(f"missing required parameter {key!r}",
-                                  key_path=".".join(base + (key,)))
             resolved[key] = spec.default
         else:
             resolved[key] = _check_value(spec, data[key], base + (key,), lines)
@@ -204,9 +191,9 @@ def _run_bernoulli(p, seed, out: OutputBundle):
     stats = lebesgue_ensemble_rate(
         p["n_traj"], n_steps, seed=seed,
         measure=bit_sequence_measure(n_steps, p["bias"]))
-    bits = orbit_bits(Fraction(p["orbit_numerator"], p["orbit_denominator"]),
-                      p["orbit_steps"])
-    frac = orbit_rate(BernoulliState.from_bits(bits), p["orbit_steps"])
+    x0 = Fraction(p["orbit_numerator"], p["orbit_denominator"])
+    bits = orbit_bits(x0, p["orbit_steps"])
+    frac = orbit_rate(x0, p["orbit_steps"])
     out.add_csv("results.csv", ("quantity", "value"), [
         ("yes_rate_mean", float(stats.mean[1])),
         ("yes_rate_spread", math.sqrt(float(stats.variance[1]))),

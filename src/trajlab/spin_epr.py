@@ -8,7 +8,7 @@ branch choice is where indeterminism enters; measures over branches (not
 dynamics) carry the statistics.
 
 A Stern-Gerlach device is modelled as a uniform-gradient slab: field
-(B0 + g z) along a fixed transverse axis inside, zero outside. The force
+(B0 + g z) along the transverse axis z inside, zero outside. The force
 on an aligned branch is -(sign) mu grad|B|, constant inside the slab, and
 the field steps at the slab faces act as longitudinal potential kicks, so
 total energy (kinetic plus (sign) mu |B|) is conserved exactly across the
@@ -24,7 +24,7 @@ combination, while the singlet weights reach 2 sqrt 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -76,31 +76,18 @@ class PhysicalConstants:
 class SGDevice:
     """Uniform-gradient slab between two planes normal to the beam axis x.
 
-    Inside entry_x <= x <= exit_x the field is (base_field + gradient * u)
-    along ``orientation``, with u the position component along that axis;
-    outside it is zero. ``screen_x`` is the detection plane downstream;
-    None puts it one slab length past the exit plane.
+    Inside entry_x <= x <= exit_x the field is (base_field + gradient * z)
+    along z; outside it is zero. ``screen_x`` is the detection plane
+    downstream; None puts it one slab length past the exit plane.
     """
 
     entry_x: float
     exit_x: float
     base_field: float
     gradient: float
-    orientation: np.ndarray = dataclass_field(
-        default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     screen_x: float | None = None
 
     def __post_init__(self):
-        u = np.asarray(self.orientation, dtype=float)
-        if u.shape != (3,):
-            raise ValueError("orientation must be a 3-vector")
-        n = float(np.linalg.norm(u))
-        if n == 0:
-            raise ValueError("orientation must be nonzero")
-        u = u / n
-        if abs(u[0]) > 1e-12:
-            raise ValueError("orientation must be perpendicular to the beam axis x")
-        object.__setattr__(self, "orientation", u)
         if not self.exit_x > self.entry_x:
             raise ValueError(f"exit plane {self.exit_x} must lie beyond entry "
                              f"plane {self.entry_x}")
@@ -115,6 +102,11 @@ class SGDevice:
         if not self.exit_x <= self.screen_x < math.inf:
             raise ValueError(f"screen must sit at or beyond the exit plane, "
                              f"at a finite x; got {self.screen_x}")
+
+    @property
+    def orientation(self) -> np.ndarray:
+        """The field axis, z."""
+        return np.array([0.0, 0.0, 1.0])
 
     @property
     def length(self) -> float:

@@ -1,49 +1,43 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from trajlab import bernoulli
-from trajlab.bernoulli import (BernoulliState, orbit_bits,
-                               orbit_rate, BernoulliTrajectory,
+from trajlab.bernoulli import (orbit_bits, orbit_rate, BernoulliTrajectory,
                                bit_sequence_measure,
                                biased_measure, lebesgue_ensemble_rate)
 from trajlab.core import evaluate_rates, is_well_defined
-from trajlab.errors import PrecisionExhaustedError
 from trajlab.rng import stream, trajectory_stream
+
+
+def dyadic(row):
+    """The dyadic rational whose binary digits are ``row``."""
+    return Fraction(int("".join(map(str, row)), 2), 2 ** len(row))
 
 
 class TestState:
     def test_float_states_forbidden(self):
-        with pytest.raises(TypeError):
-            BernoulliState(fraction=0.3)
+        for x in (0.3, np.float64(0.3)):
+            with pytest.raises(TypeError):
+                orbit_bits(x, 8)
+            with pytest.raises(TypeError):
+                orbit_rate(x, 8)
+            with pytest.raises(TypeError):
+                BernoulliTrajectory(x, 8)
 
     def test_leading_bit_thresholds(self):
-        assert BernoulliState.from_rational(Fraction(2, 7)).leading_bit() == 0
-        assert BernoulliState.from_rational(Fraction(4, 7)).leading_bit() == 1
-        assert BernoulliState.from_rational(Fraction(1, 2)).leading_bit() == 1
-
-    def test_bit_state_steps_by_shifting(self):
-        s = BernoulliState.from_bits([1, 0, 1])
-        assert s.leading_bit() == 1
-        s = BernoulliState(bits=s.bits, pos=s.pos + 1)
-        assert s.leading_bit() == 0
-        assert s.remaining_bits == 2
-
-    def test_bit_state_exhausts(self):
-        s = BernoulliState.from_bits([1])
-        s = BernoulliState(bits=s.bits, pos=s.pos + 1)
-        with pytest.raises(PrecisionExhaustedError):
-            s.leading_bit()
-
-    def test_bit_state_value(self):
-        s = BernoulliState.from_bits([1, 0, 1])
-        assert s.value() == Fraction(5, 8)
+        assert orbit_bits(Fraction(2, 7), 1)[0] == 0
+        assert orbit_bits(Fraction(4, 7), 1)[0] == 1
+        assert orbit_bits(Fraction(1, 2), 1)[0] == 1
 
     def test_wraps_into_unit_interval(self):
-        s = BernoulliState.from_rational(Fraction(9, 7))
-        assert s.value() == Fraction(2, 7)
+        assert BernoulliTrajectory(Fraction(9, 7), 1).x0 == Fraction(2, 7)
+        assert BernoulliTrajectory(Fraction(-5, 7), 1).x0 == Fraction(2, 7)
+
+    def test_accepts_int_and_string_starts(self):
+        assert orbit_rate("2/7", 3) == Fraction(1, 3)
+        assert orbit_rate(3, 5) == 0
 
 
 class TestOrbitRate:
@@ -59,53 +53,34 @@ class TestOrbitRate:
         # 1/4 -> 1/2 -> 0 -> 0 ...; yes appears exactly once
         assert orbit_rate(Fraction(1, 4), 100) == Fraction(1, 100)
 
-    def test_bit_state_rate_counts_bits(self):
-        bits = [1, 1, 0, 1]
-        assert orbit_rate(BernoulliState.from_bits(bits), 4) == Fraction(3, 4)
-
     @pytest.mark.parametrize("x", [Fraction(2, 7), Fraction(5, 13),
                                    Fraction(0), Fraction(1, 2),
                                    Fraction(9, 7), Fraction(1, 1024)])
     def test_integer_orbit_matches_state_steps(self, x):
-        state, expected = BernoulliState.from_rational(x), []
+        # step the map on whole Fractions, reading x >= 1/2 each time
+        state, expected = x % 1, []
         for _ in range(64):
-            expected.append(state.leading_bit())
-            state = BernoulliState.from_rational(2 * state.value())
+            expected.append(int(state >= Fraction(1, 2)))
+            state = 2 * state % 1
         assert orbit_bits(x, 64).tolist() == expected
         assert orbit_rate(x, 64) == Fraction(sum(expected), 64)
-
-    def test_bit_state_runs_out(self):
-        with pytest.raises(PrecisionExhaustedError):
-            orbit_rate(BernoulliState.from_bits([1, 0]), 5)
 
 
 class TestTrajectory:
     def test_threshold_outcomes_match_bits(self):
         bits = [1, 0, 0, 1, 1]
-        tr = BernoulliTrajectory(BernoulliState.from_bits(bits))
-        seq = orbit_bits(tr.state, tr.n_steps)
-        assert list(seq) == bits
+        tr = BernoulliTrajectory(dyadic(bits), len(bits))
+        assert list(orbit_bits(tr.x0, tr.n_steps)) == bits
         # the leading bit is the threshold observation x >= 1/2
         assert [int(tr.evaluate(k)[0] >= 0.5)
                 for k in range(tr.n_steps)] == bits
 
     def test_rational_trajectory_needs_horizon(self):
-        with pytest.raises(ValueError):
-            BernoulliTrajectory(BernoulliState.from_rational(Fraction(2, 7)))
-
-    def test_rational_and_bit_paths_agree(self):
-        # the same dyadic start expressed both ways gives the same outcomes
-        bits = [0, 1, 1, 0, 1, 0, 0, 1]
-        frac = sum(Fraction(b, 2 ** (k + 1)) for k, b in enumerate(bits))
-        tr_bits = BernoulliTrajectory(BernoulliState.from_bits(bits))
-        tr_frac = BernoulliTrajectory(BernoulliState.from_rational(frac),
-                                      n_steps=len(bits))
-        assert list(orbit_bits(tr_bits.state, tr_bits.n_steps)) == \
-            list(orbit_bits(tr_frac.state, tr_frac.n_steps))
+        with pytest.raises(TypeError):
+            BernoulliTrajectory(Fraction(2, 7))
 
     def test_rates_via_core(self):
-        rr = evaluate_rates(orbit_bits(BernoulliState.from_bits([1, 1, 0, 1]),
-                                       4), 2)
+        rr = evaluate_rates(orbit_bits(dyadic([1, 1, 0, 1]), 4), 2)
         assert rr.rates[1] == pytest.approx(0.75)
 
 
@@ -155,7 +130,7 @@ class TestEnsembleRates:
         # reduced the same way, give bitwise the same statistics
         n_steps, measure = 60, biased_measure(0.7, 80)
         stats = lebesgue_ensemble_rate(300, n_steps, seed=5, measure=measure)
-        R = np.asarray([evaluate_rates(orbit_bits(BernoulliState.from_bits(
+        R = np.asarray([evaluate_rates(orbit_bits(dyadic(
             measure.sampler(trajectory_stream(5, i), 1)[0]), n_steps),
             2).rates for i in range(300)])
         mean = R.mean(axis=0)
@@ -173,7 +148,7 @@ class TestEnsembleRates:
         block = builder(points)
         assert block.shape == (16, 30)
         for bits, row in zip(points, block):
-            alone = orbit_bits(BernoulliState.from_bits(bits), 30)
+            alone = orbit_bits(dyadic(bits), 30)
             assert np.array_equal(row, alone)
 
     def test_measure_must_cover_steps(self):

@@ -416,6 +416,11 @@ class TestFloatSyntax:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["tolerance"] == 1e-5
+        # a dot with an unsigned exponent, or no digit before the dot
+        for text in ("1.0e10", "-1.0e300", ".5e3", "2.5E-3", "1.6777216e7"):
+            cfg = tmp_path / "num.yaml"
+            cfg.write_text(f"x: {text}\n")
+            assert cli.load_config(str(cfg))[0] == {"x": float(text)}
 
     def test_quoted_exponent_stays_a_string(self, tmp_path, capsys):
         code, out = self._bigbang(tmp_path, '"1e-5"')

@@ -612,11 +612,6 @@ class TestMomentumMeasure:
                                                 [2.0, 2.0])
         assert doubled == pytest.approx(base * 2.0 ** 6, rel=1e-12)
 
-    def test_custom_normalisation_gives_volume(self):
-        val = free_quantum_momentum_measure([(self.LO, self.HI)], [1.0, 1.0],
-                                            normalization=1.0)
-        assert val == 1.0
-
     def test_rejections(self):
         with pytest.raises(ValueError):
             free_quantum_momentum_measure([(self.LO, self.HI * math.inf)],
