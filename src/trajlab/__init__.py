@@ -104,6 +104,7 @@ from .interference import (
     ScreenDensity,
     fringe_target_density,
     envelope_target_density,
+    EmissionMeasure,
     emission_measure_from_screen,
     screen_density_from_emission,
     fringe_visibility,

@@ -95,17 +95,7 @@ def bit_sequence_measure(n_steps: int, p_one: float = 0.5) -> MeasureSpec:
     def sampler(rng, n):
         return (rng.random((n, L)) < p_one).astype(np.uint8)
 
-    def density(points):
-        pts = np.atleast_2d(np.asarray(points))
-        ones = pts.sum(axis=1)
-        # probability mass wrt counting measure on {0,1}^L
-        with np.errstate(divide="ignore"):
-            logp = ones * np.log(max(p_one, 1e-300)) \
-                + (L - ones) * np.log(max(1.0 - p_one, 1e-300))
-        return np.exp(logp)
-
-    return MeasureSpec(dimension=L, sampler=sampler, density=density,
-                       name=f"bits(p={p_one})")
+    return MeasureSpec(dimension=L, sampler=sampler)
 
 
 def biased_measure(target_rate: float, n_steps: int) -> MeasureSpec:

@@ -250,22 +250,16 @@ def is_well_defined(stats: RateStatistics, tolerance: float = 0.01) -> bool:
 
 
 class MeasureSpec:
-    """A probability measure given operationally: sampler, optional density.
+    """A probability measure given operationally, by its sampler.
 
-    ``sampler(rng, n)`` returns an ``(n, dimension)`` array. ``density`` is
-    the density with respect to the natural reference measure of the space
-    (Lebesgue for continuous spaces, counting for sequence spaces) and may be
-    None when only sampling is needed. Every measure has mass 1.
+    ``sampler(rng, n)`` returns an ``(n, dimension)`` array of boundary
+    points, which is all ``ensemble_statistics`` reads of a measure.
     """
 
     def __init__(self, dimension: int,
-                 sampler: Callable[[np.random.Generator, int], np.ndarray],
-                 density: Callable[[np.ndarray], np.ndarray] | None = None,
-                 name: str = ""):
+                 sampler: Callable[[np.random.Generator, int], np.ndarray]):
         self.dimension = int(dimension)
         self.sampler = sampler
-        self.density = density
-        self.name = name
 
 
 # ---------------------------------------------------------------------------

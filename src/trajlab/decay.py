@@ -440,29 +440,16 @@ def exponential_life_measure(tau0: float) -> MeasureSpec:
     """Normalised measure with density (1/tau0) exp(-t/tau0) on t >= 0."""
     if not (math.isfinite(tau0) and tau0 > 0):
         raise ValueError(f"tau0 must be positive, got {tau0}")
-
-    def density(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t >= 0, np.exp(-t / tau0) / tau0, 0.0)
-
     return MeasureSpec(dimension=1,
-                       sampler=lambda rng, n: rng.exponential(tau0, (n, 1)),
-                       density=density, name=f"exponential-life[{tau0}]")
+                       sampler=lambda rng, n: rng.exponential(tau0, (n, 1)))
 
 
 def uniform_life_measure(low: float = 0.0, high: float = 2.0) -> MeasureSpec:
     """Normalised uniform measure over split times in [low, high)."""
     if not high > low >= 0:
         raise ValueError("need 0 <= low < high")
-    width = high - low
-
-    def density(t):
-        t = np.asarray(t, dtype=float)
-        return np.where((t >= low) & (t < high), 1.0 / width, 0.0)
-
     return MeasureSpec(dimension=1,
-                       sampler=lambda rng, n: rng.uniform(low, high, (n, 1)),
-                       density=density, name=f"uniform-life[{low},{high}]")
+                       sampler=lambda rng, n: rng.uniform(low, high, (n, 1)))
 
 
 def mean_life(decay_time_measure: MeasureSpec, n_samples: int = 1000,

@@ -9,13 +9,16 @@ strictly increasing and inverts in closed form (one root of a quadratic in
 tan(angle)). The emission measure is CONSTRUCTED by pulling the desired
 screen density back through that map, one Jacobian factor per side; the
 push-forward back onto the screen pulls each screen bin's edges back to
-angles and integrates the emission density over them, so every bin mass
-is exact up to quadrature rounding. Doing this for the fringe pattern
-(field on) and for the smooth envelope (field off) yields two different
-angular densities at the same source, which is the point: the source
-statistics cannot be fixed independently of the downstream device. The
-total-variation distance between the two pullbacks quantifies that
-dependence.
+angles and integrates the emission density over them. Doing this for the
+fringe pattern (field on) and for the smooth envelope (field off) yields
+two different angular densities at the same source, which is the point:
+the source statistics cannot be fixed independently of the downstream
+device. The total-variation distance between the two pullbacks quantifies
+that dependence. Every integral over emission angle is one rule, a
+32-node Gauss-Legendre panel: one per screen bin's pulled-back interval,
+and for the normalisation and the distance, panels between the density's
+breakpoints that are halved until halving changes nothing at rounding
+level, which also bisects them onto the crossings of two densities.
 
 The same module hosts the late-time machinery: asymptotic velocity
 lim x(t)/t for bounded interactions probed at geometric checkpoints, the
@@ -32,14 +35,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MeasureSpec
 from .errors import IntegrationError, UnsupportedInputError
 from .scattering import _gl_nodes
 
 __all__ = [
     "BiprismScene", "ScreenDensity", "standard_bench",
     "fringe_target_density", "envelope_target_density",
-    "emission_measure_from_screen",
+    "EmissionMeasure", "emission_measure_from_screen",
     "screen_density_from_emission", "fringe_visibility",
     "estimate_fringe_spacing", "emission_tv_distance",
     "GaussianPairPotential", "CompactBumpPotential", "NBodySystem",
@@ -54,9 +56,7 @@ _SPACING_FRACTION = 0.55  # central window share estimate_fringe_spacing reads
 _NBODY_RTOL, _NBODY_ATOL = 1e-10, 1e-12  # DOP853 tolerances of integrate
 _MAX_CHECKPOINTS = 100_000  # longest schedule asymptotic_velocity builds
 _NORM_GRID = 32769  # trapezoid points of ScreenDensity.normalized
-_FIT_GRID = 8192  # points per side of the emission measure's CDF table
-_TV_GRID = 200_001  # trapezoid points of emission_tv_distance
-_GAUSS_NODES = 32  # Gauss-Legendre nodes per screen bin's angle interval
+_GAUSS_NODES = 32  # Gauss-Legendre nodes per emission-angle panel
 
 
 # ---------------------------------------------------------------------------
@@ -285,25 +285,60 @@ def _jacobian(angles: np.ndarray, scene: BiprismScene) -> np.ndarray:
     return d / np.cos(a) ** 2 + rest / np.cos(a) ** 2
 
 
+@dataclass(frozen=True)
+class EmissionMeasure:
+    """Normalised emission-angle density with the angles where it is not
+    smooth; between consecutive ``breaks`` it is smooth (or zero)."""
+
+    density: Callable[[np.ndarray], np.ndarray]
+    breaks: np.ndarray
+    name: str = ""
+
+
+def _panels(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integral of |f| over each [lo, hi] by one ``_GAUSS_NODES``-node
+    Gauss-Legendre panel."""
+    x, w = _gl_nodes(_GAUSS_NODES)  # on [0, 1]
+    return (hi - lo) * (np.abs(f(lo[:, None] + (hi - lo)[:, None] * x)) @ w)
+
+
+def _integral(f, edges: np.ndarray) -> float:
+    """Integral of |f| over sorted ``edges``, between which ``f`` is smooth.
+
+    A panel is kept once its halves change its integral by at most one
+    rounding unit of the running estimate of the total (the kept panels
+    and the halves of the others), and is halved otherwise. Where ``f``
+    changes sign, |f| has a kink that keeps the panel around it from
+    settling, so the halving bisects onto the crossing.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    total = 0.0
+    while len(lo):
+        mid = 0.5 * (lo + hi)
+        one, two = _panels(f, lo, hi), _panels(f, lo, mid) + _panels(f, mid, hi)
+        tol = np.finfo(float).eps * (total + two.sum())
+        # a panel two floats wide, or with a NaN, is kept as it is
+        keep = ~(np.abs(one - two) > tol) | (mid <= lo) | (mid >= hi)
+        total += two[keep].sum()
+        lo, hi = (np.concatenate([lo[~keep], mid[~keep]]),
+                  np.concatenate([mid[~keep], hi[~keep]]))
+    return float(total)
+
+
 def emission_measure_from_screen(target: ScreenDensity,
-                                 scene: BiprismScene) -> MeasureSpec:
+                                 scene: BiprismScene) -> EmissionMeasure:
     """Angular measure whose pushforward through the bench is the target.
 
     Per passage side the map is strictly increasing, so the pullback is
     the Jacobian transfer of the target; where both sides reach the same
-    screen point the mass is split evenly between them. A trapezoid table
-    of the density on ``_FIT_GRID`` angles per side gives the
-    normalisation and the inverse-CDF sampler.
+    screen point the mass is split evenly between them. The density is
+    smooth except at its ``breaks``: the branch-range ends, and on each
+    side the pull-backs of the target window's ends, its taper ends and
+    both sides' image ends. Gauss-Legendre panels between the breaks,
+    halved until they agree with their halves, give the normalisation.
     """
     ranges = _branch_ranges(scene)
     images = _side_images(scene)
-
-    def coverage(x):
-        x = np.asarray(x, dtype=float)
-        k = np.zeros_like(x)
-        for lo, hi in images:
-            k += ((x >= lo) & (x <= hi)).astype(float)
-        return k
 
     def density(alpha):
         alpha = np.asarray(alpha, dtype=float)
@@ -311,62 +346,45 @@ def emission_measure_from_screen(target: ScreenDensity,
         valid = np.zeros_like(alpha, dtype=bool)
         for a0, a1 in ranges:
             valid |= (alpha >= a0) & (alpha <= a1)
-        if not np.any(valid):
-            return out
         av = alpha[valid]
         xs = _deflect_array(av, scene)
-        k = coverage(xs)
+        k = sum(((xs >= lo) & (xs <= hi)).astype(float) for lo, hi in images)
         w = np.where(k > 0, 1.0 / np.maximum(k, 1.0), 0.0)
         out[valid] = target(xs) * _jacobian(av, scene) * w
         return out
 
-    alpha_all = np.concatenate([np.linspace(a0, a1, _FIT_GRID)
-                                for a0, a1 in ranges])
-    q_all = density(alpha_all)
-    cdf = np.concatenate([[0.0], np.cumsum(
-        0.5 * (q_all[1:] + q_all[:-1]) * np.diff(alpha_all))])
-    # the joint grid has a gap at the shadow; the segment crossing it gets
-    # the trapezoid of its endpoints, both of which carry zero density
-    mass = float(cdf[-1])
+    lo, hi = target.window
+    mid, flat = 0.5 * (lo + hi), _FLAT_FRACTION * 0.5 * (hi - lo)
+    screen = np.array([lo, mid - flat, mid + flat, hi, *np.ravel(images)])
+    breaks = np.unique(np.concatenate(
+        [np.ravel(ranges)] + [_pull_back(np.clip(screen, x0, x1), scene, side)
+                              for side, (x0, x1) in zip((-1, 1), images)]))
+    mass = _integral(density, breaks)
     if mass <= 0:
         raise UnsupportedInputError("target density places no mass on the "
                                     "reachable screen region")
-
-    def normalized_density(alpha):
-        return density(alpha) / mass
-
-    def sampler(rng, n):
-        u = rng.random(n) * mass
-        return np.interp(u, cdf, alpha_all).reshape(n, 1)
-
     state = "on" if scene.field_on else "off"
-    return MeasureSpec(dimension=1, sampler=sampler, density=normalized_density,
-                       name=f"emission[{target.name or 'target'}, field {state}]")
+    return EmissionMeasure(
+        density=lambda alpha: density(alpha) / mass, breaks=breaks,
+        name=f"emission[{target.name or 'target'}, field {state}]")
 
 
-def screen_density_from_emission(measure: MeasureSpec, scene: BiprismScene,
-                                 bins: int = 256,
-                                 window: tuple[float, float] | None = None):
+def screen_density_from_emission(measure: EmissionMeasure,
+                                 scene: BiprismScene, bins: int = 256):
     """Exact pushforward of an angular density onto screen bins.
 
-    Returns (bin edges, per-bin density). On each passage side the bin
-    edges, clipped to that side's screen image, are pulled back to
-    emission angles in closed form, and the density is integrated over
-    every bin's angle interval by one Gauss-Legendre rule. A bin beyond a
-    side's image (in the wire's shadow, say) gets an empty interval and
-    exactly no mass from that side.
+    Returns (bin edges, per-bin density) over the scene's screen window.
+    On each passage side the bin edges, clipped to that side's screen
+    image, are pulled back to emission angles in closed form, and the
+    density is integrated over every bin's angle interval by one
+    Gauss-Legendre panel. A bin beyond a side's image (in the wire's
+    shadow, say) gets an empty interval and exactly no mass from that side.
     """
-    if window is None:
-        window = _screen_window(scene)
-    edges = np.linspace(window[0], window[1], bins + 1)
+    edges = np.linspace(*_screen_window(scene), bins + 1)
     masses = np.zeros(bins)
-    x, w = _gl_nodes(_GAUSS_NODES)  # on [0, 1]
-    for side, (lo, hi) in zip((-1, 1), _side_images(scene)):
-        alphas = _pull_back(np.clip(edges, lo, hi), scene, side)
-        widths = np.diff(alphas)
-        nodes = alphas[:-1, None] + widths[:, None] * x
-        masses += widths * (measure.density(nodes.ravel()).reshape(nodes.shape)
-                            @ w)
+    for side, (x0, x1) in zip((-1, 1), _side_images(scene)):
+        alphas = _pull_back(np.clip(edges, x0, x1), scene, side)
+        masses += _panels(measure.density, alphas[:-1], alphas[1:])
     return edges, masses / (edges[1] - edges[0])
 
 
@@ -403,13 +421,19 @@ def estimate_fringe_spacing(edges: np.ndarray, density: np.ndarray) -> float:
     return float(np.mean(np.diff(peaks)))
 
 
-def emission_tv_distance(measure_a: MeasureSpec, measure_b: MeasureSpec,
-                         angle_window: tuple[float, float]) -> float:
-    """Total-variation distance between two angular densities."""
-    alphas = np.linspace(angle_window[0], angle_window[1], _TV_GRID)
-    qa = measure_a.density(alphas)
-    qb = measure_b.density(alphas)
-    return 0.5 * float(np.trapezoid(np.abs(qa - qb), alphas))
+def emission_tv_distance(measure_a: EmissionMeasure,
+                         measure_b: EmissionMeasure) -> float:
+    """Total-variation distance between two angular densities.
+
+    Half the integral of |q_a - q_b| over the pieces between both
+    measures' breaks, where the halving of panels also bisects onto every
+    crossing of q_a and q_b that a panel's nodes resolve.
+    """
+    def diff(alpha):
+        return measure_a.density(alpha) - measure_b.density(alpha)
+
+    return 0.5 * _integral(diff, np.union1d(measure_a.breaks,
+                                            measure_b.breaks))
 
 
 # ---------------------------------------------------------------------------

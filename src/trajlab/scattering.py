@@ -771,8 +771,7 @@ def entry_measure(scene: FlipperScene) -> MeasureSpec:
                 return out
             out[redraw] = draw(rng, redraw.size)
 
-    return MeasureSpec(dimension=6, sampler=sampler, density=None,
-                       name="flipper-entry")
+    return MeasureSpec(dimension=6, sampler=sampler)
 
 
 def flipper_outcome_builder(scene: FlipperScene, n_bins: int,

@@ -464,8 +464,7 @@ def _run_two_slit(p, seed, out: OutputBundle):
     vis_off = fringe_visibility(edges_off, dens_off)
     spacing = estimate_fringe_spacing(edges_on, dens_on)
     predicted = scene_on.fringe_spacing
-    window = (-scene_on.aperture, scene_on.aperture)
-    tv = emission_tv_distance(mu_on, mu_off, window)
+    tv = emission_tv_distance(mu_on, mu_off)
 
     lo, hi = target_on.window
     grid = np.linspace(lo, hi, 4097)
@@ -490,7 +489,7 @@ def _run_two_slit(p, seed, out: OutputBundle):
         out.add_dat(name, [f"screen density, field {state}",
                            "columns: x, density"],
                     list(zip(mids, dens)))
-    alphas = np.linspace(window[0], window[1], 4001)
+    alphas = np.linspace(-scene_on.aperture, scene_on.aperture, 4001)
     for name, mu, state in (("emission_on.dat", mu_on, "on"),
                             ("emission_off.dat", mu_off, "off")):
         out.add_dat(name, [f"emission angle density, field {state}",

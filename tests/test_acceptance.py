@@ -346,14 +346,13 @@ def test_criterion_12_fringe_bench():
     spacing = estimate_fringe_spacing(edges_on, dens_on)
     rel_spacing = (abs(spacing - scene_on.fringe_spacing)
                    / scene_on.fringe_spacing)
-    tv = emission_tv_distance(mu_on, mu_off,
-                              (-scene_on.aperture, scene_on.aperture))
+    tv = emission_tv_distance(mu_on, mu_off)
     elapsed = time.perf_counter() - t0
     ok = (vis_on > 0.9 and vis_off < 0.05 and rel_spacing < 0.02
           and tv > 0.1 and elapsed < budget)
     _record(12, "fringe bench", ok,
             f"visibility on={vis_on:.3f} off={vis_off:.3f}, spacing rel "
-            f"err={rel_spacing:.1e}, emission TV distance={tv:.3f}",
+            f"err={rel_spacing:.1e}, emission TV distance={tv:.10f}",
             elapsed, budget)
     assert vis_on > 0.9
     assert vis_off < 0.05

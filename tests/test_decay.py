@@ -423,12 +423,6 @@ class TestIndeterminismWitness:
 
 
 class TestLifeMeasures:
-    def test_exponential_density_normalised(self):
-        spec = exponential_life_measure(1.5)
-        t = np.linspace(0.0, 60.0, 200001)
-        assert np.trapezoid(spec.density(t), t) == pytest.approx(1.0, abs=1e-6)
-        assert spec.density(np.array([-1.0]))[0] == 0.0
-
     def test_exponential_mean_within_errors(self):
         est, se = mean_life(exponential_life_measure(1.5), n_samples=20000,
                             seed=1)
