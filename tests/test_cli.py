@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from trajlab import cli
+from trajlab import cli, interference
 from trajlab.interference import NBodySystem
 from trajlab.scenarios import SCENARIOS
 
@@ -503,6 +503,30 @@ class TestBigbangSchedule:
         assert rows["converged"] == "1"
         assert int(rows["n_checkpoints"]) < 16_641
         assert float(rows["t_final"]) < 1e3
+
+
+class TestTwoSlitFineFringes:
+    def test_tiny_wavelength_exits_1(self, tmp_path, capsys, monkeypatch):
+        # about 6e9 fringes cross the aperture; halving panels onto them
+        # must be refused, and a regression fails here instead of
+        # allocating panels until memory runs out
+        panels = interference._panels
+
+        def bounded_panels(f, lo, hi):
+            assert len(lo) <= 1 << 16, "panel halving is unbounded"
+            return panels(f, lo, hi)
+
+        monkeypatch.setattr(interference, "_panels", bounded_panels)
+        cfg = write_config(tmp_path / "cfg.yaml", "two-slit",
+                           parameters={"wavelength": 1e-12})
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert run(["run", "two-slit", "--config", cfg, "--out", out]) == 1
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error [UnsupportedInputError]")
+        assert "panels" in err and "\n" not in err
+        assert not out.exists()
 
 
 class TestListing:
