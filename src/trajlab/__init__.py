@@ -44,8 +44,6 @@ from .scattering import (
     HardSphere,
     RepulsivePower,
     ScreenedCoulomb,
-    turning_radius,
-    deflection_angle,
     DeflectionFunction,
     transfer_density,
     solid_angle_mass,

@@ -139,7 +139,6 @@ class RateStatistics:
     variance: np.ndarray
     n_trajectories: int
     n_excluded: int
-    n_min_trials: int
 
 
 def outcome_rates(outcomes, n_outcomes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +230,7 @@ def ensemble_statistics(measure: "MeasureSpec",
     variance[variance < 1e-30] = 0.0
     return RateStatistics(mean=mean, variance=variance,
                           n_trajectories=len(R),
-                          n_excluded=n_trajectories - len(R),
-                          n_min_trials=int(n_min_trials))
+                          n_excluded=n_trajectories - len(R))
 
 
 def is_well_defined(stats: RateStatistics, tolerance: float = 0.01) -> bool:

@@ -14,9 +14,9 @@ fringe pattern (field on) and for the smooth envelope (field off) yields
 two different angular densities at the same source, which is the point:
 the source statistics cannot be fixed independently of the downstream
 device. The total-variation distance between the two pullbacks quantifies
-that dependence. Every integral over emission angle is one rule, a
-32-node Gauss-Legendre panel: one per screen bin's pulled-back interval,
-and for the normalisation and the distance, panels between the density's
+that dependence. Every integral is one rule, a 32-node Gauss-Legendre
+panel: one per screen bin's pulled-back interval, and for the screen and
+emission normalisations and the distance, panels between the density's
 breakpoints that are halved until halving changes nothing at rounding
 level, which also bisects them onto the crossings of two densities.
 
@@ -55,7 +55,6 @@ _VISIBILITY_FRACTION = 1.0 / 3.0  # central window share fringe_visibility reads
 _SPACING_FRACTION = 0.55  # central window share estimate_fringe_spacing reads
 _NBODY_RTOL, _NBODY_ATOL = 1e-10, 1e-12  # DOP853 tolerances of integrate
 _MAX_CHECKPOINTS = 100_000  # longest schedule asymptotic_velocity builds
-_NORM_GRID = 32769  # trapezoid points of ScreenDensity.normalized
 _GAUSS_NODES = 32  # Gauss-Legendre nodes per emission-angle panel
 _MAX_PANELS = 2 ** 14  # most unsettled panels _integral halves at once
 
@@ -201,11 +200,20 @@ def _overlap_window(scene: BiprismScene) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ScreenDensity:
-    """Normalised density on a screen window, with a smooth taper to zero."""
+    """Density on a screen window, normalised by its panel integral between
+    ``breaks``: the window's ends and, in order between them, every point
+    where ``profile`` is not smooth."""
 
     window: tuple[float, float]
     profile: Callable[[np.ndarray], np.ndarray]
-    _norm: float = 1.0
+    breaks: tuple[float, ...]
+    _norm: float = dataclass_field(init=False, repr=False)
+
+    def __post_init__(self):
+        mass = _integral(self.profile, np.array(self.breaks, dtype=float))
+        if not (math.isfinite(mass) and mass > 0):
+            raise ValueError("screen profile must have positive finite mass")
+        object.__setattr__(self, "_norm", mass)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -215,14 +223,6 @@ class ScreenDensity:
         if np.any(inside):
             out[inside] = self.profile(x[inside]) / self._norm
         return out
-
-    @staticmethod
-    def normalized(window, profile) -> "ScreenDensity":
-        xs = np.linspace(window[0], window[1], _NORM_GRID)
-        mass = float(np.trapezoid(profile(xs), xs))
-        if not (math.isfinite(mass) and mass > 0):
-            raise ValueError("screen profile must have positive finite mass")
-        return ScreenDensity(window=tuple(window), profile=profile, _norm=mass)
 
 
 def _flat_top_envelope(half_width: float):
@@ -263,14 +263,16 @@ def fringe_target_density(scene: BiprismScene) -> ScreenDensity:
     def profile(x):
         return env(x) * (1.0 + np.cos(2.0 * math.pi * x / spacing))
 
-    return ScreenDensity.normalized((lo, hi), profile)
+    flat = _FLAT_FRACTION * hi  # taper ends
+    return ScreenDensity((lo, hi), profile, (lo, -flat, flat, hi))
 
 
 def envelope_target_density(scene: BiprismScene) -> ScreenDensity:
     """The same flat-top envelope without modulation (the smooth target)."""
     lo, hi = _screen_window(scene)
     env = _flat_top_envelope(hi)
-    return ScreenDensity.normalized((lo, hi), env)
+    flat = _FLAT_FRACTION * hi  # taper ends
+    return ScreenDensity((lo, hi), env, (lo, -flat, flat, hi))
 
 
 def _jacobian(angles: np.ndarray, scene: BiprismScene) -> np.ndarray:
@@ -316,7 +318,7 @@ def _integral(f, edges: np.ndarray) -> float:
     while len(lo):
         if len(lo) > _MAX_PANELS:
             raise UnsupportedInputError(
-                f"the emission density needs more than {_MAX_PANELS} "
+                f"the density needs more than {_MAX_PANELS} "
                 "Gauss-Legendre panels at once; its structure is too fine "
                 "for the bench (a tiny wavelength gives too many fringes)")
         mid = 0.5 * (lo + hi)
@@ -338,8 +340,7 @@ def emission_measure_from_screen(target: ScreenDensity,
     the Jacobian transfer of the target; where both sides reach the same
     screen point the mass is split evenly between them. The density is
     smooth except at its ``breaks``: the branch-range ends, and on each
-    side the pull-backs of the target window's ends, the taper ends of the
-    flat-top envelope the stock targets share, and both sides' image ends.
+    side the pull-backs of the target's breaks and both sides' image ends.
     Gauss-Legendre panels between the breaks, halved until they agree
     with their halves, give the normalisation. The halving alone misses
     the window and taper kinks: with the range ends as the only breaks
@@ -361,9 +362,7 @@ def emission_measure_from_screen(target: ScreenDensity,
         out[valid] = target(xs) * _jacobian(av, scene) * w
         return out
 
-    lo, hi = target.window
-    mid, flat = 0.5 * (lo + hi), _FLAT_FRACTION * 0.5 * (hi - lo)
-    screen = np.array([lo, mid - flat, mid + flat, hi, *np.ravel(images)])
+    screen = np.array([*target.breaks, *np.ravel(images)])
     breaks = np.unique(np.concatenate(
         [np.ravel(ranges)] + [_pull_back(np.clip(screen, x0, x1), scene, side)
                               for side, (x0, x1) in zip((-1, 1), images)]))

@@ -1,9 +1,11 @@
 """Classical scattering: deflection laws, density transfer, and the flipper.
 
 A repulsive central potential turns an incoming impact parameter s into an
-outgoing polar deflection theta(s). That map carries a transverse source
-density rho_a(s) into a solid-angle density rho_b(theta) with the exact
-Jacobian
+outgoing polar deflection theta(s), which :class:`DeflectionFunction`
+gives for every potential: by the reflection law for a hard sphere, by the
+deflection integral (Landau & Lifshitz, *Mechanics*, sec. 18) otherwise.
+That map carries a transverse source density rho_a(s) into a solid-angle
+density rho_b(theta) with the exact Jacobian
 
     rho_b(theta) = rho_a(s(theta)) * (s / sin theta) * |ds/dtheta|,
 
@@ -38,8 +40,6 @@ __all__ = [
     "HardSphere",
     "RepulsivePower",
     "ScreenedCoulomb",
-    "turning_radius",
-    "deflection_angle",
     "DeflectionFunction",
     "transfer_density",
     "solid_angle_mass",
@@ -66,8 +66,6 @@ __all__ = [
 class Potential:
     """Repulsive central potential V(r), decaying to 0 at infinity."""
 
-    name = "potential"
-
     def __call__(self, r):
         raise NotImplementedError
 
@@ -80,18 +78,10 @@ class HardSphere(Potential):
     """Impenetrable sphere: V = +inf inside ``radius``, 0 outside."""
 
     radius: float
-    name = "hard-sphere"
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r < self.radius, np.inf, 0.0)
-
-    def derivative(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -100,7 +90,6 @@ class RepulsivePower(Potential):
 
     strength: float
     exponent: float = 1.0
-    name = "repulsive-power"
 
     def __post_init__(self):
         if not (self.strength > 0 and self.exponent > 0):
@@ -123,7 +112,6 @@ class ScreenedCoulomb(Potential):
 
     strength: float
     screening_length: float
-    name = "screened-coulomb"
 
     def __post_init__(self):
         if not (self.strength > 0 and self.screening_length > 0):
@@ -163,22 +151,6 @@ def _flat(x):
     a = np.asarray(x, dtype=float)
     return a.reshape(-1), (lambda res: float(res[0]) if a.ndim == 0
                            else res.reshape(a.shape))
-
-
-def turning_radius(potential: Potential, energy: float, s):
-    """Distance of closest approach: largest root of 1 - (s/r)^2 - V(r)/E.
-
-    ``s`` may be an array; see :func:`_turning_u` for the method.
-    """
-    if not energy > 0:
-        raise ValueError("energy must be positive")
-    s, back = _flat(s)
-    if np.any(s < 0):
-        raise ValueError("impact parameter must be nonnegative")
-    if isinstance(potential, HardSphere):
-        return back(np.maximum(s, potential.radius))
-    u_head = _turning_u(potential, energy, np.zeros(1))[0]
-    return back(1.0 / _turning_u(potential, energy, s, u_head))
 
 
 def _turning_u(potential, energy, s, u_head=math.inf):
@@ -251,28 +223,12 @@ def _deflection_integral(potential, energy, s, u_head):
     return np.clip(theta, 0.0, math.pi)
 
 
-def deflection_angle(potential: Potential, energy: float, s):
-    """Polar scattering angle theta(s) in [0, pi]; ``s`` may be an array.
-
-    Hard spheres use the reflection law theta = 2*arccos(s/R), element by
-    element in scalar libm. Smooth potentials use the deflection-integral
-    quadrature of :func:`_deflection_integral`.
-    """
-    if not energy > 0:
-        raise ValueError("energy must be positive")
-    s, back = _flat(s)
-    if np.any(s < 0):
-        raise ValueError("impact parameter must be nonnegative")
-    if isinstance(potential, HardSphere):
-        R = potential.radius
-        return back(np.array([2.0 * math.acos(min(v / R, 1.0))
-                              for v in s.tolist()]))
-    u_head = _turning_u(potential, energy, np.zeros(1))[0]
-    return back(_deflection_integral(potential, energy, s, u_head))
-
-
 class DeflectionFunction:
-    """theta(s) for one (potential, energy), with inverse and derivative.
+    """theta(s) for one (potential, energy), with its inverse.
+
+    A hard sphere reflects by theta = 2*arccos(s/R) in scalar libm, element
+    by element (0 past R). A smooth potential goes through the quadrature of
+    :func:`_deflection_integral`, its head-on turning point solved here once.
 
     Every method takes a float or an array, and a row gets the same bits
     alone as in any batch. The map is strictly decreasing for the shipped
@@ -305,11 +261,13 @@ class DeflectionFunction:
         self._table = s_tab, self(s_tab)
 
     def __call__(self, s):
-        if isinstance(self.potential, HardSphere):
-            return deflection_angle(self.potential, self.energy, s)
         s, back = _flat(s)
         if np.any(s < 0):
             raise ValueError("impact parameter must be nonnegative")
+        if isinstance(self.potential, HardSphere):
+            R = self.potential.radius
+            return back(np.array([2.0 * math.acos(min(v / R, 1.0))
+                                  for v in s.tolist()]))
         return back(_deflection_integral(self.potential, self.energy, s,
                                          self._u_head))
 
@@ -348,10 +306,6 @@ class DeflectionFunction:
             b[idx[done]] = c[done]
             idx = idx[~done]
         raise IntegrationError("inverse deflection did not converge")
-
-    def ds_dtheta(self, theta):
-        """d s / d theta by central differences on the inverse."""
-        return self._inverse_and_slope(theta)[1]
 
     def _inverse_and_slope(self, theta):
         theta, back = _flat(theta)  # s and ds/dtheta from one inverse call
@@ -439,7 +393,6 @@ class FlipperScene:
         self.potential = potential
         self.energy = float(energy)
         self.action_range = float(action_range)
-        self.min_spacing = d_min
         self.deflection = DeflectionFunction(potential, energy)
         # replicate centers whose action sphere pokes through a cell face,
         # so straight segments inside the cell see every reachable sphere;
@@ -809,7 +762,6 @@ class FlipperResult:
 
     stats: "RateStatistics"
     cross_sections: np.ndarray
-    n_outcomes: int
 
 
 def flipper_cross_section(scene: FlipperScene, n_outcomes: int = 8,
@@ -834,5 +786,4 @@ def flipper_cross_section(scene: FlipperScene, n_outcomes: int = 8,
         n_outcomes, n_trajectories=n_traj, n_min_trials=n_min_trials,
         seed=seed)
     sigma = cross_sections_from_rates(stats.mean, scene.action_range)
-    return FlipperResult(stats=stats, cross_sections=sigma,
-                         n_outcomes=n_outcomes)
+    return FlipperResult(stats=stats, cross_sections=sigma)

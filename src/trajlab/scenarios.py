@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, UnsupportedInputError
 from .core import is_well_defined
 from .bernoulli import (orbit_bits, orbit_rate, bit_sequence_measure,
                         lebesgue_ensemble_rate)
@@ -454,6 +454,12 @@ def _run_two_slit(p, seed, out: OutputBundle):
 
     mu_on = emission_measure_from_screen(target_on, scene_on)
     mu_off = emission_measure_from_screen(target_off, scene_off)
+    lo, hi = target_on.window
+    need = 2.0 * (hi - lo) / scene_on.fringe_spacing
+    if p["bins"] < need:  # a bin over half a fringe aliases the fringes
+        raise UnsupportedInputError(
+            f"{p['bins']} screen bins are fewer than the {math.ceil(need)} "
+            "that put two in each fringe spacing; raise bins")
 
     edges_on, dens_on = screen_density_from_emission(mu_on, scene_on,
                                                      bins=p["bins"])
@@ -466,7 +472,6 @@ def _run_two_slit(p, seed, out: OutputBundle):
     predicted = scene_on.fringe_spacing
     tv = emission_tv_distance(mu_on, mu_off)
 
-    lo, hi = target_on.window
     grid = np.linspace(lo, hi, 4097)
     deco = interference_decomposition(target_on(grid), target_env(grid), grid)
 

@@ -34,7 +34,7 @@ from trajlab.interference import (GaussianPairPotential, NBodySystem,
                                   screen_density_from_emission,
                                   standard_bench)
 from trajlab.scattering import (DeflectionFunction, HardSphere,
-                                RepulsivePower, bin_edges, deflection_angle,
+                                RepulsivePower, bin_edges,
                                 flipper_cross_section, random_scene,
                                 transfer_density)
 from trajlab.spin_epr import (PhysicalConstants, SGDevice, SpinVariable,
@@ -138,9 +138,10 @@ def test_criterion_05_deflection_inversion():
     k, energy = 1.0, 1.0
     svals = np.geomspace(0.05, 20.0, 50)
     t0 = time.perf_counter()
+    dfl = DeflectionFunction(RepulsivePower(k, 1.0), energy)
     worst = 0.0
     for s in svals:
-        theta = deflection_angle(RepulsivePower(k, 1.0), energy, float(s))
+        theta = dfl(float(s))
         back = (k / (2.0 * energy)) / math.tan(theta / 2.0)
         worst = max(worst, abs(back - float(s)) / float(s))
     elapsed = time.perf_counter() - t0

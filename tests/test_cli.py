@@ -528,6 +528,26 @@ class TestTwoSlitFineFringes:
         assert "panels" in err and "\n" not in err
         assert not out.exists()
 
+    def test_bins_wider_than_half_a_fringe_exit_1(self, tmp_path, capsys):
+        # 0.87 of the default 256 bins per fringe: the histogram would
+        # alias the fringes into a spacing several times too large
+        cfg = write_config(tmp_path / "cfg.yaml", "two-slit",
+                           parameters={"wavelength": 1e-6})
+        out = tmp_path / "o"
+        assert run(["run", "two-slit", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error [UnsupportedInputError]")
+        assert "bins" in err and "\n" not in err
+        assert not out.exists()
+
+    def test_enough_bins_resolve_fine_fringes(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.yaml", "two-slit",
+                           parameters={"wavelength": 1e-6, "bins": 1024})
+        out = tmp_path / "o"
+        assert run(["run", "two-slit", "--config", cfg, "--out", out]) == 0
+        _, rows = read_rows(out / "results.csv")
+        assert float(rows["spacing_rel_error"]) < 0.02
+
 
 class TestListing:
     def test_listing_is_stable_and_complete(self, capsys):

@@ -240,6 +240,18 @@ EMISSION_CASES = [
 
 @pytest.mark.parametrize("scene, make_target", EMISSION_CASES,
                          ids=["on", "off", "wire-off", "on-fine"])
+def test_target_breaks_are_window_and_taper_ends(scene, make_target):
+    """A target's breaks are bitwise the window ends and the taper ends
+    mid -+ flat share * half width, so the emission breaks pulled back
+    from them are those of the flat-top construction."""
+    target = make_target(scene)
+    lo, hi = target.window
+    mid, flat = 0.5 * (lo + hi), interference._FLAT_FRACTION * 0.5 * (hi - lo)
+    assert target.breaks == (lo, mid - flat, mid + flat, hi)
+
+
+@pytest.mark.parametrize("scene, make_target", EMISSION_CASES,
+                         ids=["on", "off", "wire-off", "on-fine"])
 def test_emission_density_normalised(scene, make_target):
     target = make_target(scene)
     mu = emission_measure_from_screen(target, scene)
@@ -292,14 +304,15 @@ class TestEmissionRoundtrip:
 
     def test_unreachable_target_rejected(self):
         bad = ScreenDensity(window=(0.02, 0.03),
-                            profile=lambda x: np.ones_like(x))
+                            profile=lambda x: np.ones_like(x),
+                            breaks=(0.02, 0.03))
         with pytest.raises(UnsupportedInputError):
             emission_measure_from_screen(bad, self.scene)
 
     def test_massless_profile_rejected(self):
         with pytest.raises(ValueError):
-            ScreenDensity.normalized((-0.01, 0.01),
-                                     lambda x: np.zeros_like(x))
+            ScreenDensity((-0.01, 0.01), lambda x: np.zeros_like(x),
+                          (-0.01, 0.01))
 
     def test_fringe_target_needs_field(self):
         with pytest.raises(ValueError):

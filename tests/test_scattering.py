@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from trajlab.scattering import (HardSphere, RepulsivePower, ScreenedCoulomb,
-                                turning_radius, deflection_angle,
                                 DeflectionFunction, transfer_density,
                                 solid_angle_mass, FlipperScene, random_scene,
                                 trace_flipper, bin_edges,
                                 entry_measure, flipper_outcome_builder,
                                 angle_bins, EncounterRecord, _trace_batch,
                                 cross_sections_from_rates,
-                                flipper_cross_section)
+                                flipper_cross_section, _turning_u)
 from trajlab.core import ensemble_statistics
 from trajlab.errors import IntegrationError
 from trajlab.rng import stream, trajectory_stream
@@ -19,6 +18,11 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 _ODE_RTOL, _ODE_ATOL = 1e-11, 1e-13
+
+
+def closest_approach(potential, energy, s):
+    """Distance of closest approach of each row of the 1-d ``s``."""
+    return 1.0 / _turning_u(potential, energy, np.asarray(s, dtype=float))
 
 
 def planar_motion_deflection(potential, energy, s):
@@ -31,7 +35,7 @@ def planar_motion_deflection(potential, energy, s):
     mass = 1.0
     v0 = math.sqrt(2.0 * energy / mass)
     # quiet radius: tail energy below integrator tolerance
-    r_start = max(turning_radius(potential, energy, 0.0), s, 1e-6)
+    r_start = max(closest_approach(potential, energy, [0.0])[0], s, 1e-6)
     while float(potential(r_start)) / energy >= 1e-13:
         r_start *= 1.5
     r_start *= 1.5
@@ -65,20 +69,16 @@ def planar_motion_deflection(potential, energy, s):
 
 
 class TestTurningRadius:
-    def test_hard_sphere(self):
-        pot = HardSphere(2.0)
-        assert turning_radius(pot, 1.0, 0.5) == 2.0
-        assert turning_radius(pot, 1.0, 3.0) == 3.0
-
     def test_free_limit(self):
         # negligible potential: the turning radius approaches s
         pot = ScreenedCoulomb(1e-12, 1.0)
-        assert turning_radius(pot, 1.0, 2.0) == pytest.approx(2.0, rel=1e-9)
+        assert closest_approach(pot, 1.0, [2.0])[0] == pytest.approx(2.0,
+                                                                   rel=1e-9)
 
     def test_energy_balance_at_turn(self):
         pot = ScreenedCoulomb(0.7, 1.3)
         E, s = 1.1, 0.8
-        r0 = turning_radius(pot, E, s)
+        r0 = closest_approach(pot, E, [s])[0]
         # definition: E = V(r0) + E s^2 / r0^2
         assert float(pot(r0)) + E * s * s / (r0 * r0) == pytest.approx(
             E, rel=1e-10)
@@ -86,37 +86,41 @@ class TestTurningRadius:
 
 class TestDeflection:
     def test_hard_sphere_reflection_law(self):
-        pot = HardSphere(1.0)
+        dfl = DeflectionFunction(HardSphere(1.0), 1.0)
         for s in np.linspace(0.05, 0.95, 10):
-            assert deflection_angle(pot, 1.0, float(s)) == pytest.approx(
-                2.0 * math.acos(s), abs=1e-12)
+            assert dfl(float(s)) == pytest.approx(2.0 * math.acos(s),
+                                                  abs=1e-12)
 
     def test_miss_is_no_deflection(self):
-        assert deflection_angle(HardSphere(1.0), 1.0, 1.5) == 0.0
+        assert DeflectionFunction(HardSphere(1.0), 1.0)(1.5) == 0.0
 
     def test_head_on_is_backscatter(self):
-        assert deflection_angle(HardSphere(1.0), 1.0, 0.0) == pytest.approx(
-            math.pi)
+        assert DeflectionFunction(HardSphere(1.0), 1.0)(0.0) == \
+            pytest.approx(math.pi)
+
+    def test_negative_impact_parameter_raises(self):
+        for pot in (HardSphere(1.0), RepulsivePower(1.0, 1.0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                DeflectionFunction(pot, 1.0)(np.array([0.5, -0.1]))
 
     def test_inverse_square_analytic(self):
         # k/r potential: s = (k / 2E) cot(theta/2)
         k, E = 1.0, 1.0
-        pot = RepulsivePower(k, 1.0)
+        dfl = DeflectionFunction(RepulsivePower(k, 1.0), E)
         for s in np.linspace(0.1, 4.0, 12):
             expected = 2.0 * math.atan2(k, 2.0 * E * s)
-            assert deflection_angle(pot, E, float(s)) == pytest.approx(
-                expected, rel=1e-7)
+            assert dfl(float(s)) == pytest.approx(expected, rel=1e-7)
 
     def test_integral_matches_ode(self):
         pot = ScreenedCoulomb(1.0, 2.0)
+        dfl = DeflectionFunction(pot, 1.0)
         for s in (0.3, 0.8, 1.5):
-            quad = deflection_angle(pot, 1.0, s)
             ode = planar_motion_deflection(pot, 1.0, s)
-            assert quad == pytest.approx(ode, abs=2e-6)
+            assert dfl(s) == pytest.approx(ode, abs=2e-6)
 
     def test_screening_weakens_deflection(self):
-        strong = deflection_angle(ScreenedCoulomb(1.0, 10.0), 1.0, 1.0)
-        weak = deflection_angle(ScreenedCoulomb(1.0, 0.5), 1.0, 1.0)
+        strong = DeflectionFunction(ScreenedCoulomb(1.0, 10.0), 1.0)(1.0)
+        weak = DeflectionFunction(ScreenedCoulomb(1.0, 0.5), 1.0)(1.0)
         assert weak < strong
 
 
@@ -128,12 +132,11 @@ class TestTinyImpactParameters:
     @pytest.mark.parametrize("pot", POTENTIALS, ids=repr)
     def test_near_head_on_backscatter(self, pot):
         dfl = DeflectionFunction(pot, 1.0)
-        r_head = turning_radius(pot, 1.0, 0.0)
+        u_head = _turning_u(pot, 1.0, np.zeros(1))
         for s in self.TINY:
             assert math.pi - dfl(s) <= 1e-12
-            assert math.pi - deflection_angle(pot, 1.0, s) <= 1e-12
-            assert turning_radius(pot, 1.0, s) == pytest.approx(r_head,
-                                                                rel=1e-12)
+        assert _turning_u(pot, 1.0, np.array(self.TINY), u_head[0]) == \
+            pytest.approx(np.repeat(u_head, len(self.TINY)), rel=1e-12)
 
     @pytest.mark.parametrize("pot", POTENTIALS, ids=repr)
     def test_tiny_rows_alone_equal_batch(self, pot):
@@ -181,7 +184,9 @@ class TestDeflectionFunction:
         s = dfl.inverse(th)
         h = 1e-5
         fd = (dfl.inverse(th + h) - dfl.inverse(th - h)) / (2 * h)
-        assert dfl.ds_dtheta(th) == pytest.approx(fd, rel=1e-4)
+        s_th, slope = dfl._inverse_and_slope(th)
+        assert s_th == s
+        assert slope == pytest.approx(fd, rel=1e-4)
 
     def test_inverse_domain_checked(self):
         dfl = DeflectionFunction(HardSphere(1.0), 1.0)
@@ -223,14 +228,14 @@ class TestTransfer:
         assert m_out == pytest.approx(m_in, rel=1e-3)
 
 
-def brentq_inverse(pot, energy, theta):
+def brentq_inverse(dfl, theta):
     """Scalar reference inverse: brentq on the forward map."""
-    scale = turning_radius(pot, energy, 0.0)
+    scale = closest_approach(dfl.potential, dfl.energy, [0.0])[0]
     hi = scale
-    while deflection_angle(pot, energy, hi) >= theta:
+    while dfl(hi) >= theta:
         hi *= 2.0
-    return brentq(lambda s: deflection_angle(pot, energy, s) - theta,
-                  1e-9 * scale, hi, xtol=1e-300, rtol=1e-13)
+    return brentq(lambda s: dfl(s) - theta, 1e-9 * scale, hi, xtol=1e-300,
+                  rtol=1e-13)
 
 
 class TestArrayKernel:
@@ -241,7 +246,7 @@ class TestArrayKernel:
     def test_inverse_matches_scalar_brentq(self, pot):
         dfl = DeflectionFunction(pot, 1.3)
         grid = np.linspace(0.1, 3.0, 200)
-        ref = np.array([brentq_inverse(pot, 1.3, float(t)) for t in grid])
+        ref = np.array([brentq_inverse(dfl, float(t)) for t in grid])
         assert np.allclose(dfl.inverse(grid), ref, rtol=1e-9, atol=0.0)
 
     def test_hard_sphere_inverse_is_closed_form(self):
@@ -264,16 +269,16 @@ class TestArrayKernel:
     def test_scalars_in_scalars_out(self):
         pot = ScreenedCoulomb(1.0, 2.0)
         dfl = DeflectionFunction(pot, 1.0)
-        for value in (dfl(0.5), dfl.inverse(1.0), dfl.ds_dtheta(1.0),
-                      turning_radius(pot, 1.0, 0.5),
-                      deflection_angle(HardSphere(1.0), 1.0, 0.5)):
+        for value in (dfl(0.5), dfl.inverse(1.0),
+                      *dfl._inverse_and_slope(1.0),
+                      DeflectionFunction(HardSphere(1.0), 1.0)(0.5)):
             assert type(value) is float
         s = np.array([[0.2, 0.5], [1.0, 2.0]])
         assert dfl(s).shape == s.shape
         assert dfl.inverse(dfl(s)) == pytest.approx(s, rel=1e-8)
-        assert np.array_equal(turning_radius(pot, 1.0, s),
-                              [[turning_radius(pot, 1.0, float(v))
-                                for v in row] for row in s])
+        assert np.array_equal(closest_approach(pot, 1.0, s.ravel()),
+                              [closest_approach(pot, 1.0, [v])[0]
+                               for v in s.ravel()])
 
     @pytest.mark.parametrize("bad", [0.0, math.pi, -0.5, 4.0, math.nan])
     def test_angle_outside_open_interval_raises(self, bad):
