@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from trajlab.scattering import (HardSphere, RepulsivePower, ScreenedCoulomb,
+from trajlab import scattering
+from trajlab.scattering import (Potential, HardSphere, RepulsivePower,
+                                ScreenedCoulomb,
                                 DeflectionFunction, transfer_density,
                                 solid_angle_mass, FlipperScene, random_scene,
                                 trace_flipper, bin_edges,
@@ -107,9 +109,19 @@ class TestDeflection:
         # k/r potential: s = (k / 2E) cot(theta/2)
         k, E = 1.0, 1.0
         dfl = DeflectionFunction(RepulsivePower(k, 1.0), E)
-        for s in np.linspace(0.1, 4.0, 12):
-            expected = 2.0 * math.atan2(k, 2.0 * E * s)
-            assert dfl(float(s)) == pytest.approx(expected, rel=1e-7)
+        s = np.geomspace(1e-3, 1e3, 50)
+        expected = 2.0 * np.arctan2(k, 2.0 * E * s)
+        assert dfl(s) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_inverse_cube_force_analytic(self):
+        # k/r^2 potential: theta = pi (1 - s / sqrt(s^2 + k/E)), written
+        # without the cancelling subtraction
+        k, E = 0.7, 1.3
+        dfl = DeflectionFunction(RepulsivePower(k, 2.0), E)
+        s = np.geomspace(1e-3, 1e3, 50)
+        root = np.sqrt(s * s + k / E)
+        expected = math.pi * (k / E) / (root * (root + s))
+        assert np.max(np.abs(dfl(s) - expected)) <= 1e-14
 
     def test_integral_matches_ode(self):
         pot = ScreenedCoulomb(1.0, 2.0)
@@ -162,8 +174,62 @@ class TestMonotoneProbe:
         with pytest.raises(IntegrationError, match="strictly decreasing"):
             _Ramped(ScreenedCoulomb(1.0, 0.02), 1.0, 1e-7)
 
+    def test_small_rise_raises(self):
+        # the ramp tops out near 3e-11, far above theta's 1e-15 rounding
+        with pytest.raises(IntegrationError, match="strictly decreasing"):
+            _Ramped(ScreenedCoulomb(1.0, 0.02), 1.0, 1e-11)
+
     def test_rise_within_noise_passes(self):
-        _Ramped(ScreenedCoulomb(1.0, 0.02), 1.0, 1e-12)
+        _Ramped(ScreenedCoulomb(1.0, 0.02), 1.0, 1e-16)
+
+
+class _PlainPower(Potential):
+    """A user potential with only V and V': its radicand takes the base
+    class's plain difference."""
+
+    def __init__(self, strength, exponent):
+        self.strength, self.exponent = strength, exponent
+
+    def __call__(self, r):
+        return self.strength / np.asarray(r, dtype=float) ** self.exponent
+
+    def derivative(self, r):
+        r = np.asarray(r, dtype=float)
+        return -self.exponent * self.strength / r ** (self.exponent + 1.0)
+
+
+class TestRadicand:
+    SHIPPED = [ScreenedCoulomb(1.0, 2.0), RepulsivePower(0.8, 2.5)]
+
+    def test_user_potential_takes_plain_difference(self):
+        s = np.geomspace(1e-2, 20.0, 40)
+        plain = DeflectionFunction(_PlainPower(0.8, 2.5), 1.3)
+        split = DeflectionFunction(RepulsivePower(0.8, 2.5), 1.3)
+        assert np.max(np.abs(plain(s) - split(s))) <= 1e-7
+
+    @pytest.mark.parametrize("pot", SHIPPED, ids=repr)
+    def test_drop_matches_plain_difference_away_from_turn(self, pot):
+        u_max = _turning_u(pot, 1.0, np.geomspace(1e-2, 20.0, 9))[:, None]
+        x2 = np.linspace(0.1, 0.999, 50)
+        plain = Potential.drop(pot, u_max, x2)
+        assert np.all(plain > 0)
+        assert pot.drop(u_max, x2) == pytest.approx(plain, rel=1e-13,
+                                                    abs=0.0)
+
+    # the non-integer exponent converges slowest: 1.5e-13 at 64 nodes, so
+    # it is held to the 1e-12 the node count is chosen for
+    @pytest.mark.parametrize("pot, bound", [
+        (RepulsivePower(1.0, 1.0), 1e-13), (RepulsivePower(0.7, 2.0), 1e-13),
+        (ScreenedCoulomb(1.0, 1.0), 1e-13), (ScreenedCoulomb(1.0, 2.0), 1e-13),
+        (ScreenedCoulomb(1.0, 0.02), 1e-13), (RepulsivePower(0.8, 2.5), 1e-12),
+    ], ids=repr)
+    def test_node_count_is_converged(self, pot, bound, monkeypatch):
+        dfl = DeflectionFunction(pot, 1.0)
+        s = dfl.inverse(np.linspace(0.05, 3.0, 40))
+        theta = dfl(s)
+        monkeypatch.setattr(scattering, "_N_NODES", 4 * scattering._N_NODES)
+        assert np.max(np.abs(DeflectionFunction(pot, 1.0)(s) - theta)) \
+            <= bound
 
 
 class TestDeflectionFunction:
