@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -179,11 +180,14 @@ def run_scenario(config: ScenarioConfig) -> int:
     seed = 0 if config.seed is None else config.seed
     try:
         bundle = OutputBundle()
-        scen.run(params, seed, bundle)
+        # a failed run's stderr is its one error line, so numpy's
+        # floating-point warnings on the way to the error stay silent
+        with np.errstate(all="ignore"):
+            scen.run(params, seed, bundle)
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TrajlabError, ValueError) as exc:
+    except (TrajlabError, ValueError, ArithmeticError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
 

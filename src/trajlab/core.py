@@ -64,12 +64,8 @@ class PiecewiseTrajectory:
     Segment ``i`` owns ``[t0_i, t0_{i+1})``; the last owns its right
     endpoint too. Sectors may differ between pieces (piecewise
     configuration spaces). ``branch_id`` distinguishes co-existing
-    continuations that share a past (an indeterministic split), and
-    ``native_step`` is the sampling step :func:`check_determinism` uses
-    when given none.
+    continuations that share a past (an indeterministic split).
     """
-
-    native_step: float | None = None
 
     def __init__(self, segments: Sequence[Segment], branch_id=None):
         if not segments:
@@ -268,15 +264,15 @@ class MeasureSpec:
 def check_determinism(trajectories: Sequence[PiecewiseTrajectory],
                       match_window: float,
                       tolerance: float,
-                      time_step: float | None = None) -> bool:
+                      time_step: float) -> bool:
     """Grid search for an indeterminism witness among ``trajectories``.
 
     A witness is a pair of (possibly time-shifted, possibly identical)
     trajectories that agree within ``tolerance`` at every sample of a window
     of length ``match_window`` but disagree at some later comparable time.
-    Returns False iff a witness is found. Sampling is on a uniform grid
-    (``time_step`` or each trajectory's native step or span/128), so this is
-    a falsification search, not a proof of determinism.
+    Returns False iff a witness is found. Sampling is on a uniform grid of
+    step ``time_step``, so this is a falsification search, not a proof of
+    determinism.
 
     Two samples agree when they lie in the same sector, have the same width
     and differ by at most ``tolerance`` in every coordinate; NaN agrees with
@@ -287,16 +283,16 @@ def check_determinism(trajectories: Sequence[PiecewiseTrajectory],
     """
     if match_window <= 0:
         raise ValueError("match_window must be positive")
+    h = float(time_step)
+    if h <= 0:
+        raise ValueError("nonpositive sampling step")
+    w = max(1, int(round(match_window / h))) + 1
 
     # zero-padded coordinates and a (sector, width) code of every sample
     codes: dict = {}
     sampled = []
     for tr in trajectories:
         t0, t1 = tr.domain
-        h = float(time_step if time_step is not None else tr.native_step
-                  if tr.native_step is not None else (t1 - t0) / 128.0)
-        if h <= 0:
-            raise ValueError("nonpositive sampling step")
         times = np.arange(t0, t1 + h * 0.5, h)
         # h need not divide the span: keep a last point past t1 by rounding
         times = np.minimum(times[times <= t1 + 1e-9 * h], t1)
@@ -307,14 +303,10 @@ def check_determinism(trajectories: Sequence[PiecewiseTrajectory],
         for seg, rows, x in pieces:
             coords[rows, :x.shape[1]] = x
             kind[rows] = codes.setdefault((seg.sector, x.shape[1]), len(codes))
-        sampled.append((h, coords, kind))
-    if any(not np.isclose(h, sampled[0][0]) for h, _, _ in sampled):
-        raise ValueError("trajectories must share a sampling step "
-                         "for comparison; pass time_step explicitly")
+        sampled.append((coords, kind))
 
-    for i, (h, ci, ki) in enumerate(sampled):
-        w = max(1, int(round(match_window / h))) + 1
-        for _, cj, kj in sampled[i:]:
+    for i, (ci, ki) in enumerate(sampled):
+        for cj, kj in sampled[i:]:
             # equal widths fit in both paddings, whose extra columns are 0
             dim = min(ci.shape[1], cj.shape[1])
             # shift d compares sample k of i with sample k + d of j; a

@@ -500,12 +500,10 @@ def decay_trajectory(masses: DecayMasses, boundary: DecayBoundary,
         dt = (t - t_d)[:, None]
         return np.concatenate([x_d + v2 * dt, x_d + v3 * dt], axis=1)
 
-    traj = PiecewiseTrajectory(
+    return PiecewiseTrajectory(
         [Segment(t_a, t_d, parent, sector="parent"),
          Segment(t_d, boundary.t_b, products, sector="products")],
         branch_id=branch_id)
-    traj.native_step = (boundary.t_b - t_a) / 512.0
-    return traj
 
 
 def rest_decay_family(masses: DecayMasses, decay_times, t_b: float,

@@ -595,10 +595,13 @@ class NBodySystem:
         # scipy is imported here only: nothing else in trajlab needs it
         from scipy.integrate import DOP853
 
-        def rhs(_t, y):
+        def rhs(t, y):
             p = y[:3 * self.n].reshape(self.n, 3)
-            v = y[3 * self.n:]
-            return np.concatenate([v, self.accelerations(p).ravel()])
+            acc = self.accelerations(p).ravel()
+            # DOP853 does not stop on a NaN force: it steps on for ever
+            if not np.isfinite(acc).all():
+                raise IntegrationError(f"non-finite acceleration at t = {t}")
+            return np.concatenate([y[3 * self.n:], acc])
 
         solver = DOP853(rhs, t0, np.concatenate([pos.ravel(), vel.ravel()]),
                         float(ends[-1]), rtol=_NBODY_RTOL, atol=_NBODY_ATOL)

@@ -28,9 +28,9 @@ from .decay import (DecayMasses, DecayBoundary, solve_decay_vertex,
                     exponential_life_measure, uniform_life_measure, mean_life)
 from .spin_epr import (SpinVariable, PhysicalConstants, SGDevice,
                        propagate_sg, branch_weights, planar_setting,
-                       singlet_measure, global_epr_measure,
-                       epr_conditional_probabilities, correlator, chsh_value,
-                       sample_epr_counts, chsh_estimate,
+                       global_epr_measure, epr_conditional_probabilities,
+                       correlator, chsh_value, sample_epr_counts,
+                       chsh_estimate,
                        deterministic_strategies, chsh_of_strategy)
 from .interference import (BiprismScene, fringe_target_density,
                            envelope_target_density,
@@ -348,11 +348,10 @@ def _run_stern_gerlach(p, seed, out: OutputBundle):
     r0 = np.zeros(3)
     v0 = np.array([p["speed"], 0.0, 0.0])
     t_plus, t_minus = propagate_sg(r0, v0, s_in, device, constants)
-    w_plus, w_minus = branch_weights(p["weight_model"], device.orientation,
+    w_plus, w_minus = branch_weights(p["weight_model"], (0.0, 0.0, 1.0),
                                     psi=s_in)
 
     t_entry = device.entry_x / p["speed"]
-    u_hat = device.orientation
     e_in = 0.5 * p["mass"] * float(v0 @ v0)
     rows = [("weight_plus", w_plus), ("weight_minus", w_minus)]
     for traj, label in ((t_plus, "plus"), (t_minus, "minus")):
@@ -362,9 +361,8 @@ def _run_stern_gerlach(p, seed, out: OutputBundle):
         r_entry, r_exit, r_scr = traj.evaluate(
             np.array([t_entry, t_exit, t_scr]))
         # transverse velocity is untouched by the entry kick, so the drift
-        # term uses v0's component along the device axis
-        defl = float(r_exit @ u_hat) - (float(r_entry @ u_hat)
-                                        + float(v0 @ u_hat) * tau)
+        # term uses v0's component along the device axis z
+        defl = float(r_exit[2]) - (float(r_entry[2]) + float(v0[2]) * tau)
         sign = 1.0 if label == "plus" else -1.0
         pred = -sign * 0.5 * (p["mu"] * p["gradient"] / p["mass"]) * tau ** 2
         # from positions, not the library's exit velocity: this checks it
@@ -373,11 +371,11 @@ def _run_stern_gerlach(p, seed, out: OutputBundle):
         rows += [(f"tau_{label}", tau),
                  (f"deflection_{label}", defl),
                  (f"predicted_{label}", pred),
-                 (f"screen_z_{label}", float(r_scr @ u_hat)),
+                 (f"screen_z_{label}", float(r_scr[2])),
                  (f"energy_drift_{label}", abs(e_out - e_in))]
         times = np.linspace(0.0, t_scr, p["n_table"])
         path = traj.evaluate(times)
-        table = [(float(t), float(r[0]), float(r @ u_hat))
+        table = [(float(t), float(r[0]), float(r[2]))
                  for t, r in zip(times, path)]
         out.add_dat(f"branch_{label}.dat",
                     [f"branch {traj.branch_id} path through the device",
@@ -389,7 +387,7 @@ def _run_epr(p, seed, out: OutputBundle):
     angles = (p["angle_a"], p["angle_a_prime"], p["angle_b"],
               p["angle_b_prime"])
     a, ap, b, bp = (planar_setting(x) for x in angles)
-    s_exact = chsh_value(singlet_measure, a, ap, b, bp)
+    s_exact = chsh_value(a, ap, b, bp)
     counts = sample_epr_counts(a, ap, b, bp, p["n_pairs"], seed=seed)
     s_hat, s_err = chsh_estimate(counts)
     det_max = max(abs(chsh_of_strategy(st)) for st in
@@ -433,7 +431,7 @@ def _run_epr(p, seed, out: OutputBundle):
     for off in offs:
         bo = planar_setting(p["angle_b"] + off)
         bpo = planar_setting(p["angle_b_prime"] + off)
-        scan.append((float(off), chsh_value(singlet_measure, a, ap, bo, bpo)))
+        scan.append((float(off), chsh_value(a, ap, bo, bpo)))
     out.add_dat("chsh_scan.dat",
                 ["four-correlator sum as both of B's settings rotate",
                  "columns: offset (degrees), S"], scan)

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import PiecewiseTrajectory, Segment
 from .errors import IntegrationError, UnconditionedSettingError, ZeroFieldError
+from .rng import stream
 
 __all__ = [
     "SpinVariable", "PhysicalConstants", "SGDevice",
@@ -104,13 +104,11 @@ class SGDevice:
                              f"at a finite x; got {self.screen_x}")
 
     @property
-    def orientation(self) -> np.ndarray:
-        """The field axis, z."""
-        return np.array([0.0, 0.0, 1.0])
-
-    @property
     def length(self) -> float:
         return self.exit_x - self.entry_x
+
+
+_Z_HAT = np.array([0.0, 0.0, 1.0])  # the field axis of every device
 
 
 def align_spin(s_in: SpinVariable, B) -> tuple[SpinVariable, SpinVariable]:
@@ -161,14 +159,24 @@ def branch_weights(weight_model: str, orientation,
                      f"use 'equal' or 'quantum'")
 
 
-def _entry_speed(v_x: float, sign: int, mu: float, m: float, mag: float) -> float:
-    """Longitudinal speed just inside a potential step of height sign*mu*mag."""
-    arg = v_x * v_x - sign * 2.0 * mu * mag / m
-    if arg <= 0:
+def _face_speed(v_sq: float, step: float) -> float:
+    """Longitudinal speed past a slab face whose potential step takes
+    ``step`` off the squared speed ``v_sq``."""
+    if v_sq - step <= 0:
         raise IntegrationError(
-            "beam kinetic energy along the axis is below the entry potential "
-            "step; the branch cannot enter the slab")
-    return math.sqrt(arg)
+            "beam kinetic energy along the axis is below the potential step "
+            "at a slab face; the branch cannot cross it")
+    return math.sqrt(v_sq - step)
+
+
+def _path(r, v, t0, a=None):
+    """r + v (t - t0), plus a (t - t0)^2 / 2 if ``a`` is given, at a 1-d
+    array of times."""
+    def path(t):
+        dt = (t - t0)[:, None]
+        x = r + v * dt
+        return x if a is None else x + 0.5 * a * dt * dt
+    return path
 
 
 def propagate_sg(position, velocity, s_in: SpinVariable, device: SGDevice,
@@ -191,77 +199,53 @@ def propagate_sg(position, velocity, s_in: SpinVariable, device: SGDevice,
         raise ValueError("beam must move toward the device (v_x > 0)")
 
     mu, m = constants.mu, constants.m
-    u_hat = device.orientation
-    g = device.gradient
+    g, b0 = device.gradient, device.base_field
     t_entry = (device.entry_x - r0[0]) / v0[0]
     r_entry = r0 + v0 * t_entry
-    mag_entry = device.base_field + g * float(r_entry @ u_hat)
+    mag_entry = b0 + g * float(r_entry[2])
     if mag_entry <= 0:
         raise IntegrationError(
             "field magnitude is not positive where the beam enters the slab; "
             "the aligned-branch picture needs a nonvanishing field")
     # alignment happens at the entry plane; the rays are fixed by the axis
-    s_plus, s_minus = align_spin(s_in, mag_entry * u_hat)
+    rays = align_spin(s_in, mag_entry * _Z_HAT)
 
-    branches = []
-    specs = []
-    for sign, label, s_ray in ((+1, "+", s_plus), (-1, "-", s_minus)):
-        v_long = _entry_speed(v0[0], sign, mu, m, mag_entry)
+    before = Segment(0.0, t_entry, _path(r0, v0, 0.0))
+    legs = []
+    for sign in (+1, -1):
+        v_long = _face_speed(v0[0] * v0[0], sign * 2.0 * mu * mag_entry / m)
         v_in = v0.copy()
         v_in[0] = v_long
-        accel = -sign * (mu * g / m) * u_hat
+        accel = -sign * (mu * g / m) * _Z_HAT
         tau = device.length / v_long
         r_exit = r_entry + v_in * tau + 0.5 * accel * tau * tau
-        v_exit_inside = v_in + accel * tau
-        mag_exit = device.base_field + g * float(r_exit @ u_hat)
+        mag_exit = b0 + g * float(r_exit[2])
+        # |B| = mag_entry + g v_z t -+ (mu/m) g^2 t^2 / 2 on the +/- branch.
+        # It is concave on +, so least at an end; on - it lies above the +
+        # value at every t, and the - transit is the shorter. A positive +
+        # exit thus keeps the field positive on both branches in the slab.
         if mag_exit <= 0:
             raise IntegrationError(
                 "field magnitude crossed zero inside the slab; shrink the "
                 "gradient or shift the beam")
-        # the slab interior never sees |B| <= 0 between entry and exit:
-        # u(t) is quadratic with constant curvature, check its minimum
-        u_entry = float(r_entry @ u_hat)
-        du = float(v_in @ u_hat)
-        a_u = float(accel @ u_hat)
-        if a_u != 0.0:
-            t_star = -du / a_u
-            if 0.0 < t_star < tau:
-                u_star = u_entry + du * t_star + 0.5 * a_u * t_star * t_star
-                if device.base_field + g * u_star <= 0:
-                    raise IntegrationError(
-                        "field magnitude crossed zero inside the slab; "
-                        "shrink the gradient or shift the beam")
-        v_out = v_exit_inside.copy()
-        v_out[0] = math.sqrt(v_exit_inside[0] ** 2 + sign * 2.0 * mu * mag_exit / m)
+        v_out = v_in + accel * tau
+        v_out[0] = _face_speed(v_out[0] ** 2, -sign * 2.0 * mu * mag_exit / m)
         t_exit = t_entry + tau
         t_screen = t_exit + (device.screen_x - device.exit_x) / v_out[0]
-        specs.append((label, s_ray, v_in, accel, tau, r_exit, v_out, t_exit,
-                      t_screen))
+        legs.append((tau, t_screen, Segment(
+            t_entry, t_exit, _path(r_entry, v_in, t_entry, accel)),
+            _path(r_exit, v_out, t_exit)))
 
-    t_final = max(spec[-1] for spec in specs) * 1.05 + 1e-12
-
-    for label, s_ray, v_in, accel, tau, r_exit, v_out, t_exit, t_screen in specs:
-        def before(t, r0=r0, v0=v0):
-            return r0 + v0 * t[:, None]
-
-        def inside(t, r_e=r_entry, v=v_in, a=accel, te=t_entry):
-            dt = (t - te)[:, None]
-            return r_e + v * dt + 0.5 * a * dt * dt
-
-        def after(t, r_x=r_exit, v=v_out, tx=t_exit):
-            return r_x + v * (t - tx)[:, None]
-
+    t_final = max(leg[1] for leg in legs) * 1.05 + 1e-12
+    branches = []
+    for label, s_ray, (tau, t_screen, inside, after) in zip("+-", rays, legs):
         traj = PiecewiseTrajectory(
-            [Segment(0.0, t_entry, before),
-             Segment(t_entry, t_exit, inside),
-             Segment(t_exit, t_final, after)],
+            [before, inside, Segment(inside.t1, t_final, after)],
             branch_id=label)
-        traj.native_step = min(tau, t_entry) / 64.0
         traj.spin = s_ray
         traj.transit_time = tau
         traj.screen_time = t_screen
         branches.append(traj)
-
     return branches[0], branches[1]
 
 
@@ -286,14 +270,16 @@ def singlet_measure(a, b) -> np.ndarray:
     p(r_a, r_b) = (1 - r_a r_b a.b) / 4. Marginals over either outcome are
     exactly one half for any settings: the weights (1-x)/4 and (1+x)/4 sum
     to exactly 1/2 in floating point for every |x| <= 1, so neither wing
-    can see the other's setting choice in its own outcome rates.
+    can see the other's setting choice in its own outcome rates. x = a.b
+    is clamped to [-1, 1], which rounding can leave (a setting with itself
+    at 82 degrees gives 1 + 2^-52), so no weight is negative.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     for name, v in (("a", a), ("b", b)):
         if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
             raise ValueError(f"setting {name} must be a unit vector")
-    x = float(a @ b)
+    x = min(max(float(a @ b), -1.0), 1.0)
     anti = 0.25 * (1.0 - x)
     corr = 0.25 * (1.0 + x)
     return np.array([[anti, corr], [corr, anti]])
@@ -340,29 +326,22 @@ def correlator(conditional: np.ndarray) -> float:
     return float((signs * p).sum())
 
 
-def chsh_value(measure_builder: Callable[[np.ndarray, np.ndarray], np.ndarray],
-               a, a_prime, b, b_prime) -> float:
-    """S = E(a,b) + E(a,b') + E(a',b) - E(a',b').
+def _chsh(cells: np.ndarray) -> tuple[float, list[float]]:
+    """S = E(a,b) + E(a,b') + E(a',b) - E(a',b') from (2, 2, 2, 2) cell
+    masses, and the four E(i, j) it sums, each from its normalised block."""
+    e = [correlator(epr_conditional_probabilities(cells, (i, j)))
+         for i in (0, 1) for j in (0, 1)]
+    return e[0] + e[1] + e[2] - e[3], e
 
-    ``measure_builder(a_vec, b_vec)`` returns the (2, 2) outcome weights at
-    one setting pair; each is normalised before the correlator is taken.
-    """
-    def corr(av, bv):
-        w = np.asarray(measure_builder(av, bv), dtype=float)
-        total = float(w.sum())
-        if total <= 0:
-            raise UnconditionedSettingError("setting pair carries zero mass")
-        return correlator(w / total)
 
-    return (corr(a, b) + corr(a, b_prime)
-            + corr(a_prime, b) - corr(a_prime, b_prime))
+def chsh_value(a, a_prime, b, b_prime) -> float:
+    """S for the singlet weights at settings (a, a') and (b, b')."""
+    return _chsh(global_epr_measure(a, a_prime, b, b_prime))[0]
 
 
 def sample_epr_counts(a, a_prime, b, b_prime, n_pairs: int,
                       seed: int = 0) -> np.ndarray:
     """Sample pairs (uniform settings, singlet outcomes) into cell counts."""
-    from .rng import stream
-
     rng = stream(seed, "epr-pairs")
     n_settings = rng.multinomial(n_pairs, [0.25] * 4)
     counts = np.zeros((2, 2, 2, 2))
@@ -381,21 +360,9 @@ def chsh_estimate(counts: np.ndarray) -> tuple[float, float]:
     c = np.asarray(counts, dtype=float)
     if c.shape != (2, 2, 2, 2):
         raise ValueError("counts must have shape (2, 2, 2, 2)")
-    total = 0.0
-    var = 0.0
-    terms = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            block = c[i, :, j, :]
-            n = float(block.sum())
-            if n <= 0:
-                raise UnconditionedSettingError(
-                    f"no sampled pairs for setting pair ({i}, {j})")
-            e = correlator(block / n)
-            terms[(i, j)] = e
-            var += (1.0 - e * e) / n
-    total = terms[(0, 0)] + terms[(0, 1)] + terms[(1, 0)] - terms[(1, 1)]
-    return total, math.sqrt(var)
+    s, e = _chsh(c)
+    n = c.sum(axis=(1, 3)).ravel()
+    return s, math.sqrt(sum((1.0 - x * x) / k for x, k in zip(e, n)))
 
 
 def deterministic_strategies():

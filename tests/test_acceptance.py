@@ -303,7 +303,7 @@ def test_criterion_11_chsh():
     t0 = time.perf_counter()
     a, a_prime, b, b_prime = [planar_setting(x)
                               for x in chsh_optimal_angles()]
-    s_exact = chsh_value(singlet_measure, a, a_prime, b, b_prime)
+    s_exact = chsh_value(a, a_prime, b, b_prime)
     counts = sample_epr_counts(a, a_prime, b, b_prime, n_pairs=100_000,
                                seed=11)
     s_hat, s_err = chsh_estimate(counts)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -464,6 +465,51 @@ class TestDecayTimeEdges:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error [NoSolutionError]")
         assert "\n" not in err
+        assert not out.exists()
+
+
+class TestNumericFailures:
+    # overflow, underflow or NaN on the way to a failure: exit 1 with the
+    # one error line, no traceback, no floating-point warning, no files
+    @pytest.mark.parametrize("scenario,params", [
+        ("scattering", {"radius": 1.0e-300}),
+        ("scattering", {"radius": 1.0e+300}),
+        ("flipper", {"action_range": 1.0e+300}),
+        ("flipper", {"action_range": 1.0e-300}),
+        ("decay", {"c": 1.0e+300}),
+        ("decay", {"x_a": "[1.0e+300, 0.0, 0.0]"}),
+        ("stern-gerlach", {"base_field": 1.0e+300}),
+        ("two-slit", {"source_to_screen": 1.0e+300}),
+        ("bigbang", {"width": 1.0e+300}),
+        ("bigbang", {"width": 1.0e-300}),
+        ("bigbang", {"masses": "[1.0e-300, 1.0]"}),
+    ])
+    def test_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                   scenario, params):
+        # width 1e-300 gives a NaN force, on which DOP853 once stepped for
+        # ever: a capped call count makes a regression fail, not hang
+        calls = []
+        acc = NBodySystem.accelerations
+
+        def counted(self, positions):
+            calls.append(None)
+            assert len(calls) <= 100_000
+            return acc(self, positions)
+
+        monkeypatch.setattr(NBodySystem, "accelerations", counted)
+        seed = 1 if SCENARIOS[scenario].stochastic else None
+        cfg = write_config(tmp_path / "cfg.yaml", scenario,
+                           parameters=params, seed=seed)
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["run", scenario, "--config", cfg, "--out", out]) == 1
+        assert time.perf_counter() - start < 5.0
+        assert not caught
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error [") and "\n" not in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

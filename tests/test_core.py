@@ -276,9 +276,8 @@ class TestDeterminism:
         # two lines through the origin with different slopes agree nowhere
         # over a window, so the family shows no indeterminism
         trs = [self._line(1.0), self._line(2.0)]
-        for tr in trs:
-            tr.native_step = 0.1
-        assert check_determinism(trs, match_window=1.0, tolerance=1e-9)
+        assert check_determinism(trs, match_window=1.0, tolerance=1e-9,
+                                 time_step=0.1)
 
     def test_split_pair_is_witnessed(self):
         def f(t):
@@ -289,9 +288,8 @@ class TestDeterminism:
 
         a = PiecewiseTrajectory([Segment(0.0, 10.0, f)], branch_id="a")
         b = PiecewiseTrajectory([Segment(0.0, 10.0, g)], branch_id="b")
-        a.native_step = b.native_step = 0.1
         assert not check_determinism([a, b], match_window=1.0,
-                                     tolerance=1e-9)
+                                     tolerance=1e-9, time_step=0.1)
 
 
 def _reference_check_determinism(trajectories, match_window, tolerance,

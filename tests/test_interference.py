@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from trajlab import interference
-from trajlab.errors import UnsupportedInputError
+from trajlab.errors import IntegrationError, UnsupportedInputError
 from trajlab.interference import (
     BiprismScene,
     CompactBumpPotential,
@@ -512,6 +512,26 @@ class TestNBodySystem:
         p_all, v_all = system.integrate(v0, v0, 1.0, times)
         assert p1.shape == v1.shape == (3, 2, 3)
         assert np.array_equal(p1, p_all[:3]) and np.array_equal(v1, v_all[:3])
+
+    def test_non_finite_force_raises(self, monkeypatch):
+        # width^2 underflows to 0, so the force is NaN at the first step;
+        # DOP853 would step on for ever, so a capped call count makes a
+        # regression fail instead of hang
+        system = NBodySystem([1.5, 0.5], pair_potential=GaussianPairPotential(
+            2.0, 1e-300))
+        v0 = np.array([[0.8, 0.1, 0.0], [-2.4, -0.3, 0.0]])
+        calls = []
+        acc = NBodySystem.accelerations
+
+        def counted(self, positions):
+            calls.append(None)
+            assert len(calls) <= 1000
+            return acc(self, positions)
+
+        monkeypatch.setattr(NBodySystem, "accelerations", counted)
+        with np.errstate(all="ignore"), pytest.raises(
+                IntegrationError, match="non-finite acceleration"):
+            system.integrate(v0, v0, 1.0, 2.0)
 
 
 def refuse_to_integrate(*args, **kwargs):

@@ -222,6 +222,113 @@ class TestPropagateSG:
                          DEVICE, CONSTANTS)
 
 
+def slab_fields(device, v0, sign):
+    """Closed-form |B| along one branch of a beam from the origin: at the
+    entry, at the exit, and where it turns if that is inside the slab.
+
+    With M the entry field and k = mu/m, |B|(t) = M + g v_z t
+    - sign k g^2 t^2 / 2 at t after entry.
+    """
+    g, k = device.gradient, CONSTANTS.mu / CONSTANTS.m
+    mag = device.base_field + g * v0[2] * device.entry_x / v0[0]
+    tau = device.length / math.sqrt(v0[0] ** 2 - sign * 2.0 * k * mag)
+
+    def field(t):
+        return mag + g * v0[2] * t - sign * 0.5 * k * g * g * t * t
+
+    t_turn = sign * v0[2] / (k * g)
+    return field(0.0), field(tau), (field(t_turn) if 0.0 < t_turn < tau
+                                    else None)
+
+
+class TestSlabFieldCheck:
+    """|B| = base_field + gradient * z must stay positive in the slab."""
+
+    @pytest.mark.parametrize("gradient", [12.0, -12.0])
+    def test_zero_at_exit_raises(self, gradient):
+        # entry field 4.5 on the axis: v_long = 4, tau = 1/4, and the +
+        # branch leaves at z = -+0.375, where 4.5 + gradient * z is 0
+        device = SGDevice(entry_x=1.0, exit_x=2.0, base_field=4.5,
+                          gradient=gradient)
+        assert slab_fields(device, BEAM_V, +1)[1] == 0.0
+        with pytest.raises(IntegrationError, match="crossed zero"):
+            propagate_sg(np.zeros(3), BEAM_V, UP, device, CONSTANTS)
+
+    @pytest.mark.parametrize("gradient", [4.0, -4.0])
+    def test_dip_at_turn_raises(self, gradient):
+        # entry field 1: the - branch turns half way through its unit
+        # transit, at a field of 1 - 2 = -1, and leaves at a field of 1.
+        # The + branch, pushed down the gradient, has reached zero by its
+        # own exit, which is what refuses the beam
+        v0 = np.array([5.0, 0.0, -8.0 / gradient])
+        device = SGDevice(entry_x=1.0, exit_x=1.0 + math.sqrt(27.0),
+                          base_field=2.6, gradient=gradient)
+        entry, exit_, turn = slab_fields(device, v0, -1)
+        assert entry > 0 and exit_ > 0 and turn < 0
+        assert slab_fields(device, v0, +1)[1] < 0
+        with pytest.raises(IntegrationError, match="crossed zero"):
+            propagate_sg(np.zeros(3), v0, UP, device, CONSTANTS)
+
+    @pytest.mark.parametrize("gradient", [4.0, -4.0])
+    def test_turn_past_exit_passes(self, gradient):
+        # the same beam through a slab 1/20 as long: the - branch would
+        # turn at a field of -1 ten transits on, but leaves first
+        v0 = np.array([5.0, 0.0, -8.0 / gradient])
+        device = SGDevice(entry_x=1.0, exit_x=1.0 + 0.05 * math.sqrt(27.0),
+                          base_field=2.6, gradient=gradient)
+        for sign in (+1, -1):
+            entry, exit_, turn = slab_fields(device, v0, sign)
+            assert entry > 0 and exit_ > 0 and turn is None
+        plus, minus = propagate_sg(np.zeros(3), v0, UP, device, CONSTANTS)
+        assert minus.transit_time == pytest.approx(0.05, rel=1e-12)
+
+    @pytest.mark.parametrize("gradient", [1.0, -1.0])
+    def test_branch_that_cannot_leave_raises(self, gradient):
+        # entry field 5: the - branch gains 22 in field over its transit of
+        # 2, more than its 12.5 of longitudinal kinetic energy per mass
+        # outside, so it cannot climb the exit step
+        v0 = np.array([5.0, 0.0, 10.0 * gradient])
+        device = SGDevice(entry_x=1.0, exit_x=1.0 + 2.0 * math.sqrt(35.0),
+                          base_field=3.0, gradient=gradient)
+        assert all(f > 0 for f in slab_fields(device, v0, +1)[:2])
+        entry, exit_, _ = slab_fields(device, v0, -1)
+        assert exit_ - entry > 0.5 * v0[0] ** 2
+        with pytest.raises(IntegrationError, match="cannot cross"):
+            propagate_sg(np.zeros(3), v0, UP, device, CONSTANTS)
+
+    def test_raises_iff_the_field_reaches_zero(self):
+        # the exits are the only points checked; the closed-form least
+        # field over both branches, turns included, must agree with them
+        rng = np.random.default_rng(19)
+        outcomes = []
+        for _ in range(400):
+            gradient = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 10.0)
+            device = SGDevice(entry_x=1.0, exit_x=1.0 + rng.uniform(0.05, 2.0),
+                              base_field=rng.uniform(0.1, 3.0),
+                              gradient=gradient)
+            v0 = np.array([rng.uniform(3.0, 6.0), 0.0, rng.uniform(-3.0, 3.0)])
+            # both branches enter: a positive entry field below the step
+            mag = device.base_field + gradient * v0[2] / v0[0]
+            if not 0.0 < 2.0 * mag < v0[0] ** 2 - 1.0:
+                continue
+            least = min(f for sign in (+1, -1)
+                        for f in slab_fields(device, v0, sign)
+                        if f is not None)
+            # and the - branch can climb out of the exit step
+            leave = v0[0] ** 2 - 2.0 * (slab_fields(device, v0, -1)[1] - mag)
+            if abs(least) < 1e-9 or leave < 1.0:
+                continue
+            try:
+                propagate_sg(np.zeros(3), v0, UP, device, CONSTANTS)
+                raised = False
+            except IntegrationError:
+                raised = True
+            assert raised == (least <= 0)
+            outcomes.append(raised)
+        # both answers occur often enough to mean something
+        assert 50 <= sum(outcomes) <= len(outcomes) - 50
+
+
 class TestSingletMeasure:
     def test_weights_and_marginals(self):
         rng = np.random.default_rng(1)
@@ -246,6 +353,16 @@ class TestSingletMeasure:
         assert w[0, 0] == 0.0 and w[1, 1] == 0.0
         assert w[0, 1] == 0.5 and w[1, 0] == 0.5
 
+    def test_equal_settings_never_give_negative_weights(self):
+        # a.b rounds to 1 + 2^-52 for some angles; an unclamped weight
+        # (1 - a.b) / 4 would be negative, which conditioning refuses
+        for angle in range(360):
+            a = planar_setting(float(angle))
+            assert np.all(singlet_measure(a, a) >= 0.0)
+            s = chsh_value(a, planar_setting(angle + 90.0), a,
+                           planar_setting(angle + 45.0))
+            assert abs(s) <= 2.0 * math.sqrt(2.0) + 1e-12
+
     def test_rejects_non_unit_settings(self):
         with pytest.raises(ValueError):
             singlet_measure(np.array([0.0, 0.0, 2.0]),
@@ -257,7 +374,7 @@ class TestCHSH:
         return [planar_setting(x) for x in chsh_optimal_angles()]
 
     def test_optimal_value(self):
-        s = chsh_value(singlet_measure, *self.settings())
+        s = chsh_value(*self.settings())
         assert s == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
     def test_bounded_by_quantum_maximum(self):
@@ -265,8 +382,7 @@ class TestCHSH:
         cap = 2.0 * math.sqrt(2.0) + 1e-9
         for _ in range(40):
             angles = rng.uniform(0.0, 360.0, size=4)
-            s = chsh_value(singlet_measure,
-                           *[planar_setting(float(x)) for x in angles])
+            s = chsh_value(*[planar_setting(float(x)) for x in angles])
             assert abs(s) <= cap
 
     def test_every_fixed_strategy_saturates_two(self):
