@@ -30,8 +30,8 @@ remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field as dataclass_field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -116,9 +116,7 @@ class BiprismScene:
         return self.wavelength * self.source_to_screen / self.separation
 
     def with_field(self, on: bool) -> "BiprismScene":
-        return BiprismScene(self.source_to_screen, self.source_to_wire,
-                            self.wire_radius, self.kick_angle, on,
-                            self.wavelength, self.aperture)
+        return replace(self, field_on=on)
 
 
 def standard_bench(field_on: bool = True) -> BiprismScene:
@@ -134,19 +132,19 @@ def standard_bench(field_on: bool = True) -> BiprismScene:
                         wavelength=2e-5, aperture=0.03)
 
 
+def _kick(a, scene: BiprismScene):
+    """Inward turn of a ray at emission angle ``a``: the kick toward the
+    axis on its passage side with the field on, none with it off."""
+    return np.sign(a) * scene.kick_angle if scene.field_on else 0.0
+
+
 def _deflect_array(angles: np.ndarray, scene: BiprismScene) -> np.ndarray:
     """Vectorized deflection map; absorbed rays come back NaN."""
     a = np.asarray(angles, dtype=float)
     d = scene.source_to_wire
-    rest = scene.source_to_screen - d
     x_wire = d * np.tan(a)
-    absorbed = (np.abs(x_wire) <= scene.wire_radius) & (scene.wire_radius > 0)
-    if scene.field_on:
-        side = np.sign(x_wire)
-        out = x_wire + rest * np.tan(a - side * scene.kick_angle)
-    else:
-        out = x_wire + rest * np.tan(a)
-    out[absorbed] = np.nan
+    out = x_wire + (scene.source_to_screen - d) * np.tan(a - _kick(a, scene))
+    out[(np.abs(x_wire) <= scene.wire_radius) & (scene.wire_radius > 0)] = np.nan
     out[np.abs(a) > scene.aperture] = np.nan
     return out
 
@@ -154,17 +152,16 @@ def _deflect_array(angles: np.ndarray, scene: BiprismScene) -> np.ndarray:
 def _pull_back(x, scene: BiprismScene, side: int) -> np.ndarray:
     """Emission angle that reaches screen point ``x`` on passage side +-1.
 
-    Inverts ``_deflect_array`` on one side. With t = tan(angle) and
-    k = side * tan(kick_angle) the map is the quadratic
+    Inverts ``_deflect_array`` on one side. With t = tan(angle) and k the
+    tangent of the side's kick the map is the quadratic
     d k t^2 + (d + r - x k) t - (x + r k) = 0 (d source to wire, r wire to
     screen), whose small root is taken in the cancellation-free form
-    2c / (-b - sign(b) sqrt(b^2 - 4ac)). With the field off, t = x/(d + r).
+    2c / (-b - sign(b) sqrt(b^2 - 4ac)). With the field off, k = 0 and the
+    root is exactly x/(d + r).
     """
     d = scene.source_to_wire
     r = scene.source_to_screen - d
-    if not scene.field_on:
-        return np.arctan(x / (d + r))
-    k = side * math.tan(scene.kick_angle)
+    k = math.tan(_kick(side, scene))
     a, b, c = d * k, d + r - x * k, -(x + r * k)
     return np.arctan(2.0 * c / (-b - np.copysign(
         np.sqrt(b * b - 4.0 * a * c), b)))
@@ -185,17 +182,6 @@ def _side_images(scene: BiprismScene) -> list[tuple[float, float]]:
     """
     return [tuple(float(x) for x in _deflect_array(np.array(r), scene))
             for r in _branch_ranges(scene)]
-
-
-def _overlap_window(scene: BiprismScene) -> tuple[float, float]:
-    """Screen interval covered by both passage sides (field on)."""
-    (lo0, hi0), (lo1, hi1) = _side_images(scene)
-    lo, hi = max(lo0, lo1), min(hi0, hi1)
-    if not hi > lo:
-        raise UnsupportedInputError(
-            "the passage sides do not overlap on the screen: the kick must "
-            "turn rays beside the wire, not the outermost, across the axis")
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -225,65 +211,63 @@ class ScreenDensity:
         return out
 
 
-def _flat_top_envelope(half_width: float):
-    """1 on the flat middle, cosine taper to 0 at +-half_width."""
-    def env(x):
-        x = np.abs(np.asarray(x, dtype=float))
-        flat = _FLAT_FRACTION * half_width
-        out = np.ones_like(x)
-        taper = (x > flat) & (x <= half_width)
-        out[taper] = 0.5 * (1.0 + np.cos(
-            math.pi * (x[taper] - flat) / (half_width - flat)))
-        out[x > half_width] = 0.0
-        return out
-    return env
-
-
 def _screen_window(scene: BiprismScene) -> tuple[float, float]:
-    if scene.field_on:
-        lo, hi = _overlap_window(scene)
-        half = 0.98 * min(-lo, hi)
-    else:
+    """Symmetric window the targets live on: with the field on, most of
+    the screen interval both passage sides reach; off, half the fan."""
+    if not scene.field_on:
         half = 0.5 * scene.source_to_screen * math.tan(scene.aperture)
+        return -half, half
+    (lo0, hi0), (lo1, hi1) = _side_images(scene)
+    lo, hi = max(lo0, lo1), min(hi0, hi1)
+    if not hi > lo:
+        raise UnsupportedInputError(
+            "the passage sides do not overlap on the screen: the kick must "
+            "turn rays beside the wire, not the outermost, across the axis")
+    half = 0.98 * min(-lo, hi)
     return -half, half
+
+
+def envelope_target_density(scene: BiprismScene) -> ScreenDensity:
+    """Flat-top target: 1 on the middle ``_FLAT_FRACTION`` of the window,
+    cosine taper to 0 at its ends (the smooth target)."""
+    lo, hi = _screen_window(scene)
+    flat = _FLAT_FRACTION * hi  # taper ends
+
+    def profile(x):
+        x = np.abs(np.asarray(x, dtype=float))
+        out = np.ones_like(x)
+        taper = (x > flat) & (x <= hi)
+        out[taper] = 0.5 * (1.0 + np.cos(
+            math.pi * (x[taper] - flat) / (hi - flat)))
+        out[x > hi] = 0.0
+        return out
+
+    return ScreenDensity((lo, hi), profile, (lo, -flat, flat, hi))
 
 
 def fringe_target_density(scene: BiprismScene) -> ScreenDensity:
     """Two-source interference target on the overlap window (field on).
 
-    Unit-contrast cosine of spacing wavelength*L/separation under a
-    flat-top envelope; maximum at the axis, first null half a spacing out.
+    Unit-contrast cosine of spacing wavelength*L/separation under the
+    envelope target; maximum at the axis, first null half a spacing out.
     """
     if not scene.field_on:
         raise ValueError("fringe target is defined for the field-on state")
-    lo, hi = _screen_window(scene)
+    env = envelope_target_density(scene)
     spacing = scene.fringe_spacing
-    env = _flat_top_envelope(hi)
 
     def profile(x):
-        return env(x) * (1.0 + np.cos(2.0 * math.pi * x / spacing))
+        return env.profile(x) * (1.0 + np.cos(2.0 * math.pi * x / spacing))
 
-    flat = _FLAT_FRACTION * hi  # taper ends
-    return ScreenDensity((lo, hi), profile, (lo, -flat, flat, hi))
-
-
-def envelope_target_density(scene: BiprismScene) -> ScreenDensity:
-    """The same flat-top envelope without modulation (the smooth target)."""
-    lo, hi = _screen_window(scene)
-    env = _flat_top_envelope(hi)
-    flat = _FLAT_FRACTION * hi  # taper ends
-    return ScreenDensity((lo, hi), env, (lo, -flat, flat, hi))
+    return ScreenDensity(env.window, profile, env.breaks)
 
 
 def _jacobian(angles: np.ndarray, scene: BiprismScene) -> np.ndarray:
     """d(screen position)/d(angle), positive on each branch."""
     a = np.asarray(angles, dtype=float)
     d = scene.source_to_wire
-    rest = scene.source_to_screen - d
-    if scene.field_on:
-        side = np.sign(a)
-        return d / np.cos(a) ** 2 + rest / np.cos(a - side * scene.kick_angle) ** 2
-    return d / np.cos(a) ** 2 + rest / np.cos(a) ** 2
+    return (d / np.cos(a) ** 2
+            + (scene.source_to_screen - d) / np.cos(a - _kick(a, scene)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -392,25 +376,24 @@ def screen_density_from_emission(measure: EmissionMeasure,
     return edges, masses / (edges[1] - edges[0])
 
 
+def _central(edges: np.ndarray, density: np.ndarray, fraction: float):
+    """Bin centres and densities in the window's middle ``fraction``."""
+    centers = 0.5 * (edges[1:] + edges[:-1])
+    half = fraction * 0.5 * (edges[-1] - edges[0])
+    mid = np.abs(centers - 0.5 * (edges[0] + edges[-1])) <= half
+    return centers[mid], np.asarray(density, dtype=float)[mid]
+
+
 def fringe_visibility(edges: np.ndarray, density: np.ndarray) -> float:
     """(max - min) / (max + min) over the central part of the window."""
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    half = _VISIBILITY_FRACTION * 0.5 * (edges[-1] - edges[0])
-    mid = np.abs(centers - 0.5 * (edges[0] + edges[-1])) <= half
-    vals = np.asarray(density, dtype=float)[mid]
+    _, vals = _central(edges, density, _VISIBILITY_FRACTION)
     hi, lo = float(vals.max()), float(max(vals.min(), 0.0))
-    if hi + lo == 0:
-        return 0.0
-    return (hi - lo) / (hi + lo)
+    return (hi - lo) / (hi + lo) if hi + lo else 0.0
 
 
 def estimate_fringe_spacing(edges: np.ndarray, density: np.ndarray) -> float:
     """Mean distance between interior peaks, refined by local parabolas."""
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    half = _SPACING_FRACTION * 0.5 * (edges[-1] - edges[0])
-    mid = np.abs(centers - 0.5 * (edges[0] + edges[-1])) <= half
-    x = centers[mid]
-    y = np.asarray(density, dtype=float)[mid]
+    x, y = _central(edges, density, _SPACING_FRACTION)
     if len(y) < 5:
         raise ValueError("too few bins to locate fringes")
     peaks = []
@@ -467,7 +450,8 @@ class GaussianPairPotential:
 
 @dataclass(frozen=True)
 class CompactBumpPotential:
-    """Smooth potential that is exactly zero beyond ``radius``."""
+    """Smooth radial field A exp(1 - 1/(1 - (r/R)^2)) about ``center``,
+    exactly zero from ``radius`` R on."""
 
     amplitude: float
     radius: float
@@ -479,7 +463,7 @@ class CompactBumpPotential:
         object.__setattr__(self, "center",
                            np.asarray(self.center, dtype=float))
 
-    def _profile(self, r):
+    def value(self, r):
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         inside = r < self.radius
@@ -487,20 +471,20 @@ class CompactBumpPotential:
         out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - u))
         return out
 
-    def value(self, x):
-        r = float(np.linalg.norm(np.asarray(x, dtype=float) - self.center))
-        return float(self._profile(np.array([r]))[0])
-
-    def force(self, x):
-        x = np.asarray(x, dtype=float)
-        delta = x - self.center
-        r = float(np.linalg.norm(delta))
-        if r >= self.radius or r == 0.0:
-            return np.zeros(3)
+    def dvdr(self, r: float) -> float:
+        if r >= self.radius:
+            return 0.0
         f = 1.0 - (r / self.radius) ** 2
         v = self.amplitude * math.exp(1.0 - 1.0 / f)
-        dvdr = v * (-2.0 * r / (self.radius ** 2 * f ** 2))
-        return -dvdr * delta / r
+        return v * (-2.0 * r / (self.radius ** 2 * f ** 2))
+
+
+def _masses(masses) -> np.ndarray:
+    """``masses`` as a 1-d float array, refused unless positive and finite."""
+    m = np.asarray(masses, dtype=float)
+    if m.ndim != 1 or not np.all(np.isfinite(m) & (m > 0)):
+        raise ValueError("masses must be a 1-D array of finite reals > 0")
+    return m
 
 
 class NBodySystem:
@@ -508,9 +492,7 @@ class NBodySystem:
 
     def __init__(self, masses, pair_potential: GaussianPairPotential | None = None,
                  external_potential: CompactBumpPotential | None = None):
-        self.masses = np.asarray(masses, dtype=float)
-        if self.masses.ndim != 1 or np.any(self.masses <= 0):
-            raise ValueError("masses must be a 1-D array of positive reals")
+        self.masses = _masses(masses)
         self.n = len(self.masses)
         self.pair_potential = pair_potential
         self.external_potential = external_potential
@@ -519,49 +501,52 @@ class NBodySystem:
     def is_free(self) -> bool:
         return self.pair_potential is None and self.external_potential is None
 
-    def accelerations(self, positions: np.ndarray) -> np.ndarray:
-        pos = positions.reshape(self.n, 3)
-        acc = np.zeros_like(pos)
-        if self.pair_potential is not None:
+    def _terms(self, pos: np.ndarray):
+        """Yield each interaction term (i, j, delta, r, potential): every
+        pair i < j, then each particle i in the external field with j None;
+        ``delta`` runs to i from j or from the field's centre, r = |delta|."""
+        pair, field = self.pair_potential, self.external_potential
+        if pair is not None:
             for i in range(self.n):
                 for j in range(i + 1, self.n):
                     delta = pos[i] - pos[j]
-                    r = float(np.linalg.norm(delta))
-                    if r == 0.0:
-                        continue
-                    f = -float(self.pair_potential.dvdr(r)) * delta / r
-                    acc[i] += f / self.masses[i]
-                    acc[j] -= f / self.masses[j]
-        if self.external_potential is not None:
+                    yield i, j, delta, float(np.linalg.norm(delta)), pair
+        if field is not None:
             for i in range(self.n):
-                acc[i] += self.external_potential.force(pos[i]) / self.masses[i]
+                delta = pos[i] - field.center
+                yield i, None, delta, float(np.linalg.norm(delta)), field
+
+    def accelerations(self, positions: np.ndarray) -> np.ndarray:
+        pos = positions.reshape(self.n, 3)
+        acc = np.zeros_like(pos)
+        for i, j, delta, r, pot in self._terms(pos):
+            if r == 0.0:
+                continue
+            f = -float(pot.dvdr(r)) * delta / r
+            acc[i] += f / self.masses[i]
+            if j is not None:
+                acc[j] -= f / self.masses[j]
         return acc
 
     def energy(self, positions, velocities) -> float:
         pos = np.asarray(positions, dtype=float).reshape(self.n, 3)
         vel = np.asarray(velocities, dtype=float).reshape(self.n, 3)
         e = 0.5 * float(np.sum(self.masses[:, None] * vel * vel))
-        if self.pair_potential is not None:
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    r = float(np.linalg.norm(pos[i] - pos[j]))
-                    e += float(self.pair_potential.value(r))
-        if self.external_potential is not None:
-            for i in range(self.n):
-                e += self.external_potential.value(pos[i])
+        for *_, r, pot in self._terms(pos):
+            e += float(pot.value(r))
         return e
 
-    def integrate(self, positions, velocities, t0: float, t1, until=None):
-        """Propagate the state from t0 to t1; free systems go analytically.
+    def integrate(self, positions, velocities, t0: float, times, until=None):
+        """Propagate the state from t0 to each of ``times``.
 
-        ``t1`` is one time or an increasing 1-d array of times from t0 on.
-        One time gives the (n, 3) positions and velocities there; an array
-        gives them stacked, (len(t1), n, 3) each. Free systems take the
-        closed form pos + vel * (t - t0) at every time. Interacting ones
-        make one DOP853 run towards the last time: a state at an earlier
-        time is read from the continuous extension of the step that passes
-        it, and the state at the last time is the run's own end state, so
-        it is bitwise what a call with that time alone returns.
+        ``times`` is an increasing 1-d array of times from t0 on. The
+        positions and velocities there come back stacked, (len(times), n, 3)
+        each. Free systems take the closed form pos + vel * (t - t0) at
+        every time. Interacting ones make one DOP853 run towards the last
+        time: a state at an earlier time is read from the continuous
+        extension of the step that passes it, and the state at the last
+        time is the run's own end state, so it is bitwise what a call with
+        that time alone returns.
 
         ``until(t, positions, velocities)``, if given, is called at each
         time in turn; the run stops after the first time it returns true,
@@ -569,25 +554,21 @@ class NBodySystem:
         """
         pos = np.asarray(positions, dtype=float).reshape(self.n, 3)
         vel = np.asarray(velocities, dtype=float).reshape(self.n, 3)
-        times = np.asarray(t1, dtype=float)
-        if times.ndim and not (times.ndim == 1 and len(times)
-                               and times[0] >= t0
-                               and np.all(np.diff(times) > 0)):
-            raise ValueError("t1 must be one time or an increasing array of "
-                             "times from t0 on")
-        ends = times.reshape(-1)
+        times = np.asarray(times, dtype=float)
+        if not (times.ndim == 1 and len(times) and times[0] >= t0
+                and np.all(np.diff(times) > 0)):
+            raise ValueError("times must be an increasing 1-d array of times "
+                             "from t0 on")
         if self.is_free:
-            states = ((pos + vel * (t - t0), vel.copy()) for t in ends)
+            states = ((pos + vel * (t - t0), vel.copy()) for t in times)
         else:
-            states = self._dop853_states(pos, vel, t0, ends)
+            states = self._dop853_states(pos, vel, t0, times)
         ps, vs = [], []
-        for t, (p, v) in zip(ends, states):
+        for t, (p, v) in zip(times, states):
             ps.append(p)
             vs.append(v)
             if until is not None and until(float(t), p, v):
                 break
-        if not times.ndim:
-            return ps[0], vs[0]
         return np.array(ps), np.array(vs)
 
     def _dop853_states(self, pos, vel, t0, ends):
@@ -688,38 +669,26 @@ def free_quantum_momentum_measure(boxes, masses) -> float:
     momentum-space volume: additive over disjoint boxes, translation
     invariant, and scaling as the cube of each mass.
     """
-    masses = np.asarray(masses, dtype=float)
-    if masses.ndim != 1 or np.any(masses <= 0):
-        raise ValueError("masses must be a 1-D array of positive reals")
-    n = len(masses)
-    dim = 3 * n
-    per_dim_mass = np.repeat(masses, 3)
-
-    parsed = []
-    for k, (lo, hi) in enumerate(boxes):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.shape != (dim,) or hi.shape != (dim,):
-            raise ValueError(f"box {k}: bounds must be {dim}-vectors")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError(f"box {k} is unbounded; only finite regions "
-                             f"carry finite measure")
-        if np.any(hi < lo):
-            raise ValueError(f"box {k}: upper bounds below lower bounds")
-        parsed.append((lo, hi))
-
-    for i in range(len(parsed)):
-        for j in range(i + 1, len(parsed)):
-            lo_i, hi_i = parsed[i]
-            lo_j, hi_j = parsed[j]
-            if np.all(np.minimum(hi_i, hi_j) > np.maximum(lo_i, lo_j)):
-                raise ValueError(f"boxes {i} and {j} overlap; pass disjoint "
-                                 f"boxes so volumes add")
-
-    total = 0.0
-    for lo, hi in parsed:
-        total += float(np.prod(per_dim_mass * (hi - lo)))
-    return (2.0 * math.pi) ** (-dim) * total
+    masses = _masses(masses)
+    dim = 3 * len(masses)
+    box = np.asarray(boxes, dtype=float)
+    if not len(box):
+        return 0.0
+    if box.shape[1:] != (2, dim):
+        raise ValueError(f"boxes must be (lower, upper) pairs of {dim}-vectors")
+    if not np.all(np.isfinite(box)):
+        raise ValueError("boxes must be finite to carry finite measure")
+    lo, hi = box[:, 0], box[:, 1]
+    if np.any(hi < lo):
+        raise ValueError("a box has upper bounds below lower bounds")
+    i, j = np.triu_indices(len(box), 1)
+    meet = (np.minimum(hi[i], hi[j]) > np.maximum(lo[i], lo[j])).all(axis=1)
+    if meet.any():
+        raise ValueError(f"boxes {i[meet][0]} and {j[meet][0]} overlap; "
+                         "pass disjoint boxes so volumes add")
+    volumes = np.prod(np.repeat(masses, 3) * (hi - lo), axis=1)
+    # cumsum adds the boxes one after another, in the order given
+    return (2.0 * math.pi) ** (-dim) * float(np.cumsum(volumes)[-1])
 
 
 @dataclass(frozen=True)

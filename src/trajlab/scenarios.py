@@ -438,12 +438,8 @@ def _run_epr(p, seed, out: OutputBundle):
 
 
 def _run_two_slit(p, seed, out: OutputBundle):
-    scene_on = BiprismScene(source_to_screen=p["source_to_screen"],
-                            source_to_wire=p["source_to_wire"],
-                            wire_radius=p["wire_radius"],
-                            kick_angle=p["kick_angle"], field_on=True,
-                            wavelength=p["wavelength"],
-                            aperture=p["aperture"])
+    scene_on = BiprismScene(field_on=True, **{k: v for k, v in p.items()
+                                              if k != "bins"})
     scene_off = scene_on.with_field(False)
 
     target_on = fringe_target_density(scene_on)

@@ -408,26 +408,28 @@ class TestPotentials:
 
     def test_bump_compact_support(self):
         pot = CompactBumpPotential(2.0, 1.0)
-        assert pot.value(np.array([1.0, 0.0, 0.0])) == 0.0
-        assert pot.value(np.array([5.0, 0.0, 0.0])) == 0.0
-        assert np.array_equal(pot.force(np.array([2.0, 0.0, 0.0])),
-                              np.zeros(3))
-        assert pot.value(np.zeros(3)) == pytest.approx(2.0, rel=1e-12)
+        assert pot.value(1.0) == 0.0
+        assert pot.value(5.0) == 0.0
+        assert pot.dvdr(2.0) == 0.0
+        assert pot.value(0.0) == pytest.approx(2.0, rel=1e-12)
+        assert np.array_equal(pot.value(np.array([0.5, 1.0, 3.0])) > 0,
+                              [True, False, False])
         with pytest.raises(ValueError):
             CompactBumpPotential(2.0, -1.0)
         with pytest.raises(ValueError):
             CompactBumpPotential(2.0, float("nan"))
 
     def test_bump_force_is_minus_gradient(self):
+        # the radial force -dV/dr is minus the slope of value(r), and both
+        # vanish at and beyond the radius
         pot = CompactBumpPotential(2.0, 1.0)
-        x = np.array([0.3, -0.2, 0.4])
         h = 1e-6
-        fd = np.empty(3)
-        for k in range(3):
-            dx = np.zeros(3)
-            dx[k] = h
-            fd[k] = (pot.value(x + dx) - pot.value(x - dx)) / (2 * h)
-        assert np.allclose(pot.force(x), -fd, atol=1e-5)
+        for r in (0.1, 0.3, 0.54, 0.8, 0.95):
+            fd = (pot.value(r + h) - pot.value(r - h)) / (2 * h)
+            assert pot.dvdr(r) == pytest.approx(fd, rel=1e-6)
+            assert pot.dvdr(r) < 0.0
+        for r in (1.0, 1.0 + 1e-12, 1.5, 7.0):
+            assert pot.dvdr(r) == 0.0 and pot.value(r) == 0.0
 
 
 class TestNBodySystem:
@@ -437,12 +439,47 @@ class TestNBodySystem:
         with pytest.raises(ValueError):
             NBodySystem([[1.0, 2.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_masses_must_be_finite_and_positive(self, bad):
+        # a nan or inf mass once gave a nan or inf energy and measure
+        with pytest.raises(ValueError, match="masses"):
+            NBodySystem([bad, 1.0])
+        with pytest.raises(ValueError, match="masses"):
+            free_quantum_momentum_measure([(np.zeros(6), np.ones(6))],
+                                          [bad, 1.0])
+
+    def test_forces_are_minus_energy_gradient(self):
+        # three bodies inside the bump's support, with a Gaussian pair:
+        # m * a is minus the gradient of the potential part of energy
+        m = np.array([1.5, 0.5, 2.0])
+        system = NBodySystem(
+            m, pair_potential=GaussianPairPotential(2.0, 1.0),
+            external_potential=CompactBumpPotential(1.3, 2.0,
+                                                    (0.1, -0.2, 0.05)))
+        pos = np.array([[0.3, -0.2, 0.4], [-0.5, 0.6, 0.1],
+                        [0.9, 0.2, -0.7]]).ravel()
+        still = np.zeros(9)
+        h = 1e-6
+        grad = np.empty(9)
+        for k in range(9):
+            dx = np.zeros(9)
+            dx[k] = h
+            grad[k] = (system.energy(pos + dx, still)
+                       - system.energy(pos - dx, still)) / (2 * h)
+        force = (m[:, None] * system.accelerations(pos)).ravel()
+        assert np.allclose(force, -grad, rtol=0.0, atol=1e-8)
+        # the pair alone, and the field alone, push every body here
+        for kw in ({"pair_potential": system.pair_potential},
+                   {"external_potential": system.external_potential}):
+            acc = NBodySystem(m, **kw).accelerations(pos)
+            assert np.linalg.norm(acc, axis=1).min() > 0.05
+
     def test_free_flight_is_analytic(self):
         system = NBodySystem([1.5, 0.5])
         assert system.is_free
         p0 = np.array([[0.1, 0.2, 0.3], [-0.4, 0.5, -0.6]])
         v0 = np.array([[0.8, 0.1, 0.0], [-2.4, -0.3, 0.0]])
-        p1, v1 = system.integrate(p0, v0, 1.0, 65.0)
+        (p1,), (v1,) = system.integrate(p0, v0, 1.0, np.array([65.0]))
         assert np.array_equal(v1, v0)
         assert np.array_equal(p1, p0 + v0 * 64.0)
 
@@ -454,7 +491,7 @@ class TestNBodySystem:
         p0 = v0 * 1.0
         e0 = system.energy(p0, v0)
         mom0 = (np.array([1.5, 0.5])[:, None] * v0).sum(axis=0)
-        p1, v1 = system.integrate(p0, v0, 1.0, 33.0)
+        (p1,), (v1,) = system.integrate(p0, v0, 1.0, np.array([33.0]))
         e1 = system.energy(p1, v1)
         mom1 = (np.array([1.5, 0.5])[:, None] * v1).sum(axis=0)
         assert e1 == pytest.approx(e0, rel=1e-8)
@@ -479,7 +516,8 @@ class TestNBodySystem:
         p1, v1 = system.integrate(v0, v0, 1.0, times)
         assert p1.shape == v1.shape == (6, 2, 3)
         for t, p, v in zip(times, p1, v1):
-            p_ref, v_ref = system.integrate(v0, v0, 1.0, t)
+            (p_ref,), (v_ref,) = system.integrate(v0, v0, 1.0,
+                                                  np.array([t]))
             assert np.allclose(p, p_ref, rtol=0.0, atol=1e-9)
             assert np.allclose(v, v_ref, rtol=0.0, atol=1e-9)
         # the last time is the run's own end state, not an interpolant
@@ -487,7 +525,7 @@ class TestNBodySystem:
         assert np.array_equal(v1[-1], v_ref)
 
     @pytest.mark.parametrize("times", [[2.0, 2.0], [3.0, 2.0], [0.5, 2.0],
-                                       [], [[2.0, 3.0]]])
+                                       [], [[2.0, 3.0]], 2.0])
     def test_times_must_increase_from_t0(self, times):
         system = NBodySystem([1.5, 0.5])
         with pytest.raises(ValueError, match="increasing"):
@@ -531,7 +569,7 @@ class TestNBodySystem:
         monkeypatch.setattr(NBodySystem, "accelerations", counted)
         with np.errstate(all="ignore"), pytest.raises(
                 IntegrationError, match="non-finite acceleration"):
-            system.integrate(v0, v0, 1.0, 2.0)
+            system.integrate(v0, v0, 1.0, np.array([2.0]))
 
 
 def refuse_to_integrate(*args, **kwargs):
@@ -545,7 +583,7 @@ def restarted_sweep(system, velocities, t_max, tolerance):
     history = [(t, pos.ravel().copy())]
     while t < t_max:
         t_next = min(2.0 * t, t_max)
-        pos, vel = system.integrate(pos, vel, t, t_next)
+        (pos,), (vel,) = system.integrate(pos, vel, t, np.array([t_next]))
         t = t_next
         history.append((t, (pos / t).ravel()))
         if np.max(np.abs(history[-1][1] - history[-2][1])) < tolerance:
@@ -706,6 +744,9 @@ class TestMomentumMeasure:
         doubled = free_quantum_momentum_measure([(self.LO, self.HI)],
                                                 [2.0, 2.0])
         assert doubled == pytest.approx(base * 2.0 ** 6, rel=1e-12)
+
+    def test_no_boxes_have_no_measure(self):
+        assert free_quantum_momentum_measure([], [1.0, 1.0]) == 0.0
 
     def test_rejections(self):
         with pytest.raises(ValueError):
