@@ -92,8 +92,17 @@ def bit_sequence_measure(n_steps: int, p_one: float = 0.5) -> MeasureSpec:
         raise ValueError("p_one must lie in [0, 1]")
     L = int(n_steps)
 
-    def sampler(rng, n):
-        return (rng.random((n, L)) < p_one).astype(np.uint8)
+    def sampler(streams, n):
+        # uniforms pass through a bounded scratch of 32 float rows
+        bits = np.empty((len(streams) * n, L), dtype=bool)
+        scratch = np.empty((min(32, len(bits)), L))
+        owners = (rng for rng in streams for _ in range(n))
+        for lo in range(0, len(bits), 32):
+            rows = scratch[:len(bits) - lo]
+            for row, rng in zip(rows, owners):
+                rng.random(out=row)
+            np.less(rows, p_one, out=bits[lo:lo + len(rows)])
+        return bits.view(np.uint8)
 
     return MeasureSpec(dimension=L, sampler=sampler)
 

@@ -440,16 +440,16 @@ def exponential_life_measure(tau0: float) -> MeasureSpec:
     """Normalised measure with density (1/tau0) exp(-t/tau0) on t >= 0."""
     if not (math.isfinite(tau0) and tau0 > 0):
         raise ValueError(f"tau0 must be positive, got {tau0}")
-    return MeasureSpec(dimension=1,
-                       sampler=lambda rng, n: rng.exponential(tau0, (n, 1)))
+    return MeasureSpec(dimension=1, sampler=lambda streams, n: np.array(
+        [rng.exponential(tau0, n) for rng in streams]).reshape(-1, 1))
 
 
 def uniform_life_measure(low: float = 0.0, high: float = 2.0) -> MeasureSpec:
     """Normalised uniform measure over split times in [low, high)."""
     if not high > low >= 0:
         raise ValueError("need 0 <= low < high")
-    return MeasureSpec(dimension=1,
-                       sampler=lambda rng, n: rng.uniform(low, high, (n, 1)))
+    return MeasureSpec(dimension=1, sampler=lambda streams, n: np.array(
+        [rng.uniform(low, high, n) for rng in streams]).reshape(-1, 1))
 
 
 def mean_life(decay_time_measure: MeasureSpec, n_samples: int = 1000,
@@ -467,7 +467,7 @@ def mean_life(decay_time_measure: MeasureSpec, n_samples: int = 1000,
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = stream(seed, "mean-life")
-    times = np.asarray(decay_time_measure.sampler(rng, n_samples),
+    times = np.asarray(decay_time_measure.sampler([rng], n_samples),
                        dtype=float).reshape(n_samples)
     if np.any(times < 0):
         raise ValueError("split times must be nonnegative")

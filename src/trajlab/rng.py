@@ -50,7 +50,7 @@ _MASK32 = 0xFFFFFFFF
 _POOL = 4
 
 
-class _Words:
+class _Words(ISeedSequence):
     """Seed words computed in advance, handed to ``PCG64`` as its seed.
 
     ``PCG64`` asks its seed sequence for exactly ``generate_state(4,
@@ -64,13 +64,11 @@ class _Words:
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"only generate_state(4, uint64) is precomputed, "
-                             f"not ({n_words}, {np.dtype(dtype)})")
-        return self.words
-
-
-ISeedSequence.register(_Words)
+        # PCG64 passes np.uint64 itself, which spares building a dtype
+        if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == "u8"):
+            return self.words
+        raise ValueError(f"only generate_state(4, uint64) is precomputed, "
+                         f"not ({n_words}, {np.dtype(dtype)})")
 
 
 def _hasher(hash_const: int, mult: int):
@@ -91,47 +89,58 @@ def _mix(x, y):
     return result ^ (result >> np.uint32(16))
 
 
-def trajectory_streams(master_seed: int, start: int,
-                       stop: int) -> list[np.random.Generator]:
-    """``[trajectory_stream(master_seed, i) for i in range(start, stop)]``.
+#: blocks hashed in one array pass; 16 blocks cost little more than one
+_WORDS_CHUNK = 16
 
-    Each generator is draw for draw the one :func:`trajectory_stream`
-    returns. The SeedSequence hash of ``(master_seed, spawn_key=(i,))`` is
-    computed for all indices at once in uint32 array arithmetic (numpy
-    keeps the hash fixed under its stream-compatibility policy, NEP 19);
-    only the last entropy word, the index, differs between them. Indices
-    of 2**32 and above have a two-word spawn key and take the scalar path.
+
+def _stream_blocks(master_seed: int, start: int, stop: int, block: int):
+    """Yield ``trajectory_streams(master_seed, s, min(s + block, stop))``
+    for each ``s`` in ``range(start, stop, block)``.
+
+    The SeedSequence hash of ``(master_seed, spawn_key=(i,))`` is computed
+    for :data:`_WORDS_CHUNK` blocks at once in uint32 array arithmetic
+    (numpy keeps it fixed under NEP 19); only the last entropy word, the
+    index, differs between them. A block's generators are built when it is
+    reached. Indices from 2**32 have a two-word key: the scalar path.
     """
     if master_seed < 0:
         raise ValueError("master seed must be a nonnegative integer")
-    split = min(max(start, 2 ** 32), stop)
     # entropy words: the seed's 32-bit words little end first, zero-padded
     # to the pool size because a spawn key follows, then the index
-    entropy, rest = [], int(master_seed)
-    while True:
-        entropy.append(rest & _MASK32)
-        rest >>= 32
-        if not rest:
-            break
-    entropy += [0] * (_POOL - len(entropy))
-    # through uint64: an empty range may start at 2**32 or above
-    entropy.append(np.arange(start, max(start, split), dtype=np.uint64)
-                   .astype(np.uint32))
-    with np.errstate(over="ignore"):
-        # mix_entropy
-        hashmix = _hasher(_INIT_A, _MULT_A)
-        pool = [hashmix(w) for w in entropy[:_POOL]]
-        for i_src in range(_POOL):
-            for i_dst in range(_POOL):
-                if i_src != i_dst:
-                    pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-        for word in entropy[_POOL:]:
-            for i_dst in range(_POOL):
-                pool[i_dst] = _mix(pool[i_dst], hashmix(word))
-        # generate_state(4, uint64): eight words cycling the pool, paired
-        # little end first
-        draw = _hasher(_INIT_B, _MULT_B)
-        state = np.stack([draw(pool[i % _POOL]) for i in range(8)], axis=1)
-    words = state.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_Words(w))) for w in words] \
-        + [trajectory_stream(master_seed, i) for i in range(split, stop)]
+    seed = int(master_seed)
+    entropy = [seed >> 32 * k & _MASK32
+               for k in range(max(_POOL, -(-seed.bit_length() // 32)))]
+    for lo in range(start, stop, _WORDS_CHUNK * block):
+        hi = min(lo + _WORDS_CHUNK * block, stop)
+        # through uint64: a chunk may start at 2**32 or above
+        index = np.arange(lo, max(lo, min(hi, 2 ** 32)), dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            # mix_entropy
+            hashmix = _hasher(_INIT_A, _MULT_A)
+            pool = [hashmix(w) for w in entropy[:_POOL]]
+            for i_src in range(_POOL):
+                for i_dst in range(_POOL):
+                    if i_src != i_dst:
+                        pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+            for word in entropy[_POOL:] + [index.astype(np.uint32)]:
+                for i_dst in range(_POOL):
+                    pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+            # generate_state(4, uint64): eight words cycling the pool,
+            # paired little end first
+            draw = _hasher(_INIT_B, _MULT_B)
+            state = np.stack([draw(pool[i % _POOL]) for i in range(8)], 1)
+        words = state.astype("<u4").view("<u8").astype(np.uint64)
+        for s in range(lo, hi, block):
+            e = min(s + block, hi)
+            yield [np.random.Generator(np.random.PCG64(_Words(w)))
+                   for w in words[s - lo:e - lo]] \
+                + [trajectory_stream(master_seed, i)
+                   for i in range(max(s, lo + len(words)), e)]
+
+
+def trajectory_streams(master_seed: int, start: int,
+                       stop: int) -> list[np.random.Generator]:
+    """``[trajectory_stream(master_seed, i) for i in range(start, stop)]``,
+    draw for draw, from seed words hashed in one array pass."""
+    return next(_stream_blocks(master_seed, start, stop,
+                               max(stop - start, 1)), [])

@@ -743,24 +743,20 @@ def entry_measure(scene: FlipperScene) -> MeasureSpec:
     L = scene.cell_size
     r0sq = scene.action_range ** 2
 
-    def draw(rng, n):
-        pos = rng.random((n, 3)) * L
-        vec = rng.normal(size=(n, 3))
-        vec /= np.linalg.norm(vec, axis=1, keepdims=True)
-        return np.concatenate([pos, vec], axis=1)
-
-    def sampler(rng, n):
-        out = draw(rng, n)
+    def redrawn(rng, n):
+        out = np.empty((n, 6))
         redraw = np.arange(n)
-        while True:
+        while redraw.size:
+            out[redraw, :3] = rng.random((redraw.size, 3)) * L
+            vec = rng.normal(size=(redraw.size, 3))
+            out[redraw, 3:] = vec / np.linalg.norm(vec, axis=1, keepdims=True)
             d = (scene.centers[None, :, :] - out[redraw, None, :3]
                  + L / 2.0) % L - L / 2.0
             redraw = redraw[((d * d).sum(-1) <= r0sq).any(axis=1)]
-            if not redraw.size:
-                return out
-            out[redraw] = draw(rng, redraw.size)
+        return out
 
-    return MeasureSpec(dimension=6, sampler=sampler)
+    return MeasureSpec(dimension=6, sampler=lambda streams, n: np.array(
+        [redrawn(rng, n) for rng in streams]).reshape(-1, 6))
 
 
 def flipper_outcome_builder(scene: FlipperScene, n_bins: int,

@@ -9,6 +9,7 @@ partial output on disk.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
@@ -186,6 +187,16 @@ class OutputBundle:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _in_float_range(p, what: str, key: str):
+    """Re-raise an overflow or a division by zero naming ``key``."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        raise type(exc)(f"{what} is out of float range for "
+                        f"{key} = {p[key]!r}") from exc
+
+
 def _run_bernoulli(p, seed, out: OutputBundle):
     n_steps = p["n_steps"]
     stats = lebesgue_ensemble_rate(
@@ -239,7 +250,9 @@ def _run_scattering(p, seed, out: OutputBundle):
                 list(zip(s_grid, thetas)))
 
     theta_grid = np.linspace(p["theta_min"], p["theta_max"], p["n_theta"])
-    disk = 1.0 / (math.pi * s_beam ** 2)
+    with _in_float_range(p, "the beam disk density 1/(pi s_max^2)",
+                         "radius" if kind == "hard-sphere" else "theta_min"):
+        disk = 1.0 / (math.pi * s_beam ** 2)
     rho_b = transfer_density(lambda s: disk if 0.0 < s <= s_beam else 0.0,
                              dfl, theta_grid)
     out.add_dat("transfer.dat",
@@ -268,8 +281,9 @@ def _signed_isotropic_mass(lo: float, hi: float) -> float:
 
 
 def _run_flipper(p, seed, out: OutputBundle):
-    scene = random_scene(p["n_centers"], p["action_range"], p["energy"],
-                         seed=p["scene_seed"])
+    with _in_float_range(p, "the periodic cell", "action_range"):
+        scene = random_scene(p["n_centers"], p["action_range"], p["energy"],
+                             seed=p["scene_seed"])
     res = flipper_cross_section(scene, n_outcomes=p["n_bins"],
                                 n_traj=p["n_traj"], seed=seed,
                                 n_encounters=p["n_encounters"],
@@ -297,6 +311,8 @@ def _run_flipper(p, seed, out: OutputBundle):
 
 def _run_decay(p, seed, out: OutputBundle):
     masses = DecayMasses(p["m1"], p["m2"], p["m3"], p["c"])
+    with _in_float_range(p, "the released energy (m1 - m2 - m3) c^2", "c"):
+        released = masses.released_energy
     boundary = DecayBoundary(np.array(p["x_a"]), p["t_a"],
                              np.array(p["x_b2"]), np.array(p["x_b3"]),
                              p["t_b"])
@@ -315,7 +331,7 @@ def _run_decay(p, seed, out: OutputBundle):
             ("action", vertex.action),
             ("momentum_residual", dp),
             ("energy_residual", de),
-            ("released_energy", masses.released_energy),
+            ("released_energy", released),
             ("mean_life", est),
             ("mean_life_stderr", err)]
     for label, v in (("v1", vertex.v1), ("v2", vertex.v2), ("v3", vertex.v3)):
@@ -516,13 +532,15 @@ def _run_bigbang(p, seed, out: OutputBundle):
         system = NBodySystem(masses, external_potential=CompactBumpPotential(
             p["amplitude"], p["bump_radius"], tuple(p["bump_center"])))
 
-    e0 = system.energy(vel * p["t0"], vel)
-    if e0 == 0.0:
-        raise ValueError("initial energy is zero, so the relative energy "
-                         "error is undefined")
-    res = asymptotic_velocity(system, vel, t_max=p["t_max"],
-                              tolerance=p["tolerance"], t0=p["t0"],
-                              growth=p["growth"])
+    with _in_float_range(p, "the N-body motion", "bump_radius"
+                         if kind == "bump" else "width"):
+        e0 = system.energy(vel * p["t0"], vel)
+        if e0 == 0.0:
+            raise ValueError("initial energy is zero, so the relative energy "
+                             "error is undefined")
+        res = asymptotic_velocity(system, vel, t_max=p["t_max"],
+                                  tolerance=p["tolerance"], t0=p["t0"],
+                                  growth=p["growth"])
     vp = res.v_plus.reshape(len(masses), 3)
     ke = 0.5 * float(np.sum(np.asarray(masses)[:, None] * vp * vp))
 

@@ -7,8 +7,8 @@ from trajlab import bernoulli
 from trajlab.bernoulli import (orbit_bits, orbit_rate, BernoulliTrajectory,
                                bit_sequence_measure,
                                biased_measure, lebesgue_ensemble_rate)
-from trajlab.core import evaluate_rates, is_well_defined
-from trajlab.rng import stream, trajectory_stream
+from trajlab.core import BUILD_BLOCK, evaluate_rates, is_well_defined
+from trajlab.rng import _WORDS_CHUNK, stream, trajectory_stream
 
 
 def dyadic(row):
@@ -87,13 +87,13 @@ class TestTrajectory:
 class TestMeasures:
     def test_bit_measure_shape_and_range(self):
         m = bit_sequence_measure(16, 0.5)
-        pts = m.sampler(stream(0), 10)
+        pts = m.sampler([stream(0)], 10)
         assert pts.shape == (10, 16)
         assert set(np.unique(pts)) <= {0, 1}
 
     def test_bias_controls_frequency(self):
         m = bit_sequence_measure(2000, 0.8)
-        pts = m.sampler(stream(1), 50)
+        pts = m.sampler([stream(1)], 50)
         assert abs(pts.mean() - 0.8) < 0.02
 
     def test_bias_bounds_checked(self):
@@ -131,7 +131,7 @@ class TestEnsembleRates:
         n_steps, measure = 60, biased_measure(0.7, 80)
         stats = lebesgue_ensemble_rate(300, n_steps, seed=5, measure=measure)
         R = np.asarray([evaluate_rates(orbit_bits(dyadic(
-            measure.sampler(trajectory_stream(5, i), 1)[0]), n_steps),
+            measure.sampler([trajectory_stream(5, i)], 1)[0]), n_steps),
             2).rates for i in range(300)])
         mean = R.mean(axis=0)
         assert np.array_equal(stats.mean, mean)
@@ -144,7 +144,7 @@ class TestEnsembleRates:
                             lambda *args, **kw: calls.append(args))
         lebesgue_ensemble_rate(10, 30, measure=bit_sequence_measure(40))
         builder = calls[0][1]
-        points = bit_sequence_measure(40).sampler(stream(2), 16)
+        points = bit_sequence_measure(40).sampler([stream(2)], 16)
         block = builder(points)
         assert block.shape == (16, 30)
         for bits, row in zip(points, block):
@@ -155,3 +155,40 @@ class TestEnsembleRates:
         with pytest.raises(ValueError):
             lebesgue_ensemble_rate(10, 100, seed=0,
                                    measure=bit_sequence_measure(50, 0.5))
+
+
+def numpy_seeded_statistics(n_traj, n_steps, p, seed):
+    """Rate mean and variance with row i drawn as ``random(n_steps) < p``
+    from numpy's own ``SeedSequence(seed, spawn_key=(i,))`` stream, one
+    trajectory at a time."""
+    R = np.empty((n_traj, 2))
+    for i in range(n_traj):
+        g = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(i,))))
+        ones = int(np.count_nonzero(g.random(n_steps) < p))
+        R[i] = (n_steps - ones) / n_steps, ones / n_steps
+    mean = R.mean(axis=0)
+    variance = np.mean((R - mean) ** 2, axis=0)
+    variance[variance < 1e-30] = 0.0
+    return mean, variance
+
+
+class TestBitsPinnedToNumpySeeding:
+    """The ensemble's bits are numpy's PCG64 draws under its own SeedSequence
+    seeding, whatever trajlab does to derive the streams and fill the rows."""
+
+    @pytest.mark.parametrize("n_traj, p, seed", [
+        (2 * BUILD_BLOCK + 7, p, seed)
+        for p in (0.0, 0.3, 0.5, 0.8, 1.0) for seed in (0, 2 ** 70 + 3)
+    ] + [
+        # seed words are hashed a chunk of blocks at a time
+        (_WORDS_CHUNK * BUILD_BLOCK + 3, 0.8, seed)
+        for seed in (0, 2 ** 70 + 3)
+    ])
+    def test_statistics_bitwise_equal(self, n_traj, p, seed):
+        stats = lebesgue_ensemble_rate(n_traj, 1001, seed=seed,
+                                       measure=bit_sequence_measure(1001, p))
+        mean, variance = numpy_seeded_statistics(n_traj, 1001, p, seed)
+        assert stats.n_trajectories == n_traj
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.variance.tobytes() == variance.tobytes()

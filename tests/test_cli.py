@@ -469,6 +469,15 @@ class TestDecayTimeEdges:
 
 
 class TestNumericFailures:
+    # the overflows and divisions by zero, whose line names the parameter
+    OUT_OF_FLOAT_RANGE = {
+        ("scattering", "radius", 1.0e-300),
+        ("scattering", "radius", 1.0e+300),
+        ("flipper", "action_range", 1.0e+300),
+        ("decay", "c", 1.0e+300),
+        ("bigbang", "width", 1.0e+300),
+    }
+
     # overflow, underflow or NaN on the way to a failure: exit 1 with the
     # one error line, no traceback, no floating-point warning, no files
     @pytest.mark.parametrize("scenario,params", [
@@ -511,6 +520,10 @@ class TestNumericFailures:
         assert err.startswith("error [") and "\n" not in err
         assert "Traceback" not in err
         assert not out.exists()
+        (key, value), = params.items()
+        if (scenario, key, value) in self.OUT_OF_FLOAT_RANGE:
+            assert "out of float range" in err
+            assert f"{key} = {value!r}" in err
 
 
 def refuse_to_integrate(*args, **kwargs):

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
 from trajlab.core import (Segment, PiecewiseTrajectory,
                           evaluate_rates, ensemble_statistics, outcome_rates,
                           BUILD_BLOCK,
                           is_well_defined, MeasureSpec,
                           check_determinism)
-from trajlab.decay import DecayMasses, rest_decay_family
+from trajlab.bernoulli import bit_sequence_measure
+from trajlab.decay import (DecayMasses, rest_decay_family,
+                           exponential_life_measure, uniform_life_measure)
 from trajlab.errors import NoTrialsError, EmptyEnsembleError
-from trajlab.rng import (_Words, stream, trajectory_stream,
-                         trajectory_streams)
+from trajlab.rng import (_WORDS_CHUNK, _Words, _stream_blocks, stream,
+                         trajectory_stream, trajectory_streams)
+from trajlab.scattering import entry_measure, random_scene
 
 
 def _line(slope, offset=0.0):
@@ -151,11 +155,14 @@ class TestRates:
             evaluate_rates(block, 3)
 
 
+def uniform_sampler(streams, n):
+    """Uniform points on [0, 1): n rows from each stream in turn."""
+    return np.array([rng.random((n, 1)) for rng in streams]).reshape(-1, 1)
+
+
 class TestEnsemble:
     def _setup(self, n_events=40):
-        measure = MeasureSpec(
-            dimension=1,
-            sampler=lambda rng, n: rng.random((n, 1)))
+        measure = MeasureSpec(dimension=1, sampler=uniform_sampler)
 
         def builder(points):
             # deterministic bits from each boundary point
@@ -195,8 +202,7 @@ class TestEnsemble:
 class TestOutcomeMatrix:
     """The builder contract: (n, d) points to an (n, h) outcome matrix."""
 
-    measure = MeasureSpec(dimension=1,
-                          sampler=lambda rng, n: rng.random((n, 1)))
+    measure = MeasureSpec(dimension=1, sampler=uniform_sampler)
 
     def test_rates_count_each_row(self):
         rates, trials = outcome_rates(
@@ -250,6 +256,15 @@ class TestOutcomeMatrix:
         with pytest.raises(ValueError, match="outcome builder"):
             ensemble_statistics(self.measure, builder, 2, 10)
 
+    def test_wrong_point_count_rejected(self):
+        # one point per block instead of one per stream
+        short = MeasureSpec(dimension=1,
+                            sampler=lambda streams, n: uniform_sampler(
+                                streams[:1], n))
+        with pytest.raises(ValueError, match="for 1 points of 10"):
+            ensemble_statistics(short, lambda pts: np.zeros((len(pts), 1),
+                                                            dtype=int), 1, 10)
+
     def test_blocks_are_consecutive_points(self):
         seen = []
 
@@ -262,8 +277,38 @@ class TestOutcomeMatrix:
         assert [len(b) for b in seen] == [BUILD_BLOCK, BUILD_BLOCK, 5]
         drawn = np.concatenate(seen)
         for i in (0, BUILD_BLOCK - 1, BUILD_BLOCK, 2 * BUILD_BLOCK + 4):
-            assert drawn[i] == self.measure.sampler(trajectory_stream(4, i),
+            assert drawn[i] == self.measure.sampler([trajectory_stream(4, i)],
                                                     1)[0, 0]
+
+
+# the four shipped measures, built fresh for each use
+SHIPPED_MEASURES = {
+    "bit-sequence": lambda: bit_sequence_measure(37, 0.3),
+    "flipper-entry": lambda: entry_measure(random_scene(12, 1.0, 1.0,
+                                                        seed=3)),
+    "exponential-life": lambda: exponential_life_measure(1.7),
+    "uniform-life": lambda: uniform_life_measure(0.5, 2.5),
+}
+
+
+class TestSamplerContract:
+    """``sampler(streams, n)``: rows k*n to k*n + n - 1 are what
+    ``streams[k]`` alone gives."""
+
+    @pytest.mark.parametrize("name", SHIPPED_MEASURES)
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_block_is_single_streams_stacked(self, name, n):
+        measure = SHIPPED_MEASURES[name]()
+        block = measure.sampler([stream(8, k) for k in range(3)], n)
+        alone = [measure.sampler([stream(8, k)], n) for k in range(3)]
+        assert block.shape == (3 * n, measure.dimension)
+        assert block.dtype == alone[0].dtype
+        assert np.array_equal(block, np.concatenate(alone))
+
+    @pytest.mark.parametrize("name", SHIPPED_MEASURES)
+    def test_no_streams_no_rows(self, name):
+        measure = SHIPPED_MEASURES[name]()
+        assert measure.sampler([], 4).shape == (0, measure.dimension)
 
 
 class TestDeterminism:
@@ -442,6 +487,18 @@ class TestTrajectoryStreams:
         for i, g in enumerate(streams):
             assert _same_draws(g, trajectory_stream(seed, start + i))
 
+    @pytest.mark.parametrize("start, stop, block", [
+        (0, 2 * _WORDS_CHUNK * 3 + 5, 3),   # three chunks, a short block
+        (5, 12, 4),
+        (2 ** 32 - 5, 2 ** 32 + 4, 2),     # the two-word split mid-block
+    ])
+    def test_blocks_equal_indexed_streams(self, start, stop, block):
+        blocks = list(_stream_blocks(2 ** 70 + 3, start, stop, block))
+        assert [len(b) for b in blocks] == [
+            min(block, stop - s) for s in range(start, stop, block)]
+        for i, g in zip(range(start, stop), [g for b in blocks for g in b]):
+            assert _same_draws(g, trajectory_stream(2 ** 70 + 3, i)), i
+
     def test_empty_range(self):
         assert trajectory_streams(3, 7, 7) == []
         assert trajectory_streams(3, 7, 2) == []
@@ -458,3 +515,14 @@ class TestTrajectoryStreams:
         assert words.generate_state(4, np.uint64) is words.words
         with pytest.raises(ValueError):
             words.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, "u8", np.dtype("uint64")])
+    def test_stub_accepts_uint64_spellings(self, dtype):
+        words = _Words(np.arange(4, dtype=np.uint64))
+        assert words.generate_state(4, dtype) is words.words
+
+    def test_stub_is_a_seed_sequence_subclass(self):
+        # a real subclass, not one registered with the ABC
+        assert ISeedSequence in type.mro(_Words)
+        assert isinstance(_Words(np.zeros(4, dtype=np.uint64)),
+                          ISeedSequence)

@@ -436,7 +436,8 @@ class TestLifeMeasures:
 
     def test_point_mass_exact(self):
         point = MeasureSpec(dimension=1,
-                            sampler=lambda rng, n: np.full((n, 1), 1.25))
+                            sampler=lambda streams, n: np.full(
+                                (len(streams) * n, 1), 1.25))
         est, se = mean_life(point, n_samples=500, seed=0)
         assert est == 1.25 and se == 0.0
 
@@ -444,11 +445,13 @@ class TestLifeMeasures:
         with pytest.raises(ValueError):
             mean_life(MeasureSpec(
                 dimension=2,
-                sampler=lambda rng, n: np.tile([1.0, 2.0], (n, 1))))
+                sampler=lambda streams, n: np.tile([1.0, 2.0],
+                                                (len(streams) * n, 1))))
 
     def test_rejects_negative_times(self):
         bad = MeasureSpec(dimension=1,
-                          sampler=lambda rng, n: -np.ones((n, 1)))
+                          sampler=lambda streams, n: -np.ones(
+                              (len(streams) * n, 1)))
         with pytest.raises(ValueError):
             mean_life(bad, n_samples=10)
 

@@ -554,7 +554,7 @@ class TestLockstepKernel:
         grazing their target sphere, where a coarse search would miss."""
         rng = np.random.default_rng(17)
         L, r0 = scene.cell_size, scene.action_range
-        starts = entry_measure(scene).sampler(rng, 12)[:, :3]
+        starts = entry_measure(scene).sampler([rng], 12)[:, :3]
         rays = []
         for i, p in enumerate(starts):
             c = scene.centers[rng.integers(len(scene.centers))]
@@ -602,7 +602,7 @@ class TestLockstepKernel:
         # path budgets of about 16 and 160 wall crossings: the short ones
         # run out inside a lookahead window
         rays = [(p[:3], p[3:], 6, 40.0 if i % 2 else 400.0)
-                for i, p in enumerate(entry_measure(scene).sampler(rng, 8))]
+                for i, p in enumerate(entry_measure(scene).sampler([rng], 8))]
         rays += [(p, u, 4, 100.0) for p, u in self._rays(scene)[:4]]
         # from the far corner, past the nearest images at (1 - 1e-7) r0:
         # |p| and |c| are largest there, the worst case of the float32 cull
@@ -647,7 +647,7 @@ class TestLockstepKernel:
 
     def test_batch_rows_equal_rays_traced_alone(self):
         scene = _gate_scene()
-        points = entry_measure(scene).sampler(stream(4), 64)
+        points = entry_measure(scene).sampler([stream(4)], 64)
         count, fields, log = _trace_batch(scene, points[:, :3], points[:, 3:],
                                           20, None, False)
         assert len(count) == 64
@@ -665,7 +665,7 @@ class TestLockstepKernel:
         # it gets alone
         scene = random_scene(64, 0.05, 1.0, potential=RepulsivePower(0.3),
                              seed=5)
-        points = entry_measure(scene).sampler(stream(4), 24)
+        points = entry_measure(scene).sampler([stream(4)], 24)
         # the last ray meets a center head on
         points[-1] = np.concatenate([scene.centers[0] - [0.3, 0.0, 0.0],
                                      [1.0, 0.0, 0.0]])
@@ -742,7 +742,7 @@ class TestFlipperPipeline:
 
     def test_entry_measure_samples(self):
         scene = random_scene(27, 0.05, 1.0, seed=1)
-        pts = entry_measure(scene).sampler(stream(2), 40)
+        pts = entry_measure(scene).sampler([stream(2)], 40)
         assert pts.shape == (40, 6)
         assert np.all((pts[:, :3] >= 0) & (pts[:, :3] < scene.cell_size))
         norms = np.sqrt((pts[:, 3:] ** 2).sum(-1))
@@ -754,7 +754,7 @@ class TestFlipperPipeline:
         sampler = entry_measure(scene).sampler
         moved = 0
         for i in range(3000):
-            pt = sampler(trajectory_stream(6, i), 1)[0]
+            pt = sampler([trajectory_stream(6, i)], 1)[0]
             assert _min_image_distance(scene, pt[:3]).min() > r0
             # a start outside every sphere keeps its first draw
             rng = trajectory_stream(6, i)
@@ -792,7 +792,7 @@ class TestFlipperPipeline:
 
     def test_outcome_block_equals_rays_binned_alone(self):
         scene = random_scene(64, 0.05, 1.0, seed=3)
-        points = entry_measure(scene).sampler(stream(9), 48)
+        points = entry_measure(scene).sampler([stream(9)], 48)
         # a short path budget stops some rays before their 12th encounter
         block = flipper_outcome_builder(scene, 5, 12, max_path_length=300.0)(
             points)
