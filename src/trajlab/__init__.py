@@ -12,7 +12,6 @@ from .errors import (
     EmptyEnsembleError,
     IntegrationError,
     NoSolutionError,
-    NotAMinimumError,
     ZeroFieldError,
     UnconditionedSettingError,
     UnsupportedInputError,

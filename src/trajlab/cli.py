@@ -125,13 +125,13 @@ def resolve_config(name: str, data: dict, lines: dict,
                 f"config names scenario {declared!r} but {name!r} was "
                 f"requested", key_path="scenario", line=lines.get(("scenario",)))
 
-    seed = cli_seed
+    seed, seed_line = cli_seed, None
     if seed is None and "seed" in data:
-        raw = data["seed"]
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise SchemaError(f"seed must be an integer, got {raw!r}",
-                              key_path="seed", line=lines.get(("seed",)))
-        seed = raw
+        seed, seed_line = data["seed"], lines.get(("seed",))
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)
+                             or seed < 0):
+        raise SchemaError(f"seed must be a nonnegative integer, got {seed!r}",
+                          key_path="seed", line=seed_line)
     if scen.stochastic and seed is None:
         raise SchemaError(f"seed is required for the stochastic scenario "
                           f"{name!r}; set it in the config or pass --seed",

@@ -14,11 +14,11 @@ the rest-energy terms are linear). At fixed ``t_d`` it is quadratic in
 ``x_d`` with a closed-form minimiser, and minimising a jointly convex
 function over some of its variables leaves a convex function of the rest
 (Boyd & Vandenberghe, *Convex Optimization*, 2004, §3.2.5). So the vertex
-time is the one sign change of the reduced action's nondecreasing slope,
-found by the in-package Brent root (Brent, *Algorithms for Minimization
-without Derivatives*, 1973, ch. 4), and the vertex is the global minimum.
-Conservation of momentum and energy at the vertex are exactly the
-stationarity conditions and are reported as residuals rather than imposed.
+time is the one sign change of the reduced action's nondecreasing,
+convex slope, found by bisection then Newton steps from the root's right,
+and the vertex is the global minimum. Conservation of momentum and energy
+at the vertex are exactly the stationarity conditions and are reported as
+residuals rather than imposed.
 
 The slope has a closed form. By the envelope theorem it is ``E2 + E3 - E1``
 at the best ``x_d``, where momentum balances; splitting the products'
@@ -31,9 +31,7 @@ with ``M = m2 + m3``, ``mu`` the products' reduced mass, ``Q`` the
 released energy, ``r = x_b2 - x_b3``, ``D`` the products' final centre of
 mass less ``x_a``, ``tau1 = t - t_a`` and ``tau2 = t_b - t``: the
 relative-motion energy plus the centre-of-mass excess over the parent's
-kinetic energy. The Hessian ``[[a I3, b], [b^T, d]]`` has the eigenvalue
-``a`` twice and the two of ``[[a, |b|], [|b|, d]]``, so the curvature check
-at the vertex needs no eigensolver.
+kinetic energy.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MeasureSpec, PiecewiseTrajectory, Segment
-from .errors import NoSolutionError, NotAMinimumError
+from .errors import NoSolutionError
 from .rng import stream
 
 __all__ = [
@@ -174,37 +172,16 @@ def action_gradient(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: floa
     return np.concatenate([dp, [de]])
 
 
-def _hessian_blocks(masses: DecayMasses, tau1, tau2, v1, v2, v3):
-    """Blocks of the Hessian ``[[a I3, b], [b^T, d]]`` in (x_d, t_d)."""
+def action_hessian(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) -> np.ndarray:
+    """Hessian ``[[a I3, b], [b^T, d]]`` in (x_d, t_d)."""
+    x_d = np.asarray(x_d, dtype=float)
+    tau1, tau2, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
     m1, m2, m3 = masses.m1, masses.m2, masses.m3
     a = m1 / tau1 + (m2 + m3) / tau2
     b = -m1 * v1 / tau1 - (m2 * v2 + m3 * v3) / tau2
     d = (m1 * float(v1 @ v1) / tau1
          + (m2 * float(v2 @ v2) + m3 * float(v3 @ v3)) / tau2)
-    return a, b, d
-
-
-def action_hessian(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) -> np.ndarray:
-    x_d = np.asarray(x_d, dtype=float)
-    a, b, d = _hessian_blocks(masses, *_velocities(masses, boundary, x_d, t_d))
     return np.block([[a * np.eye(3), b[:, None]], [b, d]])
-
-
-def _curvature_range(masses: DecayMasses, tau1, tau2, v1, v2, v3) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the Hessian, in closed form.
-
-    ``[[a I3, b], [b^T, d]]`` has the eigenvalue ``a`` on the plane of x_d
-    orthogonal to ``b`` and the two of ``[[a, |b|], [|b|, d]]`` on the
-    rest. The larger of those two bounds ``a`` and ``d`` from above; the
-    smaller is the determinant over it, which does not cancel the way
-    ``(a + d)/2 - sqrt(...)`` does. Dividing before multiplying keeps the
-    products in range at masses near 1e-165.
-    """
-    a, b, d = _hessian_blocks(masses, tau1, tau2, v1, v2, v3)
-    nb = math.hypot(*b.tolist())
-    lam_max = 0.5 * (a + d) + math.hypot(0.5 * (a - d), nb)
-    lam_min = a * (d / lam_max) - nb * (nb / lam_max)
-    return min(a, lam_min), lam_max
 
 
 def _best_x(masses: DecayMasses, boundary: DecayBoundary, t_d: float) -> np.ndarray:
@@ -220,7 +197,7 @@ def _best_x(masses: DecayMasses, boundary: DecayBoundary, t_d: float) -> np.ndar
 
 def _reduced_slope(masses: DecayMasses, boundary: DecayBoundary):
     """The reduced action's slope, the closed form in the module docstring,
-    as a function of the split time on plain floats.
+    and its derivative, as a function of the split time on plain floats.
 
     By the envelope theorem the slope is ``E2 + E3 - E1`` at ``_best_x``.
     There momentum balances, ``m1 v1 = M V`` with ``V`` the products'
@@ -229,8 +206,9 @@ def _reduced_slope(masses: DecayMasses, boundary: DecayBoundary):
     tau1)``. The products' kinetic energy is ``M |V|^2 / 2`` plus the
     relative part ``mu |r|^2 / (2 tau2^2)``, and the parent's is
     ``(M/m1) M |V|^2 / 2``. Both terms rise with ``t``, so the slope does
-    too unless ``r`` and ``D`` both vanish. Each term divides twice by its
-    flight time, not once by its square, which can underflow.
+    too unless ``r`` and ``D`` both vanish, and both are convex in ``t``.
+    Each term divides by its flight time once per power, not once by the
+    power, which can underflow.
     """
     m1, m_prod = masses.m1, masses.product_mass
     ratio = m_prod / m1
@@ -244,79 +222,60 @@ def _reduced_slope(masses: DecayMasses, boundary: DecayBoundary):
     def slope(t):
         tau2 = t_b - t
         flight = tau2 + ratio * (t - t_a)
-        return kin / tau2 / tau2 + excess / flight / flight - q
+        rel, com = kin / tau2 / tau2, excess / flight / flight
+        return rel + com - q, 2 * rel / tau2 + 2 * (1 - ratio) * com / flight
 
     return slope
 
 
-_BRENT_MAXITER = 100  # iterations of _brent_root before it gives up
-_BRENT_RTOL = 4 * sys.float_info.epsilon  # relative part of its tolerance
+_ROOT_MAXITER = 100  # slope evaluations of _convex_root before it gives up
+_ROOT_RTOL = 4 * sys.float_info.epsilon  # relative part of its tolerance
 
 
-def _brent_root(f, lo, hi, xtol):
-    """``(root, converged)`` of ``f`` on ``[lo, hi]``, where ``f`` changes
-    sign, by Brent's method (Brent 1973, ch. 4): inverse quadratic or secant
-    steps while they shrink fast enough, else bisection. The loop is step
-    for step the one scipy's ``brentq`` runs, so it returns the same bits."""
-    xpre, xcur, xtol = float(lo), float(hi), float(xtol)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre, True
-    if fcur == 0:
-        return xcur, True
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # den underflows for tiny slopes; brentq then bisects too
-                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
-                        else math.inf)
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _convex_root(f, lo, hi, xtol):
+    """``(root, converged)`` of an increasing convex ``f`` with ``f(lo) < 0
+    < f(hi)``, where ``f(t)`` returns the value and the derivative at ``t``.
+
+    Bisection shrinks ``[lo, hi]`` until a midpoint lies right of the root
+    with a finite derivative, which overflows near ``hi`` for huge masses
+    over short spans. A convex function lies above its tangents, so from
+    there each Newton step lands between the root and its start, and the
+    steps move down onto the root. The search stops at a step, or a
+    bracket, within ``xtol`` plus ``_ROOT_RTOL |x|``, as no float step is
+    shorter than an ulp of ``x``; a Newton step that rounding carries left
+    of the root is negative and stops it too.
+    """
+    x, newton = 0.5 * (lo + hi), False
+    for _ in range(_ROOT_MAXITER):
+        s, ds = f(x)
+        newton = newton or (s >= 0 and ds < math.inf)
+        if newton:
+            step = s / ds
+            x -= step
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-    return xcur, False
+            lo, hi = (x, hi) if s < 0 else (lo, x)
+            step, x = hi - lo, 0.5 * (lo + hi)
+        if step <= xtol + _ROOT_RTOL * abs(x):
+            return x, True
+    return x, False
 
 
 def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVertex:
     """Find the interior vertex minimising the action.
 
-    The vertex time is the Brent root (:func:`_brent_root`) of the reduced
+    The vertex time is the root (:func:`_convex_root`) of the reduced
     action's slope in closed form (:func:`_reduced_slope`): the products'
     relative-motion energy plus their centre-of-mass excess over the
     parent, less the released energy, from the envelope theorem at
-    ``_best_x``. ``x_d``, the action and the velocities come from
-    ``_best_x`` at that time, and the curvature check reads the Hessian's
-    extreme eigenvalues from a 2x2 block (:func:`_curvature_range`).
+    ``_best_x``. The slope is increasing and convex, so bisection then
+    Newton steps from the root's right find it, and the action's joint
+    convexity makes that stationary point its minimum. ``x_d``, the action
+    and the velocities come from ``_best_x`` at that time.
 
     Raises NoSolutionError when the span is too short to bracket a time
     strictly inside it, or the slope overflows at the bracket, has no sign
     change inside the interval (the infimum sits on the time boundary) or
-    its root search does not converge; and NotAMinimumError if the
-    curvature check fails at the reported point.
+    its root search does not converge.
     """
     t_a, t_b = boundary.t_a, boundary.t_b
     span = t_b - t_a
@@ -327,7 +286,7 @@ def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVer
             f"time interval ({t_a!r}, {t_b!r}) is too short to bracket a "
             "split time strictly inside it in floating point")
     slope = _reduced_slope(masses, boundary)
-    s_lo, s_hi = slope(lo), slope(hi)
+    (s_lo, _), (s_hi, _) = slope(lo), slope(hi)
     if not (math.isfinite(s_lo) and math.isfinite(s_hi)):
         raise NoSolutionError(
             "the reduced action's slope overflows at the ends of the time "
@@ -342,24 +301,19 @@ def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVer
             "endpoint data admits no interior split: the action keeps falling "
             "all the way to the final time")
     # scaled by the span, as t_a may be negative and the root may sit near 0
-    t_d, converged = _brent_root(slope, lo, hi,
-                                 xtol=4 * sys.float_info.epsilon * span)
+    t_d, converged = _convex_root(slope, lo, hi,
+                                  xtol=4 * sys.float_info.epsilon * span)
     if not converged:
         raise NoSolutionError(
-            f"split-time root search did not converge in {_BRENT_MAXITER} "
-            "iterations")
+            f"split-time root search did not converge in {_ROOT_MAXITER} "
+            "slope evaluations")
     if t_d - t_a < 10 * eps or t_b - t_d < 10 * eps:
         raise NoSolutionError(
             "least-action split time collapsed onto the interval boundary; "
             "the endpoint data admits no interior decay vertex")
 
     x_d = _best_x(masses, boundary, t_d)
-    tau1, tau2, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
-    lam_min, lam_max = _curvature_range(masses, tau1, tau2, v1, v2, v3)
-    if lam_min < -1e-8 * max(lam_max, 1.0):
-        raise NotAMinimumError(
-            f"stationary point has negative curvature (min eigenvalue "
-            f"{lam_min:.3e}); not an action minimum")
+    _, _, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
 
     return DecayVertex(x_d=x_d, t_d=float(t_d),
                        action=decay_action(masses, boundary, x_d, t_d),

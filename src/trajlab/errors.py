@@ -21,10 +21,6 @@ class NoSolutionError(TrajlabError):
     """A stationarity solve exhausted all starts without converging."""
 
 
-class NotAMinimumError(TrajlabError):
-    """A stationary point failed the second-order (curvature) check."""
-
-
 class ZeroFieldError(TrajlabError):
     """Spin alignment requested where the field vanishes; no direction is selected."""
 

@@ -355,6 +355,53 @@ class TestErrorExits:
         assert "\n" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["bernoulli", "two-slit"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_refused(self, tmp_path, capsys, scenario, source):
+        # -1 used to reach the stream derivation (exit 1) or, for a
+        # deterministic scenario, land in manifest.json
+        cfg = write_config(tmp_path / "cfg.yaml", scenario,
+                           seed=-3 if source == "config" else None)
+        args = ["run", scenario, "--config", cfg, "--out", tmp_path / "o"]
+        if source == "flag":
+            args += ["--seed", -1]
+        assert run(args) == 2
+        err = capsys.readouterr().err.strip()
+        assert "nonnegative" in err and "key 'seed'" in err
+        assert ("line 2" in err) == (source == "config")
+        assert "\n" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scenario, text, key_path, line", [
+        ("scattering", "parameters:\n  potential: 3", "parameters.potential", 3),
+        ("scattering", "parameters:\n  potential: cube",
+         "parameters.potential", 3),
+        ("decay", "seed: 1\nparameters:\n  x_a: [1, 2]", "parameters.x_a", 4),
+        ("bigbang", "parameters:\n  masses: []", "parameters.masses", 3),
+        ("bigbang", "parameters:\n  velocities: [[1, 2]]",
+         "parameters.velocities", 3),
+        ("two-slit", "parameters: [1]", "'parameters'", 2),
+        ("bernoulli", "seed: 1.5", "'seed'", 2),
+        ("two-slit", "out: 3", "'out'", 2),
+    ], ids=["str", "choice", "vec3", "floats", "vectors", "parameters-list",
+            "float-seed", "int-out"])
+    def test_malformed_value_refused(self, tmp_path, capsys, monkeypatch,
+                                     scenario, text, key_path, line):
+        # no --out, which would override the config's out
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.ENV_OUT, raising=False)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"scenario: {scenario}\n{text}\n")
+        assert run(["run", scenario, "--config", cfg]) == 2
+        err = capsys.readouterr().err.strip()
+        assert key_path in err and f"line {line}" in err
+        assert "\n" not in err
+        assert os.listdir(tmp_path) == ["cfg.yaml"]
+
+    def test_no_subcommand_prints_usage(self, capsys):
+        assert run([]) == 2
+        assert capsys.readouterr().out.startswith("usage: trajlab")
+
 
 class TestSmoothScattering:
     @pytest.mark.parametrize("potential", ["inverse-square",
@@ -451,8 +498,32 @@ class TestBigbangAtRest:
         assert "\n" not in err
         assert not out.exists()
 
+    def test_velocity_count_mismatch_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenario: bigbang\n"
+                       "parameters:\n"
+                       "  masses: [1.0, 2.0]\n"
+                       "  velocities: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n")
+        out = tmp_path / "o"
+        assert run(["run", "bigbang", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err.strip()
+        assert "3 vectors" in err and "2 masses" in err
+        assert "\n" not in err
+        assert not out.exists()
+
 
 class TestDecayTimeEdges:
+    def test_uniform_life_distribution(self, tmp_path):
+        params = dict(FAST_PARAMS["decay"], life_distribution="uniform",
+                      life_low=0.5, life_high=3.0)
+        cfg = write_config(tmp_path / "cfg.yaml", "decay", parameters=params,
+                           seed=11)
+        out = tmp_path / "o"
+        assert run(["run", "decay", "--config", cfg, "--out", out]) == 0
+        _, rows = read_rows(out / "results.csv")
+        mean, stderr = float(rows["mean_life"]), float(rows["mean_life_stderr"])
+        assert stderr > 0 and abs(mean - 1.75) <= 4 * stderr
+
     # 1e-9 of a 1e-8 span is below one ulp of t_a, so the bracket's lower
     # end would sit on t_a; at t_b = 1e-300 the slope overflows
     @pytest.mark.parametrize("times", [{"t_a": 9.99999999},

@@ -233,8 +233,9 @@ def _slope_root_problem(masses, boundary):
             4 * np.finfo(float).eps * span)
 
 
-class TestBrentRoot:
-    """The in-package Brent loop returns scipy brentq's root bit for bit."""
+class TestConvexRoot:
+    """The bisect-then-Newton root lands within scipy brentq's tolerance of
+    brentq's root in a few slope evaluations."""
 
     @staticmethod
     def cases():
@@ -249,8 +250,8 @@ class TestBrentRoot:
                                            np.array([d, 0.0, 0.0]),
                                            np.array([-d, 0.0, 0.0]), t_b)))
         rng = stream(12, "brent-port")
-        # at masses of 1e-150 the interpolation step's denominator
-        # underflows to 0, where brentq's step is inf or nan and it bisects
+        # spans much shorter than |t_a| make an ulp of t exceed 4 eps span,
+        # and masses of 1e-150 shrink the slope and its derivative as much
         for masses in (MASSES, DecayMasses(10.0, 1.0, 7.0),
                        DecayMasses(2.0, 0.5, 0.5), DecayMasses(3.0, 1.0, 1.2),
                        DecayMasses(50.0, 20.0, 29.0),
@@ -264,26 +265,37 @@ class TestBrentRoot:
                     speed_fraction=float(rng.uniform(0.0, 0.99)))[0]))
         return out
 
-    def test_bitwise_equal_to_brentq(self):
+    def test_within_brentq_tolerance(self):
         cases = self.cases()
         assert len(cases) == 654
         for masses, boundary in cases:
             slope, lo, hi, xtol = _slope_root_problem(masses, boundary)
-            ref = brentq(slope, lo, hi, xtol=xtol)
-            assert decay._brent_root(slope, lo, hi, xtol) == (ref, True)
-            assert solve_decay_vertex(masses, boundary).t_d == ref
+            calls = []
 
-    @pytest.mark.parametrize("lo, hi", [(1.0, 3.0), (-2.0, 1.0)])
-    def test_root_at_an_endpoint(self, lo, hi):
-        def f(x):
-            return x - 1.0
+            def counted(t):
+                calls.append(t)
+                return slope(t)
 
-        assert decay._brent_root(f, lo, hi, 1e-12) == (1.0, True)
-        assert brentq(f, lo, hi, xtol=1e-12) == 1.0
+            root, converged = decay._convex_root(counted, lo, hi, xtol)
+            assert converged and len(calls) <= 16
+            ref = brentq(lambda t: slope(t)[0], lo, hi, xtol=xtol)
+            assert abs(root - ref) <= xtol + 4 * np.finfo(float).eps * abs(root)
+            assert solve_decay_vertex(masses, boundary).t_d == root
+
+    def test_root_where_the_derivative_overflows(self):
+        # masses near 1e300 over a short span: no Newton step can start,
+        # so bisection alone brackets the closed-form split time
+        masses = DecayMasses(4e300, 1.5e300, 1.5e300)
+        boundary = DecayBoundary(np.zeros(3), 5.0, np.array([1e-10, 0.0, 0.0]),
+                                 np.array([-1e-10, 0.0, 0.0]), 5.001)
+        t_d = solve_decay_vertex(masses, boundary).t_d
+        assert decay._reduced_slope(masses, boundary)(t_d)[1] == math.inf
+        ref = symmetric_decay_time(masses, 1e-10, 5.001, t_a=5.0)
+        assert abs(t_d - ref) <= 4 * np.finfo(float).eps * (0.001 + abs(ref))
 
     def test_iteration_cap_raises(self, monkeypatch):
         boundary = sample_boundary(MASSES, stream(42, "decay-oracle"))[0]
-        monkeypatch.setattr(decay, "_BRENT_MAXITER", 1)
+        monkeypatch.setattr(decay, "_ROOT_MAXITER", 1)
         with pytest.raises(NoSolutionError, match="did not converge"):
             solve_decay_vertex(MASSES, boundary)
 
@@ -293,7 +305,7 @@ class TestClosedFormKernel:
     gradient and Hessian they replace."""
 
     def test_slope_matches_time_gradient(self):
-        for masses, boundary in TestBrentRoot.cases():
+        for masses, boundary in TestConvexRoot.cases():
             slope = decay._reduced_slope(masses, boundary)
             span = boundary.t_b - boundary.t_a
             for k in range(1, 10):
@@ -305,18 +317,21 @@ class TestClosedFormKernel:
                             for m, v in ((masses.m1, v1), (masses.m2, v2),
                                          (masses.m3, v3)))
                 ref = action_gradient(masses, boundary, x, t)[3]
-                assert abs(slope(t) - ref) <= 1e-12 * scale
+                assert abs(slope(t)[0] - ref) <= 1e-12 * scale
 
-    def test_curvature_range_matches_eigvalsh(self):
-        for masses, boundary in TestBrentRoot.cases():
-            vertex = solve_decay_vertex(masses, boundary)
-            eigs = np.linalg.eigvalsh(action_hessian(
-                masses, boundary, vertex.x_d, vertex.t_d))
-            lam_min, lam_max = decay._curvature_range(
-                masses, *decay._velocities(masses, boundary, vertex.x_d,
-                                           vertex.t_d))
-            assert abs(lam_min - eigs.min()) <= 1e-12 * eigs.max()
-            assert abs(lam_max - eigs.max()) <= 1e-12 * eigs.max()
+    def test_slope_derivative_is_the_schur_complement(self):
+        # minimising the action over x_d leaves d - |b|^2 / a as the
+        # reduced action's second derivative
+        for masses, boundary in TestConvexRoot.cases():
+            slope = decay._reduced_slope(masses, boundary)
+            span = boundary.t_b - boundary.t_a
+            for k in range(1, 10):
+                t = boundary.t_a + span * k / 10
+                h = action_hessian(masses, boundary,
+                                   decay._best_x(masses, boundary, t), t)
+                a, b, d = h[0, 0], h[:3, 3], h[3, 3]
+                ref = d - float(b @ b) / a
+                assert abs(slope(t)[1] - ref) <= 1e-14 * abs(d)
 
 
 class TestSymmetricClosedForm:
