@@ -29,12 +29,11 @@ from .core import (
     MeasureSpec,
     check_determinism,
 )
-from .rng import stream, trajectory_stream, trajectory_streams
+from .rng import stream, trajectory_stream
 from .bernoulli import (
     orbit_bits,
     orbit_rate,
     BernoulliTrajectory,
-    bit_sequence_measure,
     biased_measure,
     lebesgue_ensemble_rate,
 )
@@ -55,7 +54,6 @@ from .scattering import (
     angle_bins,
     entry_measure,
     flipper_outcome_builder,
-    cross_sections_from_rates,
     FlipperResult,
     flipper_cross_section,
 )

@@ -5,8 +5,8 @@ discards one mantissa bit per step, so any double collapses to 0 after ~53
 steps and every statistic computed from it is garbage. A state is an exact
 rational, given as a Fraction, an int or a 'num/den' string, and is stepped
 on its numerator alone. Ensembles never build states: a row of i.i.d. bits
-drawn by :func:`bit_sequence_measure` is the orbit's outcome sequence itself
-(one uniform bit per step is exactly the uniform measure on dyadic
+drawn by :func:`biased_measure` is the orbit's outcome sequence itself
+(one bit of bias 1/2 per step is exactly the uniform measure on dyadic
 cylinders).
 
 The repeatable experiment is the threshold observation "x >= 1/2", which in
@@ -26,7 +26,6 @@ __all__ = [
     "BernoulliTrajectory",
     "orbit_bits",
     "orbit_rate",
-    "bit_sequence_measure",
     "biased_measure",
     "lebesgue_ensemble_rate",
 ]
@@ -82,14 +81,18 @@ class BernoulliTrajectory:
         return np.array([float(self.x0 * 2 ** k % 1)])
 
 
-def bit_sequence_measure(n_steps: int, p_one: float = 0.5) -> MeasureSpec:
-    """I.i.d. bit sequences of length ``n_steps`` with P(bit=1) = ``p_one``.
+def biased_measure(target_rate: float, n_steps: int) -> MeasureSpec:
+    """I.i.d. bit sequences of length ``n_steps`` with P(bit=1) =
+    ``target_rate``, under which the ensemble yes-rate is ``target_rate``.
 
-    p_one = 1/2 is exactly the uniform (Lebesgue) measure restricted to
-    dyadic cylinders of depth ``n_steps``.
+    Same dynamics, different statistics: only the weighting of initial
+    conditions changes, via the bit bias. A rate of 1/2 is exactly the
+    uniform (Lebesgue) measure restricted to dyadic cylinders of depth
+    ``n_steps``.
     """
+    p_one = float(target_rate)
     if not 0.0 <= p_one <= 1.0:
-        raise ValueError("p_one must lie in [0, 1]")
+        raise ValueError("target_rate must lie in [0, 1]")
     L = int(n_steps)
 
     def sampler(streams, n):
@@ -107,17 +110,7 @@ def bit_sequence_measure(n_steps: int, p_one: float = 0.5) -> MeasureSpec:
     return MeasureSpec(dimension=L, sampler=sampler)
 
 
-def biased_measure(target_rate: float, n_steps: int) -> MeasureSpec:
-    """Measure under which the ensemble yes-rate equals ``target_rate``.
-
-    Same dynamics, different statistics: only the weighting of initial
-    conditions changes, via the bit bias.
-    """
-    return bit_sequence_measure(n_steps, p_one=float(target_rate))
-
-
 def lebesgue_ensemble_rate(n_trajectories: int, n_steps: int, seed: int = 0,
-                           n_min_trials: int = 1,
                            measure: MeasureSpec | None = None) -> RateStatistics:
     """Ensemble statistics of the threshold experiment under a bit measure.
 
@@ -125,11 +118,10 @@ def lebesgue_ensemble_rate(n_trajectories: int, n_steps: int, seed: int = 0,
     index 1 of the mean is the yes-rate.
     """
     if measure is None:
-        measure = bit_sequence_measure(n_steps, 0.5)
+        measure = biased_measure(0.5, n_steps)
     if measure.dimension < n_steps:
         raise ValueError("measure draws fewer bits than n_steps")
 
     # the outcome of step k is bit k of the point itself
     return ensemble_statistics(measure, lambda bits: bits[:, :n_steps], 2,
-                               n_trajectories=n_trajectories,
-                               n_min_trials=n_min_trials, seed=seed)
+                               n_trajectories=n_trajectories, seed=seed)

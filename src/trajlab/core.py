@@ -231,13 +231,13 @@ def ensemble_statistics(measure: "MeasureSpec",
                           n_excluded=n_trajectories - len(R))
 
 
-def is_well_defined(stats: RateStatistics, tolerance: float = 0.01) -> bool:
-    """True iff every outcome's rate variance is below ``tolerance``.
+def is_well_defined(stats: RateStatistics) -> bool:
+    """True iff every outcome's rate variance is below 0.01.
 
     Probabilities only deserve the name when the per-trajectory rates
     cluster tightly around the ensemble mean.
     """
-    return bool(np.all(stats.variance < tolerance))
+    return bool(np.all(stats.variance < 0.01))
 
 
 # ---------------------------------------------------------------------------

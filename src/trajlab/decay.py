@@ -323,7 +323,7 @@ def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVer
 def conservation_residuals(masses: DecayMasses, vertex: DecayVertex) -> tuple[float, float]:
     """(|momentum mismatch|, |energy mismatch|) at the split."""
     dp, de = _balance(masses, vertex.v1, vertex.v2, vertex.v3)
-    return float(np.linalg.norm(dp)), abs(de)
+    return math.hypot(*dp), abs(de)  # hypot scales: no overflow near 1e300
 
 
 def symmetric_decay_time(masses: DecayMasses, distance: float, t_b: float,

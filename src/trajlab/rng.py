@@ -55,7 +55,7 @@ class _Words(ISeedSequence):
 
     ``PCG64`` asks its seed sequence for exactly ``generate_state(4,
     uint64)``; any other request would mean it no longer seeds the way
-    :func:`trajectory_streams` reproduces, so it is refused.
+    :func:`_stream_blocks` reproduces, so it is refused.
     """
 
     __slots__ = ("words",)
@@ -94,8 +94,9 @@ _WORDS_CHUNK = 16
 
 
 def _stream_blocks(master_seed: int, start: int, stop: int, block: int):
-    """Yield ``trajectory_streams(master_seed, s, min(s + block, stop))``
-    for each ``s`` in ``range(start, stop, block)``.
+    """Yield ``[trajectory_stream(master_seed, i) for i in range(s,
+    min(s + block, stop))]``, draw for draw, for each ``s`` in
+    ``range(start, stop, block)``; nothing for an empty range.
 
     The SeedSequence hash of ``(master_seed, spawn_key=(i,))`` is computed
     for :data:`_WORDS_CHUNK` blocks at once in uint32 array arithmetic
@@ -137,10 +138,3 @@ def _stream_blocks(master_seed: int, start: int, stop: int, block: int):
                 + [trajectory_stream(master_seed, i)
                    for i in range(max(s, lo + len(words)), e)]
 
-
-def trajectory_streams(master_seed: int, start: int,
-                       stop: int) -> list[np.random.Generator]:
-    """``[trajectory_stream(master_seed, i) for i in range(start, stop)]``,
-    draw for draw, from seed words hashed in one array pass."""
-    return next(_stream_blocks(master_seed, start, stop,
-                               max(stop - start, 1)), [])

@@ -12,10 +12,11 @@ density rho_b(theta) with the exact Jacobian
 so boundary data given at the far side (a density over outgoing angles)
 is carried deterministically, with no sampling.
 
-The flipper is a statistically homogeneous medium of identical centers. A
-trajectory flies straight between encounters and is deflected by theta(s) at
-each one, so its speed never changes and each encounter is one trial of the
-"which angular bin" experiment.
+The flipper is a statistically homogeneous medium of identical rigid
+centers, hard spheres of radius ``action_range``. A trajectory flies
+straight between encounters and is deflected by theta(s) at each one, so
+its speed never changes and each encounter is one trial of the "which
+angular bin" experiment.
 
 Polar deflections live in [0, pi]. A signed angle in (-pi, pi] is used only
 for flipper outcome binning; the sign is the side of the encounter's impact
@@ -52,7 +53,6 @@ __all__ = [
     "angle_bins",
     "entry_measure",
     "flipper_outcome_builder",
-    "cross_sections_from_rates",
     "FlipperResult",
     "flipper_cross_section",
 ]
@@ -395,17 +395,19 @@ class EncounterRecord:
 
 
 class FlipperScene:
-    """Periodic cubic cell of identical repulsive centers.
+    """Periodic cubic cell of identical hard spheres of radius
+    ``action_range``.
 
     The cell tiles space, realizing a statistically homogeneous medium large
     enough that every trajectory keeps encountering centers. Centers must
     keep a minimum mutual spacing of ``_MIN_SPACING * action_range``
     (min-image metric), so encounters are isolated single-center scattering
-    events.
+    events. A hard sphere's deflection does not depend on ``energy``; it is
+    only checked to be positive.
     """
 
     def __init__(self, cell_size: float, centers: np.ndarray,
-                 potential: Potential, energy: float, action_range: float):
+                 energy: float, action_range: float):
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 2 or centers.shape[1] != 3:
             raise ValueError("centers must be an (N, 3) array")
@@ -426,10 +428,8 @@ class FlipperScene:
                 f"{_MIN_SPACING * action_range:.4g}")
         self.cell_size = L
         self.centers = centers
-        self.potential = potential
-        self.energy = float(energy)
         self.action_range = float(action_range)
-        self.deflection = DeflectionFunction(potential, energy)
+        self.deflection = DeflectionFunction(HardSphere(action_range), energy)
         # replicate centers whose action sphere pokes through a cell face,
         # so straight segments inside the cell see every reachable sphere;
         # center_index maps each row of centers_ext to its original center
@@ -450,15 +450,12 @@ class FlipperScene:
 
 
 def random_scene(n_centers: int, action_range: float, energy: float,
-                 potential: Potential | None = None,
                  seed: int = 0) -> FlipperScene:
     """Random sequential placement of centers in a periodic cell.
 
     The cell is sized so that n_centers * d_min^3 / cell volume is
     ``_PACKING``; 0.5 leaves room for rejection sampling to finish quickly.
     """
-    if potential is None:
-        potential = HardSphere(action_range)
     d_min = _MIN_SPACING * action_range
     L = (n_centers * d_min ** 3 / _PACKING) ** (1.0 / 3.0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -475,7 +472,7 @@ def random_scene(n_centers: int, action_range: float, energy: float,
             if np.min((d ** 2).sum(-1)) < d_min ** 2:
                 continue
         placed = np.vstack([placed, cand])
-    return FlipperScene(L, placed, potential, energy, action_range)
+    return FlipperScene(L, placed, energy, action_range)
 
 
 @dataclass(frozen=True)
@@ -645,12 +642,7 @@ def _trace_batch(scene: FlipperScene, positions, directions,
             # impact offset perpendicular to u (remove roundoff component)
             beta = delta - _dot(delta, u)[:, None] * u
             s = np.sqrt(_dot(beta, beta))
-            head_on = s < 1e-12 * r0
-            # one array call; a smooth potential's quadrature cannot take
-            # the head-on rows' vanishing s
-            theta = np.full(len(h), math.pi)
-            theta[~head_on] = scene.deflection(
-                np.minimum(s[~head_on], r0 * (1 - 1e-15)))
+            theta = scene.deflection(s)
             # scalar cos and sin: a row's value cannot depend on its batch
             turns = theta.tolist()
             cos_t = np.array([math.cos(t) for t in turns])
@@ -667,6 +659,8 @@ def _trace_batch(scene: FlipperScene, positions, directions,
             e2 = np.column_stack([uy * e1[:, 2] - uz * e1[:, 1],
                                   uz * e1[:, 0] - ux * e1[:, 2],
                                   ux * e1[:, 1] - uy * e1[:, 0]])
+            # a head-on hit has no impact direction of its own: take e1
+            head_on = s < 1e-12 * r0
             n_hat = np.where(head_on[:, None], e1,
                              beta / np.where(head_on, 1.0, s)[:, None])
             # the sign is the side of the impact direction in that frame
@@ -706,7 +700,8 @@ def trace_flipper(scene: FlipperScene, position, direction,
 
     Straight free flight, deflection by theta(s) at each closest approach,
     speed preserved exactly. Stops early (fewer encounters) if
-    ``max_path_length`` is exhausted; callers exclude short trajectories via
+    ``max_path_length`` (by default 20 mean free paths per requested
+    encounter) is exhausted; callers exclude short trajectories via
     the trial-count floor. ``record_path=False`` keeps only encounter
     vertices (statistics unchanged, geometry coarse) for large ensembles.
     This is the lockstep kernel with a batch of one ray.
@@ -760,32 +755,26 @@ def entry_measure(scene: FlipperScene) -> MeasureSpec:
 
 
 def flipper_outcome_builder(scene: FlipperScene, n_bins: int,
-                            n_encounters: int,
-                            max_path_length: float | None = None):
+                            n_encounters: int):
     """Outcome builder for :func:`trajlab.core.ensemble_statistics`.
 
     Entry points ``(n, 6)`` go to the ``(n, n_encounters)`` angle bins of
-    each ray's signed deflections, padded with -1 past a ray that stopped
-    early. A block (``core.BUILD_BLOCK`` rows) is one lockstep batch; each
-    step looks ``64 // isqrt(live)`` wall crossings ahead, so a full block
-    steps 4 crossings at a time and its last ray 64.
+    each ray's signed deflections, padded with -1 past a ray that used up
+    the default path budget of :func:`trace_flipper` first. A block
+    (``core.BUILD_BLOCK`` rows) is one lockstep batch; each step looks
+    ``64 // isqrt(live)`` wall crossings ahead, so a full block steps 4
+    crossings at a time and its last ray 64.
     """
 
     def build(points):
         count, (*_, theta_signed), _ = _trace_batch(
-            scene, points[:, :3], points[:, 3:6], n_encounters,
-            max_path_length, False)
+            scene, points[:, :3], points[:, 3:6], n_encounters, None, False)
         outcomes = np.full((len(points), n_encounters), -1, dtype=np.intp)
         valid = np.arange(n_encounters) < count[:, None]
         outcomes[valid] = angle_bins(theta_signed[valid], n_bins)
         return outcomes
 
     return build
-
-
-def cross_sections_from_rates(rates: np.ndarray, action_range: float) -> np.ndarray:
-    """Per-outcome cross sections sigma_i = f_i * pi * r0^2."""
-    return np.asarray(rates, dtype=float) * math.pi * action_range ** 2
 
 
 @dataclass(frozen=True)
@@ -798,8 +787,8 @@ class FlipperResult:
 
 def flipper_cross_section(scene: FlipperScene, n_outcomes: int = 8,
                           n_traj: int = 1000, n_min_trials: int = 1,
-                          seed: int = 0, n_encounters: int = 20,
-                          max_path_length: float | None = None) -> FlipperResult:
+                          seed: int = 0,
+                          n_encounters: int = 20) -> FlipperResult:
     """Binned encounter rates over an ensemble, scaled to cross sections.
 
     Draws entry states isotropically over the cell (:func:`entry_measure`),
@@ -813,9 +802,8 @@ def flipper_cross_section(scene: FlipperScene, n_outcomes: int = 8,
 
     stats = ensemble_statistics(
         entry_measure(scene),
-        flipper_outcome_builder(scene, n_outcomes, n_encounters,
-                                max_path_length),
+        flipper_outcome_builder(scene, n_outcomes, n_encounters),
         n_outcomes, n_trajectories=n_traj, n_min_trials=n_min_trials,
         seed=seed)
-    sigma = cross_sections_from_rates(stats.mean, scene.action_range)
-    return FlipperResult(stats=stats, cross_sections=sigma)
+    return FlipperResult(stats=stats, cross_sections=stats.mean * math.pi
+                         * scene.action_range ** 2)

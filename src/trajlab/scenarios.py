@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SchemaError, UnsupportedInputError
 from .core import is_well_defined
-from .bernoulli import (orbit_bits, orbit_rate, bit_sequence_measure,
+from .bernoulli import (orbit_bits, orbit_rate, biased_measure,
                         lebesgue_ensemble_rate)
 from .scattering import (HardSphere, RepulsivePower, ScreenedCoulomb,
                          DeflectionFunction, transfer_density,
@@ -201,7 +201,7 @@ def _run_bernoulli(p, seed, out: OutputBundle):
     n_steps = p["n_steps"]
     stats = lebesgue_ensemble_rate(
         p["n_traj"], n_steps, seed=seed,
-        measure=bit_sequence_measure(n_steps, p["bias"]))
+        measure=biased_measure(p["bias"], n_steps))
     x0 = Fraction(p["orbit_numerator"], p["orbit_denominator"])
     bits = orbit_bits(x0, p["orbit_steps"])
     frac = orbit_rate(x0, p["orbit_steps"])
@@ -282,7 +282,7 @@ def _signed_isotropic_mass(lo: float, hi: float) -> float:
 
 def _run_flipper(p, seed, out: OutputBundle):
     with _in_float_range(p, "the periodic cell", "action_range"):
-        scene = random_scene(p["n_centers"], p["action_range"], p["energy"],
+        scene = random_scene(p["n_centers"], p["action_range"], 1.0,
                              seed=p["scene_seed"])
     res = flipper_cross_section(scene, n_outcomes=p["n_bins"],
                                 n_traj=p["n_traj"], seed=seed,
@@ -364,8 +364,7 @@ def _run_stern_gerlach(p, seed, out: OutputBundle):
     r0 = np.zeros(3)
     v0 = np.array([p["speed"], 0.0, 0.0])
     t_plus, t_minus = propagate_sg(r0, v0, s_in, device, constants)
-    w_plus, w_minus = branch_weights(p["weight_model"], (0.0, 0.0, 1.0),
-                                    psi=s_in)
+    w_plus, w_minus = branch_weights(p["weight_model"], psi=s_in)
 
     t_entry = device.entry_x / p["speed"]
     e_in = 0.5 * p["mass"] * float(v0 @ v0)
@@ -630,7 +629,6 @@ _register(
     {
         "n_centers": Param("int", 216, "centers per periodic cell", min=1),
         "action_range": Param("float", 0.05, "hard-sphere radius r0"),
-        "energy": Param("float", 1.0, "projectile kinetic energy"),
         "scene_seed": Param("int", 3, "placement seed for the cell"),
         "n_traj": Param("int", 300, "trajectories in the ensemble"),
         "n_encounters": Param("int", 20, "encounters followed per trajectory"),

@@ -111,12 +111,13 @@ class SGDevice:
 _Z_HAT = np.array([0.0, 0.0, 1.0])  # the field axis of every device
 
 
-def align_spin(s_in: SpinVariable, B) -> tuple[SpinVariable, SpinVariable]:
+def align_spin(B) -> tuple[SpinVariable, SpinVariable]:
     """Both eigenrays of sigma.B, largest eigenvalue first.
 
     The field fixes the axis; the sign is the branch choice left open by
-    the dynamics, so both rays come back. A zero field constrains nothing
-    and there is no alignment to perform; callers keep s_in in that case.
+    the dynamics, so both rays come back, whatever the incoming ray. A zero
+    field constrains nothing and there is no alignment to perform; callers
+    keep the incoming ray in that case.
     """
     b = np.asarray(B, dtype=float)
     if b.shape != (3,):
@@ -137,9 +138,9 @@ def align_spin(s_in: SpinVariable, B) -> tuple[SpinVariable, SpinVariable]:
     return s_plus, s_minus
 
 
-def branch_weights(weight_model: str, orientation,
+def branch_weights(weight_model: str,
                    psi: SpinVariable | None = None) -> tuple[float, float]:
-    """Probabilities of the two branch signs for a device axis.
+    """Probabilities of the two branch signs along the device axis z.
 
     "equal" splits evenly; "quantum" projects a supplied ray psi onto the
     axis eigenrays, p_plus = |<plus|psi>|^2 and p_minus its complement, so
@@ -150,8 +151,7 @@ def branch_weights(weight_model: str, orientation,
     if weight_model == "quantum":
         if psi is None:
             raise ValueError("quantum weights need the ray psi")
-        n = np.asarray(orientation, dtype=float)
-        s_plus, _ = align_spin(psi, n)
+        s_plus, _ = align_spin(_Z_HAT)
         p_plus = abs(complex(np.vdot(s_plus.components, psi.components))) ** 2
         p_plus = min(max(p_plus, 0.0), 1.0)
         return p_plus, 1.0 - p_plus
@@ -208,7 +208,7 @@ def propagate_sg(position, velocity, s_in: SpinVariable, device: SGDevice,
             "field magnitude is not positive where the beam enters the slab; "
             "the aligned-branch picture needs a nonvanishing field")
     # alignment happens at the entry plane; the rays are fixed by the axis
-    rays = align_spin(s_in, mag_entry * _Z_HAT)
+    rays = align_spin(mag_entry * _Z_HAT)
 
     before = Segment(0.0, t_entry, _path(r0, v0, 0.0))
     legs = []
@@ -285,18 +285,13 @@ def singlet_measure(a, b) -> np.ndarray:
     return np.array([[anti, corr], [corr, anti]])
 
 
-def global_epr_measure(a, a_prime, b, b_prime,
-                       setting_priors=None) -> np.ndarray:
-    """(2, 2, 2, 2) weights over (setting A, result A, setting B, result B)."""
-    if setting_priors is None:
-        setting_priors = np.full((2, 2), 0.25)
-    priors = np.asarray(setting_priors, dtype=float)
-    if priors.shape != (2, 2) or np.any(priors < 0):
-        raise ValueError("setting priors must be a nonnegative (2, 2) array")
+def global_epr_measure(a, a_prime, b, b_prime) -> np.ndarray:
+    """(2, 2, 2, 2) weights over (setting A, result A, setting B, result B),
+    the four setting pairs drawn uniformly."""
     out = np.zeros((2, 2, 2, 2))
     for i, av in enumerate((a, a_prime)):
         for j, bv in enumerate((b, b_prime)):
-            out[i, :, j, :] = priors[i, j] * singlet_measure(av, bv)
+            out[i, :, j, :] = 0.25 * singlet_measure(av, bv)
     return out
 
 

@@ -283,7 +283,7 @@ def test_criterion_10_spin_splitting():
         tau = traj.transit_time
         z_exit = traj.evaluate(t_entry + tau)[2]
         defl_err = max(defl_err, abs(z_exit + sign * 0.5 * rate * tau * tau))
-    weights = branch_weights("quantum", np.array([0.0, 0.0, 1.0]), psi=up)
+    weights = branch_weights("quantum", psi=up)
     elapsed = time.perf_counter() - t0
     ok = (pre_equal and defl_err < 1e-6 and weights == (1.0, 0.0)
           and elapsed < budget)

@@ -5,7 +5,6 @@ import pytest
 
 from trajlab import bernoulli
 from trajlab.bernoulli import (orbit_bits, orbit_rate, BernoulliTrajectory,
-                               bit_sequence_measure,
                                biased_measure, lebesgue_ensemble_rate)
 from trajlab.core import BUILD_BLOCK, evaluate_rates, is_well_defined
 from trajlab.rng import _WORDS_CHUNK, stream, trajectory_stream
@@ -86,19 +85,19 @@ class TestTrajectory:
 
 class TestMeasures:
     def test_bit_measure_shape_and_range(self):
-        m = bit_sequence_measure(16, 0.5)
+        m = biased_measure(0.5, 16)
         pts = m.sampler([stream(0)], 10)
         assert pts.shape == (10, 16)
         assert set(np.unique(pts)) <= {0, 1}
 
     def test_bias_controls_frequency(self):
-        m = bit_sequence_measure(2000, 0.8)
+        m = biased_measure(0.8, 2000)
         pts = m.sampler([stream(1)], 50)
         assert abs(pts.mean() - 0.8) < 0.02
 
     def test_bias_bounds_checked(self):
         with pytest.raises(ValueError):
-            bit_sequence_measure(8, 1.5)
+            biased_measure(1.5, 8)
 
     def test_biased_measure_is_bit_measure(self):
         m = biased_measure(0.3, 64)
@@ -142,9 +141,9 @@ class TestEnsembleRates:
         calls = []
         monkeypatch.setattr(bernoulli, "ensemble_statistics",
                             lambda *args, **kw: calls.append(args))
-        lebesgue_ensemble_rate(10, 30, measure=bit_sequence_measure(40))
+        lebesgue_ensemble_rate(10, 30, measure=biased_measure(0.5, 40))
         builder = calls[0][1]
-        points = bit_sequence_measure(40).sampler([stream(2)], 16)
+        points = biased_measure(0.5, 40).sampler([stream(2)], 16)
         block = builder(points)
         assert block.shape == (16, 30)
         for bits, row in zip(points, block):
@@ -154,7 +153,7 @@ class TestEnsembleRates:
     def test_measure_must_cover_steps(self):
         with pytest.raises(ValueError):
             lebesgue_ensemble_rate(10, 100, seed=0,
-                                   measure=bit_sequence_measure(50, 0.5))
+                                   measure=biased_measure(0.5, 50))
 
 
 def numpy_seeded_statistics(n_traj, n_steps, p, seed):
@@ -187,7 +186,7 @@ class TestBitsPinnedToNumpySeeding:
     ])
     def test_statistics_bitwise_equal(self, n_traj, p, seed):
         stats = lebesgue_ensemble_rate(n_traj, 1001, seed=seed,
-                                       measure=bit_sequence_measure(1001, p))
+                                       measure=biased_measure(p, 1001))
         mean, variance = numpy_seeded_statistics(n_traj, 1001, p, seed)
         assert stats.n_trajectories == n_traj
         assert stats.mean.tobytes() == mean.tobytes()

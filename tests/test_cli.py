@@ -213,6 +213,19 @@ class TestErrorExits:
             assert "line 4" in err and "\n" not in err
             assert not (tmp_path / "o").exists()
 
+    def test_flipper_energy_refused(self, tmp_path, capsys):
+        # a hard sphere's deflection does not depend on the energy, so the
+        # flipper has no energy key
+        params = dict(FAST_PARAMS["flipper"], energy=2.0)
+        cfg = write_config(tmp_path / "cfg.yaml", "flipper", parameters=params,
+                           seed=1)
+        out = tmp_path / "o"
+        assert run(["run", "flipper", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "unknown parameter" in err and "parameters.energy" in err
+        assert "\n" not in err
+        assert not out.exists()
+
     def test_wrong_type(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.yaml", "bernoulli",
                            parameters={"n_traj": "plenty"}, seed=1)
@@ -537,6 +550,18 @@ class TestDecayTimeEdges:
         assert err.startswith("error [NoSolutionError]")
         assert "\n" not in err
         assert not out.exists()
+
+    def test_huge_masses_write_a_finite_momentum_residual(self, tmp_path):
+        # the residual's length used to overflow to inf at these masses
+        params = dict(FAST_PARAMS["decay"], m1=4.0e290, m2=1.0e290,
+                      m3=2.0e290, t_a=9.999999, x_b2="[1.0e-7, 0, 0]",
+                      x_b3="[-1.0e-7, 0, 0]")
+        cfg = write_config(tmp_path / "cfg.yaml", "decay", parameters=params,
+                           seed=1)
+        out = tmp_path / "o"
+        assert run(["run", "decay", "--config", cfg, "--out", out]) == 0
+        _, rows = read_rows(out / "results.csv")
+        assert 0 < float(rows["momentum_residual"]) < 1e276
 
 
 class TestNumericFailures:

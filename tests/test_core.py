@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,12 @@ from trajlab.core import (Segment, PiecewiseTrajectory,
                           BUILD_BLOCK,
                           is_well_defined, MeasureSpec,
                           check_determinism)
-from trajlab.bernoulli import bit_sequence_measure
+from trajlab.bernoulli import biased_measure
 from trajlab.decay import (DecayMasses, rest_decay_family,
                            exponential_life_measure, uniform_life_measure)
 from trajlab.errors import NoTrialsError, EmptyEnsembleError
 from trajlab.rng import (_WORDS_CHUNK, _Words, _stream_blocks, stream,
-                         trajectory_stream, trajectory_streams)
+                         trajectory_stream)
 from trajlab.scattering import entry_measure, random_scene
 
 
@@ -195,8 +196,13 @@ class TestEnsemble:
     def test_well_defined_threshold(self):
         measure, builder, n_outcomes = self._setup()
         stats = ensemble_statistics(measure, builder, n_outcomes, 50, seed=2)
-        assert is_well_defined(stats, tolerance=1.0)
-        assert not is_well_defined(stats, tolerance=1e-12)
+        assert 0 < stats.variance.max() < 0.01
+        assert is_well_defined(stats)
+        # the bound is 0.01 on every outcome's rate variance, exclusive
+        for variance, ok in (([0.0, 0.0099], True), ([0.01, 0.0], False),
+                             ([0.0, 0.25], False)):
+            assert is_well_defined(dataclasses.replace(
+                stats, variance=np.array(variance))) is ok
 
 
 class TestOutcomeMatrix:
@@ -283,7 +289,7 @@ class TestOutcomeMatrix:
 
 # the four shipped measures, built fresh for each use
 SHIPPED_MEASURES = {
-    "bit-sequence": lambda: bit_sequence_measure(37, 0.3),
+    "bit-sequence": lambda: biased_measure(0.3, 37),
     "flipper-entry": lambda: entry_measure(random_scene(12, 1.0, 1.0,
                                                         seed=3)),
     "exponential-life": lambda: exponential_life_measure(1.7),
@@ -472,7 +478,8 @@ class TestTrajectoryStreams:
         (9_999, 10_001),
     ])
     def test_equal_to_indexed_streams(self, seed, start, stop):
-        streams = trajectory_streams(seed, start, stop)
+        streams = [g for b in _stream_blocks(seed, start, stop, BUILD_BLOCK)
+                   for g in b]
         assert len(streams) == stop - start
         for i, g in zip(range(start, stop), streams):
             assert _same_draws(g, trajectory_stream(seed, i)), i
@@ -480,7 +487,7 @@ class TestTrajectoryStreams:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_two_word_indices_fall_back(self, seed):
         start = 2 ** 32 - 2
-        streams = trajectory_streams(seed, start, 2 ** 32 + 2)
+        streams = next(_stream_blocks(seed, start, 2 ** 32 + 2, 4))
         assert len(streams) == 4
         assert [type(g.bit_generator.seed_seq).__name__ for g in streams] \
             == ["_Words", "_Words", "SeedSequence", "SeedSequence"]
@@ -500,13 +507,13 @@ class TestTrajectoryStreams:
             assert _same_draws(g, trajectory_stream(2 ** 70 + 3, i)), i
 
     def test_empty_range(self):
-        assert trajectory_streams(3, 7, 7) == []
-        assert trajectory_streams(3, 7, 2) == []
-        assert trajectory_streams(3, 2 ** 33, 2 ** 33) == []
+        assert list(_stream_blocks(3, 7, 7, 4)) == []
+        assert list(_stream_blocks(3, 7, 2, 4)) == []
+        assert list(_stream_blocks(3, 2 ** 33, 2 ** 33, 4)) == []
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
-            trajectory_streams(-1, 0, 4)
+            next(_stream_blocks(-1, 0, 4, 4))
 
     @pytest.mark.parametrize("n_words, dtype", [
         (4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64)])

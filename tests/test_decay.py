@@ -2,6 +2,7 @@
 conservation residuals, life measures, and the indeterminism witness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,22 @@ class TestMassValidation:
             assert dp <= 1e-12 * p_scale
             assert de <= 1e-12 * masses.m1 * masses.c ** 2
             assert vertex.t_d == pytest.approx(td_true, rel=1e-12)
+
+    def test_huge_masses_give_a_finite_momentum_residual(self):
+        # squaring momenta near 1e290 overflowed the residual's length to inf
+        masses = DecayMasses(4.0e290, 1.0e290, 2.0e290)
+        boundary = DecayBoundary(np.zeros(3), 9.999999,
+                                 np.array([1.0e-7, 0.0, 0.0]),
+                                 np.array([-1.0e-7, 0.0, 0.0]), 10.0)
+        vertex = solve_decay_vertex(masses, boundary)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dp, _ = conservation_residuals(masses, vertex)
+        p_scale = sum(m * float(np.linalg.norm(v)) for m, v in (
+            (masses.m1, vertex.v1), (masses.m2, vertex.v2),
+            (masses.m3, vertex.v3)))
+        assert math.isfinite(dp) and math.isfinite(p_scale)
+        assert dp <= 1e-12 * p_scale
 
 
 class TestBoundaryValidation:

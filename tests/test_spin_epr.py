@@ -63,7 +63,7 @@ class TestAlignSpin:
         for _ in range(20):
             B = rng.normal(size=3)
             mag = np.linalg.norm(B)
-            s_plus, s_minus = align_spin(UP, B)
+            s_plus, s_minus = align_spin(B)
             op = sigma_dot(B)
             r_plus = op @ s_plus.components - mag * s_plus.components
             r_minus = op @ s_minus.components + mag * s_minus.components
@@ -73,42 +73,47 @@ class TestAlignSpin:
             assert abs(overlap) < 1e-12
 
     def test_axis_down_swaps_rays(self):
-        s_plus, _ = align_spin(UP, np.array([0.0, 0.0, -1.0]))
+        s_plus, _ = align_spin(np.array([0.0, 0.0, -1.0]))
         # largest eigenvalue of -sigma_z belongs to the down ray
         assert abs(s_plus.components[0]) < 1e-12
         assert abs(abs(s_plus.components[1]) - 1.0) < 1e-12
 
     def test_zero_field_is_no_constraint(self):
         with pytest.raises(ZeroFieldError):
-            align_spin(UP, np.zeros(3))
+            align_spin(np.zeros(3))
 
     def test_rejects_bad_axis_shape(self):
         with pytest.raises(ValueError):
-            align_spin(UP, np.array([1.0, 0.0]))
+            align_spin(np.array([1.0, 0.0]))
 
 
 class TestBranchWeights:
     def test_equal_split(self):
-        assert branch_weights("equal", np.array([0.0, 0.0, 1.0])) == (0.5, 0.5)
+        assert branch_weights("equal") == (0.5, 0.5)
 
     def test_quantum_aligned_ray_is_certain(self):
-        p = branch_weights("quantum", np.array([0.0, 0.0, 1.0]), psi=UP)
+        p = branch_weights("quantum", psi=UP)
         assert p == (1.0, 0.0)
 
     def test_quantum_tilted_axis(self):
+        # rays tilted by theta against the device axis z, at two azimuths
         theta = math.radians(60.0)
-        axis = np.array([math.sin(theta), 0.0, math.cos(theta)])
-        p_plus, p_minus = branch_weights("quantum", axis, psi=UP)
-        assert p_plus == pytest.approx(math.cos(theta / 2.0) ** 2, abs=1e-12)
-        assert p_plus + p_minus == 1.0
+        for phi in (0.0, 1.1):
+            psi = SpinVariable(np.array(
+                [math.cos(theta / 2.0), math.sin(theta / 2.0)
+                 * complex(math.cos(phi), math.sin(phi))]))
+            p_plus, p_minus = branch_weights("quantum", psi=psi)
+            assert p_plus == pytest.approx(math.cos(theta / 2.0) ** 2,
+                                           abs=1e-12)
+            assert p_plus + p_minus == 1.0
 
     def test_quantum_needs_ray(self):
         with pytest.raises(ValueError):
-            branch_weights("quantum", np.array([0.0, 0.0, 1.0]))
+            branch_weights("quantum")
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
-            branch_weights("thermal", np.array([0.0, 0.0, 1.0]))
+            branch_weights("thermal")
 
 
 class TestPropagateSG:
@@ -153,7 +158,7 @@ class TestPropagateSG:
 
     def test_attached_rays_are_the_eigenrays(self):
         plus, minus = self.propagate()
-        s_plus, s_minus = align_spin(UP, DEVICE.base_field
+        s_plus, s_minus = align_spin(DEVICE.base_field
                                      * np.array([0.0, 0.0, 1.0]))
         assert np.array_equal(plus.spin.components, s_plus.components)
         assert np.array_equal(minus.spin.components, s_minus.components)
@@ -415,33 +420,18 @@ class TestCHSH:
 
 class TestCellsAndConditionals:
     def test_global_measure_normalised(self):
-        g = global_epr_measure(*[planar_setting(x)
-                                 for x in chsh_optimal_angles()])
+        vecs = [planar_setting(x) for x in chsh_optimal_angles()]
+        g = global_epr_measure(*vecs)
         assert g.sum() == pytest.approx(1.0, abs=1e-15)
-        # conditioning on any setting pair leaves singlet statistics
+        # setting pairs are uniform, and conditioning on any of them leaves
+        # singlet statistics
         for i in (0, 1):
             for j in (0, 1):
+                assert np.array_equal(g[i, :, j, :], 0.25 * singlet_measure(
+                    vecs[i], vecs[2 + j]))
                 cond = epr_conditional_probabilities(g, (i, j))
                 assert cond.sum() == pytest.approx(1.0, abs=1e-15)
                 assert float(cond[0].sum()) == 0.5
-
-    def test_setting_priors_reweight(self):
-        vecs = [planar_setting(x) for x in chsh_optimal_angles()]
-        priors = np.array([[0.7, 0.1], [0.1, 0.1]])
-        g = global_epr_measure(*vecs, setting_priors=priors)
-        assert g.sum() == pytest.approx(1.0, abs=1e-12)
-        assert g[0, :, 0, :].sum() == pytest.approx(0.7, abs=1e-12)
-        # conditionals are prior-independent
-        base = global_epr_measure(*vecs)
-        for q in ((0, 0), (1, 1)):
-            assert np.allclose(epr_conditional_probabilities(g, q),
-                               epr_conditional_probabilities(base, q),
-                               atol=1e-12)
-
-    def test_rejects_bad_priors(self):
-        vecs = [planar_setting(x) for x in chsh_optimal_angles()]
-        with pytest.raises(ValueError):
-            global_epr_measure(*vecs, setting_priors=np.array([0.5, 0.5]))
 
     def test_zero_mass_pair_unconditioned(self):
         with pytest.raises(UnconditionedSettingError):
