@@ -165,6 +165,7 @@ _DIFF_STEP = 1e-6  # relative step of the central differences in theta
 _MIN_SPACING = 10.0  # least flipper center spacing, in action ranges
 _PACKING = 0.5  # n_centers * d_min^3 / cell volume of a random scene
 _MAX_TRIES = 100_000  # placement attempts before a random scene gives up
+_PLACE_BLOCK = 64  # placement candidates drawn per generator call
 
 
 def _flat(x):
@@ -449,30 +450,70 @@ class FlipperScene:
         self.center_index = np.concatenate(originals)
 
 
+def _candidates(rng: np.random.Generator, L: float):
+    """Uniform points of the cell [0, L)^3 as Python float triples, drawn
+    ``_PLACE_BLOCK`` at a time: the same doubles, in the same order, as one
+    ``rng.random(3) * L`` call per point."""
+    while True:
+        yield from (rng.random((_PLACE_BLOCK, 3)) * L).tolist()
+
+
+def _around(key: tuple[int, int, int], g: int) -> set[tuple[int, int, int]]:
+    """The cells within one step of ``key`` on a periodic g^3 grid: 27 of
+    them when g >= 3, and every cell when g < 3."""
+    i, j, k = key
+    return {(a % g, b % g, c % g) for a in (i - 1, i, i + 1)
+            for b in (j - 1, j, j + 1) for c in (k - 1, k, k + 1)}
+
+
 def random_scene(n_centers: int, action_range: float, energy: float,
                  seed: int = 0) -> FlipperScene:
     """Random sequential placement of centers in a periodic cell.
 
     The cell is sized so that n_centers * d_min^3 / cell volume is
     ``_PACKING``; 0.5 leaves room for rejection sampling to finish quickly.
+    A uniform candidate is kept when its min-image distance to every kept
+    center is at least d_min. The cell is split into g^3 grid cells no
+    narrower than d_min (1 + 1e-9), so only the centers in the grid cells
+    around the candidate's own (:func:`_around`) can be nearer than d_min;
+    the margin covers a coordinate that rounds into the next grid cell.
+    Each kept center is filed under every grid cell around its own, so a
+    candidate reads the one list of its own grid cell.
     """
     d_min = _MIN_SPACING * action_range
     L = (n_centers * d_min ** 3 / _PACKING) ** (1.0 / 3.0)
+    # n_centers < 1 or action_range <= 0 leaves no cell (a negative one a
+    # complex L), and so does a d_min^3 that underflows to 0
+    if not (n_centers > 0 and action_range > 0 and L > 0):
+        raise ValueError("cell_size and action_range must be positive")
+    g = max(1, int(L / (d_min * (1.0 + 1e-9))))
+    cs = L / g
+    half = L / 2.0
+    d2 = d_min ** 2
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    placed = np.empty((0, 3))
+    cands = _candidates(rng, L)
+    placed: list[list[float]] = []
+    grid: dict[tuple[int, int, int], list[list[float]]] = {}
     tries = 0
     while len(placed) < n_centers:
         tries += 1
         if tries > _MAX_TRIES:
             raise IntegrationError("center placement did not converge; "
                                    "lower packing or n_centers")
-        cand = rng.random(3) * L
-        if len(placed):
-            d = (placed - cand + L / 2.0) % L - L / 2.0
-            if np.min((d ** 2).sum(-1)) < d_min ** 2:
-                continue
-        placed = np.vstack([placed, cand])
-    return FlipperScene(L, placed, energy, action_range)
+        cand = next(cands)
+        x, y, z = cand
+        key = (int(x / cs) % g, int(y / cs) % g, int(z / cs) % g)
+        for px, py, pz in grid.get(key, ()):
+            dx = (px - x + half) % L - half
+            dy = (py - y + half) % L - half
+            dz = (pz - z + half) % L - half
+            if dx * dx + dy * dy + dz * dz < d2:
+                break
+        else:
+            placed.append(cand)
+            for n in _around(key, g):
+                grid.setdefault(n, []).append(cand)
+    return FlipperScene(L, np.array(placed), energy, action_range)
 
 
 @dataclass(frozen=True)

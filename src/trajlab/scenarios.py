@@ -173,10 +173,16 @@ class OutputBundle:
         self._files.append((name, "\n".join(lines) + "\n"))
 
     def add_dat(self, name: str, comments, rows):
-        lines = [f"# {c}" for c in comments]
-        for row in rows:
-            lines.append(" ".join(_fmt(c) for c in row))
-        self._files.append((name, "\n".join(lines) + "\n"))
+        """A numeric table, a sequence of equal-length rows, filled into one
+        ``%.17g`` template: each cell prints as :func:`_fmt` prints it, an
+        integer below 2**53 included."""
+        table = np.asarray(rows, dtype=float)
+        text = "".join(f"# {c}\n" for c in comments)
+        if len(table):
+            n, k = table.shape
+            text += ((" ".join(["%.17g"] * k) + "\n") * n
+                     % tuple(table.ravel().tolist()))
+        self._files.append((name, text))
 
     def files(self) -> list[tuple[str, str]]:
         return list(self._files)
@@ -219,11 +225,10 @@ def _run_bernoulli(p, seed, out: OutputBundle):
     cum = np.cumsum(bits)
     ks = np.arange(1, len(bits) + 1)
     step = max(1, len(bits) // 500)
-    rows = [(int(k), float(c / k)) for k, c in
-            zip(ks[::step], cum[::step])]
     out.add_dat("orbit_rate.dat",
                 ["orbit partial yes-rate of the rational start point",
-                 "columns: step, rate"], rows)
+                 "columns: step, rate"],
+                np.column_stack((ks[::step], cum[::step] / ks[::step])))
 
 
 def _run_scattering(p, seed, out: OutputBundle):
@@ -247,7 +252,7 @@ def _run_scattering(p, seed, out: OutputBundle):
                 [f"deflection angle for the {kind} potential at energy "
                  f"{_fmt(p['energy'])}",
                  "columns: impact parameter s, deflection angle theta"],
-                list(zip(s_grid, thetas)))
+                np.column_stack((s_grid, thetas)))
 
     theta_grid = np.linspace(p["theta_min"], p["theta_max"], p["n_theta"])
     with _in_float_range(p, "the beam disk density 1/(pi s_max^2)",
@@ -258,7 +263,7 @@ def _run_scattering(p, seed, out: OutputBundle):
     out.add_dat("transfer.dat",
                 ["solid-angle density transferred from a uniform disk beam",
                  "columns: theta, rho_b(theta)"],
-                list(zip(theta_grid, rho_b)))
+                np.column_stack((theta_grid, rho_b)))
 
     rows = [
         ("energy", p["energy"]),
@@ -363,7 +368,7 @@ def _run_stern_gerlach(p, seed, out: OutputBundle):
     constants = PhysicalConstants(mu=p["mu"], m=p["mass"])
     r0 = np.zeros(3)
     v0 = np.array([p["speed"], 0.0, 0.0])
-    t_plus, t_minus = propagate_sg(r0, v0, s_in, device, constants)
+    t_plus, t_minus = propagate_sg(r0, v0, device, constants)
     w_plus, w_minus = branch_weights(p["weight_model"], psi=s_in)
 
     t_entry = device.entry_x / p["speed"]
@@ -390,11 +395,10 @@ def _run_stern_gerlach(p, seed, out: OutputBundle):
                  (f"energy_drift_{label}", abs(e_out - e_in))]
         times = np.linspace(0.0, t_scr, p["n_table"])
         path = traj.evaluate(times)
-        table = [(float(t), float(r[0]), float(r[2]))
-                 for t, r in zip(times, path)]
         out.add_dat(f"branch_{label}.dat",
                     [f"branch {traj.branch_id} path through the device",
-                     "columns: t, x (beam axis), z (device axis)"], table)
+                     "columns: t, x (beam axis), z (device axis)"],
+                    np.column_stack((times, path[:, 0], path[:, 2])))
     out.add_csv("results.csv", ("quantity", "value"), rows)
 
 
@@ -502,17 +506,17 @@ def _run_two_slit(p, seed, out: OutputBundle):
         mids = 0.5 * (edges[1:] + edges[:-1])
         out.add_dat(name, [f"screen density, field {state}",
                            "columns: x, density"],
-                    list(zip(mids, dens)))
+                    np.column_stack((mids, dens)))
     alphas = np.linspace(-scene_on.aperture, scene_on.aperture, 4001)
     for name, mu, state in (("emission_on.dat", mu_on, "on"),
                             ("emission_off.dat", mu_off, "off")):
         out.add_dat(name, [f"emission angle density, field {state}",
                            "columns: angle, density"],
-                    list(zip(alphas, mu.density(alphas))))
+                    np.column_stack((alphas, mu.density(alphas))))
     out.add_dat("interference.dat",
                 ["fringe density minus its smooth envelope",
                  "columns: x, difference"],
-                list(zip(grid, deco.values)))
+                np.column_stack((grid, deco.values)))
 
 
 def _run_bigbang(p, seed, out: OutputBundle):

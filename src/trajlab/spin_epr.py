@@ -179,7 +179,7 @@ def _path(r, v, t0, a=None):
     return path
 
 
-def propagate_sg(position, velocity, s_in: SpinVariable, device: SGDevice,
+def propagate_sg(position, velocity, device: SGDevice,
                  constants: PhysicalConstants) -> tuple[PiecewiseTrajectory, PiecewiseTrajectory]:
     """Both branch trajectories through a slab device.
 
@@ -274,37 +274,63 @@ def singlet_measure(a, b) -> np.ndarray:
     is clamped to [-1, 1], which rounding can leave (a setting with itself
     at 82 degrees gives 1 + 2^-52), so no weight is negative.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    for name, v in (("a", a), ("b", b)):
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
-            raise ValueError(f"setting {name} must be a unit vector")
-    x = min(max(float(a @ b), -1.0), 1.0)
-    anti = 0.25 * (1.0 - x)
-    corr = 0.25 * (1.0 + x)
+    anti, corr = _singlet(_setting("a", a), _setting("b", b))
     return np.array([[anti, corr], [corr, anti]])
+
+
+def _setting(name: str, v) -> np.ndarray:
+    """``v`` as a float array, refused unless it is a unit vector."""
+    v = np.asarray(v, dtype=float)
+    # the 2-norm as np.linalg.norm computes it, without its dispatch
+    if abs(math.sqrt(float(v.dot(v))) - 1.0) > 1e-12:
+        raise ValueError(f"setting {name} must be a unit vector")
+    return v
+
+
+def _singlet(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """The (anticorrelated, correlated) weights of :func:`singlet_measure`
+    at settings already checked."""
+    x = min(max(float(a @ b), -1.0), 1.0)
+    return 0.25 * (1.0 - x), 0.25 * (1.0 + x)
 
 
 def global_epr_measure(a, a_prime, b, b_prime) -> np.ndarray:
     """(2, 2, 2, 2) weights over (setting A, result A, setting B, result B),
-    the four setting pairs drawn uniformly."""
-    out = np.zeros((2, 2, 2, 2))
-    for i, av in enumerate((a, a_prime)):
-        for j, bv in enumerate((b, b_prime)):
-            out[i, :, j, :] = 0.25 * singlet_measure(av, bv)
-    return out
+    the four setting pairs drawn uniformly. Each setting is checked once."""
+    # in the order the four pairs would first meet each setting
+    a, b, b_prime, a_prime = (_setting(name, v) for name, v in (
+        ("a", a), ("b", b), ("b", b_prime), ("a", a_prime)))
+    pairs = [[_singlet(av, bv) for bv in (b, b_prime)]
+             for av in (a, a_prime)]
+    # cell (i, r_a, j, r_b) is a quarter of pair (i, j)'s anticorrelated
+    # weight when r_a = r_b, of its correlated weight otherwise
+    return np.array([0.25 * pairs[i][j][ra != rb] for i in (0, 1)
+                     for ra in (0, 1) for j in (0, 1)
+                     for rb in (0, 1)]).reshape(2, 2, 2, 2)
+
+
+def _cells(measure_weights) -> np.ndarray:
+    """``measure_weights`` as a float array, refused unless it is a
+    (2, 2, 2, 2) measure."""
+    w = np.asarray(measure_weights, dtype=float)
+    if w.shape != (2, 2, 2, 2):
+        raise ValueError("measure must have shape (2, 2, 2, 2) over "
+                         "(setting A, result A, setting B, result B)")
+    if (w < 0).any():
+        raise ValueError("measure weights must be nonnegative")
+    return w
 
 
 def epr_conditional_probabilities(measure_weights: np.ndarray,
                                   query: tuple[int, int]) -> np.ndarray:
     """Outcome probabilities given a setting pair, as ratios of cell masses."""
-    w = np.asarray(measure_weights, dtype=float)
-    if w.shape != (2, 2, 2, 2):
-        raise ValueError("measure must have shape (2, 2, 2, 2) over "
-                         "(setting A, result A, setting B, result B)")
-    if np.any(w < 0):
-        raise ValueError("measure weights must be nonnegative")
+    w = _cells(measure_weights)
     i, j = query
+    return _conditional(w, i, j)
+
+
+def _conditional(w: np.ndarray, i: int, j: int) -> np.ndarray:
+    """:func:`epr_conditional_probabilities` of a measure already checked."""
     block = w[i, :, j, :]
     total = float(block.sum())
     if total <= 0:
@@ -314,18 +340,20 @@ def epr_conditional_probabilities(measure_weights: np.ndarray,
     return block / total
 
 
+_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # r_a r_b per outcome cell
+
+
 def correlator(conditional: np.ndarray) -> float:
     """E = sum over outcomes of r_a r_b p(r_a, r_b | settings)."""
     p = np.asarray(conditional, dtype=float)
-    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return float((signs * p).sum())
+    return float((_SIGNS * p).sum())
 
 
 def _chsh(cells: np.ndarray) -> tuple[float, list[float]]:
     """S = E(a,b) + E(a,b') + E(a',b) - E(a',b') from (2, 2, 2, 2) cell
     masses, and the four E(i, j) it sums, each from its normalised block."""
-    e = [correlator(epr_conditional_probabilities(cells, (i, j)))
-         for i in (0, 1) for j in (0, 1)]
+    w = _cells(cells)
+    e = [correlator(_conditional(w, i, j)) for i in (0, 1) for j in (0, 1)]
     return e[0] + e[1] + e[2] - e[3], e
 
 

@@ -271,7 +271,7 @@ def test_criterion_10_spin_splitting():
     up = SpinVariable(np.array([1.0 + 0j, 0.0 + 0j]))
     v0 = np.array([5.0, 0.0, 0.0])
     t0 = time.perf_counter()
-    plus, minus = propagate_sg(np.zeros(3), v0, up, device, constants)
+    plus, minus = propagate_sg(np.zeros(3), v0, device, constants)
     t_entry = device.entry_x / v0[0]
     pre_equal = all(
         np.array_equal(plus.evaluate(float(t)),

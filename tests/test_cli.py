@@ -16,7 +16,7 @@ import yaml
 
 from trajlab import cli, interference
 from trajlab.interference import NBodySystem
-from trajlab.scenarios import SCENARIOS
+from trajlab.scenarios import SCENARIOS, OutputBundle, _fmt
 
 FAST_PARAMS = {
     "bernoulli": {"n_traj": 200, "n_steps": 100},
@@ -725,3 +725,37 @@ class TestListing:
                                   capture_output=True, text=True)
         assert proc.returncode == 0
         assert "bernoulli" in proc.stdout
+
+
+class TestDatFormat:
+    # every kind of numeric cell a table can hold, one row per kind
+    ROWS = [
+        (0, 1, -7, 2 ** 53),
+        (-(2 ** 53), 123456789012345, 2 ** 52 + 1, 10 ** 15),
+        (0.0, -0.0, math.nan, math.inf),
+        (-math.inf, 5e-324, 1e300, -1e-300),
+        (0.1, 1 / 3, math.pi, -2.5e-17),
+        (np.float32(0.1), np.float32(-3.25e38), np.int64(-42),
+         np.int64(2 ** 53 - 1)),
+        (np.bool_(True), np.bool_(False), True, np.float64(2.0 ** -1074)),
+    ]
+
+    @staticmethod
+    def body(text):
+        return "".join(ln + "\n" for ln in text.splitlines()
+                       if not ln.startswith("#"))
+
+    def test_template_prints_each_cell_as_fmt(self):
+        # the rule the one template replaced: _fmt per cell, joined
+        want = "".join(" ".join(_fmt(c) for c in row) + "\n"
+                       for row in self.ROWS)
+        table = np.array(self.ROWS, dtype=float)
+        # the rows as written, a 2-d array, and a list of 1-d row arrays
+        # (what the benchmark tracer passes on)
+        for rows in (self.ROWS, table, list(table)):
+            out = OutputBundle()
+            out.add_dat("t.dat", ["a comment", "columns: a, b, c, d"], rows)
+            (name, text), = out.files()
+            assert name == "t.dat"
+            assert text.startswith("# a comment\n# columns: a, b, c, d\n")
+            assert self.body(text) == want

@@ -118,7 +118,7 @@ class TestBranchWeights:
 
 class TestPropagateSG:
     def propagate(self):
-        return propagate_sg(np.zeros(3), BEAM_V, UP, DEVICE, CONSTANTS)
+        return propagate_sg(np.zeros(3), BEAM_V, DEVICE, CONSTANTS)
 
     def test_branches_coincide_before_entry(self):
         plus, minus = self.propagate()
@@ -177,17 +177,17 @@ class TestPropagateSG:
 
     def test_slow_beam_cannot_climb_entry_step(self):
         with pytest.raises(IntegrationError):
-            propagate_sg(np.zeros(3), np.array([0.9, 0.0, 0.0]), UP,
+            propagate_sg(np.zeros(3), np.array([0.9, 0.0, 0.0]),
                          DEVICE, CONSTANTS)
 
     def test_nonpositive_field_at_entry(self):
         with pytest.raises(IntegrationError):
-            propagate_sg(np.array([0.0, 0.0, -1.0]), BEAM_V, UP,
+            propagate_sg(np.array([0.0, 0.0, -1.0]), BEAM_V,
                          DEVICE, CONSTANTS)
 
     def test_rejects_start_inside_device(self):
         with pytest.raises(ValueError):
-            propagate_sg(np.array([1.5, 0.0, 0.0]), BEAM_V, UP,
+            propagate_sg(np.array([1.5, 0.0, 0.0]), BEAM_V,
                          DEVICE, CONSTANTS)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5])
@@ -210,7 +210,7 @@ class TestPropagateSG:
         device = SGDevice(entry_x=-3.0, exit_x=-1.0, base_field=0.5,
                           gradient=2.0, screen_x=0.0)
         assert device.screen_x == 0.0
-        for traj in propagate_sg(np.array([-4.0, 0.0, 0.0]), BEAM_V, UP,
+        for traj in propagate_sg(np.array([-4.0, 0.0, 0.0]), BEAM_V,
                                  device, CONSTANTS):
             assert traj.evaluate(traj.screen_time)[0] == pytest.approx(
                 0.0, abs=1e-12)
@@ -223,7 +223,7 @@ class TestPropagateSG:
 
     def test_rejects_backward_beam(self):
         with pytest.raises(ValueError):
-            propagate_sg(np.zeros(3), np.array([-5.0, 0.0, 0.0]), UP,
+            propagate_sg(np.zeros(3), np.array([-5.0, 0.0, 0.0]),
                          DEVICE, CONSTANTS)
 
 
@@ -257,7 +257,7 @@ class TestSlabFieldCheck:
                           gradient=gradient)
         assert slab_fields(device, BEAM_V, +1)[1] == 0.0
         with pytest.raises(IntegrationError, match="crossed zero"):
-            propagate_sg(np.zeros(3), BEAM_V, UP, device, CONSTANTS)
+            propagate_sg(np.zeros(3), BEAM_V, device, CONSTANTS)
 
     @pytest.mark.parametrize("gradient", [4.0, -4.0])
     def test_dip_at_turn_raises(self, gradient):
@@ -272,7 +272,7 @@ class TestSlabFieldCheck:
         assert entry > 0 and exit_ > 0 and turn < 0
         assert slab_fields(device, v0, +1)[1] < 0
         with pytest.raises(IntegrationError, match="crossed zero"):
-            propagate_sg(np.zeros(3), v0, UP, device, CONSTANTS)
+            propagate_sg(np.zeros(3), v0, device, CONSTANTS)
 
     @pytest.mark.parametrize("gradient", [4.0, -4.0])
     def test_turn_past_exit_passes(self, gradient):
@@ -284,7 +284,7 @@ class TestSlabFieldCheck:
         for sign in (+1, -1):
             entry, exit_, turn = slab_fields(device, v0, sign)
             assert entry > 0 and exit_ > 0 and turn is None
-        plus, minus = propagate_sg(np.zeros(3), v0, UP, device, CONSTANTS)
+        plus, minus = propagate_sg(np.zeros(3), v0, device, CONSTANTS)
         assert minus.transit_time == pytest.approx(0.05, rel=1e-12)
 
     @pytest.mark.parametrize("gradient", [1.0, -1.0])
@@ -299,7 +299,7 @@ class TestSlabFieldCheck:
         entry, exit_, _ = slab_fields(device, v0, -1)
         assert exit_ - entry > 0.5 * v0[0] ** 2
         with pytest.raises(IntegrationError, match="cannot cross"):
-            propagate_sg(np.zeros(3), v0, UP, device, CONSTANTS)
+            propagate_sg(np.zeros(3), v0, device, CONSTANTS)
 
     def test_raises_iff_the_field_reaches_zero(self):
         # the exits are the only points checked; the closed-form least
@@ -324,7 +324,7 @@ class TestSlabFieldCheck:
             if abs(least) < 1e-9 or leave < 1.0:
                 continue
             try:
-                propagate_sg(np.zeros(3), v0, UP, device, CONSTANTS)
+                propagate_sg(np.zeros(3), v0, device, CONSTANTS)
                 raised = False
             except IntegrationError:
                 raised = True
@@ -389,6 +389,26 @@ class TestCHSH:
             angles = rng.uniform(0.0, 360.0, size=4)
             s = chsh_value(*[planar_setting(float(x)) for x in angles])
             assert abs(s) <= cap
+
+    def test_value_is_the_checked_public_composition(self):
+        # chsh_value checks each setting and the cell array once; S stays
+        # bitwise the sum of the four checked conditionals' correlators
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            vecs = [planar_setting(float(x))
+                    for x in rng.uniform(-720.0, 720.0, size=4)]
+            g = global_epr_measure(*vecs)
+            e = [correlator(epr_conditional_probabilities(g, (i, j)))
+                 for i in (0, 1) for j in (0, 1)]
+            assert chsh_value(*vecs) == e[0] + e[1] + e[2] - e[3]
+
+    def test_every_setting_checked(self):
+        unit = planar_setting(30.0)
+        for k in range(4):
+            vecs = [unit] * 4
+            vecs[k] = np.array([0.0, 0.0, 2.0])
+            with pytest.raises(ValueError, match="unit vector"):
+                chsh_value(*vecs)
 
     def test_every_fixed_strategy_saturates_two(self):
         values = [chsh_of_strategy(st) for st in deterministic_strategies()]
