@@ -256,8 +256,9 @@ def main(argv=None) -> int:
     if args.command == "list-scenarios":
         sys.stdout.write(render_scenario_listing())
         return 0
-    if args.command != "run":
-        parser.print_help()
+    if args.command is None:
+        print("config error: no command given; choose run or list-scenarios",
+              file=sys.stderr)
         return 2
 
     if args.scenario not in SCENARIOS:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -412,21 +413,19 @@ class FlipperScene:
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 2 or centers.shape[1] != 3:
             raise ValueError("centers must be an (N, 3) array")
-        if not (cell_size > 0 and action_range > 0):
-            raise ValueError("cell_size and action_range must be positive")
-        if np.any(centers < 0) or np.any(centers >= cell_size):
+        d_min = _MIN_SPACING * action_range
+        # the spacing rule compares squares; a d_min^2 that underflows to 0
+        # would accept every pair
+        if not (0 < cell_size < math.inf and action_range > 0
+                and 0 < d_min * d_min < math.inf):
+            raise ValueError(f"cell_size, action_range and ({_MIN_SPACING:g} "
+                             f"action_range)^2 must be positive and finite")
+        if not np.all((centers >= 0) & (centers < cell_size)):
             raise ValueError("centers must lie inside [0, cell_size)^3")
         L = float(cell_size)
-        d = centers[:, None, :] - centers[None, :, :]
-        d = (d + L / 2.0) % L - L / 2.0
-        dist = np.sqrt((d ** 2).sum(-1))
-        np.fill_diagonal(dist, np.inf)
-        d_min = float(dist.min()) if len(centers) > 1 else math.inf
-        if d_min < _MIN_SPACING * action_range:
-            raise ValueError(
-                f"minimum center spacing {d_min:.4g} violates the required "
-                f"{_MIN_SPACING} * action_range = "
-                f"{_MIN_SPACING * action_range:.4g}")
+        if sum(1 for _ in _spaced(centers.tolist(), L, d_min)) < len(centers):
+            raise ValueError(f"center spacing violates the required "
+                             f"{_MIN_SPACING} * action_range = {d_min:.4g}")
         self.cell_size = L
         self.centers = centers
         self.action_range = float(action_range)
@@ -458,12 +457,36 @@ def _candidates(rng: np.random.Generator, L: float):
         yield from (rng.random((_PLACE_BLOCK, 3)) * L).tolist()
 
 
-def _around(key: tuple[int, int, int], g: int) -> set[tuple[int, int, int]]:
-    """The cells within one step of ``key`` on a periodic g^3 grid: 27 of
-    them when g >= 3, and every cell when g < 3."""
-    i, j, k = key
-    return {(a % g, b % g, c % g) for a in (i - 1, i, i + 1)
-            for b in (j - 1, j, j + 1) for c in (k - 1, k, k + 1)}
+def _spaced(points, L: float, d: float):
+    """Yield each of ``points`` whose min-image distance in the periodic
+    cell [0, L)^3 to every point yielded before is at least ``d``.
+
+    On a grid of g^3 cells no narrower than d (1 + 1e-9), only the points in
+    the cells around a point's own can be nearer than d; the margin covers a
+    coordinate that rounds into the next cell, and at most 2^20 cells a side
+    keep that rounding inside it. Each yielded point is filed under every
+    cell around its own (27 when g >= 3, all when g < 3), so a point reads
+    the one list of its own cell.
+    """
+    g = max(1, int(min(L / (d * (1.0 + 1e-9)), 2.0 ** 20)))
+    cs = L / g
+    half = L / 2.0
+    d2 = d ** 2
+    grid: dict[tuple[int, int, int], list] = {}
+    for p in points:
+        x, y, z = p
+        i, j, k = int(x / cs) % g, int(y / cs) % g, int(z / cs) % g
+        for px, py, pz in grid.get((i, j, k), ()):
+            dx = (px - x + half) % L - half
+            dy = (py - y + half) % L - half
+            dz = (pz - z + half) % L - half
+            if dx * dx + dy * dy + dz * dz < d2:
+                break
+        else:
+            yield p
+            for key in {(a % g, b % g, c % g) for a in (i - 1, i, i + 1)
+                        for b in (j - 1, j, j + 1) for c in (k - 1, k, k + 1)}:
+                grid.setdefault(key, []).append(p)
 
 
 def random_scene(n_centers: int, action_range: float, energy: float,
@@ -473,12 +496,8 @@ def random_scene(n_centers: int, action_range: float, energy: float,
     The cell is sized so that n_centers * d_min^3 / cell volume is
     ``_PACKING``; 0.5 leaves room for rejection sampling to finish quickly.
     A uniform candidate is kept when its min-image distance to every kept
-    center is at least d_min. The cell is split into g^3 grid cells no
-    narrower than d_min (1 + 1e-9), so only the centers in the grid cells
-    around the candidate's own (:func:`_around`) can be nearer than d_min;
-    the margin covers a coordinate that rounds into the next grid cell.
-    Each kept center is filed under every grid cell around its own, so a
-    candidate reads the one list of its own grid cell.
+    center is at least d_min (:func:`_spaced`), and placement gives up after
+    ``_MAX_TRIES`` candidates.
     """
     d_min = _MIN_SPACING * action_range
     L = (n_centers * d_min ** 3 / _PACKING) ** (1.0 / 3.0)
@@ -486,33 +505,12 @@ def random_scene(n_centers: int, action_range: float, energy: float,
     # complex L), and so does a d_min^3 that underflows to 0
     if not (n_centers > 0 and action_range > 0 and L > 0):
         raise ValueError("cell_size and action_range must be positive")
-    g = max(1, int(L / (d_min * (1.0 + 1e-9))))
-    cs = L / g
-    half = L / 2.0
-    d2 = d_min ** 2
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cands = _candidates(rng, L)
-    placed: list[list[float]] = []
-    grid: dict[tuple[int, int, int], list[list[float]]] = {}
-    tries = 0
-    while len(placed) < n_centers:
-        tries += 1
-        if tries > _MAX_TRIES:
-            raise IntegrationError("center placement did not converge; "
-                                   "lower packing or n_centers")
-        cand = next(cands)
-        x, y, z = cand
-        key = (int(x / cs) % g, int(y / cs) % g, int(z / cs) % g)
-        for px, py, pz in grid.get(key, ()):
-            dx = (px - x + half) % L - half
-            dy = (py - y + half) % L - half
-            dz = (pz - z + half) % L - half
-            if dx * dx + dy * dy + dz * dz < d2:
-                break
-        else:
-            placed.append(cand)
-            for n in _around(key, g):
-                grid.setdefault(n, []).append(cand)
+    placed = list(islice(_spaced(islice(_candidates(rng, L), _MAX_TRIES),
+                                 L, d_min), n_centers))
+    if len(placed) < n_centers:
+        raise IntegrationError("center placement did not converge; "
+                               "lower packing or n_centers")
     return FlipperScene(L, np.array(placed), energy, action_range)
 
 

@@ -411,8 +411,22 @@ class TestErrorExits:
         assert "\n" not in err
         assert os.listdir(tmp_path) == ["cfg.yaml"]
 
-    def test_no_subcommand_prints_usage(self, capsys):
-        assert run([]) == 2
+    def test_no_subcommand_is_one_config_error_line(self, capsys):
+        # like every other config error: exit 2, one stderr line, no
+        # traceback; the usage stays behind --help
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-m", "trajlab.cli"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        err, = proc.stderr.splitlines()
+        assert err.startswith("config error:")
+        assert "run" in err and "list-scenarios" in err
+        assert "Traceback" not in proc.stderr
+        with pytest.raises(SystemExit) as exit_:
+            run(["--help"])
+        assert exit_.value.code == 0
         assert capsys.readouterr().out.startswith("usage: trajlab")
 
 

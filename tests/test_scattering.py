@@ -449,6 +449,95 @@ class TestFlipperScene:
         with pytest.raises(ValueError):
             random_scene(8, 0.05, nan)
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 4), (1, 1, 3)])
+    def test_wrong_centers_shape_refused(self, shape):
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            FlipperScene(4.0, np.full(shape, 1.0), 1.0, 0.05)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_cell_size_or_range_refused(self, bad):
+        centers = [[1.0, 1.0, 1.0]]
+        with pytest.raises(ValueError, match="positive and finite"):
+            FlipperScene(bad, centers, 1.0, 0.05)
+        with pytest.raises(ValueError, match="positive and finite"):
+            FlipperScene(4.0, centers, 1.0, bad)
+
+    @pytest.mark.parametrize("outside", [
+        [-1e-300, 1.0, 1.0], [1.0, 4.0, 1.0], [1.0, 1.0, 1e300],
+        [math.nan, 1.0, 1.0], [1.0, math.inf, 1.0]])
+    def test_center_outside_cell_refused(self, outside):
+        # a NaN center passed "< 0 or >= cell_size" and no ray met it
+        with pytest.raises(ValueError, match="inside"):
+            FlipperScene(4.0, [outside, [2.0, 2.0, 2.0]], 1.0, 0.05)
+
+    @pytest.mark.parametrize("second", [
+        [0.4, 0.1, 0.1], [3.9, 0.1, 0.1], [3.9, 3.9, 3.9]],
+        ids=["direct", "across-face", "across-corner"])
+    def test_spacing_violation_refused(self, second):
+        # 0.5 apart is required; each second center is nearer to the first
+        # in the min-image metric of a cell of 4
+        with pytest.raises(ValueError, match="spacing"):
+            FlipperScene(4.0, [[0.1, 0.1, 0.1], second], 1.0, 0.05)
+
+    @pytest.mark.parametrize("action_range", [1e-300, 1e160])
+    def test_spacing_squared_out_of_float_range_refused(self, action_range):
+        # (10 * 1e-300)^2 underflows to 0, and no pair would be nearer
+        with pytest.raises(ValueError, match="positive and finite"):
+            FlipperScene(4.0, [[1.0, 1.0, 1.0]], 1.0, action_range)
+
+    def test_cell_of_1e310_spacings_checked(self):
+        # L / d overflows to inf; the grid stops at 2^20 cells a side
+        FlipperScene(1e300, [[0.0, 0.0, 0.0], [1e299, 0.0, 0.0]], 1.0, 1e-11)
+        with pytest.raises(ValueError, match="spacing"):
+            FlipperScene(1e300, [[0.0, 0.0, 0.0], [0.0, 1e-11, 0.0]],
+                         1.0, 1e-11)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_spacing_check_matches_every_pair(self, seed):
+        # random centers and a spacing near their least min-image distance,
+        # on grids of 3 to 37 cells a side: the scene is refused exactly
+        # when one pair, compared as p_i - p_j for i < j, is too near
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        L = float(rng.uniform(0.5, 5.0))
+        c = (rng.random((n, 3)) * L).tolist()
+        pairs = [sum(((a - b + L / 2) % L - L / 2) ** 2 for a, b in zip(p, q))
+                 for j, q in enumerate(c) for p in c[:j]]
+        action_range = math.sqrt(min(pairs)) / scattering._MIN_SPACING
+        action_range *= (1.0, 1.0 - 1e-15, 1.0 + 1e-15, 0.5)[seed % 4]
+        d2 = (scattering._MIN_SPACING * action_range) ** 2
+        if min(pairs) < d2:
+            with pytest.raises(ValueError, match="spacing"):
+                FlipperScene(L, c, 1.0, action_range)
+        else:
+            FlipperScene(L, c, 1.0, action_range)
+
+    @staticmethod
+    def _lattice(scale):
+        # 16^3 centers spaced exactly _MIN_SPACING * 0.05 = 0.5 apart
+        s = scattering._MIN_SPACING * 0.05
+        assert s == 0.5
+        centers = np.indices((16, 16, 16)).reshape(3, -1).T * s
+        return 16 * s * scale, centers * scale
+
+    def test_lattice_at_the_spacing_accepted(self):
+        import tracemalloc
+        L, centers = self._lattice(1.0)
+        tracemalloc.start()
+        try:
+            scene = FlipperScene(L, centers, 1.0, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scene.centers) == 4096
+        # an n x n min-image array would need 403 MB per temporary
+        assert peak < 16 * 2 ** 20
+
+    def test_lattice_below_the_spacing_refused(self):
+        L, centers = self._lattice(1.0 - 1e-12)
+        with pytest.raises(ValueError, match="spacing"):
+            FlipperScene(L, centers, 1.0, 0.05)
+
 
 class TestTraceFlipper:
     def _scene(self):
