@@ -179,9 +179,7 @@ def evaluate_rates(outcomes, n_outcomes: int,
 
 #: boundary points drawn in one sampler call and handed to an outcome
 #: builder. It bounds the memory of the drawn points (256 kB for 1000-bit
-#: Bernoulli rows) and is the lockstep batch of the flipper kernel, which
-#: looks 64 // isqrt(live) wall crossings ahead per step: 4 for a full
-#: block, up to 64 for its last rays.
+#: Bernoulli rows) and is the lockstep batch of the flipper kernel.
 BUILD_BLOCK = 256
 
 

@@ -19,9 +19,11 @@ its speed never changes and each encounter is one trial of the "which
 angular bin" experiment.
 
 Polar deflections live in [0, pi]. A signed angle in (-pi, pi] is used only
-for flipper outcome binning; the sign is the side of the encounter's impact
-direction in a fixed frame perpendicular to the incoming ray, which is +/-
-symmetric for isotropic scenes.
+for flipper outcome binning: +theta when the impact direction n (from the
+center to the closest approach, perpendicular to the incoming ray u) has
+n_z >= 0, or n_x >= 0 when u runs along z. That is the side of n along the
+fixed axis u x (z x u), or u x (x x u), so it is +/- symmetric for
+isotropic scenes; a head-on hit, with no n of its own, counts +theta.
 """
 
 from __future__ import annotations
@@ -430,23 +432,16 @@ class FlipperScene:
         self.centers = centers
         self.action_range = float(action_range)
         self.deflection = DeflectionFunction(HardSphere(action_range), energy)
-        # replicate centers whose action sphere pokes through a cell face,
-        # so straight segments inside the cell see every reachable sphere;
-        # center_index maps each row of centers_ext to its original center
+        # replicate centers whose action sphere pokes through a cell face, so
+        # segments inside the cell see every reachable sphere; the zero shift
+        # comes first, and center_index maps each image to its center
         r0 = self.action_range * (1.0 + 1e-9)
-        images = [centers]
-        originals = [np.arange(len(centers))]
         shifts = np.array(np.meshgrid(*([[-L, 0.0, L]] * 3))).T.reshape(-1, 3)
-        for sh in shifts:
-            if not np.any(sh):
-                continue
-            img = centers + sh
-            keep = np.all((img > -r0) & (img < L + r0), axis=1)
-            if keep.any():
-                images.append(img[keep])
-                originals.append(np.flatnonzero(keep))
-        self.centers_ext = np.concatenate(images, axis=0)
-        self.center_index = np.concatenate(originals)
+        shifts = shifts[np.argsort(shifts.any(axis=1), kind="stable")]
+        images = centers + shifts[:, None]
+        keep = np.all((images > -r0) & (images < L + r0), axis=2)
+        self.centers_ext = images[keep]
+        self.center_index = np.nonzero(keep)[1]
 
 
 def _candidates(rng: np.random.Generator, L: float):
@@ -527,40 +522,77 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
 
+def _segments(P, U, travelled, depth: int, L: float, push: float):
+    """Each ray's next ``depth`` free flights in the cell [0, L)^3, as if no
+    sphere were met: segment i runs from ``starts[i]``, at path length
+    ``at[i]``, to the next cell wall ``t_bound[i]`` away, and ends ``push``
+    past it at ``starts[i + 1]``. An axis with no motion meets its wall at
+    (inf - p) / 1 = inf. For a wall at 0, 0 - p and -p differ only in the
+    sign of a zero, which neither the minimum nor the step can see."""
+    starts = np.empty((depth + 1, len(P), 3))
+    at, t_bound = np.empty((depth + 1, len(P))), np.empty((depth, len(P)))
+    starts[0], at[0] = P, travelled
+    wall = np.where(U > 0, L, np.where(U < 0, 0.0, np.inf))
+    speed = np.where(U != 0, U, 1.0)
+    buf = np.empty(U.shape)
+    for i in range(depth):
+        np.divide(np.subtract(wall, starts[i], out=buf), speed, out=buf)
+        t_i = np.minimum(buf[:, 0], buf[:, 1], out=t_bound[i])
+        np.minimum(t_i, buf[:, 2], out=t_i)
+        step = t_i + push
+        np.add(np.multiply(step[:, None], U, out=buf), starts[i], out=buf)
+        np.remainder(buf, L, out=starts[i + 1])
+        np.add(at[i], step, out=at[i + 1])
+    return starts, at, t_bound
+
+
 def _trace_batch(scene: FlipperScene, positions, directions,
                  n_encounters: int, max_path_length: float | None,
                  record_path: bool):
     """Trace n rays in lockstep; see :func:`trace_flipper` for the physics.
 
     Each step lays out, for every live ray, its next ``depth`` free-flight
-    segments (cell wall to cell wall, as if no sphere were met) and tests
-    them all against ``scene.centers_ext`` at once. A ray with a hit goes to
-    the first sphere entered along its own segments and is deflected there;
-    a ray without one moves to the end of its last segment. ``depth`` is
+    segments (:func:`_segments`) and tests them all against
+    ``scene.centers_ext`` at once. A ray with a hit goes to the first
+    sphere entered along its own segments and is deflected there; a ray
+    without one moves to the end of its last segment. ``depth`` is
     ``64 // isqrt(live)``, at least 1: a deeper step shares its fixed cost
     among more crossings but lays out more of them past a ray's hit, and
     the two balance near a depth proportional to 1 / sqrt(live). A full
-    block of 256 rays looks 4 crossings ahead, its last ray 64.
+    block of 256 rays looks 4 crossings ahead, its last ray 64. The float32
+    cull fills views of one workspace, grown to the widest step so far:
+    depth * live is not monotone, 128 rows at 4 live rays but 192 at 3.
 
     Rays leave the batch once they have ``n_encounters`` encounters or have
-    used up ``max_path_length``. A float32 cull may keep extra ray-center
-    pairs but drops none that can hit; every pair it keeps is decided in
-    float64, and every float64 operation acts on each row alone (dot
-    products are written out per component, not left to BLAS), so a ray
-    traced by itself gives bitwise the same trajectory as in any batch and
-    at any depth. Returns each ray's encounter count, the
-    ``(n, n_encounters)`` arrays of the :class:`EncounterRecord` fields (a
-    row's first ``count`` valid), and the path vertices as ``(rows,
-    points)`` pairs, each row's in the order made.
+    used up ``max_path_length``; a ray that never could (a non-finite
+    position or budget, or a direction without a positive finite norm)
+    raises ``ValueError``. A float32 cull may keep extra ray-center pairs
+    but drops none that can hit; every pair it keeps is decided in float64,
+    and every float64 operation acts on each row alone (dot products are
+    written out per component, not left to BLAS), so a ray traced by itself
+    gives bitwise the same trajectory as in any batch and at any depth.
+    Returns each ray's encounter count, the ``(n, n_encounters)`` arrays of
+    the :class:`EncounterRecord` fields (a row's first ``count`` valid), and
+    the path vertices as ``(rows, points)`` pairs, each row's in the order
+    made.
     """
-    L = scene.cell_size
-    r0 = scene.action_range
-    r0sq = r0 * r0
-    push = 1e-9 * L
+    L, r0 = scene.cell_size, scene.action_range
+    r0sq, push = r0 * r0, 1e-9 * L
     if max_path_length is None:
         # a few mean free paths per requested encounter
         mfp = L ** 3 / max(len(scene.centers), 1) / (math.pi * r0sq)
         max_path_length = 20.0 * mfp * n_encounters
+    if not math.isfinite(max_path_length):
+        raise ValueError("max_path_length must be finite")
+    P = np.asarray(positions, dtype=float)
+    U = np.array(directions, dtype=float)
+    norm = np.sqrt(_dot(U, U))
+    if not np.isfinite(P).all():
+        raise ValueError("positions must be finite")
+    if not np.all((norm > 0) & (norm < math.inf)):
+        raise ValueError("directions must have a positive finite norm")
+    P = P % L
+    U /= norm[:, None]
     centers = scene.centers_ext
     n_ext = len(centers)
     cx, cy, cz = (np.ascontiguousarray(c) for c in centers.T)
@@ -580,18 +612,15 @@ def _trace_batch(scene: FlipperScene, positions, directions,
                      np.ones(n_ext)]).astype(np.float32)
     cT32 = centers.T.astype(np.float32)
 
-    P = np.asarray(positions, dtype=float) % L
-    U = np.array(directions, dtype=float)
-    U /= np.sqrt(_dot(U, U))[:, None]
     n = len(P)
+    # the cull workspace: u.c per live ray, |c - q|^2 and its mask per row
+    uc_ws = np.empty((n, n_ext), np.float32)
+    d2_ws = np.empty((0, n_ext), np.float32)
     rows = np.arange(n)  # original row of each live ray
     travelled = np.zeros(n)
     count = np.zeros(n, dtype=np.intp)
-    enc_length = np.empty((n, n_encounters))
-    enc_center = np.empty((n, n_encounters), dtype=np.intp)
-    enc_s = np.empty((n, n_encounters))
-    enc_theta = np.empty((n, n_encounters))
-    enc_signed = np.empty((n, n_encounters))
+    fields = tuple(np.empty((n, n_encounters), dtype)
+                   for dtype in (float, np.intp, float, float, float))
     # path vertices as (original rows, points), in the order they were made
     log = [(rows, P.copy())]
 
@@ -600,37 +629,16 @@ def _trace_batch(scene: FlipperScene, positions, directions,
         if done.any():
             if not record_path:
                 log.append((rows[done], P[done]))
-            live = ~done
-            rows, P, U, travelled = rows[live], P[live], U[live], \
-                travelled[live]
+            rows, P, U, travelled = (a[~done] for a in (rows, P, U, travelled))
         m = len(rows)
         if not m:
             break
         depth = max(1, 64 // math.isqrt(m))
+        if len(d2_ws) < depth * m:
+            d2_ws = np.empty((depth * m, n_ext), np.float32)
+            keep_ws = np.empty(d2_ws.shape, bool)
 
-        # segment i runs from starts[i] to the next cell wall, t_bound[i]
-        # away, and ends just past it at starts[i + 1]. An axis with no
-        # motion meets its wall at (inf - p) / 1 = inf. For a wall at 0,
-        # 0 - p and -p differ only in the sign of a zero, which neither the
-        # minimum nor the step can see.
-        starts = np.empty((depth + 1, m, 3))
-        at = np.empty((depth + 1, m))
-        t_bound = np.empty((depth, m))
-        starts[0], at[0] = P, travelled
-        wall = np.where(U > 0, L, np.where(U < 0, 0.0, np.inf))
-        speed = np.where(U != 0, U, 1.0)
-        buf = np.empty(U.shape)
-        for i in range(depth):
-            np.subtract(wall, starts[i], out=buf)
-            buf /= speed
-            t_i = t_bound[i]
-            np.minimum(buf[:, 0], buf[:, 1], out=t_i)
-            np.minimum(t_i, buf[:, 2], out=t_i)
-            step = t_i + push
-            np.multiply(step[:, None], U, out=buf)
-            buf += starts[i]
-            np.remainder(buf, L, out=starts[i + 1])
-            np.add(at[i], step, out=at[i + 1])
+        starts, at, t_bound = _segments(P, U, travelled, depth, L, push)
         # a segment is flown only if the path budget is left at its start
         n_flown = (at[:-1] < max_path_length).sum(axis=0)
         reach = np.where(np.arange(depth)[:, None] < n_flown, t_bound,
@@ -640,11 +648,14 @@ def _trace_batch(scene: FlipperScene, positions, directions,
         seg_p = starts[:-1].reshape(-1, 3)
         q = (starts[:-1] - (starts[:-1] * U).sum(axis=2)[:, :, None] * U
              ).reshape(-1, 3)
-        d2 = (np.column_stack([q, np.ones(len(q)), (q * q).sum(axis=1)])
-              .astype(np.float32) @ c32).reshape(depth, m, n_ext)
-        d2 -= np.square(U.astype(np.float32) @ cT32)
+        d2 = d2_ws[:depth * m].reshape(depth, m, n_ext)
+        keep, uc = keep_ws[:depth * m].reshape(d2.shape), uc_ws[:m]
+        np.matmul(np.column_stack([q, np.ones(len(q)), (q * q).sum(axis=1)])
+                  .astype(np.float32), c32, out=d2_ws[:depth * m])
+        np.square(np.matmul(U.astype(np.float32), cT32, out=uc), out=uc)
+        np.less(np.subtract(d2, uc, out=d2), cull, out=keep)
         # flat indices: 2-d nonzero is several times slower here
-        row, c = np.divmod(np.flatnonzero(d2 < cull), n_ext)
+        row, c = np.divmod(np.flatnonzero(keep), n_ext)
         r = row % m
         wx = cx[c] - seg_p[row, 0]
         wy = cy[c] - seg_p[row, 1]
@@ -654,15 +665,13 @@ def _trace_batch(scene: FlipperScene, positions, directions,
         t_enter = t_ca - np.sqrt(np.maximum(gap, 0.0))
         # the flown segment to the wall enters the sphere
         ok = (gap > 0) & (t_enter > push) & (t_enter <= reach[row])
-        row, r, c, t_ca, t_enter = row[ok], r[ok], c[ok], t_ca[ok], \
-            t_enter[ok]
+        row, r, c, t_ca, t_enter = (a[ok] for a in (row, r, c, t_ca, t_enter))
         # first sphere entered by each ray: earliest segment, then earliest
         # entry (ties go to the lower index)
         order = np.lexsort((t_enter, row // m, r))
         h, first = np.unique(r[order], return_index=True)
         k, t_k = c[order][first], t_ca[order][first]
-        # segments flown to their end: all flown ones, or those before the
-        # hit
+        # segments flown to their end: all flown, or those before the hit
         n_free = n_flown.copy()
         n_free[h] = row[order][first] // m
         ray = np.arange(m)
@@ -683,37 +692,29 @@ def _trace_batch(scene: FlipperScene, positions, directions,
             s = np.sqrt(_dot(beta, beta))
             theta = scene.deflection(s)
             # scalar cos and sin: a row's value cannot depend on its batch
-            turns = theta.tolist()
-            cos_t = np.array([math.cos(t) for t in turns])
-            sin_t = np.array([math.sin(t) for t in turns])
-
-            # fixed frame about u: e1 = z x u, or x x u near the poles;
-            # e2 = u x e1
+            cos_t, sin_t = (np.array([f(t) for t in theta.tolist()])
+                            for f in (math.cos, math.sin))
+            # a head-on hit has no impact direction of its own: it takes
+            # the fixed e1 = z x u, or x x u near the poles
             ux, uy, uz = u.T
             zero = np.zeros(len(h))
-            pole = (ux * ux + uy * uy < 1e-24)[:, None]
-            e1 = np.where(pole, np.column_stack([zero, -uz, uy]),
+            pole = ux * ux + uy * uy < 1e-24
+            e1 = np.where(pole[:, None], np.column_stack([zero, -uz, uy]),
                           np.column_stack([-uy, ux, zero]))
             e1 /= np.sqrt(_dot(e1, e1))[:, None]
-            e2 = np.column_stack([uy * e1[:, 2] - uz * e1[:, 1],
-                                  uz * e1[:, 0] - ux * e1[:, 2],
-                                  ux * e1[:, 1] - uy * e1[:, 0]])
-            # a head-on hit has no impact direction of its own: take e1
             head_on = s < 1e-12 * r0
             n_hat = np.where(head_on[:, None], e1,
                              beta / np.where(head_on, 1.0, s)[:, None])
-            # the sign is the side of the impact direction in that frame
-            phi = np.arctan2(_dot(n_hat, e2), _dot(n_hat, e1))
+            # the sign is the side of n_hat along u x e1, which for n_hat
+            # perpendicular to u is the sign of n_hat's z (x near the poles)
+            side = np.where(pole, n_hat[:, 0], n_hat[:, 2]) >= 0.0
             u_new = cos_t[:, None] * u + sin_t[:, None] * n_hat
             u_new /= np.sqrt(_dot(u_new, u_new))[:, None]
 
             hit_rows = rows[h]
-            j = count[hit_rows]
-            enc_length[hit_rows, j] = at_encounter
-            enc_center[hit_rows, j] = scene.center_index[k]
-            enc_s[hit_rows, j] = s
-            enc_theta[hit_rows, j] = theta
-            enc_signed[hit_rows, j] = np.where(phi >= 0.0, theta, -theta)
+            for f, v in zip(fields, (at_encounter, scene.center_index[k], s,
+                                     theta, np.where(side, theta, -theta))):
+                f[hit_rows, count[hit_rows]] = v
             count[hit_rows] += 1
             log.append((hit_rows, x_ca % L))
 
@@ -728,7 +729,7 @@ def _trace_batch(scene: FlipperScene, positions, directions,
             if record_path:
                 log.append((hit_rows, P[h]))
 
-    return count, (enc_length, enc_center, enc_s, enc_theta, enc_signed), log
+    return count, fields, log
 
 
 def trace_flipper(scene: FlipperScene, position, direction,
@@ -799,10 +800,8 @@ def flipper_outcome_builder(scene: FlipperScene, n_bins: int,
 
     Entry points ``(n, 6)`` go to the ``(n, n_encounters)`` angle bins of
     each ray's signed deflections, padded with -1 past a ray that used up
-    the default path budget of :func:`trace_flipper` first. A block
-    (``core.BUILD_BLOCK`` rows) is one lockstep batch; each step looks
-    ``64 // isqrt(live)`` wall crossings ahead, so a full block steps 4
-    crossings at a time and its last ray 64.
+    the default path budget of :func:`trace_flipper` first. A block is one
+    lockstep batch of :func:`_trace_batch`.
     """
 
     def build(points):

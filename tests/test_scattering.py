@@ -538,6 +538,44 @@ class TestFlipperScene:
         with pytest.raises(ValueError, match="spacing"):
             FlipperScene(L, centers, 1.0, 0.05)
 
+    def test_grid_margin_covers_a_cell_boundary(self):
+        # L / d is just above 26. Cells exactly d wide (g = 26) put the
+        # first point at x / (L / g) = 3.999..., cell 3, and the second at
+        # 5.0, cell 5, so the pair would never be compared; the cells at
+        # least d (1 + 1e-9) wide (g = 25) make them neighbours
+        L, d = 16.33266435968526, 0.628179398449433
+        points = [(2.5127175937977317, 0.5, 0.5),
+                  (3.140896992247165, 0.5, 0.5)]
+        assert int(L / d) == 26
+        assert list(scattering._spaced(points, L, d)) == points[:1]
+
+    @staticmethod
+    def _reference_images(centers, L, r0):
+        """The image loop FlipperScene ran before its broadcast: every
+        nonzero shift in meshgrid order, each keeping its centers in
+        order."""
+        images, originals = [centers], [np.arange(len(centers))]
+        shifts = np.array(np.meshgrid(*([[-L, 0.0, L]] * 3))).T.reshape(-1, 3)
+        for sh in shifts:
+            if np.any(sh):
+                keep = np.all((centers + sh > -r0) & (centers + sh < L + r0),
+                              axis=1)
+                images.append((centers + sh)[keep])
+                originals.append(np.flatnonzero(keep))
+        return np.concatenate(images), np.concatenate(originals)
+
+    @pytest.mark.parametrize("n_centers,action_range,seed", [
+        (1, 0.05, 0), (8, 0.05, 7), (27, 0.3, 5), (216, 0.05, 3)])
+    def test_images_match_the_reference_loop(self, n_centers, action_range,
+                                             seed):
+        scene = random_scene(n_centers, action_range, 1.0, seed=seed)
+        ext, index = self._reference_images(
+            scene.centers, scene.cell_size, action_range * (1.0 + 1e-9))
+        assert np.array_equal(scene.centers_ext.view(np.int64),
+                              ext.view(np.int64))
+        assert np.array_equal(scene.center_index, index)
+        assert scene.center_index.dtype == np.intp
+
 
 class TestTraceFlipper:
     def _scene(self):
@@ -587,6 +625,82 @@ class TestTraceFlipper:
                            np.array([1.0, 0.0, 0.0]), 50,
                            max_path_length=scene.cell_size)
         assert len(tr.encounters) < 50
+
+    def test_empty_scene_flies_free(self):
+        # a cell with no center: every cull array has zero columns
+        scene = FlipperScene(4.0, np.empty((0, 3)), 1.0, 0.05)
+        tr = trace_flipper(scene, [0.1, 0.2, 0.3], [1.0, 2.0, 3.0], 2,
+                           max_path_length=30.0)
+        assert not tr.encounters
+        assert len(tr.vertices) > 2
+        assert np.all((tr.vertices >= 0.0) & (tr.vertices < 4.0))
+
+    # one sphere of radius 0.1 at the middle of a cell of 4; each ray
+    # starts 1 before it along its axis, offset by (x, y, z)
+    @pytest.mark.parametrize("u,offset,positive", [
+        ((1.0, 0.0, 0.0), (0.0, 0.0, 0.05), True),
+        ((1.0, 0.0, 0.0), (0.0, 0.0, -0.05), False),
+        ((-1.0, 0.0, 0.0), (0.0, 0.0, 0.05), True),
+        ((-1.0, 0.0, 0.0), (0.0, 0.0, -0.05), False),
+        ((0.0, 0.0, 1.0), (0.05, 0.0, 0.0), True),
+        ((0.0, 0.0, 1.0), (-0.05, 0.0, 0.0), False),
+        ((0.0, 0.0, -1.0), (0.05, 0.0, 0.0), True),
+        ((0.0, 0.0, -1.0), (-0.05, 0.0, 0.0), False),
+        ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), True),
+        ((0.0, -1.0, 0.0), (0.0, 0.0, 0.0), True),
+        ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), True),
+        ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0), True)],
+        ids=["x+z", "x-z", "-x+z", "-x-z", "z+x", "z-x", "-z+x", "-z-x",
+             "x-head-on", "-y-head-on", "z-head-on", "-z-head-on"])
+    def test_signed_angle_rule(self, u, offset, positive):
+        # the sign is that of the impact direction's z component, or of
+        # its x component for a ray along z; a head-on hit counts +theta
+        center = np.array([2.0, 2.0, 2.0])
+        scene = FlipperScene(4.0, [center], 1.0, 0.1)
+        u = np.array(u)
+        tr = trace_flipper(scene, center - u + offset, u, 1,
+                           max_path_length=2.0)
+        (enc,) = tr.encounters
+        s = math.hypot(*offset)
+        assert enc.impact_parameter == pytest.approx(s, abs=1e-15)
+        assert enc.theta == 2.0 * math.acos(enc.impact_parameter / 0.1)
+        assert enc.theta_signed == (enc.theta if positive else -enc.theta)
+        if not s:
+            assert enc.theta_signed == math.pi
+
+    @staticmethod
+    def _free_channel(scene):
+        """A start whose ray along +x passes every sphere at more than
+        2 r0: a ray that flies forever without an encounter."""
+        L, r0 = scene.cell_size, scene.action_range
+        for y in np.linspace(0.0, L, 40, endpoint=False):
+            for z in np.linspace(0.0, L, 40, endpoint=False):
+                d = (scene.centers[:, 1:] - [y, z] + L / 2.0) % L - L / 2.0
+                if (d * d).sum(axis=1).min() > 4.0 * r0 * r0:
+                    return np.array([0.0, y, z])
+        raise AssertionError("no free channel")
+
+    @pytest.mark.parametrize("position,direction,max_path_length,name", [
+        (None, [0.0, 0.0, 0.0], None, "directions"),
+        ([math.nan, 1.0, 1.0], [1.0, 0.0, 0.0], None, "positions"),
+        (None, [1.0, math.inf, 0.0], None, "directions"),
+        (None, [1.0, 0.0, 0.0], math.nan, "max_path_length"),
+        (None, [1.0, 0.0, 0.0], math.inf, "max_path_length")],
+        ids=["zero-direction", "nan-position", "inf-direction",
+             "nan-budget", "inf-budget"])
+    def test_ray_without_an_end_refused(self, position, direction,
+                                        max_path_length, name):
+        # each of these traced forever on a 27-center scene
+        scene = random_scene(27, 0.05, 1.0, seed=5)
+        start = self._free_channel(scene)
+        tr = trace_flipper(scene, start, [1.0, 0.0, 0.0], 1,
+                           max_path_length=1e3 * scene.cell_size)
+        assert not tr.encounters
+        if position is not None:
+            start = np.array(position)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            trace_flipper(scene, start, np.array(direction), 1,
+                          max_path_length=max_path_length)
 
 
 def _gate_scene():
@@ -801,6 +915,31 @@ class TestLockstepKernel:
                                   record_path=False)
             assert np.array_equal(vertices, alone.vertices)
             assert encounters == alone.encounters
+
+    def test_widest_step_after_the_first(self):
+        # 4 live rays look 32 crossings ahead (128 rows of the cull) and 3
+        # look 64 (192 rows). One ray meets its sphere within 32 crossings
+        # and leaves after the first step; the other three need 32 to 95,
+        # so the second step is the widest and still holds their hits
+        scene = _gate_scene()
+        points = entry_measure(scene).sampler([stream(4)], 200)
+        alone = [trace_flipper(scene, p[:3], p[3:], 1) for p in points]
+        # the vertices are the start, the wall crossings, the closest
+        # approach and the exit from the sphere
+        crossings = [len(tr.vertices) - 3 if tr.encounters else -1
+                     for tr in alone]
+        quick = [i for i, n in enumerate(crossings) if 0 <= n < 32]
+        slow = [i for i, n in enumerate(crossings) if 32 <= n < 96]
+        pick = quick[:1] + slow[:3]
+        assert len(pick) == 4
+        count, fields, log = _trace_batch(scene, points[pick, :3],
+                                          points[pick, 3:], 1, None, True)
+        for i, j in enumerate(pick):
+            vertices = np.concatenate([p[rows == i] for rows, p in log])
+            encounters = [EncounterRecord(*e) for e in zip(
+                *(f[i, :count[i]].tolist() for f in fields))]
+            assert np.array_equal(vertices, alone[j].vertices)
+            assert encounters == alone[j].encounters
 
     def test_axis_aligned_batch_stays_finite(self):
         scene = random_scene(64, 0.05, 1.0, seed=2)
