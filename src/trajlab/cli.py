@@ -184,9 +184,6 @@ def run_scenario(config: ScenarioConfig) -> int:
         # floating-point warnings on the way to the error stay silent
         with np.errstate(all="ignore"):
             scen.run(params, seed, bundle)
-    except SchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (TrajlabError, ValueError, ArithmeticError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
@@ -269,10 +266,7 @@ def main(argv=None) -> int:
         data, lines = load_config(args.config)
         config = resolve_config(args.scenario, data, lines,
                                 cli_seed=args.seed, cli_out=args.out)
-    except SchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SchemaError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return run_scenario(config)

@@ -200,13 +200,14 @@ def ensemble_statistics(measure: "MeasureSpec",
     ``range(n_outcomes)``, of each trial along trajectory i, padded with -1.
     A row must not depend on the other rows of its block. Trajectories with
     fewer than ``max(n_min_trials, 1)`` trials are excluded; if all are
-    excluded an :class:`EmptyEnsembleError` is raised.
+    excluded an :class:`EmptyEnsembleError` is raised. More than 2**32
+    trajectories raise ``ValueError`` before the first is built.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
     n_trajectories = int(n_trajectories)
     kept = []
-    for streams in _stream_blocks(seed, 0, n_trajectories, BUILD_BLOCK):
+    for streams in _stream_blocks(seed, n_trajectories, BUILD_BLOCK):
         points = measure.sampler(streams, 1)
         outcomes = np.asarray(outcome_builder(points))
         if outcomes.ndim != 2 or len(outcomes) != len(streams):

@@ -130,7 +130,7 @@ class DecayVertex:
     v3: np.ndarray
 
 
-def _velocities(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d):
+def _velocities(boundary: DecayBoundary, x_d, t_d):
     tau1 = t_d - boundary.t_a
     tau2 = boundary.t_b - t_d
     v1 = (x_d - boundary.x_a) / tau1
@@ -145,7 +145,7 @@ def decay_action(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) 
     if not boundary.t_a < t_d < boundary.t_b:
         raise ValueError(f"t_d={t_d} must lie strictly inside "
                          f"({boundary.t_a}, {boundary.t_b})")
-    tau1, tau2, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
+    tau1, tau2, v1, v2, v3 = _velocities(boundary, x_d, t_d)
     c2 = masses.c ** 2
     s = 0.5 * masses.m1 * float(v1 @ v1) * tau1 - masses.m1 * c2 * tau1
     s += 0.5 * masses.m2 * float(v2 @ v2) * tau2 - masses.m2 * c2 * tau2
@@ -167,7 +167,7 @@ def _balance(masses: DecayMasses, v1, v2, v3):
 def action_gradient(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) -> np.ndarray:
     """Gradient in (x_d, t_d); its zeros are momentum and energy balance."""
     x_d = np.asarray(x_d, dtype=float)
-    _, _, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
+    _, _, v1, v2, v3 = _velocities(boundary, x_d, t_d)
     dp, de = _balance(masses, v1, v2, v3)
     return np.concatenate([dp, [de]])
 
@@ -175,7 +175,7 @@ def action_gradient(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: floa
 def action_hessian(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) -> np.ndarray:
     """Hessian ``[[a I3, b], [b^T, d]]`` in (x_d, t_d)."""
     x_d = np.asarray(x_d, dtype=float)
-    tau1, tau2, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
+    tau1, tau2, v1, v2, v3 = _velocities(boundary, x_d, t_d)
     m1, m2, m3 = masses.m1, masses.m2, masses.m3
     a = m1 / tau1 + (m2 + m3) / tau2
     b = -m1 * v1 / tau1 - (m2 * v2 + m3 * v3) / tau2
@@ -313,7 +313,7 @@ def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVer
             "the endpoint data admits no interior decay vertex")
 
     x_d = _best_x(masses, boundary, t_d)
-    _, _, v1, v2, v3 = _velocities(masses, boundary, x_d, t_d)
+    _, _, v1, v2, v3 = _velocities(boundary, x_d, t_d)
 
     return DecayVertex(x_d=x_d, t_d=float(t_d),
                        action=decay_action(masses, boundary, x_d, t_d),

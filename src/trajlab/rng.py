@@ -93,28 +93,32 @@ def _mix(x, y):
 _WORDS_CHUNK = 16
 
 
-def _stream_blocks(master_seed: int, start: int, stop: int, block: int):
+def _stream_blocks(master_seed: int, stop: int, block: int):
     """Yield ``[trajectory_stream(master_seed, i) for i in range(s,
     min(s + block, stop))]``, draw for draw, for each ``s`` in
-    ``range(start, stop, block)``; nothing for an empty range.
+    ``range(0, stop, block)``; nothing for ``stop <= 0``.
 
     The SeedSequence hash of ``(master_seed, spawn_key=(i,))`` is computed
     for :data:`_WORDS_CHUNK` blocks at once in uint32 array arithmetic
     (numpy keeps it fixed under NEP 19); only the last entropy word, the
     index, differs between them. A block's generators are built when it is
-    reached. Indices from 2**32 have a two-word key: the scalar path.
+    reached. An index is one 32-bit word, so more than 2**32 streams are
+    refused before any is built: an ensemble that large would fill at least
+    64 GB with the kept rates of two outcomes first.
     """
     if master_seed < 0:
         raise ValueError("master seed must be a nonnegative integer")
+    if stop > 2 ** 32:
+        raise ValueError(f"{stop} trajectories are more than the 2**32 "
+                         f"seed streams of one ensemble")
     # entropy words: the seed's 32-bit words little end first, zero-padded
     # to the pool size because a spawn key follows, then the index
     seed = int(master_seed)
     entropy = [seed >> 32 * k & _MASK32
                for k in range(max(_POOL, -(-seed.bit_length() // 32)))]
-    for lo in range(start, stop, _WORDS_CHUNK * block):
+    for lo in range(0, stop, _WORDS_CHUNK * block):
         hi = min(lo + _WORDS_CHUNK * block, stop)
-        # through uint64: a chunk may start at 2**32 or above
-        index = np.arange(lo, max(lo, min(hi, 2 ** 32)), dtype=np.uint64)
+        index = np.arange(lo, hi, dtype=np.uint32)
         with np.errstate(over="ignore"):
             # mix_entropy
             hashmix = _hasher(_INIT_A, _MULT_A)
@@ -123,7 +127,7 @@ def _stream_blocks(master_seed: int, start: int, stop: int, block: int):
                 for i_dst in range(_POOL):
                     if i_src != i_dst:
                         pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-            for word in entropy[_POOL:] + [index.astype(np.uint32)]:
+            for word in entropy[_POOL:] + [index]:
                 for i_dst in range(_POOL):
                     pool[i_dst] = _mix(pool[i_dst], hashmix(word))
             # generate_state(4, uint64): eight words cycling the pool,
@@ -132,9 +136,5 @@ def _stream_blocks(master_seed: int, start: int, stop: int, block: int):
             state = np.stack([draw(pool[i % _POOL]) for i in range(8)], 1)
         words = state.astype("<u4").view("<u8").astype(np.uint64)
         for s in range(lo, hi, block):
-            e = min(s + block, hi)
             yield [np.random.Generator(np.random.PCG64(_Words(w)))
-                   for w in words[s - lo:e - lo]] \
-                + [trajectory_stream(master_seed, i)
-                   for i in range(max(s, lo + len(words)), e)]
-
+                   for w in words[s - lo:s - lo + block]]

@@ -517,6 +517,10 @@ class FlipperTrajectory:
     encounters: list[EncounterRecord]
 
 
+#: the smallest normal float; a smaller u.u has lost bits to underflow
+_TINY = np.finfo(float).tiny
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot product of (n, 3) arrays, written out per component."""
     return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
@@ -565,12 +569,13 @@ def _trace_batch(scene: FlipperScene, positions, directions,
 
     Rays leave the batch once they have ``n_encounters`` encounters or have
     used up ``max_path_length``; a ray that never could (a non-finite
-    position or budget, or a direction without a positive finite norm)
-    raises ``ValueError``. A float32 cull may keep extra ray-center pairs
-    but drops none that can hit; every pair it keeps is decided in float64,
-    and every float64 operation acts on each row alone (dot products are
-    written out per component, not left to BLAS), so a ray traced by itself
-    gives bitwise the same trajectory as in any batch and at any depth.
+    position or budget, or a direction that is zero or has a non-finite
+    component) raises ``ValueError``. A float32 cull may keep extra
+    ray-center pairs but drops none that can hit; every pair it keeps is
+    decided in float64, and every float64 operation acts on each row alone
+    (dot products are written out per component, not left to BLAS), so a
+    ray traced by itself gives bitwise the same trajectory as in any batch
+    and at any depth.
     Returns each ray's encounter count, the ``(n, n_encounters)`` arrays of
     the :class:`EncounterRecord` fields (a row's first ``count`` valid), and
     the path vertices as ``(rows, points)`` pairs, each row's in the order
@@ -586,7 +591,18 @@ def _trace_batch(scene: FlipperScene, positions, directions,
         raise ValueError("max_path_length must be finite")
     P = np.asarray(positions, dtype=float)
     U = np.array(directions, dtype=float)
-    norm = np.sqrt(_dot(U, U))
+    with np.errstate(over="ignore"):
+        uu = _dot(U, U)
+    # a row whose u.u overflows or is subnormal is first divided by its
+    # largest component (exactly, when that is a power of two); every
+    # other row keeps its bits
+    odd = ~((uu >= _TINY) & (uu < math.inf))
+    if odd.any():
+        big = np.abs(U).max(axis=1)
+        odd &= (big > 0) & (big < math.inf)
+        U[odd] /= big[odd, None]
+        uu[odd] = _dot(U[odd], U[odd])
+    norm = np.sqrt(uu)
     if not np.isfinite(P).all():
         raise ValueError("positions must be finite")
     if not np.all((norm > 0) & (norm < math.inf)):

@@ -635,6 +635,21 @@ class TestNumericFailures:
             assert "out of float range" in err
             assert f"{key} = {value!r}" in err
 
+    @pytest.mark.parametrize("scenario", ["bernoulli", "flipper"])
+    def test_more_trajectories_than_streams_exits_1(self, tmp_path, capsys,
+                                                     scenario):
+        # past 2**32 seed streams, refused before the first trajectory
+        cfg = write_config(tmp_path / "cfg.yaml", scenario,
+                           parameters={"n_traj": 5_000_000_000}, seed=1)
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert run(["run", scenario, "--config", cfg, "--out", out]) == 1
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error [ValueError]: 5000000000 trajectories")
+        assert "\n" not in err
+        assert not out.exists()
+
 
 def refuse_to_integrate(*args, **kwargs):
     raise AssertionError("the schedule was not refused before integrating")

@@ -478,42 +478,42 @@ class TestTrajectoryStreams:
         (9_999, 10_001),
     ])
     def test_equal_to_indexed_streams(self, seed, start, stop):
-        streams = [g for b in _stream_blocks(seed, start, stop, BUILD_BLOCK)
+        """Streams ``start`` to ``stop`` of a run counting from 0."""
+        streams = [g for b in _stream_blocks(seed, stop, BUILD_BLOCK)
                    for g in b]
-        assert len(streams) == stop - start
-        for i, g in zip(range(start, stop), streams):
-            assert _same_draws(g, trajectory_stream(seed, i)), i
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_two_word_indices_fall_back(self, seed):
-        start = 2 ** 32 - 2
-        streams = next(_stream_blocks(seed, start, 2 ** 32 + 2, 4))
-        assert len(streams) == 4
-        assert [type(g.bit_generator.seed_seq).__name__ for g in streams] \
-            == ["_Words", "_Words", "SeedSequence", "SeedSequence"]
-        for i, g in enumerate(streams):
-            assert _same_draws(g, trajectory_stream(seed, start + i))
+        assert len(streams) == stop
+        for i in range(start, stop):
+            assert _same_draws(streams[i], trajectory_stream(seed, i)), i
 
     @pytest.mark.parametrize("start, stop, block", [
         (0, 2 * _WORDS_CHUNK * 3 + 5, 3),   # three chunks, a short block
         (5, 12, 4),
-        (2 ** 32 - 5, 2 ** 32 + 4, 2),     # the two-word split mid-block
     ])
     def test_blocks_equal_indexed_streams(self, start, stop, block):
-        blocks = list(_stream_blocks(2 ** 70 + 3, start, stop, block))
+        """Blocks tile ``range(stop)``; streams from ``start`` on are
+        checked."""
+        blocks = list(_stream_blocks(2 ** 70 + 3, stop, block))
         assert [len(b) for b in blocks] == [
-            min(block, stop - s) for s in range(start, stop, block)]
-        for i, g in zip(range(start, stop), [g for b in blocks for g in b]):
-            assert _same_draws(g, trajectory_stream(2 ** 70 + 3, i)), i
+            min(block, stop - s) for s in range(0, stop, block)]
+        streams = [g for b in blocks for g in b]
+        for i in range(start, stop):
+            assert _same_draws(streams[i], trajectory_stream(2 ** 70 + 3, i)), i
 
     def test_empty_range(self):
-        assert list(_stream_blocks(3, 7, 7, 4)) == []
-        assert list(_stream_blocks(3, 7, 2, 4)) == []
-        assert list(_stream_blocks(3, 2 ** 33, 2 ** 33, 4)) == []
+        assert list(_stream_blocks(3, 0, 4)) == []
+        assert list(_stream_blocks(3, -2, 4)) == []
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
-            next(_stream_blocks(-1, 0, 4, 4))
+            next(_stream_blocks(-1, 4, 4))
+
+    def test_more_streams_than_one_word_indices_refused(self):
+        """2**32 streams is the most; one more is refused by its count
+        before a seed word is hashed."""
+        assert next(_stream_blocks(3, 2 ** 32, 4))[0].random() == \
+            trajectory_stream(3, 0).random()
+        with pytest.raises(ValueError, match=f"^{2 ** 32 + 1} trajectories"):
+            next(_stream_blocks(3, 2 ** 32 + 1, 4))
 
     @pytest.mark.parametrize("n_words, dtype", [
         (4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64)])

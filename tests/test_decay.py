@@ -328,7 +328,7 @@ class TestClosedFormKernel:
             for k in range(1, 10):
                 t = boundary.t_a + span * k / 10
                 x = decay._best_x(masses, boundary, t)
-                _, _, v1, v2, v3 = decay._velocities(masses, boundary, x, t)
+                _, _, v1, v2, v3 = decay._velocities(boundary, x, t)
                 # every term of E2 + E3 - E1, rest energies included
                 scale = sum(m * (0.5 * float(v @ v) + masses.c ** 2)
                             for m, v in ((masses.m1, v1), (masses.m2, v2),

@@ -1,36 +1,16 @@
-"""The package's public surface: every ``__all__`` entry exists, and
-``trajlab/__init__.py`` re-exports exactly the public names of the library
-modules."""
+"""The package's public surface: every ``__all__`` entry exists, and the
+package root defines no public name but ``__version__``, so each name is
+imported from the one module whose ``__all__`` declares it."""
 
-import ast
 import importlib
-import inspect
 import pkgutil
+import types
 
 import pytest
 
 import trajlab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(trajlab.__path__))
-
-
-def public_names(module):
-    """``__all__``, or else every name the module defines without a leading
-    underscore."""
-    if hasattr(module, "__all__"):
-        return set(module.__all__)
-    return {name for name, obj in vars(module).items()
-            if not name.startswith("_")
-            and getattr(obj, "__module__", None) == module.__name__}
-
-
-def reexports():
-    """``(module, name)`` for every ``from .module import name`` in the
-    package's ``__init__``."""
-    tree = ast.parse(inspect.getsource(trajlab))
-    return [(node.module, alias.name) for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -41,14 +21,14 @@ def test_all_entries_exist(name):
     assert not missing
 
 
-def test_reexports_are_public_in_their_module():
-    """``__init__`` re-exports each public name of every library module
-    once, and nothing else; ``cli`` and ``scenarios`` are the command-line
-    layer and stay out."""
-    pairs = reexports()
-    assert len(pairs) == len(set(pairs))
-    public = {(mod, name) for mod in MODULES
-              if mod not in ("cli", "scenarios")
-              for name in public_names(
-                  importlib.import_module(f"trajlab.{mod}"))}
-    assert set(pairs) == public
+def test_root_defines_only_the_version():
+    """Once every submodule is imported, the root's public names are
+    ``__version__`` and the submodules Python binds on import."""
+    for name in MODULES:
+        importlib.import_module(f"trajlab.{name}")
+    public = {name for name, obj in vars(trajlab).items()
+              if not (name.startswith("_")
+                      or isinstance(obj, types.ModuleType)
+                      and obj.__name__ == f"trajlab.{name}")}
+    assert public == set()
+    assert isinstance(trajlab.__version__, str)

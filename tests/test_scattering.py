@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -701,6 +702,30 @@ class TestTraceFlipper:
         with pytest.raises(ValueError, match=f"^{name} must"):
             trace_flipper(scene, start, np.array(direction), 1,
                           max_path_length=max_path_length)
+
+    # its largest component is a power of two
+    U_POW2 = np.array([0.2718281828, 0.5, -0.3141592654])
+
+    @pytest.mark.parametrize("direction,reference", [
+        (2.0 ** 600 * U_POW2, U_POW2),
+        (2.0 ** -530 * U_POW2, U_POW2),
+        # u.u = 5e-320 is subnormal: its bare norm was 1.0000056 too long
+        ([1e-160, 2e-160, 0.0], [0.5, 1.0, 0.0])],
+        ids=["overflowing", "subnormal", "subnormal-norm"])
+    def test_direction_scale_is_free(self, direction, reference):
+        """Each direction is its reference times a factor exact in every
+        component, with u.u overflowing or subnormal; it traces bitwise the
+        reference's encounters, and numpy warns of nothing."""
+        scene = random_scene(27, 0.05, 1.0, seed=5)
+        # aimed about 0.01 off a center, so the ray meets it
+        start = scene.centers[0] - 0.2 * np.array(reference) + [0, 0, 0.01]
+        ref = trace_flipper(scene, start, reference, 8)
+        assert ref.encounters[0].center_index == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = trace_flipper(scene, start, direction, 8)
+        assert tr.encounters == ref.encounters
+        assert np.array_equal(tr.vertices, ref.vertices)
 
 
 def _gate_scene():
