@@ -116,15 +116,10 @@ class PiecewiseTrajectory:
 
 @dataclass(frozen=True)
 class RateResult:
-    """Relative outcome rates along one trajectory.
-
-    ``flagged`` mirrors the convention that a rate whose defining limit has
-    not stabilized (too few trials) is reported but not trusted.
-    """
+    """Relative outcome rates along one trajectory, and its trial count."""
 
     rates: np.ndarray
     n_trials: int
-    flagged: bool
 
 
 @dataclass(frozen=True)
@@ -157,15 +152,13 @@ def outcome_rates(outcomes, n_outcomes: int) -> tuple[np.ndarray, np.ndarray]:
     return counts / np.maximum(trials, 1)[:, None], trials
 
 
-def evaluate_rates(outcomes, n_outcomes: int,
-                   n_min_trials: int = 1) -> RateResult:
+def evaluate_rates(outcomes, n_outcomes: int) -> RateResult:
     """Relative rate of each outcome along one trajectory.
 
     ``outcomes`` is the trajectory's outcome row: one row of the outcome
     matrices of :func:`ensemble_statistics`, an index in ``range(n_outcomes)``
     per trial and -1 for no trial. Raises :class:`NoTrialsError` if no entry
-    is a trial; flags the result when fewer than ``n_min_trials`` trials
-    occurred.
+    is a trial.
     """
     row = np.asarray(outcomes)
     if row.ndim != 1:
@@ -174,7 +167,7 @@ def evaluate_rates(outcomes, n_outcomes: int,
     n = int(trials[0])
     if n == 0:
         raise NoTrialsError("no entry of the outcome row is a trial")
-    return RateResult(rates=rates[0], n_trials=n, flagged=n < int(n_min_trials))
+    return RateResult(rates=rates[0], n_trials=n)
 
 
 #: boundary points drawn in one sampler call and handed to an outcome

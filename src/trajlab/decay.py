@@ -433,7 +433,7 @@ def mean_life(decay_time_measure: MeasureSpec, n_samples: int = 1000,
 
 
 def decay_trajectory(masses: DecayMasses, boundary: DecayBoundary,
-                     vertex: DecayVertex | None = None,
+                     vertex: DecayVertex,
                      branch_id: str | None = None) -> PiecewiseTrajectory:
     """Piecewise path: parent sector (3 coords) then products sector (6).
 
@@ -441,8 +441,6 @@ def decay_trajectory(masses: DecayMasses, boundary: DecayBoundary,
     pieces carry different sector labels and are never comparable across
     the split time.
     """
-    if vertex is None:
-        vertex = solve_decay_vertex(masses, boundary)
     x_a, t_a = boundary.x_a, boundary.t_a
     x_d, t_d = vertex.x_d, vertex.t_d
     v1, v2, v3 = vertex.v1, vertex.v2, vertex.v3
@@ -461,26 +459,25 @@ def decay_trajectory(masses: DecayMasses, boundary: DecayBoundary,
 
 
 def rest_decay_family(masses: DecayMasses, decay_times, t_b: float,
-                      t_a: float = 0.0, x_a=None,
                       direction=(1.0, 0.0, 0.0)) -> list[PiecewiseTrajectory]:
     """Trajectories sharing one past and splitting at different times.
 
-    A parent at rest sits at ``x_a``; each member splits at its own time
-    with products flying apart along ``direction`` at the released-energy
-    speed. All members agree exactly until the earliest split, then
-    diverge: the set is indeterministic even though every member obeys
-    the dynamics.
+    A parent at rest sits at the origin from t = 0; each member splits at
+    its own time with products flying apart along ``direction`` at the
+    released-energy speed. All members agree exactly until the earliest
+    split, then diverge: the set is indeterministic even though every
+    member obeys the dynamics.
     """
-    x_a = np.zeros(3) if x_a is None else np.asarray(x_a, dtype=float)
+    x_a = np.zeros(3)
     d_hat = np.asarray(direction, dtype=float)
     d_hat = d_hat / np.linalg.norm(d_hat)
     out = []
     for t_d in decay_times:
-        if not t_a < t_d < t_b:
-            raise ValueError(f"decay time {t_d} outside ({t_a}, {t_b})")
+        if not 0.0 < t_d < t_b:
+            raise ValueError(f"decay time {t_d} outside (0.0, {t_b})")
         v2, v3 = _product_velocities(masses, np.zeros(3), d_hat)
         tau2 = t_b - t_d
-        boundary = DecayBoundary(x_a=x_a, t_a=t_a, x_b2=x_a + v2 * tau2,
+        boundary = DecayBoundary(x_a=x_a, t_a=0.0, x_b2=x_a + v2 * tau2,
                                  x_b3=x_a + v3 * tau2, t_b=t_b)
         vertex = DecayVertex(x_d=x_a.copy(), t_d=float(t_d),
                              action=decay_action(masses, boundary, x_a, t_d),

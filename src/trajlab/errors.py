@@ -21,10 +21,6 @@ class NoSolutionError(TrajlabError):
     """A stationarity solve exhausted all starts without converging."""
 
 
-class ZeroFieldError(TrajlabError):
-    """Spin alignment requested where the field vanishes; no direction is selected."""
-
-
 class UnconditionedSettingError(TrajlabError):
     """Conditioning on a setting pair that carries zero measure."""
 

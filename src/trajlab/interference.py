@@ -616,7 +616,7 @@ class AsymptoticVelocityResult:
 def asymptotic_velocity(system: NBodySystem, velocities, t_max: float,
                         tolerance: float = 1e-8, t0: float = 1.0,
                         growth: float = 2.0) -> AsymptoticVelocityResult:
-    """Track position/time at geometric checkpoints until it settles.
+    """Track the velocity between geometric checkpoints until it settles.
 
     All particles leave one point: the run starts at t0 > 0 from
     positions velocity * t0, which bounded interactions cannot tell from
@@ -625,10 +625,13 @@ def asymptotic_velocity(system: NBodySystem, velocities, t_max: float,
     refused before it is built. One ``integrate`` call runs through the
     schedule, reading each checkpoint from the integrator's dense output,
     so the steps grow as the bodies separate rather than restarting at
-    each checkpoint. The run and the history of x(t)/t stop at the first
-    checkpoint within ``tolerance`` (max norm) of the one before, which is
-    convergence. With no interactions the flight is analytic and x(t)/t
-    returns the velocities bit for bit at power-of-two times from t0 = 1.
+    each checkpoint. The history starts at x(t0)/t0; each later entry is
+    the mean velocity (x(t_k) - x(t_{k-1})) / (t_k - t_{k-1}) since the
+    checkpoint before, which has the limit of x(t)/t without its 1/t bias.
+    The run and the history stop at the first entry within ``tolerance``
+    (max norm) of the one before, which is convergence. With no
+    interactions the flight is analytic and every entry is the velocities
+    bit for bit at power-of-two times from t0 = 1.
     """
     vel = np.asarray(velocities, dtype=float).reshape(system.n, 3)
     if not (t_max > t0 > 0 and growth > 1):
@@ -646,12 +649,15 @@ def asymptotic_velocity(system: NBodySystem, velocities, t_max: float,
         times.append(t)
     pos = vel * t0
     history = [(t0, (pos / t0).ravel())]
+    last = [t0, pos]  # the checkpoint before the next one
 
     def gap():
         return float(np.max(np.abs(history[-1][1] - history[-2][1])))
 
     def settled(t, positions, _velocities):
-        history.append((t, (positions / t).ravel()))
+        t_prev, x_prev = last
+        history.append((t, ((positions - x_prev) / (t - t_prev)).ravel()))
+        last[:] = t, positions
         return gap() < tolerance
 
     system.integrate(pos, vel, t0, np.array(times), until=settled)

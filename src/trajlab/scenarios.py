@@ -110,8 +110,7 @@ def _check_value(spec: Param, value, path: tuple[str, ...], lines):
     raise AssertionError(f"unhandled schema kind {k!r}")
 
 
-def validate_params(schema: dict[str, Param], data, lines=None,
-                    base: tuple[str, ...] = ("parameters",)) -> dict:
+def validate_params(schema: dict[str, Param], data, lines=None) -> dict:
     """Resolve a raw parameter mapping against a schema.
 
     Unknown keys and type mismatches raise :class:`SchemaError` carrying
@@ -122,26 +121,27 @@ def validate_params(schema: dict[str, Param], data, lines=None,
     if data is None:
         data = {}
     if not isinstance(data, dict):
-        raise SchemaError("parameters must be a mapping",
-                          key_path=".".join(base), line=lines.get(base))
+        raise SchemaError("parameters must be a mapping", key_path="parameters",
+                          line=lines.get(("parameters",)))
     for key in data:
         if key not in schema:
             raise SchemaError(f"unknown parameter {key!r}",
-                              key_path=".".join(base + (key,)),
-                              line=lines.get(base + (key,)))
+                              key_path=f"parameters.{key}",
+                              line=lines.get(("parameters", key)))
     resolved = {}
     for key, spec in schema.items():
         if key not in data:
             resolved[key] = spec.default
         else:
-            resolved[key] = _check_value(spec, data[key], base + (key,), lines)
+            resolved[key] = _check_value(spec, data[key],
+                                         ("parameters", key), lines)
     for key, spec in schema.items():
         if spec.above is not None and not resolved[key] > resolved[spec.above]:
-            path = base + (key,)
             raise SchemaError(f"must be > {spec.above} "
                               f"({resolved[spec.above]!r}), got "
-                              f"{resolved[key]!r}", key_path=".".join(path),
-                              line=lines.get(path))
+                              f"{resolved[key]!r}",
+                              key_path=f"parameters.{key}",
+                              line=lines.get(("parameters", key)))
     return resolved
 
 
@@ -357,11 +357,8 @@ def _run_decay(p, seed, out: OutputBundle):
 
 def _run_stern_gerlach(p, seed, out: OutputBundle):
     th = math.radians(p["spin_theta_deg"])
-    ph = math.radians(p["spin_phi_deg"])
-    s_in = SpinVariable(np.array(
-        [math.cos(0.5 * th),
-         math.sin(0.5 * th) * complex(math.cos(ph), math.sin(ph))],
-        dtype=complex))
+    s_in = SpinVariable(np.array([math.cos(0.5 * th), math.sin(0.5 * th)],
+                                 dtype=complex))
     device = SGDevice(entry_x=p["entry_x"], exit_x=p["exit_x"],
                       base_field=p["base_field"], gradient=p["gradient"],
                       screen_x=p["screen_x"])
@@ -682,7 +679,6 @@ _register(
                                         "axis"),
         "screen_x": Param("float", 4.0, "detection plane"),
         "spin_theta_deg": Param("float", 60.0, "incoming ray polar angle"),
-        "spin_phi_deg": Param("float", 0.0, "incoming ray azimuth"),
         "weight_model": Param("str", "quantum", "branch weight rule",
                               choices=("quantum", "equal")),
         "n_table": Param("int", 201, "rows per branch table"),

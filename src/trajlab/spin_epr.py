@@ -5,7 +5,8 @@ in C^2, not a quantum state. In a field region it snaps instantaneously to
 one of the two eigenrays of sigma.B, with the sign left open: both signs
 give allowed trajectories, so a beam entering a field region branches. The
 branch choice is where indeterminism enters; measures over branches (not
-dynamics) carry the statistics.
+dynamics) carry the statistics. Every device's field points along +z, so
+the two rays are always sigma_z's (1, 0) and (0, 1).
 
 A Stern-Gerlach device is modelled as a uniform-gradient slab: field
 (B0 + g z) along the transverse axis z inside, zero outside. The force
@@ -29,12 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PiecewiseTrajectory, Segment
-from .errors import IntegrationError, UnconditionedSettingError, ZeroFieldError
+from .errors import IntegrationError, UnconditionedSettingError
 from .rng import stream
 
 __all__ = [
     "SpinVariable", "PhysicalConstants", "SGDevice",
-    "align_spin", "propagate_sg", "branch_weights",
+    "propagate_sg", "branch_weights",
     "singlet_measure", "global_epr_measure", "epr_conditional_probabilities",
     "correlator", "chsh_value", "planar_setting", "chsh_optimal_angles",
     "sample_epr_counts", "chsh_estimate",
@@ -109,33 +110,9 @@ class SGDevice:
 
 
 _Z_HAT = np.array([0.0, 0.0, 1.0])  # the field axis of every device
-
-
-def align_spin(B) -> tuple[SpinVariable, SpinVariable]:
-    """Both eigenrays of sigma.B, largest eigenvalue first.
-
-    The field fixes the axis; the sign is the branch choice left open by
-    the dynamics, so both rays come back, whatever the incoming ray. A zero
-    field constrains nothing and there is no alignment to perform; callers
-    keep the incoming ray in that case.
-    """
-    b = np.asarray(B, dtype=float)
-    if b.shape != (3,):
-        raise ValueError("B must be a 3-vector")
-    mag = float(np.linalg.norm(b))
-    if mag < 1e-150:
-        raise ZeroFieldError(
-            "no-alignment: a zero field imposes no constraint on the spin "
-            "variable; it passes through unchanged, so keep the incoming ray")
-    n = b / mag
-    theta = math.atan2(math.hypot(n[0], n[1]), n[2])
-    phi = math.atan2(n[1], n[0]) if (n[0] != 0.0 or n[1] != 0.0) else 0.0
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    s_plus = SpinVariable(np.array([c, s * complex(math.cos(phi), math.sin(phi))],
-                                   dtype=complex))
-    s_minus = SpinVariable(np.array([-s * complex(math.cos(phi), -math.sin(phi)), c],
-                                    dtype=complex))
-    return s_plus, s_minus
+# sigma_z's eigenrays, +1 first: each branch's spin from the entry plane on
+_Z_RAYS = (SpinVariable(np.array([1.0, 0.0], dtype=complex)),
+           SpinVariable(np.array([0.0, 1.0], dtype=complex)))
 
 
 def branch_weights(weight_model: str,
@@ -143,16 +120,15 @@ def branch_weights(weight_model: str,
     """Probabilities of the two branch signs along the device axis z.
 
     "equal" splits evenly; "quantum" projects a supplied ray psi onto the
-    axis eigenrays, p_plus = |<plus|psi>|^2 and p_minus its complement, so
-    the two always sum to exactly one.
+    axis eigenrays, p_plus = |psi_0|^2 and p_minus its complement, so the
+    two always sum to exactly one.
     """
     if weight_model == "equal":
         return 0.5, 0.5
     if weight_model == "quantum":
         if psi is None:
             raise ValueError("quantum weights need the ray psi")
-        s_plus, _ = align_spin(_Z_HAT)
-        p_plus = abs(complex(np.vdot(s_plus.components, psi.components))) ** 2
+        p_plus = abs(complex(psi.components[0])) ** 2
         p_plus = min(max(p_plus, 0.0), 1.0)
         return p_plus, 1.0 - p_plus
     raise ValueError(f"unknown weight model {weight_model!r}; "
@@ -186,7 +162,8 @@ def propagate_sg(position, velocity, device: SGDevice,
     Straight line to the entry plane (shared exactly by the branches),
     constant transverse force -(sign) mu g inside with the matching
     longitudinal kicks at the faces, straight line out to the screen
-    plane. Branch ids are "+" and "-".
+    plane. Branch ids are "+" and "-"; each branch's ``spin`` is the
+    sigma_z eigenray it aligned to at the entry plane.
     """
     r0 = np.asarray(position, dtype=float).copy()
     v0 = np.asarray(velocity, dtype=float).copy()
@@ -207,8 +184,6 @@ def propagate_sg(position, velocity, device: SGDevice,
         raise IntegrationError(
             "field magnitude is not positive where the beam enters the slab; "
             "the aligned-branch picture needs a nonvanishing field")
-    # alignment happens at the entry plane; the rays are fixed by the axis
-    rays = align_spin(mag_entry * _Z_HAT)
 
     before = Segment(0.0, t_entry, _path(r0, v0, 0.0))
     legs = []
@@ -238,11 +213,11 @@ def propagate_sg(position, velocity, device: SGDevice,
 
     t_final = max(leg[1] for leg in legs) * 1.05 + 1e-12
     branches = []
-    for label, s_ray, (tau, t_screen, inside, after) in zip("+-", rays, legs):
+    for label, ray, (tau, t_screen, inside, after) in zip("+-", _Z_RAYS, legs):
         traj = PiecewiseTrajectory(
             [before, inside, Segment(inside.t1, t_final, after)],
             branch_id=label)
-        traj.spin = s_ray
+        traj.spin = ray
         traj.transit_time = tau
         traj.screen_time = t_screen
         branches.append(traj)

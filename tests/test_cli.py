@@ -5,6 +5,7 @@ code and a usable diagnostic."""
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -137,6 +138,71 @@ class TestDeterministicReruns:
         assert mb["seed"] == 3
 
 
+#: settings under which a key is read at all, added to both runs
+ENABLING = {
+    ("scattering", "strength"): {"potential": "screened-coulomb"},
+    ("scattering", "screening_length"): {"potential": "screened-coulomb"},
+    ("decay", "life_low"): {"life_distribution": "uniform"},
+    ("decay", "life_high"): {"life_distribution": "uniform"},
+    ("bigbang", "bump_radius"): {"interaction": "bump"},
+    ("bigbang", "bump_center"): {"interaction": "bump"},
+    ("bigbang", "t_max"): {"tolerance": 0.0},
+}
+
+#: keys whose small moves can leave every output as it was
+MOVED_TO = {
+    # a floor above the 5 encounters each fast trajectory follows
+    ("flipper", "min_encounters"): 6,
+    # loose enough that the pair settles a checkpoint sooner
+    ("bigbang", "tolerance"): 1e-3,
+}
+
+
+def perturbed(value):
+    """``value`` moved off itself: an int by one, a float by a tenth (or to
+    1e-3 from zero), a list in its first number."""
+    if isinstance(value, list):
+        return [perturbed(value[0])] + value[1:]
+    if isinstance(value, int):
+        return value + 1
+    return value * 1.1 if value else 1e-3
+
+
+class TestEveryKeyReachesAnOutput:
+    """A schema key whose change moves no output byte and no exit code is
+    an option nothing reads."""
+
+    def outputs(self, tmp_path, name, params):
+        cfg = write_config(tmp_path / "cfg.yaml", name, parameters=params,
+                           seed=1 if SCENARIOS[name].stochastic else None)
+        out = tmp_path / "o"
+        code = run(["run", name, "--config", cfg, "--out", out])
+        files = {f.name: f.read_bytes() for f in out.iterdir()
+                 if f.name != "manifest.json"} if out.exists() else {}
+        shutil.rmtree(out, ignore_errors=True)
+        return code, files
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_every_key_moves_an_output(self, tmp_path, capsys, name):
+        schema = SCENARIOS[name].schema
+        unread = []
+        for key, spec in schema.items():
+            base = dict(FAST_PARAMS[name], **ENABLING.get((name, key), {}))
+            value = base.get(key, spec.default)
+            if (name, key) in MOVED_TO:
+                changed = MOVED_TO[name, key]
+            elif spec.choices:
+                changed = next(c for c in spec.choices if c != value)
+            else:
+                changed = perturbed(value)
+            moved = dict(base, **{key: changed})
+            if (self.outputs(tmp_path, name, base)
+                    == self.outputs(tmp_path, name, moved)):
+                unread.append(key)
+        capsys.readouterr()
+        assert not unread, f"{name}: no output reads {unread}"
+
+
 class TestEprNumbers:
     def test_analytic_chsh_in_csv(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.yaml", "epr",
@@ -223,6 +289,20 @@ class TestErrorExits:
         assert run(["run", "flipper", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err.strip()
         assert "unknown parameter" in err and "parameters.energy" in err
+        assert "\n" not in err
+        assert not out.exists()
+
+    def test_stern_gerlach_azimuth_refused(self, tmp_path, capsys):
+        # the device field lies along z, so the incoming ray's azimuth only
+        # turns the phase of a component no output reads
+        params = dict(FAST_PARAMS["stern-gerlach"], spin_phi_deg=30.0)
+        cfg = write_config(tmp_path / "cfg.yaml", "stern-gerlach",
+                           parameters=params)
+        out = tmp_path / "o"
+        assert run(["run", "stern-gerlach", "--config", cfg,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "unknown parameter" in err and "parameters.spin_phi_deg" in err
         assert "\n" not in err
         assert not out.exists()
 

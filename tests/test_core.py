@@ -131,10 +131,6 @@ class TestRates:
         with pytest.raises(NoTrialsError):
             evaluate_rates([], 2)
 
-    def test_trial_floor_flags(self):
-        rr = evaluate_rates([1, 1], 2, n_min_trials=10)
-        assert rr.flagged
-
     def test_out_of_range_outcome_rejected(self):
         with pytest.raises(ValueError):
             evaluate_rates([0, 5], 2)

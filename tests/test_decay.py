@@ -421,7 +421,8 @@ class TestDecayTrajectory:
     def test_endpoints_hit(self):
         rng = stream(4, "decay-traj-ends")
         boundary, _ = sample_boundary(MASSES, rng)
-        traj = decay_trajectory(MASSES, boundary)
+        traj = decay_trajectory(MASSES, boundary,
+                                solve_decay_vertex(MASSES, boundary))
         start = traj.evaluate(boundary.t_a)
         end = traj.evaluate(boundary.t_b)
         assert np.allclose(start, boundary.x_a, atol=1e-12)

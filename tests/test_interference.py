@@ -32,6 +32,7 @@ from trajlab.interference import (
     screen_density_from_emission,
     standard_bench,
 )
+from trajlab.scenarios import SCENARIOS
 
 
 def finite_radius_scene(field_on):
@@ -577,22 +578,84 @@ def refuse_to_integrate(*args, **kwargs):
 
 
 def restarted_sweep(system, velocities, t_max, tolerance):
-    """Checkpoints t = 2^k from t = 1, one integration restarted per step."""
+    """Checkpoints t = 2^k from t = 1, one integration restarted per step,
+    each entry after the first the mean velocity since the one before."""
     vel = np.asarray(velocities, dtype=float)
     pos, t = vel * 1.0, 1.0
     history = [(t, pos.ravel().copy())]
     while t < t_max:
         t_next = min(2.0 * t, t_max)
+        prev = pos
         (pos,), (vel,) = system.integrate(pos, vel, t, np.array([t_next]))
+        history.append((t_next, ((pos - prev) / (t_next - t)).ravel()))
         t = t_next
-        history.append((t, (pos / t).ravel()))
         if np.max(np.abs(history[-1][1] - history[-2][1])) < tolerance:
             break
     return history
 
 
+def two_body_limit(masses, amplitude, width, velocities):
+    """Closed-form late-time velocities of two bodies that leave one point
+    at t0 = 1 under the Gaussian pair potential (Landau & Lifshitz,
+    *Mechanics*, sections 13-14).
+
+    The relative motion is radial, so energy alone fixes the final
+    relative speed, sqrt(2E / mu), along the initial relative velocity;
+    the centre of mass moves on unchanged.
+    """
+    m1, m2 = masses
+    v1, v2 = np.asarray(velocities, dtype=float)
+    total = m1 + m2
+    mu = m1 * m2 / total
+    rel = v1 - v2
+    speed = float(np.linalg.norm(rel))
+    energy = (0.5 * mu * speed ** 2
+              + amplitude * math.exp(-0.5 * (speed / width) ** 2))
+    rel_inf = rel * (math.sqrt(2.0 * energy / mu) / speed)
+    centre = (m1 * v1 + m2 * v2) / total
+    return np.concatenate([centre + m2 / total * rel_inf,
+                           centre - m1 / total * rel_inf])
+
+
 class TestAsymptoticVelocity:
     V0 = np.array([[0.8, 0.1, 0.0], [-2.4, -0.3, 0.0]])
+
+    def test_default_bigbang_meets_the_closed_form(self):
+        p = {key: spec.default
+             for key, spec in SCENARIOS["bigbang"].schema.items()}
+        assert p["interaction"] == "gaussian" and p["t0"] == 1.0
+        system = NBodySystem(p["masses"], pair_potential=GaussianPairPotential(
+            p["amplitude"], p["width"]))
+        res = asymptotic_velocity(system, p["velocities"], t_max=p["t_max"],
+                                  tolerance=p["tolerance"], growth=p["growth"])
+        assert res.converged
+        limit = two_body_limit(p["masses"], p["amplitude"], p["width"],
+                               p["velocities"])
+        assert np.max(np.abs(res.v_plus - limit)) < 1e-10
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0],
+                             ids=["repulsive", "attractive"])
+    def test_random_unbound_pairs_meet_the_closed_form(self, sign):
+        rng = np.random.default_rng(29)
+        starts = 0
+        while starts < 20:
+            masses = rng.uniform(0.5, 2.0, 2)
+            vel = rng.normal(size=(2, 3))
+            amplitude = sign * rng.uniform(0.5, 3.0)
+            width = rng.uniform(0.5, 2.0)
+            mu = masses[0] * masses[1] / masses.sum()
+            r0 = float(np.linalg.norm(vel[0] - vel[1]))
+            if 0.5 * mu * r0 ** 2 + amplitude * math.exp(
+                    -0.5 * (r0 / width) ** 2) <= 0:
+                continue  # a bound pair has no late-time velocities
+            starts += 1
+            system = NBodySystem(list(masses), pair_potential=(
+                GaussianPairPotential(amplitude, width)))
+            res = asymptotic_velocity(system, vel, t_max=2.0 ** 24,
+                                      tolerance=1e-10)
+            assert res.converged
+            limit = two_body_limit(masses, amplitude, width, vel)
+            assert np.max(np.abs(res.v_plus - limit)) < 1e-10
 
     def test_free_checkpoints_are_exact(self):
         system = NBodySystem([1.5, 0.5])
@@ -679,12 +742,20 @@ class TestAsymptoticVelocity:
 
     @pytest.mark.parametrize("pair", [False, True])
     def test_fine_schedule_converging_early_is_admitted(self, pair):
+        # 16,640 checkpoints to t_max; the sweep must stop where it settles
         pot = GaussianPairPotential(2.0, 1.0) if pair else None
         system = NBodySystem([1.5, 0.5], pair_potential=pot)
         res = asymptotic_velocity(system, self.V0, t_max=2.0 ** 24,
                                   tolerance=1e-6, growth=1.001)
         assert res.converged
-        assert [t for t, _ in res.convergence_history] == [1.0, 1.001]
+        times = [t for t, _ in res.convergence_history]
+        assert times[:2] == [1.0, 1.001]
+        if not pair:
+            assert len(times) == 2
+        else:
+            # over [t, 1.001 t] the quotient is about the instantaneous
+            # velocity, which settles once the pair has left the well
+            assert len(times) < 1_000 and times[-1] < 2.0
 
     def test_criterion_13_sweep_is_one_integration(self, monkeypatch):
         system = NBodySystem([1.5, 0.5],

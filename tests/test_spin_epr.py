@@ -9,13 +9,11 @@ import pytest
 from trajlab.errors import (
     IntegrationError,
     UnconditionedSettingError,
-    ZeroFieldError,
 )
 from trajlab.spin_epr import (
     PhysicalConstants,
     SGDevice,
     SpinVariable,
-    align_spin,
     branch_weights,
     chsh_estimate,
     chsh_of_strategy,
@@ -31,18 +29,12 @@ from trajlab.spin_epr import (
     singlet_measure,
 )
 
-PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
-                 dtype=complex)
 UP = SpinVariable(np.array([1.0 + 0j, 0.0 + 0j]))
 
 DEVICE = SGDevice(entry_x=1.0, exit_x=2.0, base_field=0.5, gradient=2.0,
                   screen_x=4.0)
 CONSTANTS = PhysicalConstants(mu=1.0, m=1.0)
 BEAM_V = np.array([5.0, 0.0, 0.0])
-
-
-def sigma_dot(n):
-    return n[0] * PAULI[0] + n[1] * PAULI[1] + n[2] * PAULI[2]
 
 
 class TestSpinVariable:
@@ -55,36 +47,6 @@ class TestSpinVariable:
     def test_requires_two_components(self):
         with pytest.raises(ValueError):
             SpinVariable(np.array([1.0, 0.0, 0.0], dtype=complex))
-
-
-class TestAlignSpin:
-    def test_eigenray_residuals(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            B = rng.normal(size=3)
-            mag = np.linalg.norm(B)
-            s_plus, s_minus = align_spin(B)
-            op = sigma_dot(B)
-            r_plus = op @ s_plus.components - mag * s_plus.components
-            r_minus = op @ s_minus.components + mag * s_minus.components
-            assert np.max(np.abs(r_plus)) < 1e-12
-            assert np.max(np.abs(r_minus)) < 1e-12
-            overlap = np.vdot(s_plus.components, s_minus.components)
-            assert abs(overlap) < 1e-12
-
-    def test_axis_down_swaps_rays(self):
-        s_plus, _ = align_spin(np.array([0.0, 0.0, -1.0]))
-        # largest eigenvalue of -sigma_z belongs to the down ray
-        assert abs(s_plus.components[0]) < 1e-12
-        assert abs(abs(s_plus.components[1]) - 1.0) < 1e-12
-
-    def test_zero_field_is_no_constraint(self):
-        with pytest.raises(ZeroFieldError):
-            align_spin(np.zeros(3))
-
-    def test_rejects_bad_axis_shape(self):
-        with pytest.raises(ValueError):
-            align_spin(np.array([1.0, 0.0]))
 
 
 class TestBranchWeights:
@@ -157,11 +119,15 @@ class TestPropagateSG:
                                                  rel=1e-12)
 
     def test_attached_rays_are_the_eigenrays(self):
+        # the field points along +z, so the branches carry sigma_z's rays
         plus, minus = self.propagate()
-        s_plus, s_minus = align_spin(DEVICE.base_field
-                                     * np.array([0.0, 0.0, 1.0]))
-        assert np.array_equal(plus.spin.components, s_plus.components)
-        assert np.array_equal(minus.spin.components, s_minus.components)
+        assert np.array_equal(plus.spin.components, [1.0, 0.0])
+        assert np.array_equal(minus.spin.components, [0.0, 1.0])
+        sigma_z = np.diag([1.0, -1.0])
+        assert np.array_equal(sigma_z @ plus.spin.components,
+                              plus.spin.components)
+        assert np.array_equal(sigma_z @ minus.spin.components,
+                              -minus.spin.components)
 
     def test_inside_acceleration_second_difference(self):
         plus, minus = self.propagate()
