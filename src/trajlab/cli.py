@@ -221,6 +221,8 @@ def render_scenario_listing() -> str:
                 "choice(" + "|".join(p.choices) + ")"
             if p.min is not None:
                 kind += f" >= {p.min}"
+            if p.max is not None:
+                kind += f" <= {p.max}"
             if p.above is not None:
                 kind += f" > {p.above}"
             if isinstance(p.default, float):

@@ -479,6 +479,158 @@ class CompactBumpPotential:
         return v * (-2.0 * r / (self.radius ** 2 * f ** 2))
 
 
+# The explicit Runge-Kutta pair of order 8(5,3) of Dormand & Prince,
+# J. Comput. Appl. Math. 6 (1980) 19-26, and Prince & Dormand, ibid. 7 (1981)
+# 67-75, with the 7th-order continuous extension of Hairer's dop853.f
+# (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., sections II.4-II.10),
+# each entry the double nearest the published value. Row 12 of _A holds the
+# 8th-order weights, rows 13-15 the stages the extension adds.
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778,
+])
+_A = np.array([[0.0] * 16] + [r + [0.0] * (16 - len(r)) for r in [
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636],
+    [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+     0.20136540080403034, 0.04471061572777259],
+    [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298],
+    [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0, 0, -0.00010834732869724932,
+     0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987],
+]])
+_E5 = np.array([
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+    0.08192320648511571, -0.022355307863886294, 0,
+])
+_BHH = (0.2440944881889764, 0.7338466882816118, 0.022058823529411766)
+_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973,
+     2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+     18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264,
+     -30.674084731089398, -9.332130526430229, 15.697238121770845,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963,
+     -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+     -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163,
+     104.0996495089623, 29.8402934266605, -43.53345659001114,
+     96.32455395918828, -39.17726167561544, -149.72683625798564],
+])
+_B = _A[12, :12]
+_E3 = np.append(_B, 0.0)  # 8th- less 3rd-order weights, the latter
+_E3[[0, 8, 11]] -= _BHH  # being _BHH on stages 0, 8 and 11
+
+
+def _dop853(rhs, t0: float, y0: np.ndarray, ends):
+    """Yield the state at each of ``ends`` from one DOP853 run of
+    y' = rhs(t, y) from y(t0) = y0 to the last of them.
+
+    A step takes 12 stages, and the 13th (rhs at its end) opens the next.
+    Steps are clipped to land on ``ends[-1]``, so the last state is the
+    run's own end state; an earlier time is read from the 7th-order
+    continuous extension, whose 3 extra stages are built once per step and
+    only when needed. The error estimate joins the 5th- and 3rd-order
+    embedded solutions; steps scale by 0.9 err^(-1/8), within 0.2 to 10
+    and never up right after a rejection, and one below 10 ulp of t raises
+    ``IntegrationError``. Sums, norms and factors are grouped as in the
+    reference DOP853 the tests compare against, so the two agree to the bit.
+    """
+    def rms(x):
+        return np.linalg.norm(x) / x.size ** 0.5
+
+    t_end, rtol, atol = float(ends[-1]), _NBODY_RTOL, _NBODY_ATOL
+    t, y, f = t0, y0, rhs(t0, y0)
+    k = np.empty((16, y.size))  # stage derivatives, one per row
+    h_abs = 0.0
+    if t_end > t:  # the starting step of Solving ODEs I, section II.4
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = rms(y / scale), rms(f / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
+                 t_end - t)
+        d2 = rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
+              else (0.01 / max(d1, d2)) ** (1 / 8))
+        h_abs = min(100 * h0, h1, t_end - t)
+    for t_out in ends:
+        while t < t_out:
+            min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+            h_abs, rejected = max(h_abs, min_step), False
+            while True:
+                if h_abs < min_step:
+                    raise IntegrationError(
+                        f"propagation {t0} -> {t_end} failed: the step fell "
+                        f"below 10 ulp of t = {t!r}")
+                t_new = min(t + h_abs, t_end)
+                h_abs = h = t_new - t
+                k[0] = f
+                for s in range(1, 12):
+                    k[s] = rhs(t + _C[s] * h,
+                               y + np.dot(k[:s].T, _A[s, :s]) * h)
+                y_new = y + h * np.dot(k[:12].T, _B)
+                k[12] = f_new = rhs(t + h, y_new)
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                e5, e3 = (np.linalg.norm(np.dot(k[:13].T, e) / scale) ** 2
+                          for e in (_E5, _E3))
+                err = (h * e5 / np.sqrt((e5 + 0.01 * e3) * y.size)
+                       if e5 or e3 else 0.0)
+                grow = 0.9 * err ** -0.125 if err else math.inf
+                if err < 1:
+                    h_abs *= min(grow, 1 if rejected else 10)
+                    break
+                h_abs *= max(0.2, grow)
+                rejected = True
+            t_old, y_old, t, y, f, dense = t, y, t_new, y_new, f_new, None
+        if t == t_out:
+            yield y
+            continue
+        if dense is None:
+            for s in (13, 14, 15):
+                k[s] = rhs(t_old + _C[s] * h,
+                           y_old + np.dot(k[:s].T, _A[s, :s]) * h)
+            dy = y - y_old
+            dense = [dy, h * k[0] - dy, 2 * dy - h * (f + k[0]),
+                     *(h * np.dot(_D, k))]
+        x = (t_out - t_old) / h
+        out = np.zeros_like(y)
+        for i, term in enumerate(reversed(dense)):
+            out += term
+            out *= x if i % 2 == 0 else 1 - x
+        yield out + y_old
+
+
 def _masses(masses) -> np.ndarray:
     """``masses`` as a 1-d float array, refused unless positive and finite."""
     m = np.asarray(masses, dtype=float)
@@ -562,7 +714,10 @@ class NBodySystem:
         if self.is_free:
             states = ((pos + vel * (t - t0), vel.copy()) for t in times)
         else:
-            states = self._dop853_states(pos, vel, t0, times)
+            y0 = np.concatenate([pos.ravel(), vel.ravel()])
+            states = ((y[:3 * self.n].reshape(self.n, 3),
+                       y[3 * self.n:].reshape(self.n, 3))
+                      for y in _dop853(self._rhs, t0, y0, times))
         ps, vs = [], []
         for t, (p, v) in zip(times, states):
             ps.append(p)
@@ -571,37 +726,13 @@ class NBodySystem:
                 break
         return np.array(ps), np.array(vs)
 
-    def _dop853_states(self, pos, vel, t0, ends):
-        """Yield (positions, velocities) at each of ``ends`` from one run."""
-        # scipy is imported here only: nothing else in trajlab needs it
-        from scipy.integrate import DOP853
-
-        def rhs(t, y):
-            p = y[:3 * self.n].reshape(self.n, 3)
-            acc = self.accelerations(p).ravel()
-            # DOP853 does not stop on a NaN force: it steps on for ever
-            if not np.isfinite(acc).all():
-                raise IntegrationError(f"non-finite acceleration at t = {t}")
-            return np.concatenate([y[3 * self.n:], acc])
-
-        solver = DOP853(rhs, t0, np.concatenate([pos.ravel(), vel.ravel()]),
-                        float(ends[-1]), rtol=_NBODY_RTOL, atol=_NBODY_ATOL)
-        dense = None  # continuous extension of the last step, when needed
-        for t in ends:
-            while solver.direction * (t - solver.t) > 0:
-                message = solver.step()
-                dense = None
-                if solver.status == "failed":
-                    raise IntegrationError(f"propagation {t0} -> {ends[-1]} "
-                                           f"failed: {message}")
-            if solver.t == t:
-                y = solver.y.copy()
-            else:
-                if dense is None:
-                    dense = solver.dense_output()
-                y = dense(t)
-            yield (y[:3 * self.n].reshape(self.n, 3),
-                   y[3 * self.n:].reshape(self.n, 3))
+    def _rhs(self, t, y):
+        """The first-order form (positions, velocities)' of the motion."""
+        acc = self.accelerations(y[:3 * self.n].reshape(self.n, 3)).ravel()
+        # the stepper would shrink its step on a NaN force until it gave up
+        if not np.isfinite(acc).all():
+            raise IntegrationError(f"non-finite acceleration at t = {t}")
+        return np.concatenate([y[3 * self.n:], acc])
 
 
 @dataclass(frozen=True)

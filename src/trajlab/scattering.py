@@ -167,7 +167,7 @@ _N_NODES = 64  # Gauss-Legendre nodes of the deflection integral
 _DIFF_STEP = 1e-6  # relative step of the central differences in theta
 _MIN_SPACING = 10.0  # least flipper center spacing, in action ranges
 _PACKING = 0.5  # n_centers * d_min^3 / cell volume of a random scene
-_MAX_TRIES = 100_000  # placement attempts before a random scene gives up
+_TRIES_PER_CENTER = 100  # placement candidates per center of a random scene
 _PLACE_BLOCK = 64  # placement candidates drawn per generator call
 
 
@@ -491,8 +491,8 @@ def random_scene(n_centers: int, action_range: float, energy: float,
     The cell is sized so that n_centers * d_min^3 / cell volume is
     ``_PACKING``; 0.5 leaves room for rejection sampling to finish quickly.
     A uniform candidate is kept when its min-image distance to every kept
-    center is at least d_min (:func:`_spaced`), and placement gives up after
-    ``_MAX_TRIES`` candidates.
+    center is at least d_min (:func:`_spaced`); placement gives up after
+    ``_TRIES_PER_CENTER`` candidates per center, about 9 times the need.
     """
     d_min = _MIN_SPACING * action_range
     L = (n_centers * d_min ** 3 / _PACKING) ** (1.0 / 3.0)
@@ -501,11 +501,12 @@ def random_scene(n_centers: int, action_range: float, energy: float,
     if not (n_centers > 0 and action_range > 0 and L > 0):
         raise ValueError("cell_size and action_range must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    placed = list(islice(_spaced(islice(_candidates(rng, L), _MAX_TRIES),
+    tries = int(_TRIES_PER_CENTER * n_centers)
+    placed = list(islice(_spaced(islice(_candidates(rng, L), tries),
                                  L, d_min), n_centers))
     if len(placed) < n_centers:
-        raise IntegrationError("center placement did not converge; "
-                               "lower packing or n_centers")
+        raise IntegrationError(f"center placement did not converge in "
+                               f"{tries} candidates; change scene_seed")
     return FlipperScene(L, np.array(placed), energy, action_range)
 
 

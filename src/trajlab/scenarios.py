@@ -47,9 +47,9 @@ from .interference import (BiprismScene, fringe_target_density,
 class Param:
     """One schema entry: a kind tag, a default, and help text.
 
-    ``min`` is the smallest value an integer may take, and ``above`` names
-    a parameter the value must exceed; runs that break either are refused
-    before they start rather than failing inside the scenario.
+    ``min`` and ``max`` bound an integer, and ``above`` names a parameter
+    the value must exceed; runs that break any of them are refused before
+    they start rather than failing inside the scenario.
     """
 
     kind: str
@@ -57,6 +57,7 @@ class Param:
     help: str = ""
     choices: tuple[str, ...] | None = None
     min: int | None = None
+    max: int | None = None
     above: str | None = None
 
 
@@ -81,6 +82,8 @@ def _check_value(spec: Param, value, path: tuple[str, ...], lines):
             fail(f"expected an integer, got {value!r}")
         if spec.min is not None and value < spec.min:
             fail(f"must be >= {spec.min}, got {value!r}")
+        if spec.max is not None and value > spec.max:
+            fail(f"must be <= {spec.max}, got {value!r}")
         return int(value)
     if k == "float":
         return as_number(value, "value")
@@ -628,7 +631,8 @@ _register(
     "cross sections from encounter rates in a periodic array of centers",
     True,
     {
-        "n_centers": Param("int", 216, "centers per periodic cell", min=1),
+        "n_centers": Param("int", 216, "centers per periodic cell", min=1,
+                           max=16_384),
         "action_range": Param("float", 0.05, "hard-sphere radius r0"),
         "scene_seed": Param("int", 3, "placement seed for the cell"),
         "n_traj": Param("int", 300, "trajectories in the ensemble"),

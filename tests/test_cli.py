@@ -406,6 +406,21 @@ class TestErrorExits:
         assert not out.exists()
 
 
+    def test_centers_above_maximum_refused(self, tmp_path, capsys):
+        # placement scales with n_centers, so the schema bounds it; the
+        # listing shows the bound
+        params = dict(FAST_PARAMS["flipper"], n_centers=16_385)
+        cfg = write_config(tmp_path / "cfg.yaml", "flipper", parameters=params,
+                           seed=1)
+        out = tmp_path / "o"
+        assert run(["run", "flipper", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "parameters.n_centers" in err and "<= 16384" in err
+        assert "\n" not in err
+        assert not out.exists()
+        assert run(["list-scenarios"]) == 0
+        assert "int >= 1 <= 16384" in capsys.readouterr().out
+
     @pytest.mark.parametrize("theta_min, theta_max", [(3.0, 0.2), (1.0, 1.0)])
     def test_empty_angle_range_refused(self, tmp_path, capsys, theta_min,
                                        theta_max):

@@ -785,6 +785,108 @@ class TestAsymptoticVelocity:
             assert np.allclose(ratio, ratio_ref, rtol=0.0, atol=1e-9)
 
 
+def scipy_dop853(rhs, t0, y0, ends):
+    """The stepper's reference: scipy's DOP853 at the same tolerances, run
+    once to ends[-1], each earlier time read from its dense output."""
+    from scipy.integrate import DOP853
+
+    solver = DOP853(rhs, t0, y0, float(ends[-1]),
+                    rtol=interference._NBODY_RTOL,
+                    atol=interference._NBODY_ATOL)
+    dense = None
+    for t in ends:
+        while solver.t < t:
+            assert solver.step() is None
+            dense = None
+        if solver.t == t:
+            yield solver.y.copy()
+        else:
+            if dense is None:
+                dense = solver.dense_output()
+            yield dense(t)
+
+
+class TestDop853:
+    """The in-package 8(5,3) pair: its transcribed table, parity with
+    scipy's DOP853, and its step-size failure."""
+
+    V0 = np.array([[0.8, 0.1, 0.0], [-2.4, -0.3, 0.0]])
+
+    def test_rows_sum_to_nodes(self):
+        # every stage, the extension's three included, is consistent
+        assert np.max(np.abs(interference._A.sum(axis=1)
+                             - interference._C)) < 1e-14
+
+    def test_weights_meet_the_quadrature_conditions(self):
+        b, c = interference._B, interference._C[:12]
+        for k in range(1, 9):
+            assert abs(np.sum(b * c ** (k - 1)) - 1.0 / k) < 1e-14, k
+
+    def test_error_weights_sum_to_zero(self):
+        # each estimate is a difference of two solutions that are exact on
+        # constants
+        for e in (interference._E3, interference._E5):
+            assert abs(e.sum()) < 1e-14
+
+    def test_table_is_scipys_to_the_bit(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        for name, want in [("_C", ref.C), ("_A", ref.A), ("_B", ref.B),
+                           ("_E3", ref.E3), ("_E5", ref.E5), ("_D", ref.D)]:
+            assert np.array_equal(getattr(interference, name), want), name
+
+    @pytest.mark.parametrize("amplitude,scale,t_max,tolerance", [
+        (2.0, 1.0, 2.0 ** 31, 1e-9), (-2.0, 0.1, 2.0 ** 24, 1e-3)],
+        ids=["criterion-13", "bound-pair"])
+    def test_parity_with_scipy(self, amplitude, scale, t_max, tolerance,
+                               monkeypatch):
+        system = NBodySystem([1.5, 0.5], pair_potential=GaussianPairPotential(
+            amplitude, 1.0))
+        acc = NBodySystem.accelerations
+        runs = []
+        for stepper in (interference._dop853, scipy_dop853):
+            calls, states = [], []
+
+            def counted(self, positions):
+                calls.append(None)
+                return acc(self, positions)
+
+            def recorded(rhs, t0, y0, ends, stepper=stepper, states=states):
+                for y in stepper(rhs, t0, y0, ends):
+                    states.append(y.copy())
+                    yield y
+
+            monkeypatch.setattr(NBodySystem, "accelerations", counted)
+            monkeypatch.setattr(interference, "_dop853", recorded)
+            res = asymptotic_velocity(system, scale * self.V0, t_max=t_max,
+                                      tolerance=tolerance)
+            assert res.converged
+            runs.append((len(calls), states))
+        (calls, states), (ref_calls, ref_states) = runs
+        assert calls == ref_calls
+        assert len(states) == len(ref_states) > 1
+        for y, y_ref in zip(states, ref_states):
+            assert np.allclose(y, y_ref, rtol=1e-13, atol=1e-13)
+
+    def test_step_size_failure_raises(self, monkeypatch):
+        # a right-hand side of fresh noise every call fails every error
+        # test, so the step shrinks until it falls below 10 ulp of t
+        rng = np.random.default_rng(5)
+        calls = []
+
+        def noise(self, positions):
+            calls.append(None)
+            assert len(calls) <= 1000
+            return rng.normal(size=np.shape(positions)) * 1e6
+
+        monkeypatch.setattr(NBodySystem, "accelerations", noise)
+        system = NBodySystem([1.5, 0.5],
+                             pair_potential=GaussianPairPotential(2.0, 1.0))
+        with pytest.raises(IntegrationError,
+                           match=r"propagation 1\.0 -> 2\.0 failed"):
+            system.integrate(self.V0, self.V0, 1.0, np.array([2.0]))
+
+
 class TestMomentumMeasure:
     LO = np.zeros(6)
     HI = np.ones(6)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -404,13 +405,24 @@ class TestFlipperScene:
                                                              seed)
 
     def test_try_limit_counts_every_candidate(self, monkeypatch):
+        # the cap is per center: a rate of tries / 216 allows exactly tries
         want, tries = reference_placement(216, 0.05, 3)
-        monkeypatch.setattr(scattering, "_MAX_TRIES", tries)
+        monkeypatch.setattr(scattering, "_TRIES_PER_CENTER",
+                            Fraction(tries, 216))
         assert np.array_equal(random_scene(216, 0.05, 1.0, seed=3).centers,
                               want)
-        monkeypatch.setattr(scattering, "_MAX_TRIES", tries - 1)
-        with pytest.raises(IntegrationError, match="did not converge"):
+        monkeypatch.setattr(scattering, "_TRIES_PER_CENTER",
+                            Fraction(tries - 1, 216))
+        with pytest.raises(IntegrationError,
+                           match=f"did not converge in {tries - 1} "
+                                 f"candidates; change scene_seed"):
             random_scene(216, 0.05, 1.0, seed=3)
+
+    def test_large_scene_places(self):
+        # 9,000 centers need 105,135 candidates, past the fixed cap of
+        # 100,000 that once refused every scene from about 8,500 centers on
+        scene = random_scene(9000, 0.05, 1.0, seed=3)
+        assert scene.centers.shape == (9000, 3)
 
     @pytest.mark.parametrize("n_centers,action_range", [
         (8, 0.0), (8, -0.05), (8, 1e-300), (0, 0.05)])
