@@ -145,7 +145,11 @@ def decay_action(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) 
     if not boundary.t_a < t_d < boundary.t_b:
         raise ValueError(f"t_d={t_d} must lie strictly inside "
                          f"({boundary.t_a}, {boundary.t_b})")
-    tau1, tau2, v1, v2, v3 = _velocities(boundary, x_d, t_d)
+    return _action(masses, *_velocities(boundary, x_d, t_d))
+
+
+def _action(masses: DecayMasses, tau1, tau2, v1, v2, v3) -> float:
+    """Action of the broken path from its legs' durations and velocities."""
     c2 = masses.c ** 2
     s = 0.5 * masses.m1 * float(v1 @ v1) * tau1 - masses.m1 * c2 * tau1
     s += 0.5 * masses.m2 * float(v2 @ v2) * tau2 - masses.m2 * c2 * tau2
@@ -313,10 +317,9 @@ def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVer
             "the endpoint data admits no interior decay vertex")
 
     x_d = _best_x(masses, boundary, t_d)
-    _, _, v1, v2, v3 = _velocities(boundary, x_d, t_d)
-
+    tau1, tau2, v1, v2, v3 = _velocities(boundary, x_d, t_d)
     return DecayVertex(x_d=x_d, t_d=float(t_d),
-                       action=decay_action(masses, boundary, x_d, t_d),
+                       action=_action(masses, tau1, tau2, v1, v2, v3),
                        v1=v1, v2=v2, v3=v3)
 
 

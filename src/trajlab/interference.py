@@ -439,11 +439,11 @@ class GaussianPairPotential:
             raise ValueError("width must be positive")
 
     def value(self, r):
-        r = np.asarray(r, dtype=float)
+        r = np.float64(r)  # past the float range numpy gives inf; floats raise
         return self.amplitude * np.exp(-0.5 * (r / self.width) ** 2)
 
     def dvdr(self, r):
-        r = np.asarray(r, dtype=float)
+        r = np.float64(r)
         return -self.amplitude * (r / self.width ** 2) * np.exp(
             -0.5 * (r / self.width) ** 2)
 
@@ -631,6 +631,13 @@ def _dop853(rhs, t0: float, y0: np.ndarray, ends):
         yield out + y_old
 
 
+def _norm(v: list) -> float:
+    """|v| for 3 floats as np.linalg.norm takes it, the square root of BLAS's
+    dot product, which a plain sum of the squares does not always match."""
+    a = np.array(v)
+    return math.sqrt(a.dot(a))
+
+
 def _masses(masses) -> np.ndarray:
     """``masses`` as a 1-d float array, refused unless positive and finite."""
     m = np.asarray(masses, dtype=float)
@@ -653,38 +660,43 @@ class NBodySystem:
     def is_free(self) -> bool:
         return self.pair_potential is None and self.external_potential is None
 
-    def _terms(self, pos: np.ndarray):
+    def _terms(self, pos: list):
         """Yield each interaction term (i, j, delta, r, potential): every
-        pair i < j, then each particle i in the external field with j None;
-        ``delta`` runs to i from j or from the field's centre, r = |delta|."""
+        pair i < j, then each particle i in the external field with j None.
+        ``pos`` lists the 3n coordinates; ``delta`` (3 floats) runs to i
+        from j or from the field's centre, and r = |delta|."""
         pair, field = self.pair_potential, self.external_potential
+        rows = [pos[k:k + 3] for k in range(0, 3 * self.n, 3)]
         if pair is not None:
             for i in range(self.n):
                 for j in range(i + 1, self.n):
-                    delta = pos[i] - pos[j]
-                    yield i, j, delta, float(np.linalg.norm(delta)), pair
+                    delta = [a - b for a, b in zip(rows[i], rows[j])]
+                    yield i, j, delta, _norm(delta), pair
         if field is not None:
+            center = field.center.tolist()
             for i in range(self.n):
-                delta = pos[i] - field.center
-                yield i, None, delta, float(np.linalg.norm(delta)), field
+                delta = [a - b for a, b in zip(rows[i], center)]
+                yield i, None, delta, _norm(delta), field
 
     def accelerations(self, positions: np.ndarray) -> np.ndarray:
-        pos = positions.reshape(self.n, 3)
-        acc = np.zeros_like(pos)
+        m, acc = self.masses.tolist(), [0.0] * (3 * self.n)
+        pos = positions.reshape(3 * self.n).tolist()
         for i, j, delta, r, pot in self._terms(pos):
             if r == 0.0:
                 continue
-            f = -float(pot.dvdr(r)) * delta / r
-            acc[i] += f / self.masses[i]
-            if j is not None:
-                acc[j] -= f / self.masses[j]
-        return acc
+            g = -float(pot.dvdr(r))
+            for k in range(3):
+                f = g * delta[k] / r
+                acc[3 * i + k] += f / m[i]
+                if j is not None:
+                    acc[3 * j + k] -= f / m[j]
+        return np.array(acc).reshape(self.n, 3)
 
     def energy(self, positions, velocities) -> float:
-        pos = np.asarray(positions, dtype=float).reshape(self.n, 3)
+        pos = np.asarray(positions, dtype=float).reshape(3 * self.n)
         vel = np.asarray(velocities, dtype=float).reshape(self.n, 3)
         e = 0.5 * float(np.sum(self.masses[:, None] * vel * vel))
-        for *_, r, pot in self._terms(pos):
+        for *_, r, pot in self._terms(pos.tolist()):
             e += float(pot.value(r))
         return e
 
@@ -728,9 +740,9 @@ class NBodySystem:
 
     def _rhs(self, t, y):
         """The first-order form (positions, velocities)' of the motion."""
-        acc = self.accelerations(y[:3 * self.n].reshape(self.n, 3)).ravel()
+        acc = self.accelerations(y[:3 * self.n]).ravel()
         # the stepper would shrink its step on a NaN force until it gave up
-        if not np.isfinite(acc).all():
+        if not all(map(math.isfinite, acc.tolist())):
             raise IntegrationError(f"non-finite acceleration at t = {t}")
         return np.concatenate([y[3 * self.n:], acc])
 

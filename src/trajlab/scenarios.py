@@ -596,13 +596,14 @@ _register(
     "doubling-map ensemble rates and the exact rational orbit",
     True,
     {
-        "n_traj": Param("int", 10_000, "trajectories in the ensemble"),
-        "n_steps": Param("int", 1000, "steps (bits) per trajectory"),
+        "n_traj": Param("int", 10_000, "trajectories in the ensemble",
+                         min=1),
+        "n_steps": Param("int", 1000, "steps (bits) per trajectory", min=1),
         "bias": Param("float", 0.5, "P(bit = 1) of the product measure"),
         "orbit_numerator": Param("int", 2, "rational start: numerator"),
         "orbit_denominator": Param("int", 7, "rational start: denominator",
                                    min=1),
-        "orbit_steps": Param("int", 3000, "steps of the exact orbit"),
+        "orbit_steps": Param("int", 3000, "steps of the exact orbit", min=1),
     },
     _run_bernoulli)
 
@@ -635,8 +636,9 @@ _register(
                            max=16_384),
         "action_range": Param("float", 0.05, "hard-sphere radius r0"),
         "scene_seed": Param("int", 3, "placement seed for the cell"),
-        "n_traj": Param("int", 300, "trajectories in the ensemble"),
-        "n_encounters": Param("int", 20, "encounters followed per trajectory"),
+        "n_traj": Param("int", 300, "trajectories in the ensemble", min=1),
+        "n_encounters": Param("int", 20, "encounters followed per trajectory",
+                               min=1),
         "n_bins": Param("int", 8, "equal angle bins over (-pi, pi]", min=1),
         "min_encounters": Param("int", 1, "trial floor below which a "
                                           "trajectory is excluded"),
@@ -663,7 +665,8 @@ _register(
         "tau0": Param("float", 1.5, "exponential time constant"),
         "life_low": Param("float", 0.0, "uniform lower bound"),
         "life_high": Param("float", 2.0, "uniform upper bound"),
-        "n_life_samples": Param("int", 100_000, "mean-life sample count"),
+        "n_life_samples": Param("int", 100_000, "mean-life sample count",
+                                 min=1),
         "n_profile": Param("int", 400, "points in the action profile table"),
     },
     _run_decay)
@@ -685,7 +688,7 @@ _register(
         "spin_theta_deg": Param("float", 60.0, "incoming ray polar angle"),
         "weight_model": Param("str", "quantum", "branch weight rule",
                               choices=("quantum", "equal")),
-        "n_table": Param("int", 201, "rows per branch table"),
+        "n_table": Param("int", 201, "rows per branch table", min=1),
     },
     _run_stern_gerlach)
 
@@ -699,7 +702,7 @@ _register(
         "angle_a_prime": Param("float", 90.0, "wing A second setting"),
         "angle_b": Param("float", 225.0, "wing B first setting"),
         "angle_b_prime": Param("float", 135.0, "wing B second setting"),
-        "n_pairs": Param("int", 100_000, "sampled pairs"),
+        "n_pairs": Param("int", 100_000, "sampled pairs", min=1),
         "scan_points": Param("int", 73, "points in the rotation scan"),
     },
     _run_epr)

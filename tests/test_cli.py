@@ -388,6 +388,14 @@ class TestErrorExits:
         ("two-slit", "bins"),
         ("bernoulli", "orbit_denominator"),
         ("scattering", "n_s"),
+        ("stern-gerlach", "n_table"),
+        ("bernoulli", "n_steps"),
+        ("bernoulli", "orbit_steps"),
+        ("bernoulli", "n_traj"),
+        ("flipper", "n_traj"),
+        ("flipper", "n_encounters"),
+        ("decay", "n_life_samples"),
+        ("epr", "n_pairs"),
     ])
     def test_count_below_minimum_refused(self, tmp_path, capsys, scenario,
                                          key):
@@ -839,14 +847,14 @@ class TestListing:
         for key in ("m1", "m2", "m3", "c"):
             assert key in first
 
-    def test_console_script_available(self, tmp_path):
+    def test_console_script_available(self):
+        # the checkout's source, whatever the caller's path holds; the
+        # installed `trajlab` script has its own smoke step in CI
+        src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run([sys.executable, "-m", "trajlab.cli",
                                "list-scenarios"],
-                              capture_output=True, text=True)
-        # the module has no __main__ guard; use the entry point instead
-        if proc.returncode != 0:
-            proc = subprocess.run(["trajlab", "list-scenarios"],
-                                  capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
         assert "bernoulli" in proc.stdout
 

@@ -617,6 +617,80 @@ def two_body_limit(masses, amplitude, width, velocities):
                            centre - m1 / total * rel_inf])
 
 
+
+def array_form(system, positions, velocities):
+    """(accelerations, energy) as the array code took them: 3-vector deltas
+    and sums, np.linalg.norm, and a 0-d r in the Gaussian's formulas."""
+    pos = positions.reshape(system.n, 3)
+    vel = velocities.reshape(system.n, 3)
+    pair, field = system.pair_potential, system.external_potential
+    terms = [(i, j, pos[i] - pos[j], pair) for i in range(system.n)
+             for j in range(i + 1, system.n) if pair is not None]
+    if field is not None:
+        terms += [(i, None, pos[i] - field.center, field)
+                  for i in range(system.n)]
+    acc = np.zeros_like(pos)
+    energy = 0.5 * float(np.sum(system.masses[:, None] * vel * vel))
+    for i, j, delta, pot in terms:
+        r = float(np.linalg.norm(delta))
+        if isinstance(pot, GaussianPairPotential):
+            r0 = np.asarray(r, dtype=float)
+            value = pot.amplitude * np.exp(-0.5 * (r0 / pot.width) ** 2)
+            slope = -pot.amplitude * (r0 / pot.width ** 2) * np.exp(
+                -0.5 * (r0 / pot.width) ** 2)
+        else:
+            value, slope = pot.value(r), pot.dvdr(r)
+        energy += float(value)
+        if r == 0.0:
+            continue
+        f = -float(slope) * delta / r
+        acc[i] += f / system.masses[i]
+        if j is not None:
+            acc[j] -= f / system.masses[j]
+    return acc, energy
+
+
+class TestScalarForces:
+    def test_bitwise_equal_to_array_form(self):
+        # accelerations and energy run on plain floats, keeping the array
+        # form's BLAS dot product for r^2, np.exp, and a pow for the square.
+        # The draws must hold inputs where each plain-float shortcut moves
+        # a Gaussian term, so that taking one would fail this test.
+        rng = np.random.default_rng(31)
+        moved = {"sum of squares": 0, "math.exp": 0, "x * x": 0}
+        for trial in range(3000):
+            n = int(rng.integers(2, 5))
+            pair = GaussianPairPotential(float(rng.uniform(0.5, 3.0)),
+                                         float(rng.uniform(0.5, 2.0)))
+            bump = (CompactBumpPotential(float(rng.uniform(0.5, 2.0)),
+                                         float(rng.uniform(1.0, 3.0)),
+                                         rng.normal(size=3))
+                    if trial % 2 else None)
+            system = NBodySystem(rng.uniform(0.2, 3.0, n), pair_potential=pair,
+                                 external_potential=bump)
+            pos = rng.normal(size=3 * n) * rng.uniform(0.3, 2.0)
+            if trial % 7 == 0:
+                pos[3:6] = pos[:3]  # a coincident pair, r = 0
+            vel = rng.normal(size=3 * n)
+            acc, energy = array_form(system, pos, vel)
+            got = system.accelerations(pos)
+            assert got.shape == (n, 3) and got.tobytes() == acc.tobytes()
+            assert (np.float64(system.energy(pos, vel)).tobytes()
+                    == np.float64(energy).tobytes())
+            for i in range(n):
+                for j in range(i + 1, n):
+                    d = pos[3 * i:3 * i + 3] - pos[3 * j:3 * j + 3]
+                    r = float(np.linalg.norm(d))
+                    q = r / pair.width
+                    moved["sum of squares"] += (
+                        math.sqrt(sum(x * x for x in d.tolist())) != r)
+                    moved["math.exp"] += (math.exp(-0.5 * q ** 2)
+                                          != np.exp(-0.5 * q ** 2))
+                    moved["x * x"] += (pair.dvdr(r) != -pair.amplitude * (
+                        r / pair.width ** 2) * np.exp(-0.5 * (q * q)))
+        assert min(moved.values()) >= 3, moved
+
+
 class TestAsymptoticVelocity:
     V0 = np.array([[0.8, 0.1, 0.0], [-2.4, -0.3, 0.0]])
 
