@@ -131,29 +131,37 @@ class DecayVertex:
 
 
 def _velocities(boundary: DecayBoundary, x_d, t_d):
+    """Leg durations and velocities, one row per entry of an array ``t_d``."""
     tau1 = t_d - boundary.t_a
     tau2 = boundary.t_b - t_d
-    v1 = (x_d - boundary.x_a) / tau1
-    v2 = (boundary.x_b2 - x_d) / tau2
-    v3 = (boundary.x_b3 - x_d) / tau2
+    v1 = (x_d - boundary.x_a) / _column(tau1)
+    v2 = (boundary.x_b2 - x_d) / _column(tau2)
+    v3 = (boundary.x_b3 - x_d) / _column(tau2)
     return tau1, tau2, v1, v2, v3
 
 
-def decay_action(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float) -> float:
-    """Action of the broken path through vertex ``(x_d, t_d)``."""
-    x_d = np.asarray(x_d, dtype=float)
-    if not boundary.t_a < t_d < boundary.t_b:
+def _column(t):
+    """An array of times as a column that scales one 3-vector per row."""
+    return t[..., None] if isinstance(t, np.ndarray) else t
+
+
+def decay_action(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d):
+    """Action of the broken path through vertex ``(x_d, t_d)``, or an array
+    of actions for an array of split times with one row of ``x_d`` each."""
+    x_d, t_d = np.asarray(x_d, dtype=float), np.asarray(t_d, dtype=float)
+    if not ((boundary.t_a < t_d) & (t_d < boundary.t_b)).all():
         raise ValueError(f"t_d={t_d} must lie strictly inside "
                          f"({boundary.t_a}, {boundary.t_b})")
-    return _action(masses, *_velocities(boundary, x_d, t_d))
+    s = _action(masses, *_velocities(boundary, x_d, t_d))
+    return s if t_d.ndim else float(s)
 
 
-def _action(masses: DecayMasses, tau1, tau2, v1, v2, v3) -> float:
+def _action(masses: DecayMasses, tau1, tau2, v1, v2, v3):
     """Action of the broken path from its legs' durations and velocities."""
     c2 = masses.c ** 2
-    s = 0.5 * masses.m1 * float(v1 @ v1) * tau1 - masses.m1 * c2 * tau1
-    s += 0.5 * masses.m2 * float(v2 @ v2) * tau2 - masses.m2 * c2 * tau2
-    s += 0.5 * masses.m3 * float(v3 @ v3) * tau2 - masses.m3 * c2 * tau2
+    s = 0.5 * masses.m1 * np.vecdot(v1, v1) * tau1 - masses.m1 * c2 * tau1
+    s += 0.5 * masses.m2 * np.vecdot(v2, v2) * tau2 - masses.m2 * c2 * tau2
+    s += 0.5 * masses.m3 * np.vecdot(v3, v3) * tau2 - masses.m3 * c2 * tau2
     return s
 
 
@@ -188,10 +196,10 @@ def action_hessian(masses: DecayMasses, boundary: DecayBoundary, x_d, t_d: float
     return np.block([[a * np.eye(3), b[:, None]], [b, d]])
 
 
-def _best_x(masses: DecayMasses, boundary: DecayBoundary, t_d: float) -> np.ndarray:
+def _best_x(masses: DecayMasses, boundary: DecayBoundary, t_d) -> np.ndarray:
     # the action is quadratic in x_d at fixed t_d; this is its minimizer
-    tau1 = t_d - boundary.t_a
-    tau2 = boundary.t_b - t_d
+    tau1 = _column(t_d - boundary.t_a)
+    tau2 = _column(boundary.t_b - t_d)
     w1 = masses.m1 / tau1
     w23 = (masses.m2 + masses.m3) / tau2
     num = (w1 * boundary.x_a
@@ -319,7 +327,7 @@ def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVer
     x_d = _best_x(masses, boundary, t_d)
     tau1, tau2, v1, v2, v3 = _velocities(boundary, x_d, t_d)
     return DecayVertex(x_d=x_d, t_d=float(t_d),
-                       action=_action(masses, tau1, tau2, v1, v2, v3),
+                       action=float(_action(masses, tau1, tau2, v1, v2, v3)),
                        v1=v1, v2=v2, v3=v3)
 
 

@@ -98,6 +98,12 @@ class BiprismScene:
             raise ValueError("kick angle must lie in [0, pi/2 - aperture)")
         if not 0 < self.wavelength < math.inf:
             raise ValueError("wavelength must be positive and finite")
+        if self.field_on and not (self.separation > 0
+                                  and self.fringe_spacing < math.inf):
+            raise ValueError("the fringe spacing is out of float range for "
+                             f"wavelength = {self.wavelength!r}, "
+                             f"source_to_wire = {self.source_to_wire!r}, "
+                             f"kick_angle = {self.kick_angle!r}")
         if self.shadow_angle >= self.aperture:
             raise ValueError("wire shadow swallows the whole aperture")
 
@@ -279,11 +285,10 @@ class EmissionMeasure:
     breaks: np.ndarray
 
 
-def _panels(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integral of |f| over each [lo, hi] by one ``_GAUSS_NODES``-node
-    Gauss-Legendre panel."""
-    x, w = _gl_nodes(_GAUSS_NODES)  # on [0, 1]
-    return (hi - lo) * (np.abs(f(lo[:, None] + (hi - lo)[:, None] * x)) @ w)
+def _node_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """|f| at the Gauss-Legendre nodes of each [lo, hi], a row per panel."""
+    x, _ = _gl_nodes(_GAUSS_NODES)  # on [0, 1]
+    return np.abs(f(lo[:, None] + (hi - lo)[:, None] * x))
 
 
 def _integral(f, edges: np.ndarray) -> float:
@@ -296,23 +301,32 @@ def _integral(f, edges: np.ndarray) -> float:
     settling, so the halving bisects onto the crossing. More than
     ``_MAX_PANELS`` unsettled panels at once (structure finer than the
     pieces resolve, such as fringes at a tiny wavelength) is refused.
+    ``f`` runs once on the pieces, then once a round on all halves, whose
+    node values are the next round's panels. Each block of rows keeps its
+    own BLAS product, as a row can round differently in another batch.
     """
+    _, w = _gl_nodes(_GAUSS_NODES)
     lo, hi = edges[:-1], edges[1:]
-    total = 0.0
+    v_one, total = _node_values(f, lo, hi), 0.0
     while len(lo):
         if len(lo) > _MAX_PANELS:
             raise UnsupportedInputError(
                 f"the density needs more than {_MAX_PANELS} "
                 "Gauss-Legendre panels at once; its structure is too fine "
                 "for the bench (a tiny wavelength gives too many fringes)")
-        mid = 0.5 * (lo + hi)
-        one, two = _panels(f, lo, hi), _panels(f, lo, mid) + _panels(f, mid, hi)
+        n, mid = len(lo), 0.5 * (lo + hi)
+        v = _node_values(f, np.concatenate([lo, mid]),
+                         np.concatenate([mid, hi]))
+        v_lo, v_hi = v[:n], v[n:]
+        one = (hi - lo) * (v_one @ w)
+        two = (mid - lo) * (v_lo @ w) + (hi - mid) * (v_hi @ w)
         tol = np.finfo(float).eps * (total + two.sum())
         # a panel two floats wide, or with a NaN, is kept as it is
         keep = ~(np.abs(one - two) > tol) | (mid <= lo) | (mid >= hi)
         total += two[keep].sum()
-        lo, hi = (np.concatenate([lo[~keep], mid[~keep]]),
-                  np.concatenate([mid[~keep], hi[~keep]]))
+        lo, hi, v_one = (np.concatenate([lo[~keep], mid[~keep]]),
+                         np.concatenate([mid[~keep], hi[~keep]]),
+                         np.concatenate([v_lo[~keep], v_hi[~keep]]))
     return float(total)
 
 
@@ -369,10 +383,11 @@ def screen_density_from_emission(measure: EmissionMeasure,
     shadow, say) gets an empty interval and exactly no mass from that side.
     """
     edges = np.linspace(*_screen_window(scene), bins + 1)
-    masses = np.zeros(bins)
+    masses, (_, w) = np.zeros(bins), _gl_nodes(_GAUSS_NODES)
     for side, (x0, x1) in zip((-1, 1), _side_images(scene)):
         alphas = _pull_back(np.clip(edges, x0, x1), scene, side)
-        masses += _panels(measure.density, alphas[:-1], alphas[1:])
+        lo, hi = alphas[:-1], alphas[1:]
+        masses += (hi - lo) * (_node_values(measure.density, lo, hi) @ w)
     return edges, masses / (edges[1] - edges[0])
 
 

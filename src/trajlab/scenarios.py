@@ -47,7 +47,7 @@ from .interference import (BiprismScene, fringe_target_density,
 class Param:
     """One schema entry: a kind tag, a default, and help text.
 
-    ``min`` and ``max`` bound an integer, and ``above`` names a parameter
+    ``min`` and ``max`` bound a number, and ``above`` names a parameter
     the value must exceed; runs that break any of them are refused before
     they start rather than failing inside the scenario.
     """
@@ -56,8 +56,8 @@ class Param:
     default: Any
     help: str = ""
     choices: tuple[str, ...] | None = None
-    min: int | None = None
-    max: int | None = None
+    min: float | None = None
+    max: float | None = None
     above: str | None = None
 
 
@@ -77,16 +77,16 @@ def _check_value(spec: Param, value, path: tuple[str, ...], lines):
         return x
 
     k = spec.kind
-    if k == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
+    if k in ("int", "float"):
+        if k == "int" and (isinstance(value, bool)
+                           or not isinstance(value, int)):
             fail(f"expected an integer, got {value!r}")
-        if spec.min is not None and value < spec.min:
+        x = int(value) if k == "int" else as_number(value, "value")
+        if spec.min is not None and x < spec.min:
             fail(f"must be >= {spec.min}, got {value!r}")
-        if spec.max is not None and value > spec.max:
+        if spec.max is not None and x > spec.max:
             fail(f"must be <= {spec.max}, got {value!r}")
-        return int(value)
-    if k == "float":
-        return as_number(value, "value")
+        return x
     if k == "str":
         if not isinstance(value, str):
             fail(f"expected a string, got {value!r}")
@@ -349,13 +349,10 @@ def _run_decay(p, seed, out: OutputBundle):
 
     span = boundary.t_b - boundary.t_a
     ts = boundary.t_a + span * np.linspace(0.002, 0.998, p["n_profile"])
-    prof = []
-    for t in ts:
-        x = _best_x(masses, boundary, float(t))
-        prof.append((float(t), decay_action(masses, boundary, x, float(t))))
+    action = decay_action(masses, boundary, _best_x(masses, boundary, ts), ts)
     out.add_dat("action_profile.dat",
                 ["least action over the split position at each split time",
-                 "columns: split time, action"], prof)
+                 "columns: split time, action"], np.column_stack((ts, action)))
 
 
 def _run_stern_gerlach(p, seed, out: OutputBundle):
@@ -368,7 +365,8 @@ def _run_stern_gerlach(p, seed, out: OutputBundle):
     constants = PhysicalConstants(mu=p["mu"], m=p["mass"])
     r0 = np.zeros(3)
     v0 = np.array([p["speed"], 0.0, 0.0])
-    t_plus, t_minus = propagate_sg(r0, v0, device, constants)
+    with _in_float_range(p, "the flight time to the entry plane", "speed"):
+        t_plus, t_minus = propagate_sg(r0, v0, device, constants)
     w_plus, w_minus = branch_weights(p["weight_model"], psi=s_in)
 
     t_entry = device.entry_x / p["speed"]
@@ -413,28 +411,18 @@ def _run_epr(p, seed, out: OutputBundle):
                   deterministic_strategies())
 
     weights = global_epr_measure(a, ap, b, bp)
-    cell_rows = []
-    for i in (0, 1):
-        for ra in (0, 1):
-            for j in (0, 1):
-                for rb in (0, 1):
-                    cell_rows.append((i, 1 - 2 * ra, j, 1 - 2 * rb,
-                                      float(weights[i, ra, j, rb])))
     out.add_csv("cells.csv",
                 ("setting_a", "result_a", "setting_b", "result_b", "weight"),
-                cell_rows)
+                [(i, 1 - 2 * ra, j, 1 - 2 * rb, float(weights[i, ra, j, rb]))
+                 for i, ra, j, rb in np.ndindex(2, 2, 2, 2)])
 
-    cond_rows = []
-    marg = 0.0
-    for i in (0, 1):
-        for j in (0, 1):
-            c = epr_conditional_probabilities(weights, (i, j))
-            cond_rows.append((i, j, float(c[0, 0]), float(c[0, 1]),
-                              float(c[1, 0]), float(c[1, 1]), correlator(c)))
-            marg = float(c[0, 0] + c[0, 1])
+    conds = {ij: epr_conditional_probabilities(weights, ij)
+             for ij in np.ndindex(2, 2)}
     out.add_csv("conditionals.csv",
                 ("setting_a", "setting_b", "p_pp", "p_pm", "p_mp", "p_mm",
-                 "correlator"), cond_rows)
+                 "correlator"), [(i, j, *c.ravel().tolist(), correlator(c))
+                                 for (i, j), c in conds.items()])
+    marg = float(conds[1, 1][0, 0] + conds[1, 1][0, 1])
 
     out.add_csv("results.csv", ("quantity", "value"), [
         ("S_analytic", s_exact),
@@ -446,14 +434,12 @@ def _run_epr(p, seed, out: OutputBundle):
     ])
 
     offs = np.linspace(0.0, 360.0, p["scan_points"])
-    scan = []
-    for off in offs:
-        bo = planar_setting(p["angle_b"] + off)
-        bpo = planar_setting(p["angle_b_prime"] + off)
-        scan.append((float(off), chsh_value(a, ap, bo, bpo)))
+    bo, bpo = (np.array([planar_setting(angle + off) for off in offs])
+               .reshape(-1, 3) for angle in (p["angle_b"], p["angle_b_prime"]))
     out.add_dat("chsh_scan.dat",
                 ["four-correlator sum as both of B's settings rotate",
-                 "columns: offset (degrees), S"], scan)
+                 "columns: offset (degrees), S"],
+                np.column_stack((offs, chsh_value(a, ap, bo, bpo))))
 
 
 def _run_two_slit(p, seed, out: OutputBundle):
@@ -599,7 +585,8 @@ _register(
         "n_traj": Param("int", 10_000, "trajectories in the ensemble",
                          min=1),
         "n_steps": Param("int", 1000, "steps (bits) per trajectory", min=1),
-        "bias": Param("float", 0.5, "P(bit = 1) of the product measure"),
+        "bias": Param("float", 0.5, "P(bit = 1) of the product measure",
+                      min=0, max=1),
         "orbit_numerator": Param("int", 2, "rational start: numerator"),
         "orbit_denominator": Param("int", 7, "rational start: denominator",
                                    min=1),
@@ -667,7 +654,8 @@ _register(
         "life_high": Param("float", 2.0, "uniform upper bound"),
         "n_life_samples": Param("int", 100_000, "mean-life sample count",
                                  min=1),
-        "n_profile": Param("int", 400, "points in the action profile table"),
+        "n_profile": Param("int", 400, "points in the action profile table",
+                           min=0),
     },
     _run_decay)
 
@@ -703,7 +691,7 @@ _register(
         "angle_b": Param("float", 225.0, "wing B first setting"),
         "angle_b_prime": Param("float", 135.0, "wing B second setting"),
         "n_pairs": Param("int", 100_000, "sampled pairs", min=1),
-        "scan_points": Param("int", 73, "points in the rotation scan"),
+        "scan_points": Param("int", 73, "points in the rotation scan", min=0),
     },
     _run_epr)
 

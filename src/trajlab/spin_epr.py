@@ -177,7 +177,9 @@ def propagate_sg(position, velocity, device: SGDevice,
 
     mu, m = constants.mu, constants.m
     g, b0 = device.gradient, device.base_field
-    t_entry = (device.entry_x - r0[0]) / v0[0]
+    t_entry = float(device.entry_x - r0[0]) / float(v0[0])
+    if t_entry == math.inf:
+        raise OverflowError("the flight time to the entry plane overflows")
     r_entry = r0 + v0 * t_entry
     mag_entry = b0 + g * float(r_entry[2])
     if mag_entry <= 0:
@@ -254,34 +256,37 @@ def singlet_measure(a, b) -> np.ndarray:
 
 
 def _setting(name: str, v) -> np.ndarray:
-    """``v`` as a float array, refused unless it is a unit vector."""
+    """``v`` as a float array, refused unless each row is a unit vector."""
     v = np.asarray(v, dtype=float)
     # the 2-norm as np.linalg.norm computes it, without its dispatch
-    if abs(math.sqrt(float(v.dot(v))) - 1.0) > 1e-12:
+    if (np.abs(np.sqrt(np.vecdot(v, v)) - 1.0) > 1e-12).any():
         raise ValueError(f"setting {name} must be a unit vector")
     return v
 
 
-def _singlet(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+def _singlet(a: np.ndarray, b: np.ndarray):
     """The (anticorrelated, correlated) weights of :func:`singlet_measure`
-    at settings already checked."""
-    x = min(max(float(a @ b), -1.0), 1.0)
+    at settings already checked, one pair per row they broadcast to."""
+    x = np.minimum(np.maximum(np.vecdot(a, b), -1.0), 1.0)
     return 0.25 * (1.0 - x), 0.25 * (1.0 + x)
+
+
+def _pairs(a, a_prime, b, b_prime) -> list:
+    """:func:`_singlet` weights of the pairs (a, b), (a, b'), (a', b) and
+    (a', b'), each setting checked once, where the pairs first meet it."""
+    a, b, b_prime, a_prime = (_setting(name, v) for name, v in (
+        ("a", a), ("b", b), ("b", b_prime), ("a", a_prime)))
+    return [_singlet(av, bv) for av in (a, a_prime) for bv in (b, b_prime)]
 
 
 def global_epr_measure(a, a_prime, b, b_prime) -> np.ndarray:
     """(2, 2, 2, 2) weights over (setting A, result A, setting B, result B),
     the four setting pairs drawn uniformly. Each setting is checked once."""
-    # in the order the four pairs would first meet each setting
-    a, b, b_prime, a_prime = (_setting(name, v) for name, v in (
-        ("a", a), ("b", b), ("b", b_prime), ("a", a_prime)))
-    pairs = [[_singlet(av, bv) for bv in (b, b_prime)]
-             for av in (a, a_prime)]
+    pairs = _pairs(a, a_prime, b, b_prime)
     # cell (i, r_a, j, r_b) is a quarter of pair (i, j)'s anticorrelated
     # weight when r_a = r_b, of its correlated weight otherwise
-    return np.array([0.25 * pairs[i][j][ra != rb] for i in (0, 1)
-                     for ra in (0, 1) for j in (0, 1)
-                     for rb in (0, 1)]).reshape(2, 2, 2, 2)
+    return np.array([0.25 * pairs[2 * i + j][ra != rb] for i, ra, j, rb
+                     in np.ndindex(2, 2, 2, 2)]).reshape(2, 2, 2, 2)
 
 
 def _cells(measure_weights) -> np.ndarray:
@@ -332,9 +337,18 @@ def _chsh(cells: np.ndarray) -> tuple[float, list[float]]:
     return e[0] + e[1] + e[2] - e[3], e
 
 
-def chsh_value(a, a_prime, b, b_prime) -> float:
-    """S for the singlet weights at settings (a, a') and (b, b')."""
-    return _chsh(global_epr_measure(a, a_prime, b, b_prime))[0]
+def chsh_value(a, a_prime, b, b_prime):
+    """S for the singlet weights at settings (a, a') and (b, b'), or one S
+    per row of settings given as arrays of rows: :func:`_chsh` of the
+    cells, each block's sums in the order numpy adds its four cells."""
+    e = []
+    for anti, corr in _pairs(a, a_prime, b, b_prime):
+        p, q = 0.25 * anti, 0.25 * corr  # each block is (p, q, q, p)
+        total = ((p + q) + q) + p
+        p, q = p / total, q / total
+        e.append(((p - q) - q) + p)
+    s = e[0] + e[1] + e[2] - e[3]
+    return s if np.ndim(s) else float(s)
 
 
 def sample_epr_counts(a, a_prime, b, b_prime, n_pairs: int,

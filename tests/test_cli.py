@@ -349,6 +349,62 @@ class TestErrorExits:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, key, value, bound", [
+        ("decay", "n_profile", -1, ">= 0"),
+        ("epr", "scan_points", -1, ">= 0"),
+        ("bernoulli", "bias", 2.0, "<= 1"),
+        ("bernoulli", "bias", -0.5, ">= 0"),
+    ])
+    def test_table_size_and_bias_bounds_refused(self, tmp_path, capsys,
+                                                scenario, key, value, bound):
+        # -1 ended in numpy's "Number of samples, -1, must be non-negative"
+        # and a bias of 2 in biased_measure's target_rate range; neither
+        # named the key
+        params = dict(FAST_PARAMS[scenario], **{key: value})
+        cfg = write_config(tmp_path / "cfg.yaml", scenario, parameters=params,
+                           seed=1)
+        out = tmp_path / "o"
+        assert run(["run", scenario, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err.strip()
+        assert f"parameters.{key}" in err and bound in err
+        assert f"line {4 + list(params).index(key)}" in err
+        assert "\n" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, key, table", [
+        ("decay", "n_profile", "action_profile.dat"),
+        ("epr", "scan_points", "chsh_scan.dat"),
+    ])
+    def test_empty_table_is_its_header(self, tmp_path, scenario, key, table):
+        params = dict(FAST_PARAMS[scenario], **{key: 0})
+        cfg = write_config(tmp_path / "cfg.yaml", scenario, parameters=params,
+                           seed=1)
+        out = tmp_path / "o"
+        assert run(["run", scenario, "--config", cfg, "--out", out]) == 0
+        lines = (out / table).read_text().splitlines()
+        assert len(lines) == 2 and all(ln.startswith("# ") for ln in lines)
+
+    @pytest.mark.parametrize("scenario, key", [
+        ("two-slit", "source_to_wire"),
+        ("stern-gerlach", "speed"),
+    ])
+    def test_subnormal_length_or_speed_names_its_key(self, tmp_path, capsys,
+                                                    scenario, key):
+        # 5e-324 gave a fringe spacing over a separation that underflows to
+        # 0 (a bare ZeroDivisionError), and a flight to the entry plane
+        # that overflows ("segments must be contiguous in time")
+        params = dict(FAST_PARAMS[scenario], **{key: 5e-324})
+        cfg = write_config(tmp_path / "cfg.yaml", scenario, parameters=params)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["run", scenario, "--config", cfg, "--out", out]) == 1
+        assert not caught
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error [") and "\n" not in err
+        assert f"{key} = 5e-324" in err and "out of float range" in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["run", "bernoulli", "--config",
                     tmp_path / "nope.yaml"]) == 2
@@ -797,13 +853,13 @@ class TestTwoSlitFineFringes:
         # about 6e9 fringes cross the aperture; halving panels onto them
         # must be refused, and a regression fails here instead of
         # allocating panels until memory runs out
-        panels = interference._panels
+        node_values = interference._node_values
 
-        def bounded_panels(f, lo, hi):
+        def bounded_node_values(f, lo, hi):
             assert len(lo) <= 1 << 16, "panel halving is unbounded"
-            return panels(f, lo, hi)
+            return node_values(f, lo, hi)
 
-        monkeypatch.setattr(interference, "_panels", bounded_panels)
+        monkeypatch.setattr(interference, "_node_values", bounded_node_values)
         cfg = write_config(tmp_path / "cfg.yaml", "two-slit",
                            parameters={"wavelength": 1e-12})
         out = tmp_path / "o"

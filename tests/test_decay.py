@@ -351,6 +351,112 @@ class TestClosedFormKernel:
                 assert abs(slope(t)[1] - ref) <= 1e-14 * abs(d)
 
 
+def scalar_best_x(masses, boundary, t):
+    """``_best_x`` as one split time took it, its weights on plain floats."""
+    tau1, tau2 = t - boundary.t_a, boundary.t_b - t
+    w1, w23 = masses.m1 / tau1, (masses.m2 + masses.m3) / tau2
+    num = (w1 * boundary.x_a
+           + (masses.m2 * boundary.x_b2 + masses.m3 * boundary.x_b3) / tau2)
+    return num / (w1 + w23)
+
+
+def scalar_action(masses, boundary, x, t):
+    """``decay_action`` as one split time took it: ``float(v @ v)`` per leg
+    and the sum on plain floats."""
+    tau1, tau2 = t - boundary.t_a, boundary.t_b - t
+    v1 = (x - boundary.x_a) / tau1
+    v2 = (boundary.x_b2 - x) / tau2
+    v3 = (boundary.x_b3 - x) / tau2
+    c2 = masses.c ** 2
+    s = 0.5 * masses.m1 * float(v1 @ v1) * tau1 - masses.m1 * c2 * tau1
+    s += 0.5 * masses.m2 * float(v2 @ v2) * tau2 - masses.m2 * c2 * tau2
+    s += 0.5 * masses.m3 * float(v3 @ v3) * tau2 - masses.m3 * c2 * tau2
+    return s
+
+
+def per_row_profile(masses, boundary, n):
+    """The ``decay`` scenario's action profile one split time at a time."""
+    span = boundary.t_b - boundary.t_a
+    ts = boundary.t_a + span * np.linspace(0.002, 0.998, n)
+    return [(float(t), scalar_action(masses, boundary,
+                                     scalar_best_x(masses, boundary, float(t)),
+                                     float(t))) for t in ts]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestArrayProfile:
+    """The action profile as one array pass, bitwise the per-row loop."""
+
+    @pytest.mark.parametrize("n", [400, 0, 1, 2, 37])
+    def test_scenario_table_matches_per_row_loop(self, n):
+        from trajlab.scenarios import SCENARIOS, OutputBundle, validate_params
+        scenario = SCENARIOS["decay"]
+        p = validate_params(scenario.schema, {"n_profile": n,
+                                              "n_life_samples": 10})
+        out = OutputBundle()
+        scenario.run(p, 1, out)
+        boundary = DecayBoundary(np.array(p["x_a"]), p["t_a"],
+                                 np.array(p["x_b2"]), np.array(p["x_b3"]),
+                                 p["t_b"])
+        masses = DecayMasses(p["m1"], p["m2"], p["m3"], p["c"])
+        want = OutputBundle()
+        want.add_dat("action_profile.dat",
+                     ["least action over the split position at each split "
+                      "time", "columns: split time, action"],
+                     per_row_profile(masses, boundary, n))
+        assert (dict(out.files())["action_profile.dat"]
+                == dict(want.files())["action_profile.dat"])
+
+    def test_random_boundaries(self):
+        rng = stream(11, "decay-profile")
+        for trial in range(40):
+            m2, m3 = rng.uniform(0.2, 2.0, size=2)
+            masses = DecayMasses(m2 + m3 + float(rng.uniform(0.1, 3.0)),
+                                 float(m2), float(m3),
+                                 float(rng.uniform(0.5, 2.0)))
+            t_a = float(rng.uniform(-5.0, 5.0))
+            boundary, _ = sample_boundary(
+                masses, rng, t_b=t_a + float(rng.uniform(0.5, 20.0)), t_a=t_a,
+                x_a=rng.normal(size=3),
+                speed_fraction=float(rng.uniform(0.0, 0.9)))
+            n = int(rng.integers(0, 300))
+            span = boundary.t_b - boundary.t_a
+            ts = boundary.t_a + span * np.linspace(0.002, 0.998, n)
+            x = decay._best_x(masses, boundary, ts)
+            action = decay_action(masses, boundary, x, ts)
+            assert x.shape == (n, 3) and action.shape == (n,)
+            want = per_row_profile(masses, boundary, n)
+            assert bits(action) == bits([s for _, s in want])
+            assert bits(x) == bits([scalar_best_x(masses, boundary, float(t))
+                                    for t in ts])
+
+    def test_scalar_entry_points_keep_their_bits(self):
+        rng = stream(12, "decay-scalar")
+        for _ in range(40):
+            boundary, t_true = sample_boundary(MASSES, rng)
+            x = decay._best_x(MASSES, boundary, t_true)
+            assert bits(x) == bits(scalar_best_x(MASSES, boundary, t_true))
+            action = decay_action(MASSES, boundary, x, t_true)
+            assert type(action) is float
+            assert action == scalar_action(MASSES, boundary, x, t_true)
+            vertex = solve_decay_vertex(MASSES, boundary)
+            assert type(vertex.action) is float
+            assert vertex.action == scalar_action(MASSES, boundary,
+                                                  vertex.x_d, vertex.t_d)
+
+    def test_any_exterior_time_refused(self):
+        boundary = TestActionCalculus.BOUNDARY
+        ts = np.array([1.0, 5.0, 10.0])
+        with pytest.raises(ValueError, match="strictly inside"):
+            decay_action(MASSES, boundary, np.zeros((3, 3)), ts)
+        ts[2] = math.nan
+        with pytest.raises(ValueError, match="strictly inside"):
+            decay_action(MASSES, boundary, np.zeros((3, 3)), ts)
+
+
 class TestSymmetricClosedForm:
     def test_matches_solver(self):
         masses = DecayMasses(4.0, 1.5, 1.5)

@@ -289,6 +289,125 @@ def test_tv_distance_matches_reference(radius, expected):
         assert round(ref, 10) == expected
 
 
+def three_call_integral(f, edges, stats=None):
+    """``_integral`` as it ran before node values carried over: each round
+    integrates the whole panels and both halves by three separate panel
+    calls. ``stats`` collects the calls of ``f`` and the most panels
+    unsettled at once."""
+    x, w = interference._gl_nodes(interference._GAUSS_NODES)
+
+    def panels(lo, hi):
+        if stats is not None:
+            stats["calls"] += 1
+        return (hi - lo) * (np.abs(f(lo[:, None] + (hi - lo)[:, None] * x))
+                            @ w)
+
+    lo, hi = edges[:-1], edges[1:]
+    total = 0.0
+    while len(lo):
+        if stats is not None:
+            stats["peak"] = max(stats["peak"], len(lo))
+        if len(lo) > interference._MAX_PANELS:
+            raise UnsupportedInputError("too many panels")
+        mid = 0.5 * (lo + hi)
+        one, two = panels(lo, hi), panels(lo, mid) + panels(mid, hi)
+        tol = np.finfo(float).eps * (total + two.sum())
+        keep = ~(np.abs(one - two) > tol) | (mid <= lo) | (mid >= hi)
+        total += two[keep].sum()
+        lo, hi = (np.concatenate([lo[~keep], mid[~keep]]),
+                  np.concatenate([mid[~keep], hi[~keep]]))
+    return float(total)
+
+
+def random_bench(rng):
+    """A field-on bench with every length and angle drawn, redrawn until
+    its passage sides overlap on the screen."""
+    while True:
+        length = float(rng.uniform(0.5, 2.0))
+        scene = BiprismScene(
+            source_to_screen=length,
+            source_to_wire=length * float(rng.uniform(0.1, 0.6)),
+            wire_radius=float(rng.choice([0.0, rng.uniform(0.0, 2e-3)])),
+            kick_angle=float(rng.uniform(0.005, 0.04)), field_on=True,
+            wavelength=float(rng.uniform(5e-6, 5e-5)),
+            aperture=float(rng.uniform(0.02, 0.05)))
+        try:
+            fringe_target_density(scene)
+        except (ValueError, UnsupportedInputError):
+            continue
+        return scene
+
+
+class TestCarriedNodeValues:
+    """``_integral`` calls ``f`` once on the pieces and then once a round,
+    reusing the halves' node values as the next round's panels, with the
+    bits of the three-call form."""
+
+    def run_bench(self, monkeypatch, on):
+        # every integral the bench takes (the targets' norms, both emission
+        # masses, the TV distance) is checked against the three-call form
+        new, seen = interference._integral, []
+
+        def both(f, edges):
+            calls = {"n": 0}
+
+            def counted(x):
+                calls["n"] += 1
+                return f(x)
+
+            got = new(counted, edges)
+            stats = {"calls": 0, "peak": 0}
+            want = three_call_integral(f, edges, stats)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert 3 * (calls["n"] - 1) == stats["calls"]
+            seen.append(got)
+            return got
+
+        monkeypatch.setattr(interference, "_integral", both)
+        off = on.with_field(False)
+        mu_on = emission_measure_from_screen(fringe_target_density(on), on)
+        mu_off = emission_measure_from_screen(envelope_target_density(off),
+                                              off)
+        tv = emission_tv_distance(mu_on, mu_off)
+        assert len(seen) == 6 and seen[-1] == 2.0 * tv
+        return tv
+
+    def test_default_bench(self, monkeypatch):
+        tv = self.run_bench(monkeypatch, standard_bench(True))
+        assert tv == 0.6052252940737922
+
+    def test_random_benches(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        for _ in range(8):
+            self.run_bench(monkeypatch, random_bench(rng))
+            monkeypatch.undo()
+
+    def test_panel_cap_refuses_the_same_input(self, monkeypatch):
+        # the TV integrand's halving onto crossings peaks at 148 panels from
+        # 19 pieces; a cap just under the peak refuses both forms in a
+        # later round, and at the peak both run, to equal bits
+        on = dataclasses.replace(standard_bench(True), wavelength=5e-6)
+        off = on.with_field(False)
+        mu_on = emission_measure_from_screen(fringe_target_density(on), on)
+        mu_off = emission_measure_from_screen(envelope_target_density(off),
+                                              off)
+
+        def diff(alpha):
+            return mu_on.density(alpha) - mu_off.density(alpha)
+
+        edges = np.union1d(mu_on.breaks, mu_off.breaks)
+        stats = {"calls": 0, "peak": 0}
+        three_call_integral(diff, edges, stats)
+        assert stats["peak"] > len(edges) - 1
+        monkeypatch.setattr(interference, "_MAX_PANELS", stats["peak"] - 1)
+        for form in (interference._integral, three_call_integral):
+            with pytest.raises(UnsupportedInputError):
+                form(diff, edges)
+        monkeypatch.setattr(interference, "_MAX_PANELS", stats["peak"])
+        assert (np.float64(interference._integral(diff, edges)).tobytes()
+                == np.float64(three_call_integral(diff, edges)).tobytes())
+
+
 class TestEmissionRoundtrip:
     def setup_method(self):
         self.scene = standard_bench()

@@ -340,6 +340,23 @@ class TestSingletMeasure:
                             np.array([0.0, 0.0, 1.0]))
 
 
+def cell_form_chsh(a, a_prime, b, b_prime):
+    """S as the 16-cell array gave it: ``float(a @ b)`` clamped per setting
+    pair, each (2, 2) block of the cell array normalised by its numpy sum,
+    and each correlator the numpy sum of the signed conditionals."""
+    pairs = [[(0.25 * (1.0 - x), 0.25 * (1.0 + x))
+              for x in (min(max(float(av @ bv), -1.0), 1.0)
+                        for bv in (b, b_prime))]
+             for av in (a, a_prime)]
+    w = np.array([0.25 * pairs[i][j][ra != rb] for i in (0, 1)
+                  for ra in (0, 1) for j in (0, 1)
+                  for rb in (0, 1)]).reshape(2, 2, 2, 2)
+    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    e = [float((signs * (w[i, :, j, :] / float(w[i, :, j, :].sum()))).sum())
+         for i in (0, 1) for j in (0, 1)]
+    return e[0] + e[1] + e[2] - e[3]
+
+
 class TestCHSH:
     def settings(self):
         return [planar_setting(x) for x in chsh_optimal_angles()]
@@ -367,6 +384,64 @@ class TestCHSH:
             e = [correlator(epr_conditional_probabilities(g, (i, j)))
                  for i in (0, 1) for j in (0, 1)]
             assert chsh_value(*vecs) == e[0] + e[1] + e[2] - e[3]
+
+    def test_scalar_value_keeps_the_cell_form_bits(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            vecs = [planar_setting(float(x))
+                    for x in rng.uniform(-720.0, 720.0, size=4)]
+            s = chsh_value(*vecs)
+            assert type(s) is float and s == cell_form_chsh(*vecs)
+
+    def test_rows_match_the_per_row_cell_form(self):
+        # every setting may carry rows, or be one vector for all rows
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n = int(rng.integers(0, 200))
+            rows = [np.array([planar_setting(float(x))
+                              for x in rng.uniform(-720.0, 720.0, size=n)])
+                    .reshape(n, 3) for _ in range(4)]
+            for k in range(4):
+                if trial % 5 == k:
+                    rows[k] = rows[k][0] if n else planar_setting(30.0)
+            s = chsh_value(*rows)
+            assert s.shape == (n,)
+            want = [cell_form_chsh(*[v if v.ndim == 1 else v[i]
+                                     for v in rows]) for i in range(n)]
+            assert s.tobytes() == np.array(want, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("n", [73, 0, 1, 2, 997])
+    def test_scenario_scan_matches_per_row_loop(self, n):
+        from trajlab.scenarios import (SCENARIOS, OutputBundle,
+                                       validate_params)
+        rng = np.random.default_rng(n)
+        params = {"n_pairs": 10, "scan_points": n}
+        if n > 100:
+            params.update(zip(("angle_a", "angle_a_prime", "angle_b",
+                               "angle_b_prime"),
+                              rng.uniform(-360.0, 360.0, size=4).tolist()))
+        scenario = SCENARIOS["epr"]
+        p = validate_params(scenario.schema, params)
+        out = OutputBundle()
+        scenario.run(p, 1, out)
+        a, ap = planar_setting(p["angle_a"]), planar_setting(p["angle_a_prime"])
+        rows = [(float(off), cell_form_chsh(
+                    a, ap, planar_setting(p["angle_b"] + off),
+                    planar_setting(p["angle_b_prime"] + off)))
+                for off in np.linspace(0.0, 360.0, n)]
+        want = OutputBundle()
+        want.add_dat("chsh_scan.dat",
+                     ["four-correlator sum as both of B's settings rotate",
+                      "columns: offset (degrees), S"], rows)
+        assert (dict(out.files())["chsh_scan.dat"]
+                == dict(want.files())["chsh_scan.dat"])
+
+    def test_every_row_checked(self):
+        b = np.array([planar_setting(float(x)) for x in range(0, 360, 10)])
+        b[17] *= 1.5
+        with pytest.raises(ValueError, match="setting b must be a unit"):
+            chsh_value(planar_setting(0.0), planar_setting(90.0), b,
+                       planar_setting(45.0))
 
     def test_every_setting_checked(self):
         unit = planar_setting(30.0)
