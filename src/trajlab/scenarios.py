@@ -38,6 +38,7 @@ from .interference import (BiprismScene, fringe_target_density,
                            emission_measure_from_screen,
                            screen_density_from_emission, fringe_visibility,
                            estimate_fringe_spacing, emission_tv_distance,
+                           _SPACING_FRACTION,
                            interference_decomposition, GaussianPairPotential,
                            CompactBumpPotential, NBodySystem,
                            asymptotic_velocity)
@@ -196,14 +197,25 @@ class OutputBundle:
 # ---------------------------------------------------------------------------
 
 
+def _named(p, *keys: str) -> str:
+    return ", ".join(f"{key} = {p[key]!r}" for key in keys)
+
+
 @contextmanager
-def _in_float_range(p, what: str, key: str):
-    """Re-raise an overflow or a division by zero naming ``key``."""
+def _in_float_range(p, what: str, *keys: str):
+    """Re-raise an overflow or a division by zero naming ``keys``."""
     try:
         yield
     except ArithmeticError as exc:
         raise type(exc)(f"{what} is out of float range for "
-                        f"{key} = {p[key]!r}") from exc
+                        f"{_named(p, *keys)}") from exc
+
+
+def _finite(x: float) -> float:
+    """``x``, or an OverflowError where it rounded to inf or nan."""
+    if not math.isfinite(x):
+        raise OverflowError
+    return x
 
 
 def _run_bernoulli(p, seed, out: OutputBundle):
@@ -370,7 +382,10 @@ def _run_stern_gerlach(p, seed, out: OutputBundle):
     w_plus, w_minus = branch_weights(p["weight_model"], psi=s_in)
 
     t_entry = device.entry_x / p["speed"]
-    e_in = 0.5 * p["mass"] * float(v0 @ v0)
+    with _in_float_range(p, "the squared speed", "speed"):
+        vv = _finite(float(v0 @ v0))
+    with _in_float_range(p, "the kinetic energy", "speed", "mass"):
+        e_in = _finite(0.5 * p["mass"] * vv)
     rows = [("weight_plus", w_plus), ("weight_minus", w_minus)]
     for traj, label in ((t_plus, "plus"), (t_minus, "minus")):
         tau = traj.transit_time
@@ -459,6 +474,12 @@ def _run_two_slit(p, seed, out: OutputBundle):
         raise UnsupportedInputError(
             f"{p['bins']} screen bins are fewer than the {math.ceil(need)} "
             "that put two in each fringe spacing; raise bins")
+    if _SPACING_FRACTION * (hi - lo) < 2.0 * scene_on.fringe_spacing:
+        raise UnsupportedInputError(
+            "fewer than two fringes of the predicted spacing "
+            f"{scene_on.fringe_spacing!r} fall in the middle of the screen "
+            "window where the spacing is measured, for "
+            + _named(p, "wavelength", "source_to_wire", "kick_angle"))
 
     edges_on, dens_on = screen_density_from_emission(mu_on, scene_on,
                                                      bins=p["bins"])

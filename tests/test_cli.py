@@ -405,6 +405,26 @@ class TestErrorExits:
         assert f"{key} = 5e-324" in err and "out of float range" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("params, named", [
+        ({"speed": 1e300}, "squared speed is out of float range for "
+                           "speed = 1e+300"),
+        ({"speed": 1e150, "mass": 1e10}, "kinetic energy is out of float "
+         "range for speed = 1e+150, mass = 10000000000.0"),
+    ], ids=["speed", "mass"])
+    def test_overflowing_kinetic_energy_names_its_keys(self, tmp_path, capsys,
+                                                       params, named):
+        # the beam's kinetic energy overflowed to inf, and results.csv
+        # read energy_drift nan
+        cfg = write_config(tmp_path / "cfg.yaml", "stern-gerlach",
+                           parameters=params)
+        out = tmp_path / "o"
+        assert run(["run", "stern-gerlach", "--config", cfg,
+                    "--out", out]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error [OverflowError]") and named in err
+        assert "\n" not in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["run", "bernoulli", "--config",
                     tmp_path / "nope.yaml"]) == 2
@@ -881,6 +901,23 @@ class TestTwoSlitFineFringes:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error [UnsupportedInputError]")
         assert "bins" in err and "\n" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source_to_wire", [1e-300, 1e-6])
+    def test_fewer_than_two_fringes_exit_1(self, tmp_path, capsys,
+                                           source_to_wire):
+        # 1e-300 read a spacing of 2.1e-4 out of the flat envelope's
+        # rounding against a predicted 5e296, and 1e-6 ended in "fewer
+        # than two fringe peaks found", which names no key
+        cfg = write_config(tmp_path / "cfg.yaml", "two-slit",
+                           parameters={"source_to_wire": source_to_wire})
+        out = tmp_path / "o"
+        assert run(["run", "two-slit", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error [UnsupportedInputError]")
+        assert (f"wavelength = 2e-05, source_to_wire = {source_to_wire!r}, "
+                "kick_angle = 0.02") in err
+        assert "\n" not in err
         assert not out.exists()
 
     def test_enough_bins_resolve_fine_fringes(self, tmp_path):
