@@ -293,16 +293,18 @@ def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVer
     span = t_b - t_a
     eps = 1e-9 * span
     lo, hi = t_a + eps, t_b - eps
+    interval = f"t_a = {t_a!r}, t_b = {t_b!r}"
     if not t_a < lo < hi < t_b:
         raise NoSolutionError(
-            f"time interval ({t_a!r}, {t_b!r}) is too short to bracket a "
-            "split time strictly inside it in floating point")
+            f"time interval {interval} is too short to bracket a split time "
+            "strictly inside it in floating point")
     slope = _reduced_slope(masses, boundary)
     (s_lo, _), (s_hi, _) = slope(lo), slope(hi)
     if not (math.isfinite(s_lo) and math.isfinite(s_hi)):
         raise NoSolutionError(
             "the reduced action's slope overflows at the ends of the time "
-            "interval: the endpoints are too far apart for its length")
+            f"interval {interval}: the endpoints are too far apart for its "
+            "length")
     if not s_lo < 0:
         raise NoSolutionError(
             "endpoint data admits no interior split: the products would need "

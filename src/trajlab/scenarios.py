@@ -474,7 +474,11 @@ def _run_two_slit(p, seed, out: OutputBundle):
         raise UnsupportedInputError(
             f"{p['bins']} screen bins are fewer than the {math.ceil(need)} "
             "that put two in each fringe spacing; raise bins")
-    if _SPACING_FRACTION * (hi - lo) < 2.0 * scene_on.fringe_spacing:
+    # estimate_fringe_spacing finds the peaks at +-1 spacing in its window
+    # only with the bin beyond each inside too: up to 1.5 bins past a peak
+    bin_width = (hi - lo) / p["bins"]
+    if (_SPACING_FRACTION * (hi - lo)
+            < 2.0 * scene_on.fringe_spacing + 3.0 * bin_width):
         raise UnsupportedInputError(
             "fewer than two fringes of the predicted spacing "
             f"{scene_on.fringe_spacing!r} fall in the middle of the screen "
