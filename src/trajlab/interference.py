@@ -106,6 +106,13 @@ class BiprismScene:
                              f"kick_angle = {self.kick_angle!r}")
         if self.shadow_angle >= self.aperture:
             raise ValueError("wire shadow swallows the whole aperture")
+        # the pull-back's quadratic overflows (past source_to_screen 1.3e154
+        # on the stock bench) first at an end of a side's image: angle 0 or NaN
+        for side, ends in zip((-1, 1), _side_images(self)):
+            if not np.all(np.abs(_pull_back(np.array(ends), self, side)) > 0):
+                raise ValueError("the screen-to-emission map is out of float "
+                                 "range for source_to_screen = "
+                                 f"{self.source_to_screen!r}")
 
     @property
     def shadow_angle(self) -> float:

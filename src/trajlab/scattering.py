@@ -499,7 +499,9 @@ def random_scene(n_centers: int, action_range: float, energy: float,
     # n_centers < 1 or action_range <= 0 leaves no cell (a negative one a
     # complex L), and so does a d_min^3 that underflows to 0
     if not (n_centers > 0 and action_range > 0 and L > 0):
-        raise ValueError("cell_size and action_range must be positive")
+        raise ValueError(f"n_centers = {n_centers!r}, action_range = "
+                         f"{action_range!r} give no periodic cell: its size "
+                         f"must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tries = int(_TRIES_PER_CENTER * n_centers)
     placed = list(islice(_spaced(islice(_candidates(rng, L), tries),

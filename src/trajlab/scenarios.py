@@ -535,7 +535,8 @@ def _run_bigbang(p, seed, out: OutputBundle):
     vel = np.array(p["velocities"], dtype=float)
     if vel.shape != (len(masses), 3):
         raise ValueError(f"need one velocity 3-vector per mass, got "
-                         f"{vel.shape[0]} vectors for {len(masses)} masses")
+                         f"{vel.shape[0]} vectors for {len(masses)} masses: "
+                         + _named(p, "masses", "velocities"))
     kind = p["interaction"]
     if kind == "none":
         system = NBodySystem(masses)
@@ -551,7 +552,8 @@ def _run_bigbang(p, seed, out: OutputBundle):
         e0 = system.energy(vel * p["t0"], vel)
         if e0 == 0.0:
             raise ValueError("initial energy is zero, so the relative energy "
-                             "error is undefined")
+                             "error is undefined, for "
+                             + _named(p, "masses", "velocities"))
         res = asymptotic_velocity(system, vel, t_max=p["t_max"],
                                   tolerance=p["tolerance"], t0=p["t0"],
                                   growth=p["growth"])
@@ -608,7 +610,7 @@ _register(
     True,
     {
         "n_traj": Param("int", 10_000, "trajectories in the ensemble",
-                         min=1),
+                         min=1, max=2 ** 32),
         "n_steps": Param("int", 1000, "steps (bits) per trajectory", min=1),
         "bias": Param("float", 0.5, "P(bit = 1) of the product measure",
                       min=0, max=1),
@@ -648,7 +650,8 @@ _register(
                            max=16_384),
         "action_range": Param("float", 0.05, "hard-sphere radius r0"),
         "scene_seed": Param("int", 3, "placement seed for the cell"),
-        "n_traj": Param("int", 300, "trajectories in the ensemble", min=1),
+        "n_traj": Param("int", 300, "trajectories in the ensemble", min=1,
+                        max=2 ** 32),
         "n_encounters": Param("int", 20, "encounters followed per trajectory",
                                min=1),
         "n_bins": Param("int", 8, "equal angle bins over (-pi, pi]", min=1),

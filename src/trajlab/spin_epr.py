@@ -102,7 +102,8 @@ class SGDevice:
                                self.exit_x + (self.exit_x - self.entry_x))
         if not self.exit_x <= self.screen_x < math.inf:
             raise ValueError(f"screen must sit at or beyond the exit plane, "
-                             f"at a finite x; got {self.screen_x}")
+                             f"at a finite x; got screen_x = "
+                             f"{self.screen_x!r}, exit_x = {self.exit_x!r}")
 
     @property
     def length(self) -> float:
