@@ -96,11 +96,11 @@ def biased_measure(target_rate: float, n_steps: int) -> MeasureSpec:
     L = int(n_steps)
 
     def sampler(streams, n):
-        # uniforms pass through a bounded scratch of 32 float rows
+        # uniforms pass through a bounded scratch of 16 float rows
         bits = np.empty((len(streams) * n, L), dtype=bool)
-        scratch = np.empty((min(32, len(bits)), L))
+        scratch = np.empty((min(16, len(bits)), L))
         owners = (rng for rng in streams for _ in range(n))
-        for lo in range(0, len(bits), 32):
+        for lo in range(0, len(bits), 16):
             rows = scratch[:len(bits) - lo]
             for row, rng in zip(rows, owners):
                 rng.random(out=row)

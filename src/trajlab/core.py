@@ -139,17 +139,19 @@ def outcome_rates(outcomes, n_outcomes: int) -> tuple[np.ndarray, np.ndarray]:
     :func:`ensemble_statistics`); a row without trials has zero rates.
     """
     outcomes = np.asarray(outcomes)
-    if outcomes.size and (outcomes.min() < -1
-                          or outcomes.max() >= n_outcomes):
+    lo = outcomes.min() if outcomes.size else 0
+    if outcomes.size and (lo < -1 or outcomes.max() >= n_outcomes):
         raise ValueError("outcome index out of range")
-    counts = np.zeros((len(outcomes), n_outcomes), dtype=np.intp)
+    # count outcomes 1 to n - 1 and the padding (last); outcome 0 is the rest
+    counts = np.zeros((len(outcomes), n_outcomes + 1), dtype=np.intp)
     # uint16 sums of 0/1 bytes are 3x faster than intp; 65535 columns fit
     for c in range(0, outcomes.shape[1], 65535):
-        for j in range(n_outcomes):
+        for j in list(range(1, n_outcomes)) + [-1] * bool(lo < 0):
             counts[:, j] += np.add.reduce((outcomes[:, c:c + 65535] == j)
                                           .view(np.uint8), 1, np.uint16)
-    trials = counts.sum(axis=1)
-    return counts / np.maximum(trials, 1)[:, None], trials
+    trials = outcomes.shape[1] - counts[:, -1]
+    counts[:, 0] = trials - counts[:, 1:-1].sum(axis=1)
+    return counts[:, :-1] / np.maximum(trials, 1)[:, None], trials
 
 
 def evaluate_rates(outcomes, n_outcomes: int) -> RateResult:

@@ -169,6 +169,7 @@ _MIN_SPACING = 10.0  # least flipper center spacing, in action ranges
 _PACKING = 0.5  # n_centers * d_min^3 / cell volume of a random scene
 _TRIES_PER_CENTER = 100  # placement candidates per center of a random scene
 _PLACE_BLOCK = 64  # placement candidates drawn per generator call
+_PAIRS_CHUNK = 2 ** 12  # row-center pairs of one entry-point check
 
 
 def _flat(x):
@@ -302,7 +303,7 @@ class DeflectionFunction:
 
     def __call__(self, s):
         s, back = _flat(s)
-        if np.any(s < 0):
+        if (s < 0).any():
             raise ValueError("impact parameter must be nonnegative")
         if isinstance(self.potential, HardSphere):
             R = self.potential.radius
@@ -525,8 +526,9 @@ _TINY = np.finfo(float).tiny
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of (n, 3) arrays, written out per component."""
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+    """Row-wise dot product of (n, 3) arrays, summed per component."""
+    ab = a * b
+    return ab[:, 0] + ab[:, 1] + ab[:, 2]
 
 
 def _segments(P, U, travelled, depth: int, L: float, push: float):
@@ -535,22 +537,21 @@ def _segments(P, U, travelled, depth: int, L: float, push: float):
     ``at[i]``, to the next cell wall ``t_bound[i]`` away, and ends ``push``
     past it at ``starts[i + 1]``. An axis with no motion meets its wall at
     (inf - p) / 1 = inf. For a wall at 0, 0 - p and -p differ only in the
-    sign of a zero, which neither the minimum nor the step can see."""
-    starts = np.empty((depth + 1, len(P), 3))
+    sign of a zero, which neither the minimum nor the step can see. The
+    loop runs on (3, n) arrays, one minimum per wall time, and ``at`` sums
+    the steps in order; ``starts`` is returned as a (depth + 1, n, 3) view."""
+    starts = np.empty((depth + 1, 3, len(P)))
     at, t_bound = np.empty((depth + 1, len(P))), np.empty((depth, len(P)))
-    starts[0], at[0] = P, travelled
+    starts[0], at[0], U = P.T, travelled, U.T
     wall = np.where(U > 0, L, np.where(U < 0, 0.0, np.inf))
     speed = np.where(U != 0, U, 1.0)
     buf = np.empty(U.shape)
     for i in range(depth):
         np.divide(np.subtract(wall, starts[i], out=buf), speed, out=buf)
-        t_i = np.minimum(buf[:, 0], buf[:, 1], out=t_bound[i])
-        np.minimum(t_i, buf[:, 2], out=t_i)
-        step = t_i + push
-        np.add(np.multiply(step[:, None], U, out=buf), starts[i], out=buf)
+        step = np.add(buf.min(axis=0, out=t_bound[i]), push, out=at[i + 1])
+        np.add(np.multiply(step, U, out=buf), starts[i], out=buf)
         np.remainder(buf, L, out=starts[i + 1])
-        np.add(at[i], step, out=at[i + 1])
-    return starts, at, t_bound
+    return starts.transpose(0, 2, 1), np.cumsum(at, axis=0, out=at), t_bound
 
 
 def _trace_batch(scene: FlipperScene, positions, directions,
@@ -565,10 +566,11 @@ def _trace_batch(scene: FlipperScene, positions, directions,
     without one moves to the end of its last segment. ``depth`` is
     ``64 // isqrt(live)``, at least 1: a deeper step shares its fixed cost
     among more crossings but lays out more of them past a ray's hit, and
-    the two balance near a depth proportional to 1 / sqrt(live). A full
-    block of 256 rays looks 4 crossings ahead, its last ray 64. The float32
+    the two balance near a depth proportional to 1 / sqrt(live). It is
+    capped at the wall crossings a ray flies per mean free path: 13 in the
+    216-center gate scene, 38 with 8 centers, 3 with 16,384. The float32
     cull fills views of one workspace, grown to the widest step so far:
-    depth * live is not monotone, 128 rows at 4 live rays but 192 at 3.
+    depth * live is not monotone, 360 rows at 36 live rays but 420 at 35.
 
     Rays leave the batch once they have ``n_encounters`` encounters or have
     used up ``max_path_length``; a ray that never could (a non-finite
@@ -614,25 +616,27 @@ def _trace_batch(scene: FlipperScene, positions, directions,
     U /= norm[:, None]
     centers = scene.centers_ext
     n_ext = len(centers)
-    cx, cy, cz = (np.ascontiguousarray(c) for c in centers.T)
+    # an isotropic ray crosses 1.5 L^2 / (N pi r0^2) walls per mean free path
+    cap = math.ceil(min(64.0, 1.5 * (L / r0) * (L / r0) / (
+        max(len(scene.centers), 1) * math.pi)))
     # Candidate pairs are found in float32 and tested exactly in float64.
     # The cull takes the squared distance from c to a segment's line as
     # |c - q|^2 - (u.c)^2, where q = p - (u.p) u is the line's point
     # nearest the origin, so u.q = 0: one product [q, 1, |q|^2] @
-    # [-2c; |c|^2; 1] per segment and one u @ c per ray. With |q| <= |p|
-    # <= sqrt(3) L and |c| <= sqrt(3) (L + r0), the terms of the first sum
-    # to at most 12 (L + r0)^2 in absolute value and |u.c| <= sqrt(3)
-    # (L + r0); float32 rounding of the inputs, the sums, the square and
-    # the difference then moves the result by at most about
-    # 140 * 2^-24 (L + r0)^2. The cull keeps every pair within a margin
-    # some thirty-five times wider than that.
+    # [-2c; |c|^2; 1] per segment and one u @ c per ray, compared with
+    # (u.c)^2 + cull. With |q| <= |p| <= sqrt(3) L and |c| <= sqrt(3)
+    # (L + r0), the terms of the first sum to at most 12 (L + r0)^2 in
+    # absolute value and |u.c| <= sqrt(3) (L + r0); float32 rounding of the
+    # inputs, the sums, the square and the sum then moves the comparison by
+    # at most about 140 * 2^-24 (L + r0)^2. The cull keeps every pair within
+    # a margin some thirty-five times wider than that.
     cull = np.float32(r0sq + 3e-4 * (L + r0) ** 2)
     c32 = np.vstack([-2.0 * centers.T, _dot(centers, centers),
                      np.ones(n_ext)]).astype(np.float32)
     cT32 = centers.T.astype(np.float32)
 
     n = len(P)
-    # the cull workspace: u.c per live ray, |c - q|^2 and its mask per row
+    # the cull workspace: u.c per live ray, [q, 1, |q|^2], |c - q|^2, mask
     uc_ws = np.empty((n, n_ext), np.float32)
     d2_ws = np.empty((0, n_ext), np.float32)
     rows = np.arange(n)  # original row of each live ray
@@ -652,47 +656,50 @@ def _trace_batch(scene: FlipperScene, positions, directions,
         m = len(rows)
         if not m:
             break
-        depth = max(1, 64 // math.isqrt(m))
+        depth = max(1, min(64 // math.isqrt(m), cap))
         if len(d2_ws) < depth * m:
             d2_ws = np.empty((depth * m, n_ext), np.float32)
             keep_ws = np.empty(d2_ws.shape, bool)
+            q_ws = np.ones((depth * m, 5), np.float32)
 
         starts, at, t_bound = _segments(P, U, travelled, depth, L, push)
-        # a segment is flown only if the path budget is left at its start
-        n_flown = (at[:-1] < max_path_length).sum(axis=0)
-        reach = np.where(np.arange(depth)[:, None] < n_flown, t_bound,
-                         -np.inf).reshape(-1)
+        # a segment is flown only if the path budget is left at its start;
+        # path lengths grow along a ray, so the flown ones come first
+        flown = at[:-1] < max_path_length
+        n_flown = flown.sum(axis=0)
+        reach = np.where(flown, t_bound, -np.inf).reshape(-1)
 
         # rows of the cull are segments, segment-major: row = i * m + ray
-        seg_p = starts[:-1].reshape(-1, 3)
         q = (starts[:-1] - (starts[:-1] * U).sum(axis=2)[:, :, None] * U
              ).reshape(-1, 3)
         d2 = d2_ws[:depth * m].reshape(depth, m, n_ext)
-        keep, uc = keep_ws[:depth * m].reshape(d2.shape), uc_ws[:m]
-        np.matmul(np.column_stack([q, np.ones(len(q)), (q * q).sum(axis=1)])
-                  .astype(np.float32), c32, out=d2_ws[:depth * m])
+        keep, uc, q32 = (keep_ws[:depth * m].reshape(d2.shape), uc_ws[:m],
+                         q_ws[:depth * m])
+        q32[:, :3], q32[:, 4] = q, (q * q).sum(axis=1)
+        np.matmul(q32, c32, out=d2_ws[:depth * m])
         np.square(np.matmul(U.astype(np.float32), cT32, out=uc), out=uc)
-        np.less(np.subtract(d2, uc, out=d2), cull, out=keep)
+        np.less(d2, np.add(uc, cull, out=uc), out=keep)
         # flat indices: 2-d nonzero is several times slower here
         row, c = np.divmod(np.flatnonzero(keep), n_ext)
-        r = row % m
-        wx = cx[c] - seg_p[row, 0]
-        wy = cy[c] - seg_p[row, 1]
-        wz = cz[c] - seg_p[row, 2]
-        t_ca = wx * U[r, 0] + wy * U[r, 1] + wz * U[r, 2]
-        gap = r0sq - (wx * wx + wy * wy + wz * wz - t_ca * t_ca)
+        seg, r = np.divmod(row, m)
+        w = centers[c] - starts[seg, r]
+        u = U[r]
+        t_ca = _dot(w, u)
+        gap = r0sq - (_dot(w, w) - t_ca * t_ca)
         t_enter = t_ca - np.sqrt(np.maximum(gap, 0.0))
         # the flown segment to the wall enters the sphere
-        ok = (gap > 0) & (t_enter > push) & (t_enter <= reach[row])
-        row, r, c, t_ca, t_enter = (a[ok] for a in (row, r, c, t_ca, t_enter))
+        ok = np.flatnonzero((gap > 0) & (t_enter > push)
+                            & (t_enter <= reach[row]))
         # first sphere entered by each ray: earliest segment, then earliest
         # entry (ties go to the lower index)
-        order = np.lexsort((t_enter, row // m, r))
-        h, first = np.unique(r[order], return_index=True)
-        k, t_k = c[order][first], t_ca[order][first]
+        order = ok[np.lexsort((t_enter[ok], seg[ok], r[ok]))]
+        lead = np.ones(len(order), bool)  # the first of each ray's pairs
+        np.not_equal(r[order][1:], r[order][:-1], out=lead[1:])
+        first = order[lead]
+        h, k, t_k = r[first], c[first], t_ca[first]
         # segments flown to their end: all flown, or those before the hit
         n_free = n_flown.copy()
-        n_free[h] = row[order][first] // m
+        n_free[h] = seg[first]
         ray = np.arange(m)
         P, travelled = starts[n_free, ray], at[n_free, ray]
         if record_path:
@@ -713,17 +720,18 @@ def _trace_batch(scene: FlipperScene, positions, directions,
             # scalar cos and sin: a row's value cannot depend on its batch
             cos_t, sin_t = (np.array([f(t) for t in theta.tolist()])
                             for f in (math.cos, math.sin))
-            # a head-on hit has no impact direction of its own: it takes
-            # the fixed e1 = z x u, or x x u near the poles
-            ux, uy, uz = u.T
-            zero = np.zeros(len(h))
-            pole = ux * ux + uy * uy < 1e-24
-            e1 = np.where(pole[:, None], np.column_stack([zero, -uz, uy]),
-                          np.column_stack([-uy, ux, zero]))
-            e1 /= np.sqrt(_dot(e1, e1))[:, None]
             head_on = s < 1e-12 * r0
-            n_hat = np.where(head_on[:, None], e1,
-                             beta / np.where(head_on, 1.0, s)[:, None])
+            n_hat = beta / np.where(head_on, 1.0, s)[:, None]
+            pole = u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] < 1e-24
+            if head_on.any():
+                # a head-on hit has no impact direction of its own: it
+                # takes the fixed e1 = z x u, or x x u near the poles
+                ux, uy, uz = u[head_on].T
+                zero = np.zeros(len(ux))
+                e1 = np.where(pole[head_on, None],
+                              np.column_stack([zero, -uz, uy]),
+                              np.column_stack([-uy, ux, zero]))
+                n_hat[head_on] = e1 / np.sqrt(_dot(e1, e1))[:, None]
             # the sign is the side of n_hat along u x e1, which for n_hat
             # perpendicular to u is the sign of n_hat's z (x near the poles)
             side = np.where(pole, n_hat[:, 0], n_hat[:, 2]) >= 0.0
@@ -792,25 +800,40 @@ def entry_measure(scene: FlipperScene) -> MeasureSpec:
     from the same stream: a hard sphere's interior (V = +inf) cannot be
     reached, and the tracer deflects only rays that enter a sphere from
     outside. Rows that start outside keep their first draw.
+    Each stream draws its first n points; the block is then checked
+    against the centers in chunks, and only streams with a start inside
+    draw again, those rows together, until none is inside.
     """
 
     L = scene.cell_size
     r0sq = scene.action_range ** 2
+    chunk = max(1, _PAIRS_CHUNK // max(len(scene.centers), 1))
 
-    def redrawn(rng, n):
-        out = np.empty((n, 6))
-        redraw = np.arange(n)
-        while redraw.size:
-            out[redraw, :3] = rng.random((redraw.size, 3)) * L
-            vec = rng.normal(size=(redraw.size, 3))
-            out[redraw, 3:] = vec / np.linalg.norm(vec, axis=1, keepdims=True)
-            d = (scene.centers[None, :, :] - out[redraw, None, :3]
+    def inside(points):
+        hit = np.empty(len(points), bool)
+        for lo in range(0, len(points), chunk):
+            d = (scene.centers - points[lo:lo + chunk, None]
                  + L / 2.0) % L - L / 2.0
-            redraw = redraw[((d * d).sum(-1) <= r0sq).any(axis=1)]
+            hit[lo:lo + chunk] = ((d * d).sum(-1) <= r0sq).any(axis=1)
+        return hit
+
+    def draw(rng, m):
+        p, vec = rng.random((m, 3)) * L, rng.normal(size=(m, 3))
+        return np.hstack([p, vec / np.linalg.norm(vec, axis=1, keepdims=True)])
+
+    def sampler(streams, n):
+        out = np.empty((len(streams) * n, 6))
+        for k, rng in enumerate(streams):
+            out[k * n:k * n + n] = draw(rng, n)
+        redraw = np.flatnonzero(inside(out[:, :3]))
+        for k in dict.fromkeys((redraw // n).tolist()):
+            rows = redraw[redraw // n == k]
+            while rows.size:
+                out[rows] = draw(streams[k], len(rows))
+                rows = rows[inside(out[rows, :3])]
         return out
 
-    return MeasureSpec(dimension=6, sampler=lambda streams, n: np.array(
-        [redrawn(rng, n) for rng in streams]).reshape(-1, 6))
+    return MeasureSpec(dimension=6, sampler=sampler)
 
 
 def flipper_outcome_builder(scene: FlipperScene, n_bins: int,

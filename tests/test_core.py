@@ -213,6 +213,43 @@ class TestOutcomeMatrix:
         assert np.array_equal(rates, [[1 / 3, 2 / 3, 0.0], [0.0, 0.0, 1.0],
                                       [0.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("dtype,padded", [(np.uint8, False),
+                                              (np.int8, False),
+                                              (np.int8, True),
+                                              (np.intp, False),
+                                              (np.intp, True)])
+    @pytest.mark.parametrize("n_outcomes", [1, 2, 3, 4])
+    def test_rates_match_a_count_per_row(self, dtype, padded, n_outcomes):
+        rng = np.random.default_rng(n_outcomes)
+        outcomes = rng.integers(-1 if padded else 0, n_outcomes,
+                                size=(40, 25)).astype(dtype)
+        if padded:
+            outcomes[[3, 17]] = -1  # rows that are all padding
+        rates, trials = outcome_rates(outcomes, n_outcomes)
+        for row, r, t in zip(outcomes.tolist(), rates, trials.tolist()):
+            n = sum(v >= 0 for v in row)
+            assert t == n
+            assert r.tolist() == [row.count(j) / max(n, 1)
+                                  for j in range(n_outcomes)]
+        if padded:
+            assert trials[3] == trials[17] == 0
+        else:
+            assert (trials == 25).all()
+        for bad in [n_outcomes] + ([-2] if padded else []):
+            wrong = outcomes.copy()
+            wrong[5, 7] = bad
+            with pytest.raises(ValueError, match="out of range"):
+                outcome_rates(wrong, n_outcomes)
+
+    def test_rows_longer_than_one_uint16_sum(self):
+        # counts are summed 65,535 columns at a time
+        outcomes = np.ones((2, 140_000), np.int8)
+        outcomes[1, ::2] = -1
+        outcomes[1, 1::4] = 0
+        rates, trials = outcome_rates(outcomes, 2)
+        assert trials.tolist() == [140_000, 70_000]
+        assert rates.tolist() == [[0.0, 1.0], [0.5, 0.5]]
+
     def _ensemble(self, rows, n_trajectories, **kw):
         """Ensemble whose trajectory i has the outcome row rows(i)."""
         built = [0]

@@ -954,10 +954,11 @@ class TestLockstepKernel:
             assert encounters == alone.encounters
 
     def test_widest_step_after_the_first(self):
-        # 4 live rays look 32 crossings ahead (128 rows of the cull) and 3
-        # look 64 (192 rows). One ray meets its sphere within 32 crossings
-        # and leaves after the first step; the other three need 32 to 95,
-        # so the second step is the widest and still holds their hits
+        # in the gate scene 36 live rays look 10 crossings ahead (360 rows
+        # of the cull) and 35 look 12 (420 rows), below the cap of 13. One
+        # ray meets its sphere within 10 crossings and leaves after the
+        # first step; the other 35 need 10 to 21, so the second step is
+        # the widest and still holds their hits
         scene = _gate_scene()
         points = entry_measure(scene).sampler([stream(4)], 200)
         alone = [trace_flipper(scene, p[:3], p[3:], 1) for p in points]
@@ -965,10 +966,10 @@ class TestLockstepKernel:
         # approach and the exit from the sphere
         crossings = [len(tr.vertices) - 3 if tr.encounters else -1
                      for tr in alone]
-        quick = [i for i, n in enumerate(crossings) if 0 <= n < 32]
-        slow = [i for i, n in enumerate(crossings) if 32 <= n < 96]
-        pick = quick[:1] + slow[:3]
-        assert len(pick) == 4
+        quick = [i for i, n in enumerate(crossings) if 0 <= n < 10]
+        slow = [i for i, n in enumerate(crossings) if 10 <= n < 22]
+        pick = quick[:1] + slow[:35]
+        assert len(pick) == 36
         count, fields, log = _trace_batch(scene, points[pick, :3],
                                           points[pick, 3:], 1, None, True)
         for i, j in enumerate(pick):
@@ -1045,6 +1046,27 @@ class TestFlipperPipeline:
         assert np.all((pts[:, :3] >= 0) & (pts[:, :3] < scene.cell_size))
         norms = np.sqrt((pts[:, 3:] ** 2).sum(-1))
         assert np.allclose(norms, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("make_scene", [
+        _gate_scene, lambda: random_scene(16, 0.3, 1.0, seed=1)],
+        ids=["gate", "16-centers"])
+    def test_block_equals_streams_drawn_alone(self, n, make_scene):
+        # the block is checked against the centers a chunk at a time and
+        # only streams with a start inside a sphere draw again; 2,400 rows
+        # put several starts inside the 2.1e-3 of the cell the spheres fill
+        scene = make_scene()
+        L = scene.cell_size
+        sampler = entry_measure(scene).sampler
+        streams = [trajectory_stream(9, i) for i in range(2400 // n)]
+        block = sampler(streams, n)
+        alone = np.concatenate([sampler([trajectory_stream(9, i)], n)
+                                for i in range(len(streams))])
+        assert block.shape == (2400, 6)
+        assert np.array_equal(block.view(np.uint64), alone.view(np.uint64))
+        first = np.concatenate([trajectory_stream(9, i).random((n, 3)) * L
+                                for i in range(len(streams))])
+        assert np.any(block[:, :3] != first)
 
     def test_entry_points_lie_outside_action_spheres(self):
         scene = _gate_scene()
