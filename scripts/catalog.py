@@ -272,6 +272,21 @@ RUNS = [
         "error [ValueError]: the screen-to-emission map is out of float range for source_to_screen = 1e+155")),
     Run("wire", "two-slit", {"source_to_wire": "5.0e-324"}, (1,
         "error [ValueError]: the fringe spacing is out of float range for wavelength = 2e-05, source_to_wire = 5e-324, kick_angle = 0.02")),
+    # the bench's own checks, each naming its keys
+    Run("wire-past-screen", "two-slit", {"source_to_wire": 2.0}, (1,
+        "error [ValueError]: need 0 < source_to_wire < source_to_screen < inf, got source_to_wire = 2.0, source_to_screen = 1.0")),
+    Run("wire-radius-neg", "two-slit", {"wire_radius": -1.0}, (1,
+        "error [ValueError]: need wire_radius >= 0, got wire_radius = -1.0")),
+    Run("aperture-wide", "two-slit", {"aperture": 0.6}, (1,
+        "error [ValueError]: need 0 < aperture < 0.5 rad, got aperture = 0.6")),
+    Run("kick-zero", "two-slit", {"kick_angle": 0.0}, (1,
+        "error [ValueError]: need kick_angle > 0 for fringes, got kick_angle = 0.0")),
+    Run("kick-wide", "two-slit", {"kick_angle": 2.0}, (1,
+        "error [ValueError]: need 0 <= kick_angle < pi/2 - aperture, got kick_angle = 2.0, aperture = 0.03")),
+    Run("wavelength-neg", "two-slit", {"wavelength": -1.0}, (1,
+        "error [ValueError]: need 0 < wavelength < inf, got wavelength = -1.0")),
+    Run("shadow", "two-slit", {"wire_radius": 0.1}, (1,
+        "error [ValueError]: need atan(wire_radius / source_to_wire) < aperture, got wire_radius = 0.1, source_to_wire = 0.25, aperture = 0.03")),
     Run("speed", "stern-gerlach", {"speed": "5.0e-324"}, (1,
         "error [OverflowError]: the flight time to the entry plane is out of float range for speed = 5e-324")),
     # fewer than two fringes in the window the spacing is read from, or at

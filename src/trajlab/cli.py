@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime computation error, 2 config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -234,7 +235,8 @@ def render_scenario_listing() -> str:
     return "\n".join(parts) + "\n"
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trajlab",
         description="run trajectory-ensemble scenarios from config files")
@@ -250,8 +252,11 @@ def main(argv=None) -> int:
                             f"${ENV_OUT}/<scenario>, then runs/<scenario>)")
     sub.add_parser("list-scenarios",
                    help="print every scenario and its parameter schema")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "list-scenarios":
         sys.stdout.write(render_scenario_listing())
         return 0

@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """``np.unique`` without the ``numpy.ma`` import it makes in numpy 2.4."""
+    x = np.sort(values, axis=None)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))[:x.size]]
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -90,7 +96,7 @@ class PiecewiseTrajectory:
         owner = np.minimum(np.searchsorted([seg.t1 for seg in self.segments],
                                            times, side="right"),
                            len(self.segments) - 1)
-        for k in np.unique(owner):
+        for k in _sorted_unique(owner):
             rows = owner == k
             seg = self.segments[k]
             yield seg, rows, np.asarray(seg.path(times[rows]), dtype=float)

@@ -17,8 +17,8 @@ device. The total-variation distance between the two pullbacks quantifies
 that dependence. Every integral is one rule, a 32-node Gauss-Legendre
 panel: one per screen bin's pulled-back interval, and for the screen and
 emission normalisations and the distance, panels between the density's
-breakpoints that are halved until halving changes nothing at rounding
-level, which also bisects them onto the crossings of two densities.
+breakpoints (and, for the distance, the two densities' crossings, located
+first) that are halved until halving changes nothing at rounding level.
 
 The same module hosts the late-time machinery: asymptotic velocity
 lim x(t)/t for bounded interactions probed at geometric checkpoints, the
@@ -35,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import _sorted_unique
 from .errors import IntegrationError, UnsupportedInputError
 from .scattering import _gl_nodes
 
@@ -86,33 +87,37 @@ class BiprismScene:
 
     def __post_init__(self):
         if not 0 < self.source_to_wire < self.source_to_screen < math.inf:
-            raise ValueError("need 0 < source_to_wire < source_to_screen "
-                             "< inf")
+            self._refuse("need 0 < source_to_wire < source_to_screen < inf, "
+                         "got", "source_to_wire", "source_to_screen")
         if not self.wire_radius >= 0:
-            raise ValueError("wire_radius must be nonnegative")
+            self._refuse("need wire_radius >= 0, got", "wire_radius")
         if not 0 < self.aperture < 0.5:
-            raise ValueError("aperture must be a small positive angle (rad)")
+            self._refuse("need 0 < aperture < 0.5 rad, got", "aperture")
         if self.field_on and not self.kick_angle > 0:
-            raise ValueError("field on needs a positive kick angle")
+            self._refuse("need kick_angle > 0 for fringes, got", "kick_angle")
         if not 0 <= self.kick_angle < 0.5 * math.pi - self.aperture:
-            raise ValueError("kick angle must lie in [0, pi/2 - aperture)")
+            self._refuse("need 0 <= kick_angle < pi/2 - aperture, got",
+                         "kick_angle", "aperture")
         if not 0 < self.wavelength < math.inf:
-            raise ValueError("wavelength must be positive and finite")
+            self._refuse("need 0 < wavelength < inf, got", "wavelength")
         if self.field_on and not (self.separation > 0
                                   and self.fringe_spacing < math.inf):
-            raise ValueError("the fringe spacing is out of float range for "
-                             f"wavelength = {self.wavelength!r}, "
-                             f"source_to_wire = {self.source_to_wire!r}, "
-                             f"kick_angle = {self.kick_angle!r}")
+            self._refuse("the fringe spacing is out of float range for",
+                         "wavelength", "source_to_wire", "kick_angle")
         if self.shadow_angle >= self.aperture:
-            raise ValueError("wire shadow swallows the whole aperture")
+            self._refuse("need atan(wire_radius / source_to_wire) < aperture, "
+                         "got", "wire_radius", "source_to_wire", "aperture")
         # the pull-back's quadratic overflows (past source_to_screen 1.3e154
         # on the stock bench) first at an end of a side's image: angle 0 or NaN
         for side, ends in zip((-1, 1), _side_images(self)):
             if not np.all(np.abs(_pull_back(np.array(ends), self, side)) > 0):
-                raise ValueError("the screen-to-emission map is out of float "
-                                 "range for source_to_screen = "
-                                 f"{self.source_to_screen!r}")
+                self._refuse("the screen-to-emission map is out of float "
+                             "range for", "source_to_screen")
+
+    def _refuse(self, text: str, *keys: str):
+        """Raise ValueError: ``text``, then each of ``keys`` = its value."""
+        raise ValueError(f"{text} " + ", ".join(
+            f"{key} = {getattr(self, key)!r}" for key in keys))
 
     @property
     def shadow_angle(self) -> float:
@@ -368,7 +373,7 @@ def emission_measure_from_screen(target: ScreenDensity,
         return out
 
     screen = np.array([*target.breaks, *np.ravel(images)])
-    breaks = np.unique(np.concatenate(
+    breaks = _sorted_unique(np.concatenate(
         [np.ravel(ranges)] + [_pull_back(np.clip(screen, x0, x1), scene, side)
                               for side, (x0, x1) in zip((-1, 1), images)]))
     mass = _integral(density, breaks)
@@ -430,19 +435,53 @@ def estimate_fringe_spacing(edges: np.ndarray, density: np.ndarray) -> float:
     return float(np.mean(np.diff(peaks)))
 
 
+def _cut_at_crossings(f, edges: np.ndarray) -> np.ndarray:
+    """Sorted ``edges`` and where ``f`` crosses 0 between the Gauss-Legendre
+    nodes of their pieces: between nodes of opposite sign, or in a pair
+    about a node where |f| is least if ``f`` changes sign at the vertex of
+    the parabola through it and its neighbours. Illinois steps (Dowell and
+    Jarratt, BIT 11, 1971) narrow each bracket to sqrt(eps) of its width."""
+    x, _ = _gl_nodes(_GAUSS_NODES)
+    nodes = edges[:-1, None] + np.diff(edges)[:, None] * x
+    v = f(nodes)
+    s, y = np.sign(v), np.abs(v)
+    rows, k = np.nonzero(s[:, :-1] * s[:, 1:] < 0)
+    r, j = np.nonzero((s[:, :-2] * s[:, 1:-1] > 0) & (s[:, 1:-1] * s[:, 2:]
+                      > 0) & (y[:, 1:-1] < np.minimum(y[:, :-2], y[:, 2:])))
+    (x0, x1, x2), (y0, y1, y2) = ([z[r, j + i] for i in range(3)]
+                                  for z in (nodes, y))
+    d01 = (y1 - y0) / (x1 - x0)
+    u = 0.5 * (x0 + x1 - d01 * (x2 - x0) / ((y2 - y1) / (x2 - x1) - d01))
+    fu = f(u) if len(u) else u
+    r, j, u, fu = (z[s[r, j] * fu <= 0] for z in (r, j, u, fu))
+    ends = [(nodes[rows, k], v[rows, k], nodes[rows, k + 1], v[rows, k + 1])]
+    ends += [(nodes[r, j + i], v[r, j + i], u, fu) for i in (0, 2)]
+    a, fa, b, fb = (np.concatenate(z) for z in zip(*ends))
+    found, tol = [edges], math.sqrt(np.finfo(float).eps) * np.abs(b - a)
+    while len(a):
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = f(c)
+        same = np.sign(fc) == np.sign(fb)  # then halve the value kept at a
+        a, fa, b, fb = np.where(same, a, b), np.where(same, fa / 2, fb), c, fc
+        done = ~(np.abs(b - a) > tol) | (fc == 0)
+        found.append(c[done])
+        a, b, fa, fb, tol = (z[~done] for z in (a, b, fa, fb, tol))
+    return _sorted_unique(np.concatenate(found))
+
+
 def emission_tv_distance(measure_a: EmissionMeasure,
                          measure_b: EmissionMeasure) -> float:
     """Total-variation distance between two angular densities.
 
-    Half the integral of |q_a - q_b| over the pieces between both
-    measures' breaks, where the halving of panels also bisects onto every
-    crossing of q_a and q_b that a panel's nodes resolve.
+    Half the integral of |q_a - q_b| over the pieces between both measures'
+    breaks, cut at the crossings of q_a and q_b so that panels settle on
+    smooth pieces (a crossing the nodes miss is still halved onto).
     """
     def diff(alpha):
         return measure_a.density(alpha) - measure_b.density(alpha)
 
-    return 0.5 * _integral(diff, np.union1d(measure_a.breaks,
-                                            measure_b.breaks))
+    return 0.5 * _integral(diff, _cut_at_crossings(diff, _sorted_unique(
+        np.concatenate([measure_a.breaks, measure_b.breaks]))))
 
 
 # ---------------------------------------------------------------------------

@@ -571,6 +571,69 @@ class TestListing:
         assert "bernoulli" in proc.stdout
 
 
+class TestOneParserPerProcess:
+    RUN_HELP = """\
+usage: trajlab run [-h] --config CONFIG [--seed SEED] [--out OUT] scenario
+
+positional arguments:
+  scenario         scenario name (see list-scenarios)
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  YAML config file
+  --seed SEED      override the config seed
+  --out OUT        output directory (default: config 'out', then
+                   $TRAJLAB_OUT/<scenario>, then runs/<scenario>)
+"""
+
+    def test_repeated_calls_give_the_same_exits_and_outputs(self, tmp_path,
+                                                             capsys):
+        cfg = write_config(tmp_path / "cfg.yaml", "two-slit",
+                           parameters=FAST_PARAMS["two-slit"])
+        calls = [["list-scenarios"], [], ["run", "no-such", "--config", cfg],
+                 ["run", "two-slit", "--config", tmp_path / "missing.yaml"]]
+        seen = []
+        for out in ("a", "b"):
+            res = [(run(args), capsys.readouterr()) for args in calls]
+            res.append((run(["run", "two-slit", "--config", cfg, "--out",
+                             tmp_path / out]), capsys.readouterr()))
+            res.append({f.name: f.read_bytes() for f in
+                        sorted((tmp_path / out).iterdir())
+                        if f.name != "manifest.json"})
+            seen.append(res)
+        assert seen[0] == seen[1]
+        assert [code for code, _ in seen[0][:-1]] == [0, 2, 2, 2, 0]
+        assert cli._parser() is cli._parser()
+
+    def test_run_help_text(self, capsys, monkeypatch):
+        # argparse wraps help to the terminal width it reads from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run(["run", "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == self.RUN_HELP
+
+
+class TestNoMaskedArrays:
+    def test_default_runs_leave_numpy_ma_unloaded(self, tmp_path):
+        # numpy 2.4's np.unique and np.union1d import numpy.ma, about 10 ms
+        # of start-up for a run that uses none of it
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (
+            "import sys\n"
+            "from trajlab import cli\n"
+            "for name in ('stern-gerlach', 'two-slit'):\n"
+            "    assert cli.main(['run', name, '--config', '/dev/null',\n"
+            "                     '--seed', '7', '--out', name]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+
 class TestDatFormat:
     # every kind of numeric cell a table can hold, one row per kind
     ROWS = [

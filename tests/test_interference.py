@@ -260,13 +260,11 @@ def test_emission_density_normalised(scene, make_target):
     assert abs(mass - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("radius, expected", [(0.0, 0.6052252941),
-                                              (0.001, None)],
-                         ids=["bench", "wire"])
-def test_tv_distance_matches_reference(radius, expected):
-    """Against dense panels that end at the test's own breaks and at the
-    crossings of the two densities, found on a fine grid and bisected."""
-    on = finite_radius_scene(True) if radius else standard_bench(True)
+def reference_tv(on, n_grid):
+    """The TV distance of the field-on bench ``on`` and its field-off twin,
+    by dense panels that end at the test's own breaks and at the crossings
+    of the two densities, found on a grid of ``n_grid`` angles and bisected;
+    with the two emission measures."""
     off = on.with_field(False)
     mu_on = emission_measure_from_screen(fringe_target_density(on), on)
     mu_off = emission_measure_from_screen(envelope_target_density(off), off)
@@ -274,7 +272,7 @@ def test_tv_distance_matches_reference(radius, expected):
     def diff(alpha):
         return mu_on.density(alpha) - mu_off.density(alpha)
 
-    grid = np.linspace(-on.aperture, on.aperture, 600_001)
+    grid = np.linspace(-on.aperture, on.aperture, n_grid)
     sign = np.sign(diff(grid))
     k = np.flatnonzero(sign[:-1] * sign[1:] < 0)
     breaks = np.unique(np.concatenate([
@@ -283,10 +281,48 @@ def test_tv_distance_matches_reference(radius, expected):
         bisect(diff, grid[k], grid[k + 1])]))
     ref = 0.5 * reference_integral(lambda a: np.abs(diff(a)), breaks,
                                    panels=16)
+    return ref, mu_on, mu_off
+
+
+@pytest.mark.parametrize("radius, expected", [(0.0, 0.6052252941),
+                                              (0.001, None)],
+                         ids=["bench", "wire"])
+def test_tv_distance_matches_reference(radius, expected):
+    """Against dense panels that end at the test's own breaks and at the
+    crossings of the two densities, found on a fine grid and bisected."""
+    on = finite_radius_scene(True) if radius else standard_bench(True)
+    ref, mu_on, mu_off = reference_tv(on, 600_001)
     tv = emission_tv_distance(mu_on, mu_off)
     assert abs(tv - ref) < 1e-12 * ref
     if expected is not None:
         assert round(ref, 10) == expected
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_tv_distance_on_random_benches(index):
+    """Benches with every length and angle drawn; some hold pairs of
+    crossings narrower than the node spacing, which halving alone misses."""
+    rng = np.random.default_rng(47)
+    for _ in range(index + 1):
+        on = random_bench(rng)
+    ref, mu_on, mu_off = reference_tv(on, 2_000_001)
+    tv = emission_tv_distance(mu_on, mu_off)
+    assert abs(tv - ref) < 1e-12 * ref
+
+
+def test_tv_distance_finds_a_pair_between_nodes():
+    # q_a - q_b = (x - x0)^2 - d^2 on [0, 1] is below 0 only on a lobe 2d
+    # wide about x0, between Gauss-Legendre nodes some 0.05 apart
+    x0, d, piece = 0.4567, 1e-3, np.array([0.0, 1.0])
+    a = interference.EmissionMeasure(lambda x: (x - x0) ** 2, piece)
+    b = interference.EmissionMeasure(lambda x: np.full_like(x, d * d), piece)
+    exact = 0.5 * (((1 - x0) ** 3 + x0 ** 3) / 3 - d * d + 8 * d ** 3 / 3)
+    assert abs(emission_tv_distance(a, b) - exact) < 1e-12 * exact
+    # panels that are only halved integrate the quadratic exactly, settle,
+    # and miss the lobe's 8 d^3 / 3
+    halved = 0.5 * interference._integral(
+        lambda x: a.density(x) - b.density(x), piece)
+    assert abs(halved - exact) > 1e-12 * exact
 
 
 def three_call_integral(f, edges, stats=None):
@@ -374,7 +410,7 @@ class TestCarriedNodeValues:
 
     def test_default_bench(self, monkeypatch):
         tv = self.run_bench(monkeypatch, standard_bench(True))
-        assert tv == 0.6052252940737922
+        assert tv == 0.6052252940737917
 
     def test_random_benches(self, monkeypatch):
         rng = np.random.default_rng(47)
