@@ -1,14 +1,16 @@
 """One list of `trajlab run` configs, run in one interpreter per tree:
 ``--rerun`` runs it on this tree forward and in reverse, compares every
-output but ``manifest.json`` and holds each entry to its check or its pinned
-refusal line; ``--against REV`` runs it on this tree and on REV's ``src`` and
-prints every output file, exit code and stderr that differ. Both fail if
-this tree's list, or its scenario listing, loads scipy."""
+output, ``manifest.json`` without its ``created_utc``, and holds each entry
+to its manifest, its check or its pinned refusal line; ``--against REV``
+runs it on this tree and on REV's ``src`` and prints every output file,
+exit code and stderr that differ. Both fail if this tree's list, or its
+scenario listing, loads scipy."""
 
 import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,12 +20,15 @@ from typing import Callable, NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 
 # Runs argv[1]'s entries in order through cli.main, then the listing, and
-# prints as JSON name -> (exit code, stderr, {file: latin-1 text} but the
-# manifest, or None) and each loaded scipy module -> the step that loaded it.
+# prints as JSON name -> (exit code, stderr, {file: latin-1 text, the
+# manifest without its timestamp} or None, [its scenario's schema keys, the
+# parameters its config sets as the loader reads them]) and each loaded scipy
+# module -> the step that loaded it.
 CHILD = r"""
 import contextlib, io, json, sys, traceback, warnings
 from pathlib import Path
 from trajlab import cli
+from trajlab.scenarios import SCENARIOS
 results, scipy = {}, {}
 
 def loaded(step):
@@ -37,15 +42,21 @@ for name, scenario, seed, config in json.loads(sys.argv[1]):
     with contextlib.redirect_stderr(io.StringIO()) as err:
         try:
             code = cli.main(["run", scenario, "--config", f"{name}.yaml",
-                             "--seed", str(seed), "--out", name])
+                             "--out", name]
+                            + ([] if seed is None else ["--seed", str(seed)]))
         except SystemExit as exc:
             code = exc.code
         except Exception:
             code = traceback.print_exc() or 1
     files = None if not Path(name).exists() else {
-        f.name: f.read_text("latin-1") for f in sorted(Path(name).iterdir())
-        if f.name != "manifest.json"}
-    results[name] = code, err.getvalue(), files
+        f.name: f.read_text("latin-1") for f in sorted(Path(name).iterdir())}
+    if "manifest.json" in (files or {}):
+        manifest = json.loads(files["manifest.json"])
+        manifest.pop("created_utc", None)
+        files["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+    given = cli.load_config(f"{name}.yaml")[0]["parameters"] or {}
+    results[name] = (code, err.getvalue(), files,
+                     [list(SCENARIOS[scenario].schema), given])
     loaded(name)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["list-scenarios"]) == 0
@@ -60,7 +71,7 @@ class Run(NamedTuple):
     params: dict = {}  # key -> value, whose str() is its YAML text
     refused: tuple = ()  # (exit code, its whole stderr line)
     check: Callable = None  # (files, every run's files) -> (ok, note)
-    seed: int = 7
+    seed: int = 7  # None runs without --seed
 
 
 def results(files):
@@ -150,6 +161,15 @@ def settles_early(files, done):
     return ok, f"t_final {r['t_final']}, {r['n_checkpoints']} checkpoints"
 
 
+def same_as(other, *but):
+    """The check that the files, bar ``but``, are ``other``'s bytes."""
+    def check(files, done):
+        kept = [{k: v for k, v in fs.items() if k not in but}
+                for fs in (files, done[other])]
+        return kept[0] == kept[1], f"the bytes of {other}"
+    return check
+
+
 def header_only(name):
     return lambda files, done: ([ln[:2] for ln in files[name].splitlines()]
                                 == ["# ", "# "], f"{name} is its header")
@@ -167,7 +187,10 @@ RUNS = [
     Run("bigbang", "bigbang", check=two_body),
     # the default horizon written with a dot and an unsigned exponent
     Run("t-max", "bigbang", {"t_max": "1.6777216e7"},
-        check=lambda files, done: (files == done["bigbang"], "same bytes")),
+        check=same_as("bigbang")),
+    # a deterministic scenario runs without a seed, and records seed 0
+    Run("seedless", "scattering", seed=None,
+        check=same_as("scattering", "manifest.json")),
     # the bump settles once both bodies have left its support
     Run("bump", "bigbang", {"interaction": "bump"},
         check=row("converged", "1")),
@@ -217,12 +240,19 @@ RUNS = [
         "error [NoSolutionError]: time interval t_a = 9.99999999, t_b = 10.0 is too short to bracket a split time strictly inside it in floating point")),
     Run("slope-overflow", "decay", {"t_b": "1.0e-300"}, (1,
         "error [NoSolutionError]: the reduced action's slope overflows at the ends of the time interval t_a = 0.0, t_b = 1e-300: the endpoints are too far apart for its length")),
+    Run("split-at-once", "decay", {"x_b2": "[100, 0, 0]",
+                                   "x_b3": "[-100, 0, 0]", "t_b": 1.0}, (1,
+        "error [NoSolutionError]: endpoint data admits no interior split: the products would need more kinetic energy than the decay releases, so the action is minimised by splitting immediately, for x_a = [0.0, 0.0, 0.0], t_a = 0.0, x_b2 = [100.0, 0.0, 0.0], x_b3 = [-100.0, 0.0, 0.0], t_b = 1.0")),
+    Run("split-never", "decay", {"x_b2": "[0, 0, 0]", "x_b3": "[0, 0, 0]"},
+        (1, "error [NoSolutionError]: endpoint data admits no interior split: the action keeps falling all the way to the final time, for x_a = [0.0, 0.0, 0.0], t_a = 0.0, x_b2 = [0.0, 0.0, 0.0], x_b3 = [0.0, 0.0, 0.0], t_b = 10.0")),
     Run("alias", "two-slit", {"wavelength": "1.0e-6"}, (1,
         "error [UnsupportedInputError]: 256 screen bins are fewer than the 589 that put two in each fringe spacing; raise bins")),
     Run("radius", "scattering", {"radius": "1.0e-300"}, (1,
         "error [ZeroDivisionError]: the beam disk density 1/(pi s_max^2) is out of float range for radius = 1e-300")),
     Run("negative", "bernoulli", seed=-1, refused=(2,
         "config error: seed must be a nonnegative integer, got -1 at key 'seed'")),
+    Run("seed-missing", "bernoulli", seed=None, refused=(2,
+        "config error: seed is required for the stochastic scenario 'bernoulli'; set it in the config or pass --seed at key 'seed'")),
     Run("energy", "flipper", {"energy": 2.0}, (2,
         "config error: unknown parameter 'energy' at key 'parameters.energy' (line 2)")),
     Run("phi", "stern-gerlach", {"spin_phi_deg": 30.0}, (2,
@@ -264,6 +294,15 @@ RUNS = [
     Run("velocity-count", "bigbang", {"masses": "[1.0, 2.0]", "velocities":
                                       "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"},
         (1, "error [ValueError]: need one velocity 3-vector per mass, got 3 vectors for 2 masses: masses = [1.0, 2.0], velocities = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]")),
+    # a bound start has no late-time velocity: without the start check these
+    # ran to t_max, for hours at the default, and wrote converged,0
+    Run("bound-pair", "bigbang", {"amplitude": -2.0, "t_max": "1.0e3",
+                                  "velocities": "[[0.1, 0, 0], [-0.3, 0, 0]]"},
+        (1, "error [ValueError]: the internal energy -1.8162326927732715 is below 0, so the start is bound and has no late-time velocity, for masses = [1.5, 0.5], velocities = [[0.1, 0.0, 0.0], [-0.3, 0.0, 0.0]], amplitude = -2.0, width = 1.0")),
+    Run("bound-bump", "bigbang", {"interaction": "bump", "amplitude": -2.0,
+                                  "t_max": "1.0e3",
+                                  "velocities": "[[0.1, 0, 0], [-0.3, 0, 0]]"},
+        (1, "error [ValueError]: body 1's energy -1.987493744794953 is below 0, so the start is bound and has no late-time velocity, for masses = [1.5, 0.5], velocities = [[0.1, 0.0, 0.0], [-0.3, 0.0, 0.0]], amplitude = -2.0, bump_radius = 2.0, bump_center = [0.0, 0.0, 0.0]")),
     # the cube of 10 action_range underflows to 0
     Run("range-tiny", "flipper", {"action_range": "1.0e-300"}, (1,
         "error [ValueError]: n_centers = 216, action_range = 1e-300 give no periodic cell: its size must be positive")),
@@ -319,14 +358,33 @@ def passes(tmp, *trees):
 
 
 def contract(run, res, done):
-    """(ok, note) for one run's result against its check or refusal."""
-    code, err, files = res
+    """(ok, note) for one run's result against its refusal, or against its
+    manifest, cells and check: the manifest names the scenario, the seed (0
+    when none was given), the other files and one parameter per schema key,
+    the config's among them, and no cell reads nan or inf."""
+    code, err, files, (keys, given) = res
     if run.refused:
         want, line = run.refused
         return (code, err, files) == (want, line + "\n", None), err.strip()
-    if code or err or not run.check:
-        return code == 0 and not err, err.strip()
-    return run.check(files, done)
+    if code or err:
+        return False, err.strip()
+    manifest = json.loads(files.get("manifest.json", "{}"))
+    params = manifest.get("parameters", {})
+    written = sorted(files.keys() - {"manifest.json"})
+    faults = [f"manifest {key}" for key, ok in (
+        ("scenario", manifest.get("scenario") == run.scenario),
+        ("seed", manifest.get("seed") == (run.seed or 0)),
+        ("outputs", manifest.get("outputs") == written
+         and "results.csv" in written),
+        ("parameters", sorted(params) == sorted(keys)
+         and given.items() <= params.items())) if not ok]
+    faults += [f"nan or inf in {name}" for name, text in files.items()
+               if {"nan", "inf", "infinity"} & {
+                   cell.lstrip("+-") for cell in re.split(r"[\s,]+",
+                                                          text.lower())}]
+    if faults:
+        return False, "bad " + ", ".join(faults)
+    return run.check(files, done) if run.check else (True, "")
 
 
 def main():
@@ -353,8 +411,8 @@ def main():
     done, failed = {name: res[2] for name, res in now.items()}, []
     for run in RUNS:
         ok, note = contract(run, now[run.name], done)
-        (code0, err0, files0), (code, err, files) = (first[run.name],
-                                                     now[run.name])
+        (code0, err0, files0, _), (code, err, files, _) = (first[run.name],
+                                                           now[run.name])
         diff = [f"exit {code0} -> {code}"] * (code != code0)
         diff += [f"stderr {err0!r} -> {err!r}"] * (err != err0)
         files0, files = files0 or {}, files or {}

@@ -272,6 +272,12 @@ def _convex_root(f, lo, hi, xtol):
     return x, False
 
 
+def _endpoints(boundary: DecayBoundary) -> str:
+    """The endpoint data as ``key = value``, each vector as a list."""
+    return ", ".join(f"{key} = {np.asarray(getattr(boundary, key)).tolist()}"
+                     for key in ("x_a", "t_a", "x_b2", "x_b3", "t_b"))
+
+
 def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVertex:
     """Find the interior vertex minimising the action.
 
@@ -309,11 +315,11 @@ def solve_decay_vertex(masses: DecayMasses, boundary: DecayBoundary) -> DecayVer
         raise NoSolutionError(
             "endpoint data admits no interior split: the products would need "
             "more kinetic energy than the decay releases, so the action is "
-            "minimised by splitting immediately")
+            f"minimised by splitting immediately, for {_endpoints(boundary)}")
     if not s_hi > 0:
         raise NoSolutionError(
             "endpoint data admits no interior split: the action keeps falling "
-            "all the way to the final time")
+            f"all the way to the final time, for {_endpoints(boundary)}")
     # scaled by the span, as t_a may be negative and the root may sit near 0
     t_d, converged = _convex_root(slope, lo, hi,
                                   xtol=4 * sys.float_info.epsilon * span)

@@ -529,6 +529,30 @@ def _run_two_slit(p, seed, out: OutputBundle):
                 np.column_stack((grid, deco.values)))
 
 
+def _refuse_bound(p, system: NBodySystem, vel, e0: float):
+    """Refuse a start whose energy forbids escape. Both potentials vanish
+    at infinity, so once every body has escaped the energy is kinetic, not
+    negative; pair forces keep the internal energy, and the bump each
+    body's own. A bound body oscillates for ever and has no limit."""
+    m = system.masses
+    if system.pair_potential is not None:
+        total = m @ vel
+        energies = {"the internal energy":
+                    e0 - float(total @ total) / (2.0 * float(m.sum()))}
+        keys = ("width",)
+    else:
+        energies = {f"body {i + 1}'s energy": NBodySystem(
+            [mass], external_potential=system.external_potential).energy(
+                v * p["t0"], v) for i, (mass, v) in enumerate(zip(m, vel))}
+        keys = ("bump_radius", "bump_center")
+    for what, energy in energies.items():
+        if energy < 0:
+            raise ValueError(
+                f"{what} {energy!r} is below 0, so the start is bound and has "
+                "no late-time velocity, for " + _named(
+                    p, "masses", "velocities", "amplitude", *keys))
+
+
 def _run_bigbang(p, seed, out: OutputBundle):
     masses = p["masses"]
     vel = np.array(p["velocities"], dtype=float)
@@ -553,6 +577,8 @@ def _run_bigbang(p, seed, out: OutputBundle):
             raise ValueError("initial energy is zero, so the relative energy "
                              "error is undefined, for "
                              + _named(p, "masses", "velocities"))
+        if kind != "none":
+            _refuse_bound(p, system, vel, e0)
         res = asymptotic_velocity(system, vel, t_max=p["t_max"],
                                   tolerance=p["tolerance"], t0=p["t0"],
                                   growth=p["growth"])

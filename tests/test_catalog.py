@@ -1,16 +1,20 @@
 """The run list of ``scripts/catalog.py``, checked and run with ``--rerun``."""
 
+import json
 import re
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from trajlab.cli import _TOP_KEYS
 from trajlab.scenarios import SCENARIOS
 
 SCRIPT = Path(__file__).parent.parent / "scripts/catalog.py"
-RUNS = runpy.run_path(SCRIPT)["RUNS"]
+CATALOG = runpy.run_path(SCRIPT)
+RUNS, Run, contract = CATALOG["RUNS"], CATALOG["Run"], CATALOG["contract"]
 # a config error's key path, a runtime error's "key = value", the bins advice
 NAMED = r"(?<=at key ')[\w.]+|\w+(?= = )|(?<=raise )\w+"
 
@@ -56,3 +60,30 @@ def test_rerun_passes():
     proc = subprocess.run([sys.executable, str(SCRIPT), "--rerun"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def biased_result(outputs=("results.csv",), seed=7, cell="0.8", **files):
+    """The catalog child's result for a `bernoulli` run at ``bias: 0.8``:
+    a results.csv holding ``cell``, ``files``, and a manifest listing
+    ``outputs`` at ``seed``."""
+    schema = SCENARIOS["bernoulli"].schema
+    manifest = {"outputs": list(outputs),
+                "parameters": {k: spec.default for k, spec in schema.items()}
+                | {"bias": 0.8},
+                "scenario": "bernoulli", "seed": seed, "version": "0.1.0"}
+    files = {"manifest.json": json.dumps(manifest, indent=2) + "\n",
+             "results.csv": f"quantity,value\nrate_mean,{cell}\n", **files}
+    return 0, "", files, [list(schema), {"bias": 0.8}]
+
+
+@pytest.mark.parametrize("result, fault", [
+    (biased_result(outputs=("rates.dat", "results.csv")), "manifest outputs"),
+    (biased_result(**{"results.csv.tmp1": ""}), "manifest outputs"),
+    (biased_result(seed=0), "manifest seed"),
+    (biased_result(cell="nan"), "nan or inf in results.csv"),
+    (biased_result(cell="-inf"), "nan or inf in results.csv"),
+], ids=["unwritten-output", "stray-tmp", "wrong-seed", "nan", "minus-inf"])
+def test_contract_refuses_a_manifest_or_cell_at_fault(result, fault):
+    run = Run("biased", "bernoulli", {"bias": 0.8})
+    assert contract(run, biased_result(), {}) == (True, "")
+    assert contract(run, result, {}) == (False, f"bad {fault}")

@@ -1,7 +1,7 @@
 """End-to-end CLI checks that one parameters-only config cannot state:
 flags, output directories, raw YAML, sweeps over the schema, hang guards,
-the manifest, the listing and table formatting. Each single-config run or
-refusal is an entry of ``scripts/catalog.py`` instead."""
+the listing and table formatting. Each single-config run or refusal, its
+manifest included, is an entry of ``scripts/catalog.py`` instead."""
 
 import json
 import math
@@ -66,42 +66,7 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
-class TestEveryScenarioRuns:
-    @pytest.mark.parametrize("name", list(SCENARIOS))
-    def test_runs_and_writes_outputs(self, name, tmp_path):
-        cfg = write_config(tmp_path / "cfg.yaml", name,
-                           parameters=FAST_PARAMS[name],
-                           seed=11 if SCENARIOS[name].stochastic else None)
-        out = tmp_path / "out"
-        assert run(["run", name, "--config", cfg, "--out", out]) == 0
-        files = sorted(os.listdir(out))
-        assert "results.csv" in files
-        assert "manifest.json" in files
-        assert not any(f.endswith(".tmp") or ".tmp" in f for f in files)
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["scenario"] == name
-        assert sorted(manifest["outputs"]) == sorted(
-            f for f in files if f != "manifest.json")
-        # resolved defaults are echoed back alongside the overrides
-        for k, v in FAST_PARAMS[name].items():
-            assert manifest["parameters"][k] == v
-        for k in SCENARIOS[name].schema:
-            assert k in manifest["parameters"]
-
-
 class TestDeterministicReruns:
-    def test_manifests_differ_only_in_timestamp(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.yaml", "bernoulli",
-                           parameters=FAST_PARAMS["bernoulli"], seed=2)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run(["run", "bernoulli", "--config", cfg, "--out", out_a])
-        run(["run", "bernoulli", "--config", cfg, "--out", out_b])
-        ma = json.loads((out_a / "manifest.json").read_text())
-        mb = json.loads((out_b / "manifest.json").read_text())
-        ma.pop("created_utc")
-        mb.pop("created_utc")
-        assert ma == mb
-
     def test_seed_override_changes_samples(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.yaml", "bernoulli",
                            parameters=FAST_PARAMS["bernoulli"], seed=2)
@@ -217,31 +182,6 @@ class TestErrorExits:
         assert run(["run", "warp-drive", "--config", cfg]) == 2
         assert "unknown scenario" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
-
-    def test_missing_seed_for_stochastic(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.yaml", "bernoulli",
-                           parameters=FAST_PARAMS["bernoulli"])
-        assert run(["run", "bernoulli", "--config", cfg,
-                    "--out", tmp_path / "o"]) == 2
-        assert "seed" in capsys.readouterr().err
-
-    def test_deterministic_scenario_needs_no_seed(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.yaml", "scattering",
-                           parameters=FAST_PARAMS["scattering"])
-        assert run(["run", "scattering", "--config", cfg,
-                    "--out", tmp_path / "o"]) == 0
-
-    def test_runtime_failure_leaves_no_files(self, tmp_path, capsys):
-        params = dict(FAST_PARAMS["decay"])
-        params["x_b2"] = "[100.0, 0.0, 0.0]"
-        params["x_b3"] = "[-100.0, 0.0, 0.0]"
-        params["t_b"] = 1.0
-        cfg = write_config(tmp_path / "cfg.yaml", "decay",
-                           parameters=params, seed=1)
-        out = tmp_path / "o"
-        assert run(["run", "decay", "--config", cfg, "--out", out]) == 1
-        assert "NoSolutionError" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["run", "bernoulli", "--config",
