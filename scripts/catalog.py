@@ -249,6 +249,14 @@ RUNS = [
         "error [UnsupportedInputError]: 256 screen bins are fewer than the 589 that put two in each fringe spacing; raise bins")),
     Run("radius", "scattering", {"radius": "1.0e-300"}, (1,
         "error [ZeroDivisionError]: the beam disk density 1/(pi s_max^2) is out of float range for radius = 1e-300")),
+    # these three wrote nan or inf and exited 0
+    Run("theta-min-tiny", "scattering", {"theta_min": "5.0e-324"}, (1,
+        "error [OverflowError]: the transfer density is out of float range for theta_min = 5e-324")),
+    Run("tau0-huge", "decay", {"tau0": "1.0e+300"}, (1,
+        "error [OverflowError]: the mean life or its standard error is out of float range for tau0 = 1e+300")),
+    Run("life-high-huge", "decay", {"life_distribution": "uniform",
+                                    "life_high": "1.0e+300"}, (1,
+        "error [OverflowError]: the mean life or its standard error is out of float range for life_low = 0.0, life_high = 1e+300")),
     Run("negative", "bernoulli", seed=-1, refused=(2,
         "config error: seed must be a nonnegative integer, got -1 at key 'seed'")),
     Run("seed-missing", "bernoulli", seed=None, refused=(2,

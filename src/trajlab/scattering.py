@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -168,8 +167,10 @@ _DIFF_STEP = 1e-6  # relative step of the central differences in theta
 _MIN_SPACING = 10.0  # least flipper center spacing, in action ranges
 _PACKING = 0.5  # n_centers * d_min^3 / cell volume of a random scene
 _TRIES_PER_CENTER = 100  # placement candidates per center of a random scene
-_PLACE_BLOCK = 64  # placement candidates drawn per generator call
-_PAIRS_CHUNK = 2 ** 12  # row-center pairs of one entry-point check
+_PLACE_BLOCK = 64  # placement candidates drawn in the first block
+_PLACE_MAX = 2 ** 16  # placement candidates drawn in any block
+_PAIR_ROWS = 2 ** 11  # query points of one neighbour-pair chunk
+_PAIRS = 2 ** 16  # pairs of one neighbour-pair chunk of more than one point
 
 
 def _flat(x):
@@ -426,7 +427,10 @@ class FlipperScene:
         if not np.all((centers >= 0) & (centers < cell_size)):
             raise ValueError("centers must lie inside [0, cell_size)^3")
         L = float(cell_size)
-        if sum(1 for _ in _spaced(centers.tolist(), L, d_min)) < len(centers):
+        d2 = d_min ** 2
+        # every pair, the earlier center minus the later
+        if any(np.any((j < i) & (r2 < d2))
+               for i, j, r2 in _near_pairs(centers, centers, L, d_min)):
             raise ValueError(f"center spacing violates the required "
                              f"{_MIN_SPACING} * action_range = {d_min:.4g}")
         self.cell_size = L
@@ -445,44 +449,65 @@ class FlipperScene:
         self.center_index = np.nonzero(keep)[1]
 
 
-def _candidates(rng: np.random.Generator, L: float):
-    """Uniform points of the cell [0, L)^3 as Python float triples, drawn
-    ``_PLACE_BLOCK`` at a time: the same doubles, in the same order, as one
-    ``rng.random(3) * L`` call per point."""
-    while True:
-        yield from (rng.random((_PLACE_BLOCK, 3)) * L).tolist()
+def _near_pairs(a: np.ndarray, b: np.ndarray, L: float, d: float):
+    """Every pair of a point ``a[i]`` and a point ``b[j]`` in neighbouring
+    cells, yielded as arrays ``(i, j, r2)`` in ascending i, at most
+    ``_PAIR_ROWS`` points of ``a`` at a time and, past one point, at most
+    ``_PAIRS`` pairs: r2 is the min-image squared distance of b[j] - a[i]
+    in the periodic cell [0, L)^3, each component taken as
+    (x + L/2) % L - L/2 and summed as (x^2 + y^2) + z^2.
 
-
-def _spaced(points, L: float, d: float):
-    """Yield each of ``points`` whose min-image distance in the periodic
-    cell [0, L)^3 to every point yielded before is at least ``d``.
-
-    On a grid of g^3 cells no narrower than d (1 + 1e-9), only the points in
-    the cells around a point's own can be nearer than d; the margin covers a
-    coordinate that rounds into the next cell, and at most 2^20 cells a side
-    keep that rounding inside it. Each yielded point is filed under every
-    cell around its own (27 when g >= 3, all when g < 3), so a point reads
-    the one list of its own cell.
+    A cell list (Allen & Tildesley, *Computer Simulation of Liquids*, 2nd
+    ed., sec. 5.3): on a grid of g^3 cells no narrower than d (1 + 1e-9),
+    only points in the cells around a point's own can be nearer than d; the
+    margin covers a coordinate that rounds into the next cell, and at most
+    2^20 cells a side keep that rounding inside it. The neighbours are the
+    27 cells around a point's own, or every cell when g < 3. ``b`` is
+    sorted by cell key modulo n = 2 len(b) + 1, so its table of where each
+    residue starts holds n + 1 entries however many cells the grid has;
+    when g^3 <= n each residue is one cell, and otherwise the points of a
+    residue filed under another cell are dropped.
     """
     g = max(1, int(min(L / (d * (1.0 + 1e-9)), 2.0 ** 20)))
-    cs = L / g
-    half = L / 2.0
-    d2 = d ** 2
-    grid: dict[tuple[int, int, int], list] = {}
-    for p in points:
-        x, y, z = p
-        i, j, k = int(x / cs) % g, int(y / cs) % g, int(z / cs) % g
-        for px, py, pz in grid.get((i, j, k), ()):
-            dx = (px - x + half) % L - half
-            dy = (py - y + half) % L - half
-            dz = (pz - z + half) % L - half
-            if dx * dx + dy * dy + dz * dz < d2:
-                break
-        else:
-            yield p
-            for key in {(a % g, b % g, c % g) for a in (i - 1, i, i + 1)
-                        for b in (j - 1, j, j + 1) for c in (k - 1, k, k + 1)}:
-                grid.setdefault(key, []).append(p)
+    cs, half, n = L / g, L / 2.0, 2 * len(b) + 1
+    step = np.array((-1, 0, 1) if g >= 3 else range(g))
+
+    def cell(p):
+        return (p / cs).astype(np.int64) % g
+
+    key = cell(b) @ np.array([g * g, g, 1])
+    order = np.argsort(key % n, kind="stable")
+    start = np.append(0, np.bincount(key % n, minlength=n).cumsum())
+    key = key[order]
+
+    def pairs(lo, hi):
+        ci, cj, ck = ((cell(a[lo:hi])[:, :, None] + step) % g
+                      ).transpose(1, 0, 2)
+        near = ((ci[:, :, None, None] * g + cj[:, None, :, None]) * g
+                + ck[:, None, None, :]).ravel()
+        slot = near % n
+        first, count = start[slot], start[slot + 1] - start[slot]
+        if count.sum() > _PAIRS and hi - lo > 1:
+            yield from pairs(lo, (lo + hi) // 2)
+            yield from pairs((lo + hi) // 2, hi)
+            return
+        i = np.repeat(np.arange(lo, hi), count.reshape(hi - lo, -1).sum(1))
+        k = np.arange(len(i)) - np.repeat(count.cumsum() - count - first,
+                                          count)
+        if g ** 3 > n:
+            same = key[k] == np.repeat(near, count)
+            i, k = i[same], k[same]
+        j = order[k]
+        x = b.take(j, 0) - a.take(i, 0)
+        # in a cell wider than about 1e308 a far pair can overflow to inf or
+        # nan, and neither compares as near
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (x + half) % L - half
+            r2 = _dot(x, x)
+        yield i, j, r2
+
+    for lo in range(0, len(a), _PAIR_ROWS):
+        yield from pairs(lo, min(lo + _PAIR_ROWS, len(a)))
 
 
 def random_scene(n_centers: int, action_range: float, energy: float,
@@ -492,8 +517,13 @@ def random_scene(n_centers: int, action_range: float, energy: float,
     The cell is sized so that n_centers * d_min^3 / cell volume is
     ``_PACKING``; 0.5 leaves room for rejection sampling to finish quickly.
     A uniform candidate is kept when its min-image distance to every kept
-    center is at least d_min (:func:`_spaced`); placement gives up after
+    center is at least d_min; placement gives up after
     ``_TRIES_PER_CENTER`` candidates per center, about 9 times the need.
+    The candidates come a block at a time, the same doubles in the same
+    order as one ``rng.random(3) * L`` call each. One neighbour-pair pass
+    (:func:`_near_pairs`) drops those too near a placed center, a second
+    finds the pairs of the rest that are too near each other, and only
+    those pairs are walked in order.
     """
     d_min = _MIN_SPACING * action_range
     L = (n_centers * d_min ** 3 / _PACKING) ** (1.0 / 3.0)
@@ -505,12 +535,34 @@ def random_scene(n_centers: int, action_range: float, energy: float,
                          f"must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tries = int(_TRIES_PER_CENTER * n_centers)
-    placed = list(islice(_spaced(islice(_candidates(rng, L), tries),
-                                 L, d_min), n_centers))
+    d2 = d_min ** 2
+    placed, drawn, block = np.empty((0, 3)), 0, _PLACE_BLOCK
+    while len(placed) < n_centers and drawn < tries:
+        m = min(block, tries - drawn)
+        cand = rng.random((m, 3)) * L
+        drawn += m
+        free = np.ones(m, bool)
+        for i, _, r2 in _near_pairs(cand, placed, L, d_min):
+            free[i[r2 < d2]] = False
+        cand = cand[free]
+        # a free candidate is kept unless an earlier kept one is too near;
+        # the pairs come in ascending i, so the earlier one is settled
+        keep = [True] * len(cand)
+        for i, j, r2 in _near_pairs(cand, cand, L, d_min):
+            near = (j < i) & (r2 < d2)
+            for later, earlier in zip(i[near].tolist(), j[near].tolist()):
+                if keep[earlier]:
+                    keep[later] = False
+        new = cand[keep][:n_centers - len(placed)]
+        placed = np.concatenate([placed, new])
+        # enough candidates to finish at this block's yield, and a quarter
+        # more
+        block = min(math.ceil(1.25 * (n_centers - len(placed)) * m
+                              / max(len(new), 1)), _PLACE_MAX)
     if len(placed) < n_centers:
         raise IntegrationError(f"center placement did not converge in "
                                f"{tries} candidates; change scene_seed")
-    return FlipperScene(L, np.array(placed), energy, action_range)
+    return FlipperScene(L, placed, energy, action_range)
 
 
 @dataclass(frozen=True)
@@ -526,9 +578,9 @@ _TINY = np.finfo(float).tiny
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of (n, 3) arrays, summed per component."""
+    """Row-wise dot product of (..., 3) arrays, summed per component."""
     ab = a * b
-    return ab[:, 0] + ab[:, 1] + ab[:, 2]
+    return ab[..., 0] + ab[..., 1] + ab[..., 2]
 
 
 def _segments(P, U, travelled, depth: int, L: float, push: float):
@@ -670,12 +722,11 @@ def _trace_batch(scene: FlipperScene, positions, directions,
         reach = np.where(flown, t_bound, -np.inf).reshape(-1)
 
         # rows of the cull are segments, segment-major: row = i * m + ray
-        q = (starts[:-1] - (starts[:-1] * U).sum(axis=2)[:, :, None] * U
-             ).reshape(-1, 3)
+        q = (starts[:-1] - _dot(starts[:-1], U)[:, :, None] * U).reshape(-1, 3)
         d2 = d2_ws[:depth * m].reshape(depth, m, n_ext)
         keep, uc, q32 = (keep_ws[:depth * m].reshape(d2.shape), uc_ws[:m],
                          q_ws[:depth * m])
-        q32[:, :3], q32[:, 4] = q, (q * q).sum(axis=1)
+        q32[:, :3], q32[:, 4] = q, _dot(q, q)
         np.matmul(q32, c32, out=d2_ws[:depth * m])
         np.square(np.matmul(U.astype(np.float32), cT32, out=uc), out=uc)
         np.less(d2, np.add(uc, cull, out=uc), out=keep)
@@ -800,36 +851,37 @@ def entry_measure(scene: FlipperScene) -> MeasureSpec:
     from the same stream: a hard sphere's interior (V = +inf) cannot be
     reached, and the tracer deflects only rays that enter a sphere from
     outside. Rows that start outside keep their first draw.
-    Each stream draws its first n points; the block is then checked
-    against the centers in chunks, and only streams with a start inside
-    draw again, those rows together, until none is inside.
+    Each stream draws its first n points, one ``random`` and one ``normal``
+    call; the block is then scaled, normalised and checked against the
+    centers in one neighbour-pair pass (:func:`_near_pairs`), and only
+    streams with a start inside draw again, those rows together, until none
+    is inside.
     """
 
     L = scene.cell_size
     r0sq = scene.action_range ** 2
-    chunk = max(1, _PAIRS_CHUNK // max(len(scene.centers), 1))
+    d_min = _MIN_SPACING * scene.action_range
 
     def inside(points):
-        hit = np.empty(len(points), bool)
-        for lo in range(0, len(points), chunk):
-            d = (scene.centers - points[lo:lo + chunk, None]
-                 + L / 2.0) % L - L / 2.0
-            hit[lo:lo + chunk] = ((d * d).sum(-1) <= r0sq).any(axis=1)
+        hit = np.zeros(len(points), bool)
+        for i, _, r2 in _near_pairs(points, scene.centers, L, d_min):
+            hit[i[r2 <= r0sq]] = True
         return hit
 
-    def draw(rng, m):
-        p, vec = rng.random((m, 3)) * L, rng.normal(size=(m, 3))
-        return np.hstack([p, vec / np.linalg.norm(vec, axis=1, keepdims=True)])
+    def draw(streams, n):
+        p, vec = np.empty((2, len(streams) * n, 3))
+        for k, rng in enumerate(streams):
+            rng.random(out=p[k * n:k * n + n])
+            vec[k * n:k * n + n] = rng.normal(size=(n, 3))
+        return np.hstack([p * L, vec / np.sqrt(_dot(vec, vec))[:, None]])
 
     def sampler(streams, n):
-        out = np.empty((len(streams) * n, 6))
-        for k, rng in enumerate(streams):
-            out[k * n:k * n + n] = draw(rng, n)
+        out = draw(streams, n)
         redraw = np.flatnonzero(inside(out[:, :3]))
         for k in dict.fromkeys((redraw // n).tolist()):
             rows = redraw[redraw // n == k]
             while rows.size:
-                out[rows] = draw(streams[k], len(rows))
+                out[rows] = draw([streams[k]], len(rows))
                 rows = rows[inside(out[rows, :3])]
         return out
 

@@ -272,8 +272,12 @@ def _run_scattering(p, seed, out: OutputBundle):
     with _in_float_range(p, "the beam disk density 1/(pi s_max^2)",
                          "radius" if kind == "hard-sphere" else "theta_min"):
         disk = 1.0 / (math.pi * s_beam ** 2)
-    rho_b = transfer_density(lambda s: disk if 0.0 < s <= s_beam else 0.0,
-                             dfl, theta_grid)
+    # s / sin theta overflows, and the slope's difference step underflows,
+    # as theta_min nears 0
+    with _in_float_range(p, "the transfer density", "theta_min"):
+        rho_b = transfer_density(lambda s: disk if 0.0 < s <= s_beam else 0.0,
+                                 dfl, theta_grid)
+        _finite(float(np.abs(rho_b).max()))
     out.add_dat("transfer.dat",
                 ["solid-angle density transferred from a uniform disk beam",
                  "columns: theta, rho_b(theta)"],
@@ -338,10 +342,13 @@ def _run_decay(p, seed, out: OutputBundle):
     vertex = solve_decay_vertex(masses, boundary)
     dp, de = conservation_residuals(masses, vertex)
     if p["life_distribution"] == "exponential":
-        life = exponential_life_measure(p["tau0"])
+        life, keys = exponential_life_measure(p["tau0"]), ("tau0",)
     else:
         life = uniform_life_measure(p["life_low"], p["life_high"])
-    est, err = mean_life(life, p["n_life_samples"], seed=seed)
+        keys = ("life_low", "life_high")
+    with _in_float_range(p, "the mean life or its standard error", *keys):
+        est, err = map(_finite, mean_life(life, p["n_life_samples"],
+                                          seed=seed))
 
     rows = [("t_d", vertex.t_d),
             ("x_d_x", float(vertex.x_d[0])),

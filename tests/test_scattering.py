@@ -560,7 +560,9 @@ class TestFlipperScene:
         points = [(2.5127175937977317, 0.5, 0.5),
                   (3.140896992247165, 0.5, 0.5)]
         assert int(L / d) == 26
-        assert list(scattering._spaced(points, L, d)) == points[:1]
+        FlipperScene(L, points[:1], 1.0, d / 10)
+        with pytest.raises(ValueError, match="spacing"):
+            FlipperScene(L, points, 1.0, d / 10)
 
     @staticmethod
     def _reference_images(centers, L, r0):
@@ -588,6 +590,155 @@ class TestFlipperScene:
                               ext.view(np.int64))
         assert np.array_equal(scene.center_index, index)
         assert scene.center_index.dtype == np.intp
+
+
+def _brute_r2(c, x, L):
+    """Min-image squared distance of c - x, one component at a time."""
+    d = [(a - b + L / 2.0) % L - L / 2.0 for a, b in zip(c, x)]
+    return d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+
+
+def _brute_entry(scene, rng):
+    """One entry row drawn from ``rng`` and drawn again while its start lies
+    within action_range of any center, each center tested alone."""
+    L, r0sq = scene.cell_size, scene.action_range ** 2
+    while True:
+        pos = rng.random((1, 3)) * L
+        vec = rng.normal(size=(1, 3))
+        vec /= np.linalg.norm(vec, axis=1, keepdims=True)
+        if not any(_brute_r2(c, pos[0].tolist(), L) <= r0sq
+                   for c in scene.centers.tolist()):
+            return np.concatenate([pos, vec], axis=1)[0]
+
+
+class _FirstStart(np.random.Generator):
+    """A generator whose first ``random`` fill is ``u``, the start over the
+    cell size; every later draw is its own."""
+
+    def __init__(self, u, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.u = u
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        r = super().random(size, dtype, out)
+        if self.u is not None:
+            r[...], self.u = self.u, None
+        return r
+
+
+class TestNeighbourPairs:
+    """The spacing and entry checks of the cell-list pair pass against
+    every pair tested alone."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_spacing_on_grids_of_one_and_two_cells(self, cells, seed):
+        # 2 to 5 centers with a spacing near their least min-image
+        # distance, drawn until that spacing puts 1 or 2 cells on a side,
+        # where every cell is a neighbour of every other
+        rng = np.random.default_rng(seed)
+        L = 3.0
+        while True:
+            c = (rng.random((int(rng.integers(2, 6)), 3)) * L).tolist()
+            least = min(_brute_r2(p, q, L) for j, q in enumerate(c)
+                        for p in c[:j])
+            r0 = math.sqrt(least) / scattering._MIN_SPACING
+            r0 *= (1.0, 1.0 - 1e-15, 1.0 + 1e-15)[seed % 3]
+            d = scattering._MIN_SPACING * r0
+            if int(L / (d * (1.0 + 1e-9))) == cells:
+                break
+        if least < d ** 2:
+            with pytest.raises(ValueError, match="spacing"):
+                FlipperScene(L, c, 1.0, r0)
+        else:
+            FlipperScene(L, c, 1.0, r0)
+
+    @pytest.mark.parametrize("centers,r0,cells", [
+        ([[1.0, 2.0, 3.0]], 1.5, 1),
+        ((np.indices((2, 2, 2)).reshape(3, -1).T * 2.0 + 0.5).tolist(),
+         0.19, 2)], ids=["1-cell", "2-cells"])
+    def test_entry_on_grids_of_one_and_two_cells(self, centers, r0, cells):
+        scene = FlipperScene(4.0, centers, 1.0, r0)
+        assert max(1, int(4.0 / (10.0 * r0 * (1.0 + 1e-9)))) == cells
+        sampler = entry_measure(scene).sampler
+        block = sampler([trajectory_stream(5, i) for i in range(1500)], 1)
+        want = np.array([_brute_entry(scene, trajectory_stream(5, i))
+                         for i in range(1500)])
+        assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+        first = np.concatenate([trajectory_stream(5, i).random((1, 3))
+                                for i in range(1500)]) * 4.0
+        assert np.any(block[:, :3] != first)
+
+    # a cell of 4 and r0 = 0.25 or 0.375: each start sits exactly r0 from a
+    # center's image across a face, or across a corner along (1, 2, 2) / 3,
+    # every difference and square exact
+    @pytest.mark.parametrize("center,start,r0", [
+        ([0.125, 1.0, 1.0], [3.875, 1.0, 1.0], 0.25),
+        ([0.0625, 0.125, 0.125], [3.9375, 3.875, 3.875], 0.375)],
+        ids=["across-face", "across-corner"])
+    def test_entry_at_the_sphere_boundary(self, center, start, r0):
+        L = 4.0
+        scene = FlipperScene(L, [center], 1.0, r0)
+        sampler = entry_measure(scene).sampler
+        assert _brute_r2(center, start, L) == r0 ** 2
+        # one ulp farther from the image along x
+        out = [math.nextafter(start[0], 0.0)] + start[1:]
+        assert _brute_r2(center, out, L) > r0 ** 2
+        for x, inside in ((start, True), (out, False)):
+            row = sampler([_FirstStart(np.array([x]) / L, 3)], 1)[0]
+            kept = np.array_equal(row[:3], x)
+            assert kept != inside
+            want = _brute_entry(scene, _FirstStart(np.array([x]) / L, 3))
+            assert np.array_equal(row, want)
+
+    def test_no_centers_keep_every_first_draw(self):
+        scene = FlipperScene(4.0, np.empty((0, 3)), 1.0, 0.05)
+        streams = [trajectory_stream(2, i) for i in range(100)]
+        block = entry_measure(scene).sampler(streams, 2)
+        want = []
+        for i in range(100):
+            rng = trajectory_stream(2, i)
+            pos, vec = rng.random((2, 3)) * 4.0, rng.normal(size=(2, 3))
+            vec /= np.linalg.norm(vec, axis=1, keepdims=True)
+            want.append(np.hstack([pos, vec]))
+        assert np.array_equal(block, np.concatenate(want))
+
+    def test_spacing_and_entry_memory(self):
+        import tracemalloc
+        scene = random_scene(16384, 0.05, 1.0, seed=3)
+        streams = [trajectory_stream(1, i) for i in range(256)]
+        tracemalloc.start()
+        try:
+            FlipperScene(scene.cell_size, scene.centers, 1.0, 0.05)
+            _, check = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            entry_measure(scene).sampler(streams, 1)
+            _, entry = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a (rows, N, 3) min-image array would need 101 MB for the entry
+        # block and 6.4 GB for the spacing check
+        assert check < 16 * 2 ** 20
+        assert entry < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("gap", [1.0, 1.0 - 1e-6], ids=["at", "below"])
+    def test_one_crowded_cell_checked_in_bounded_memory(self, gap):
+        # a cell 2^24 spacings wide has cells 16 spacings wide, so a 10^3
+        # lattice at the spacing sits in one cell and its 10^6 pairs are
+        # all compared; at 2048 points a chunk they would take ~100 MB
+        import tracemalloc
+        centers = np.indices((10, 10, 10)).reshape(3, -1).T * gap
+        tracemalloc.start()
+        try:
+            if gap < 1.0:
+                with pytest.raises(ValueError, match="spacing"):
+                    FlipperScene(2.0 ** 24, centers, 1.0, 0.1)
+            else:
+                FlipperScene(2.0 ** 24, centers, 1.0, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestTraceFlipper:
