@@ -257,6 +257,9 @@ RUNS = [
     Run("life-high-huge", "decay", {"life_distribution": "uniform",
                                     "life_high": "1.0e+300"}, (1,
         "error [OverflowError]: the mean life or its standard error is out of float range for life_low = 0.0, life_high = 1e+300")),
+    # a setting pair no sampled pair drew has no sampled correlator
+    Run("pairs-one", "epr", {"n_pairs": 1}, (1,
+        "error [UnconditionedSettingError]: setting pair (0, 0) drew no sampled pairs, so its sampled correlator is undefined, for n_pairs = 1")),
     Run("negative", "bernoulli", seed=-1, refused=(2,
         "config error: seed must be a nonnegative integer, got -1 at key 'seed'")),
     Run("seed-missing", "bernoulli", seed=None, refused=(2,

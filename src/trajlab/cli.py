@@ -226,10 +226,7 @@ def render_scenario_listing() -> str:
                 kind += f" <= {p.max}"
             if p.above is not None:
                 kind += f" > {p.above}"
-            if isinstance(p.default, float):
-                d = f"default {p.default:g}"
-            else:
-                d = f"default {p.default}"
+            d = f"default {p.default}"
             parts.append(f"    {key:<{width}}  {kind:<32} {d:<24} {p.help}")
         parts.append("")
     return "\n".join(parts) + "\n"

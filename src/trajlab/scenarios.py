@@ -16,7 +16,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import SchemaError, UnsupportedInputError
+from .errors import (SchemaError, UnconditionedSettingError,
+                     UnsupportedInputError)
 from .core import is_well_defined
 from .bernoulli import orbit_bits, biased_measure, lebesgue_ensemble_rate
 from .scattering import (HardSphere, RepulsivePower, ScreenedCoulomb,
@@ -427,6 +428,12 @@ def _run_epr(p, seed, out: OutputBundle):
     a, ap, b, bp = (planar_setting(x) for x in angles)
     s_exact = chsh_value(a, ap, b, bp)
     counts = sample_epr_counts(a, ap, b, bp, p["n_pairs"], seed=seed)
+    drawn = counts.sum(axis=(1, 3))
+    if not drawn.all():
+        i, j = np.argwhere(drawn == 0)[0]
+        raise UnconditionedSettingError(
+            f"setting pair ({i}, {j}) drew no sampled pairs, so its sampled "
+            f"correlator is undefined, for {_named(p, 'n_pairs')}")
     s_hat, s_err = chsh_estimate(counts)
     det_max = max(abs(chsh_of_strategy(st)) for st in
                   deterministic_strategies())

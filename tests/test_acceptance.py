@@ -1,10 +1,9 @@
 """Acceptance gate: every headline behaviour at full scale.
 
-Each criterion runs end to end with frozen seeds and grids, asserts its
-stated tolerance, and enforces a wall-clock budget. Every test records
-one [PASS]/[FAIL] line; conftest.py reprints the whole report after the
-run. All randomness flows through the package's seeded generators, so
-these numbers reproduce exactly across reruns.
+Each criterion runs end to end with frozen seeds and grids and hands each
+pass condition once to ``_gate``, with its wall-clock budget. ``_gate``
+records one [PASS]/[FAIL] line, which conftest.py reprints after the run.
+All randomness is seeded, so these numbers reproduce exactly.
 """
 
 import math
@@ -12,6 +11,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from trajlab import cli
 from trajlab.bernoulli import (biased_measure, lebesgue_ensemble_rate,
@@ -47,49 +47,50 @@ from trajlab.spin_epr import (PhysicalConstants, SGDevice, SpinVariable,
 REPORT = []
 
 
-def _record(number, name, ok, detail, elapsed, budget=None):
-    status = "PASS" if ok else "FAIL"
-    clock = (f"{elapsed:.2f}s / budget {budget:g}s" if budget is not None
-             else f"{elapsed:.2f}s")
-    line = f"[{status}] criterion {number:02d} {name}: {detail} ({clock})"
+def _gate(number, name, detail, elapsed, budget, **checks):
+    """Record criterion ``number``'s line, then fail naming each false
+    check, and ``within budget`` when ``elapsed`` reached ``budget``."""
+    failed = [key for key, ok in checks.items() if not ok]
+    if not elapsed < budget:
+        failed.append("within budget")
+    line = (f"[{'FAIL' if failed else 'PASS'}] criterion {number:02d} "
+            f"{name}: {detail} ({elapsed:.2f}s / budget {budget:g}s)")
     REPORT.append(line)
     print(line)
+    assert not failed, f"criterion {number:02d} failed: {', '.join(failed)}"
+
+
+def test_gate_names_every_failed_check(monkeypatch, capsys):
+    monkeypatch.setitem(globals(), "REPORT", [])
+    with pytest.raises(AssertionError, match="failed: exact, within budget"):
+        _gate(99, "made-up", "x=1", 2.0, 1.0, holds=True, exact=False)
+    line = "[FAIL] criterion 99 made-up: x=1 (2.00s / budget 1s)"
+    assert REPORT == [line] and capsys.readouterr().out == line + "\n"
 
 
 def test_criterion_01_uniform_bit_rate():
-    budget = 30.0
     t0 = time.perf_counter()
     stats = lebesgue_ensemble_rate(10_000, 1_000, seed=0)
     elapsed = time.perf_counter() - t0
     mean_err = abs(float(stats.mean[1]) - 0.5)
     spread = float(stats.variance[1])
-    ok = (mean_err < 0.01 and spread < 0.01 and is_well_defined(stats)
-          and stats.n_trajectories == 10_000 and elapsed < budget)
-    _record(1, "uniform ensemble rate", ok,
-            f"|mean-0.5|={mean_err:.1e}, rate variance={spread:.1e}",
-            elapsed, budget)
-    assert mean_err < 0.01
-    assert spread < 0.01
-    assert is_well_defined(stats)
-    assert stats.n_trajectories == 10_000
-    assert elapsed < budget
+    _gate(1, "uniform ensemble rate",
+          f"|mean-0.5|={mean_err:.1e}, rate variance={spread:.1e}",
+          elapsed, 30.0, mean=mean_err < 0.01, variance=spread < 0.01,
+          well_defined=is_well_defined(stats),
+          all_kept=stats.n_trajectories == 10_000)
 
 
 def test_criterion_02_periodic_orbit_rate():
-    budget = 1.0
     t0 = time.perf_counter()
     rate = orbit_rate(Fraction(2, 7), 3_000)
     elapsed = time.perf_counter() - t0
-    ok = rate == Fraction(1, 3) and elapsed < budget
-    _record(2, "periodic orbit rate", ok,
-            f"rate={rate} in exact arithmetic over 3000 steps",
-            elapsed, budget)
-    assert rate == Fraction(1, 3)
-    assert elapsed < budget
+    _gate(2, "periodic orbit rate",
+          f"rate={rate} in exact arithmetic over 3000 steps",
+          elapsed, 1.0, one_third=rate == Fraction(1, 3))
 
 
 def test_criterion_03_biased_measure_rate():
-    budget = 30.0
     target = 0.8
     t0 = time.perf_counter()
     stats = lebesgue_ensemble_rate(10_000, 1_000, seed=0,
@@ -97,19 +98,13 @@ def test_criterion_03_biased_measure_rate():
     elapsed = time.perf_counter() - t0
     mean_err = abs(float(stats.mean[1]) - target)
     spread = float(stats.variance[1])
-    ok = (mean_err < 0.01 and spread < 0.01 and is_well_defined(stats)
-          and elapsed < budget)
-    _record(3, "biased ensemble rate", ok,
-            f"|mean-0.8|={mean_err:.1e}, rate variance={spread:.1e}",
-            elapsed, budget)
-    assert mean_err < 0.01
-    assert spread < 0.01
-    assert is_well_defined(stats)
-    assert elapsed < budget
+    _gate(3, "biased ensemble rate",
+          f"|mean-0.8|={mean_err:.1e}, rate variance={spread:.1e}",
+          elapsed, 30.0, mean=mean_err < 0.01, variance=spread < 0.01,
+          well_defined=is_well_defined(stats))
 
 
 def test_criterion_04_cross_sections():
-    budget = 10.0
     r0, k, energy = 1.0, 1.0, 1.0
     grid = np.linspace(0.2, 3.0, 57)
     t0 = time.perf_counter()
@@ -124,17 +119,13 @@ def test_criterion_04_cross_sections():
     err_hs = float(np.max(np.abs(rho_hs / (r0 * r0 / 4.0) - 1.0)))
     ref = (k / (4.0 * energy)) ** 2 / np.sin(grid / 2.0) ** 4
     err_c = float(np.max(np.abs(rho_c / ref - 1.0)))
-    ok = err_hs < 1e-3 and err_c < 1e-3 and elapsed < budget
-    _record(4, "beam transfer densities", ok,
-            f"hard-sphere rel err={err_hs:.1e}, inverse-square rel "
-            f"err={err_c:.1e}", elapsed, budget)
-    assert err_hs < 1e-3
-    assert err_c < 1e-3
-    assert elapsed < budget
+    _gate(4, "beam transfer densities",
+          f"hard-sphere rel err={err_hs:.1e}, inverse-square rel "
+          f"err={err_c:.1e}", elapsed, 10.0,
+          hard_sphere=err_hs < 1e-3, inverse_square=err_c < 1e-3)
 
 
 def test_criterion_05_deflection_inversion():
-    budget = 10.0
     k, energy = 1.0, 1.0
     svals = np.geomspace(0.05, 20.0, 50)
     t0 = time.perf_counter()
@@ -145,16 +136,12 @@ def test_criterion_05_deflection_inversion():
         back = (k / (2.0 * energy)) / math.tan(theta / 2.0)
         worst = max(worst, abs(back - float(s)) / float(s))
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-6 and elapsed < budget
-    _record(5, "deflection closed form", ok,
-            f"max rel err={worst:.1e} over 50 impact parameters",
-            elapsed, budget)
-    assert worst < 1e-6
-    assert elapsed < budget
+    _gate(5, "deflection closed form",
+          f"max rel err={worst:.1e} over 50 impact parameters",
+          elapsed, 10.0, closed_form=worst < 1e-6)
 
 
 def test_criterion_06_flipper_isotropy():
-    budget = 120.0
     t0 = time.perf_counter()
     scene = random_scene(216, 0.05, 1.0, seed=3)
     res = flipper_cross_section(scene, n_outcomes=8, n_traj=10_000, seed=2,
@@ -166,15 +153,10 @@ def test_criterion_06_flipper_isotropy():
     pulls = np.abs(res.stats.mean - iso) / sigma
     max_pull = float(pulls.max())
     var_max = float(res.stats.variance.max())
-    ok = (max_pull < 3.0 and var_max < 0.02
-          and res.stats.n_trajectories == 10_000 and elapsed < budget)
-    _record(6, "multi-centre isotropy", ok,
-            f"max pull={max_pull:.2f} sigma over 8 bins, max rate "
-            f"variance={var_max:.1e}", elapsed, budget)
-    assert max_pull < 3.0
-    assert var_max < 0.02
-    assert res.stats.n_trajectories == 10_000
-    assert elapsed < budget
+    _gate(6, "multi-centre isotropy",
+          f"max pull={max_pull:.2f} sigma over 8 bins, max rate "
+          f"variance={var_max:.1e}", elapsed, 120.0, isotropic=max_pull < 3.0,
+          variance=var_max < 0.02, all_kept=res.stats.n_trajectories == 10_000)
 
 
 def _fd_gradient(masses, boundary, x_d, t_d, h=1e-6):
@@ -190,7 +172,6 @@ def _fd_gradient(masses, boundary, x_d, t_d, h=1e-6):
 
 
 def test_criterion_07_decay_vertices():
-    budget = 10.0
     masses = DecayMasses(4.0, 1.0, 2.0)
     rng = np.random.default_rng(7)
     t0 = time.perf_counter()
@@ -217,54 +198,40 @@ def test_criterion_07_decay_vertices():
         sym_err = max(sym_err, abs(solve_decay_vertex(sym, boundary).t_d
                                    - closed))
     elapsed = time.perf_counter() - t0
-    ok = (worst_resid < 1e-9 and worst_grad < 1e-6 and worst_eig > -1e-8
-          and worst_recover < 1e-9 and sym_err < 1e-9 and elapsed < budget)
-    _record(7, "least-action split vertices", ok,
-            f"100 boundaries: residuals<{worst_resid:.1e}, FD "
-            f"grad<{worst_grad:.1e}, min eig={worst_eig:.1e}, closed "
-            f"form err={sym_err:.1e}", elapsed, budget)
-    assert worst_resid < 1e-9
-    assert worst_grad < 1e-6
-    assert worst_eig > -1e-8
-    assert worst_recover < 1e-9
-    assert sym_err < 1e-9
-    assert elapsed < budget
+    _gate(7, "least-action split vertices",
+          f"100 boundaries: residuals<{worst_resid:.1e}, FD "
+          f"grad<{worst_grad:.1e}, min eig={worst_eig:.1e}, closed "
+          f"form err={sym_err:.1e}", elapsed, 10.0,
+          conserved=worst_resid < 1e-9, stationary=worst_grad < 1e-6,
+          minimum=worst_eig > -1e-8, recovered=worst_recover < 1e-9,
+          closed_form=sym_err < 1e-9)
 
 
 def test_criterion_08_indeterminism_witness():
-    budget = 1.0
     masses = DecayMasses(4.0, 1.0, 2.0)
     t0 = time.perf_counter()
     family = rest_decay_family(masses, [2.0, 5.0], t_b=10.0)
     deterministic = check_determinism(family, match_window=1.0,
                                       tolerance=1e-9, time_step=0.05)
     elapsed = time.perf_counter() - t0
-    ok = deterministic is False and elapsed < budget
-    _record(8, "indeterminism witness", ok,
-            f"check_determinism={deterministic} for a two-member rest "
-            f"family", elapsed, budget)
-    assert deterministic is False
-    assert elapsed < budget
+    _gate(8, "indeterminism witness",
+          f"check_determinism={deterministic} for a two-member rest "
+          f"family", elapsed, 1.0, witnessed=deterministic is False)
 
 
 def test_criterion_09_mean_life():
-    budget = 5.0
     tau0 = 1.5
     t0 = time.perf_counter()
     estimate, se = mean_life(exponential_life_measure(tau0),
                              n_samples=100_000, seed=9)
     elapsed = time.perf_counter() - t0
     pull = abs(estimate - tau0) / se
-    ok = pull < 3.0 and elapsed < budget
-    _record(9, "exponential mean life", ok,
-            f"estimate={estimate:.4f} vs {tau0}, {pull:.2f} standard "
-            f"errors", elapsed, budget)
-    assert pull < 3.0
-    assert elapsed < budget
+    _gate(9, "exponential mean life",
+          f"estimate={estimate:.4f} vs {tau0}, {pull:.2f} standard "
+          f"errors", elapsed, 5.0, pull=pull < 3.0)
 
 
 def test_criterion_10_spin_splitting():
-    budget = 5.0
     device = SGDevice(entry_x=1.0, exit_x=2.0, base_field=0.5, gradient=2.0,
                       screen_x=4.0)
     constants = PhysicalConstants(mu=1.0, m=1.0)
@@ -285,20 +252,14 @@ def test_criterion_10_spin_splitting():
         defl_err = max(defl_err, abs(z_exit + sign * 0.5 * rate * tau * tau))
     weights = branch_weights("quantum", psi=up)
     elapsed = time.perf_counter() - t0
-    ok = (pre_equal and defl_err < 1e-6 and weights == (1.0, 0.0)
-          and elapsed < budget)
-    _record(10, "spin branch splitting", ok,
-            f"branches bitwise equal pre-entry, exit deflection "
-            f"err={defl_err:.1e}, aligned weights={weights}",
-            elapsed, budget)
-    assert pre_equal
-    assert defl_err < 1e-6
-    assert weights == (1.0, 0.0)
-    assert elapsed < budget
+    _gate(10, "spin branch splitting",
+          f"branches bitwise equal pre-entry, exit deflection "
+          f"err={defl_err:.1e}, aligned weights={weights}",
+          elapsed, 5.0, pre_entry_equal=pre_equal,
+          deflection=defl_err < 1e-6, weights=weights == (1.0, 0.0))
 
 
 def test_criterion_11_chsh():
-    budget = 30.0
     target = 2.0 * math.sqrt(2.0)
     t0 = time.perf_counter()
     a, a_prime, b, b_prime = [planar_setting(x)
@@ -315,22 +276,15 @@ def test_criterion_11_chsh():
         for av in (a, a_prime) for bv in (b, b_prime) for axis in (0, 1))
     elapsed = time.perf_counter() - t0
     exact_err = abs(s_exact - target)
-    ok = (exact_err < 1e-6 and pull < 3.0 and strategy_bound <= 2.0
-          and marginals_exact and elapsed < budget)
-    _record(11, "correlation bound violation", ok,
-            f"S={s_exact:.6f} (err {exact_err:.1e}), sampled pull="
-            f"{pull:.2f} sigma, 16 strategies capped at "
-            f"{strategy_bound:g}, marginals exactly 1/2",
-            elapsed, budget)
-    assert exact_err < 1e-6
-    assert pull < 3.0
-    assert strategy_bound <= 2.0
-    assert marginals_exact
-    assert elapsed < budget
+    _gate(11, "correlation bound violation",
+          f"S={s_exact:.6f} (err {exact_err:.1e}), sampled pull="
+          f"{pull:.2f} sigma, 16 strategies capped at "
+          f"{strategy_bound:g}, marginals exactly 1/2",
+          elapsed, 30.0, exact_s=exact_err < 1e-6, sampled_s=pull < 3.0,
+          strategies_capped=strategy_bound <= 2.0, marginals=marginals_exact)
 
 
 def test_criterion_12_fringe_bench():
-    budget = 30.0
     t0 = time.perf_counter()
     scene_on = standard_bench(True)
     scene_off = standard_bench(False)
@@ -349,21 +303,14 @@ def test_criterion_12_fringe_bench():
                    / scene_on.fringe_spacing)
     tv = emission_tv_distance(mu_on, mu_off)
     elapsed = time.perf_counter() - t0
-    ok = (vis_on > 0.9 and vis_off < 0.05 and rel_spacing < 0.02
-          and tv > 0.1 and elapsed < budget)
-    _record(12, "fringe bench", ok,
-            f"visibility on={vis_on:.3f} off={vis_off:.3f}, spacing rel "
-            f"err={rel_spacing:.1e}, emission TV distance={tv:.10f}",
-            elapsed, budget)
-    assert vis_on > 0.9
-    assert vis_off < 0.05
-    assert rel_spacing < 0.02
-    assert tv > 0.1
-    assert elapsed < budget
+    _gate(12, "fringe bench",
+          f"visibility on={vis_on:.3f} off={vis_off:.3f}, spacing rel "
+          f"err={rel_spacing:.1e}, emission TV distance={tv:.10f}",
+          elapsed, 30.0, fringes_on=vis_on > 0.9, smooth_off=vis_off < 0.05,
+          spacing=rel_spacing < 0.02, measures_differ=0.1 < tv <= 1.0)
 
 
 def test_criterion_13_asymptotic_velocities():
-    budget = 30.0
     masses = [1.5, 0.5]
     v0 = np.array([[0.8, 0.1, 0.0], [-2.4, -0.3, 0.0]])
     t0 = time.perf_counter()
@@ -381,19 +328,14 @@ def test_criterion_13_asymptotic_velocities():
                       * np.asarray(res.v_plus).reshape(2, 3) ** 2).sum())
     ke_rel = abs(ke - e0) / abs(e0)
     elapsed = time.perf_counter() - t0
-    ok = free_exact and res.converged and ke_rel < 1e-6 and elapsed < budget
-    _record(13, "asymptotic velocities", ok,
-            f"free checkpoints bitwise exact "
-            f"({len(free.convergence_history)} of them), two-body kinetic "
-            f"energy rel err={ke_rel:.1e}", elapsed, budget)
-    assert free_exact
-    assert res.converged
-    assert ke_rel < 1e-6
-    assert elapsed < budget
+    _gate(13, "asymptotic velocities",
+          f"free checkpoints bitwise exact "
+          f"({len(free.convergence_history)} of them), two-body kinetic "
+          f"energy rel err={ke_rel:.1e}", elapsed, 30.0,
+          free_exact=free_exact, converged=res.converged, energy=ke_rel < 1e-6)
 
 
 def test_criterion_14_momentum_measure():
-    budget = 1.0
     masses = [1.0, 1.0]
     t0 = time.perf_counter()
     unit = (np.zeros(6), np.ones(6))
@@ -414,21 +356,14 @@ def test_criterion_14_momentum_measure():
     err_base = abs(base - ref) / ref
     err_add = abs(together - parts) / parts
     err_scale = abs(scaled / base - 64.0) / 64.0
-    ok = (err_base < 1e-12 and err_add < 1e-12 and translated == original
-          and err_scale < 1e-12 and elapsed < budget)
-    _record(14, "momentum measure", ok,
-            f"unit box err={err_base:.1e}, additivity err={err_add:.1e}, "
-            f"translation bitwise, mass-cube scaling err={err_scale:.1e}",
-            elapsed, budget)
-    assert err_base < 1e-12
-    assert err_add < 1e-12
-    assert translated == original
-    assert err_scale < 1e-12
-    assert elapsed < budget
+    _gate(14, "momentum measure",
+          f"unit box err={err_base:.1e}, additivity err={err_add:.1e}, "
+          f"translation bitwise, mass-cube scaling err={err_scale:.1e}",
+          elapsed, 1.0, unit_box=err_base < 1e-12, additive=err_add < 1e-12,
+          translation=translated == original, scaling=err_scale < 1e-12)
 
 
 def test_criterion_15_interference_remainder():
-    budget = 1.0
     t0 = time.perf_counter()
     scene = standard_bench(True)
     target = fringe_target_density(scene)
@@ -437,13 +372,10 @@ def test_criterion_15_interference_remainder():
     grid = np.linspace(lo, hi, 4097)
     deco = interference_decomposition(target(grid), envelope(grid), grid)
     elapsed = time.perf_counter() - t0
-    ok = abs(deco.integral) < 1e-6 and deco.minimum < 0.0 and elapsed < budget
-    _record(15, "signed interference remainder", ok,
-            f"integral={deco.integral:.1e}, minimum={deco.minimum:.3f}",
-            elapsed, budget)
-    assert abs(deco.integral) < 1e-6
-    assert deco.minimum < 0.0
-    assert elapsed < budget
+    _gate(15, "signed interference remainder",
+          f"integral={deco.integral:.1e}, minimum={deco.minimum:.3f}",
+          elapsed, 1.0, integral=abs(deco.integral) < 1e-6,
+          signed=deco.minimum < 0.0, on_grid=deco.values.shape == grid.shape)
 
 
 def test_criterion_16_cli_rerun_determinism(tmp_path):
@@ -457,16 +389,12 @@ def test_criterion_16_cli_rerun_determinism(tmp_path):
                        "--out", str(out_b)])
     elapsed = time.perf_counter() - t0
     names_a = sorted(p.name for p in out_a.iterdir())
-    names_b = sorted(p.name for p in out_b.iterdir())
     # the manifest alone carries the run timestamp
     compared = [n for n in names_a if n != "manifest.json"]
     identical = all((out_a / n).read_bytes() == (out_b / n).read_bytes()
                     for n in compared)
-    ok = (code_a == 0 and code_b == 0 and names_a == names_b
-          and len(compared) >= 1 and identical)
-    _record(16, "scenario rerun determinism", ok,
-            f"{len(compared)} output files byte-identical across reruns",
-            elapsed)
-    assert code_a == 0 and code_b == 0
-    assert names_a == names_b
-    assert identical
+    _gate(16, "scenario rerun determinism",
+          f"{len(compared)} output files byte-identical across reruns",
+          elapsed, 5.0, exits=code_a == code_b == 0,
+          same_files=sorted(p.name for p in out_b.iterdir()) == names_a,
+          compared=len(compared) >= 1, identical=identical)

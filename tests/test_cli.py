@@ -216,33 +216,23 @@ class TestErrorExits:
         assert "notes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario, key", [
-        ("flipper", "n_bins"),
-        ("flipper", "n_centers"),
-        ("scattering", "n_theta"),
-        ("two-slit", "bins"),
-        ("bernoulli", "orbit_denominator"),
-        ("scattering", "n_s"),
-        ("stern-gerlach", "n_table"),
-        ("bernoulli", "n_steps"),
-        ("bernoulli", "orbit_steps"),
-        ("bernoulli", "n_traj"),
-        ("flipper", "n_traj"),
-        ("flipper", "n_encounters"),
-        ("decay", "n_life_samples"),
-        ("epr", "n_pairs"),
-    ])
+        (name, key) for name, scen in SCENARIOS.items()
+        for key, spec in scen.schema.items()
+        if spec.kind == "int" and spec.min is not None])
     def test_count_below_minimum_refused(self, tmp_path, capsys, scenario,
                                          key):
-        # each of these crashed inside the scenario before it had a minimum
+        # each count with a minimum of 1 crashed inside the scenario at 0
+        # before it had one
+        minimum = SCENARIOS[scenario].schema[key].min
         params = dict(FAST_PARAMS[scenario])
-        params[key] = 0
+        params[key] = minimum - 1
         stochastic = SCENARIOS[scenario].stochastic
         cfg = write_config(tmp_path / "cfg.yaml", scenario, parameters=params,
                            seed=1 if stochastic else None)
         out = tmp_path / "o"
         assert run(["run", scenario, "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err.strip()
-        assert f"parameters.{key}" in err and ">= 1" in err
+        assert f"parameters.{key}" in err and f">= {minimum}" in err
         assert f"line {3 + stochastic + list(params).index(key)}" in err
         assert "\n" not in err
         assert not out.exists()
@@ -498,6 +488,24 @@ class TestListing:
             assert key in first
         # placement scales with n_centers, so the schema bounds it
         assert "int >= 1 <= 16384" in first
+
+    def test_listed_defaults_read_back_exactly(self, tmp_path, capsys):
+        # floats used to print with :g, so bigbang's t_max of 16777216.0
+        # showed as 1.67772e+07, which a config reads back as 16777200
+        assert run(["list-scenarios"]) == 0
+        blocks = capsys.readouterr().out.split("\n\n")
+        for (name, scen), block in zip(SCENARIOS.items(), blocks):
+            listed = []
+            for line in block.splitlines()[3:]:  # past name, seed, header
+                key, text = line.split()[0], line.partition(" default ")[2]
+                text = text.removesuffix(scen.schema[key].help).strip()
+                listed.append(f"  {key}: {text}\n")
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text("parameters:\n" + "".join(listed))
+            config = cli.resolve_config(name, *cli.load_config(cfg),
+                                        cli_seed=1)
+            assert config.parameters == {key: p.default for key, p
+                                         in scen.schema.items()}, name
 
     def test_console_script_available(self):
         # the checkout's source, whatever the caller's path holds; CI runs

@@ -476,30 +476,6 @@ class TestEmissionRoundtrip:
 
 
 class TestVisibilityAndSpacing:
-    def test_field_on_fringes(self):
-        scene = standard_bench()
-        mu = emission_measure_from_screen(fringe_target_density(scene), scene)
-        edges, dens = screen_density_from_emission(mu, scene, bins=256)
-        assert fringe_visibility(edges, dens) > 0.9
-        spacing = estimate_fringe_spacing(edges, dens)
-        assert abs(spacing - scene.fringe_spacing) < 0.02 * scene.fringe_spacing
-
-    def test_field_off_smooth(self):
-        scene = standard_bench(field_on=False)
-        mu = emission_measure_from_screen(envelope_target_density(scene),
-                                          scene)
-        edges, dens = screen_density_from_emission(mu, scene, bins=256)
-        assert fringe_visibility(edges, dens) < 0.05
-
-    def test_emission_measures_differ(self):
-        on = standard_bench()
-        off = on.with_field(False)
-        mu_on = emission_measure_from_screen(fringe_target_density(on), on)
-        mu_off = emission_measure_from_screen(envelope_target_density(off),
-                                              off)
-        tv = emission_tv_distance(mu_on, mu_off)
-        assert 0.1 < tv <= 1.0
-
     def test_visibility_of_flat_density_is_zero(self):
         edges = np.linspace(-1.0, 1.0, 65)
         assert fringe_visibility(edges, np.ones(64)) == 0.0
@@ -525,17 +501,6 @@ class TestOffStateShadow:
 
 
 class TestInterferenceDecomposition:
-    def test_standard_bench_difference(self):
-        scene = standard_bench()
-        fr = fringe_target_density(scene)
-        env = envelope_target_density(scene)
-        lo, hi = fr.window
-        grid = np.linspace(lo, hi, 4097)
-        deco = interference_decomposition(fr(grid), env(grid), grid)
-        assert abs(deco.integral) < 1e-6
-        assert deco.minimum < 0.0
-        assert deco.values.shape == grid.shape
-
     def test_rejects_unnormalised_inputs(self):
         grid = np.linspace(0.0, 1.0, 101)
         ok = np.ones(101)

@@ -968,9 +968,8 @@ def _reference_trace(scene, p, u, n_encounters, max_path_length):
         delta = x_ca - scene.centers_ext[k]
         beta = delta - _d(delta, U) * U
         s = math.sqrt(_d(beta, beta))
+        theta = scene.deflection(s)
         head_on = s < 1e-12 * r0
-        theta = (math.pi if head_on else
-                 scene.deflection(min(s, r0 * (1 - 1e-15))))
         ux, uy, uz = U
         e1 = (np.array([0.0, -uz, uy]) if ux * ux + uy * uy < 1e-24
               else np.array([-uy, ux, 0.0]))
@@ -1063,6 +1062,10 @@ class TestLockstepKernel:
                          200.0))
             grazed.append(scene.center_index[n + j])
         assert _min_image_distance(scene, p).min() > r0
+        # head on to within about 1e-13 r0: deflected by theta(s), a hair
+        # short of pi, about the fixed e1 of an exactly head-on hit
+        rays.append((scene.centers[0] - [1.5 * r0, 0.0, 0.0],
+                     np.array([1.0, 1e-13 / 1.5, 0.0]), 2, 100.0))
 
         short = 0
         for i, (p, u, k, budget) in enumerate(rays):
@@ -1071,11 +1074,13 @@ class TestLockstepKernel:
             assert np.array_equal(tr.vertices, vertices)
             assert tr.encounters == encounters
             short += len(encounters) < k
-            if i >= 12:
+            if 12 <= i < 16:
                 first = encounters[0]
                 assert first.center_index == grazed[i - 12]
                 assert first.impact_parameter == pytest.approx(
                     (1.0 - 1e-7) * r0, rel=1e-12)
+        assert 0.0 < encounters[0].impact_parameter < 1e-12 * r0
+        assert encounters[0].theta < math.pi
         assert short >= 2
 
         # the same rays in one batch, with a shallower lookahead
