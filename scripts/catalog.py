@@ -260,6 +260,9 @@ RUNS = [
     # a setting pair no sampled pair drew has no sampled correlator
     Run("pairs-one", "epr", {"n_pairs": 1}, (1,
         "error [UnconditionedSettingError]: setting pair (0, 0) drew no sampled pairs, so its sampled correlator is undefined, for n_pairs = 1")),
+    # six pairs that all agree per setting pair claimed an exact S
+    Run("pairs-six", "epr", {"n_pairs": 6}, (1,
+        "error [UnsupportedInputError]: every setting pair's sampled outcomes agree, so the sampled standard error of S reads 0 where the singlet measure's is 1.29, for n_pairs = 6")),
     Run("negative", "bernoulli", seed=-1, refused=(2,
         "config error: seed must be a nonnegative integer, got -1 at key 'seed'")),
     Run("seed-missing", "bernoulli", seed=None, refused=(2,
@@ -288,6 +291,8 @@ RUNS = [
         "config error: value must be a number, got '1e-5' at key 'parameters.tolerance' (line 2)")),
     Run("centers-max", "flipper", {"n_centers": 16385}, (2,
         "config error: must be <= 16384, got 16385 at key 'parameters.n_centers' (line 2)")),
+    Run("scene-seed-neg", "flipper", {"scene_seed": -1}, (2,
+        "config error: must be >= 0, got -1 at key 'parameters.scene_seed' (line 2)")),
     # more seed streams than one 32-bit index holds
     *(Run(f"streams-{name}", name, {"n_traj": 5000000000}, (2,
           "config error: must be <= 4294967296, got 5000000000 at key 'parameters.n_traj' (line 2)"))

@@ -171,6 +171,7 @@ _PLACE_BLOCK = 64  # placement candidates drawn in the first block
 _PLACE_MAX = 2 ** 16  # placement candidates drawn in any block
 _PAIR_ROWS = 2 ** 11  # query points of one neighbour-pair chunk
 _PAIRS = 2 ** 16  # pairs of one neighbour-pair chunk of more than one point
+_CULL_ROWS = 1024  # segment rows of one tracer step's cull
 
 
 def _flat(x):
@@ -460,33 +461,30 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, L: float, d: float):
     A cell list (Allen & Tildesley, *Computer Simulation of Liquids*, 2nd
     ed., sec. 5.3): on a grid of g^3 cells no narrower than d (1 + 1e-9),
     only points in the cells around a point's own can be nearer than d; the
-    margin covers a coordinate that rounds into the next cell, and at most
-    2^20 cells a side keep that rounding inside it. The neighbours are the
-    27 cells around a point's own, or every cell when g < 3. ``b`` is
-    sorted by cell key modulo n = 2 len(b) + 1, so its table of where each
-    residue starts holds n + 1 entries however many cells the grid has;
-    when g^3 <= n each residue is one cell, and otherwise the points of a
-    residue filed under another cell are dropped.
+    margin covers a coordinate that rounds into the next cell. The grid
+    also has at most 2 max(len(a), len(b)) + 1 cells, which keeps ``b``'s
+    table of where each cell starts as short as the points and a cell
+    index's rounding far inside the margin. The neighbours are the 27
+    cells around a point's own, or every cell when g < 3.
     """
-    g = max(1, int(min(L / (d * (1.0 + 1e-9)), 2.0 ** 20)))
-    cs, half, n = L / g, L / 2.0, 2 * len(b) + 1
+    n = 2 * max(len(a), len(b)) + 1
+    g = max(1, int(min(L / (d * (1.0 + 1e-9)), n ** (1.0 / 3.0))))
+    cs, half = L / g, L / 2.0
     step = np.array((-1, 0, 1) if g >= 3 else range(g))
 
     def cell(p):
         return (p / cs).astype(np.int64) % g
 
     key = cell(b) @ np.array([g * g, g, 1])
-    order = np.argsort(key % n, kind="stable")
-    start = np.append(0, np.bincount(key % n, minlength=n).cumsum())
-    key = key[order]
+    order = np.argsort(key, kind="stable")
+    start = np.append(0, np.bincount(key, minlength=g ** 3).cumsum())
 
     def pairs(lo, hi):
         ci, cj, ck = ((cell(a[lo:hi])[:, :, None] + step) % g
                       ).transpose(1, 0, 2)
         near = ((ci[:, :, None, None] * g + cj[:, None, :, None]) * g
                 + ck[:, None, None, :]).ravel()
-        slot = near % n
-        first, count = start[slot], start[slot + 1] - start[slot]
+        first, count = start[near], start[near + 1] - start[near]
         if count.sum() > _PAIRS and hi - lo > 1:
             yield from pairs(lo, (lo + hi) // 2)
             yield from pairs((lo + hi) // 2, hi)
@@ -494,9 +492,6 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, L: float, d: float):
         i = np.repeat(np.arange(lo, hi), count.reshape(hi - lo, -1).sum(1))
         k = np.arange(len(i)) - np.repeat(count.cumsum() - count - first,
                                           count)
-        if g ** 3 > n:
-            same = key[k] == np.repeat(near, count)
-            i, k = i[same], k[same]
         j = order[k]
         x = b.take(j, 0) - a.take(i, 0)
         # in a cell wider than about 1e308 a far pair can overflow to inf or
@@ -616,13 +611,11 @@ def _trace_batch(scene: FlipperScene, positions, directions,
     ``scene.centers_ext`` at once. A ray with a hit goes to the first
     sphere entered along its own segments and is deflected there; a ray
     without one moves to the end of its last segment. ``depth`` is
-    ``64 // isqrt(live)``, at least 1: a deeper step shares its fixed cost
-    among more crossings but lays out more of them past a ray's hit, and
-    the two balance near a depth proportional to 1 / sqrt(live). It is
-    capped at the wall crossings a ray flies per mean free path: 13 in the
-    216-center gate scene, 38 with 8 centers, 3 with 16,384. The float32
-    cull fills views of one workspace, grown to the widest step so far:
-    depth * live is not monotone, 360 rows at 36 live rays but 420 at 35.
+    ``_CULL_ROWS // live``, at least 1, so a step of up to ``_CULL_ROWS``
+    live rays lays out at most ``_CULL_ROWS`` segment rows. It is capped at
+    the wall crossings a ray flies per mean free path: 13 in the 216-center
+    gate scene, 38 with 8 centers, 3 with 16,384. The float32 cull fills
+    views of one workspace, allocated for the widest step before the first.
 
     Rays leave the batch once they have ``n_encounters`` encounters or have
     used up ``max_path_length``; a ray that never could (a non-finite
@@ -690,7 +683,9 @@ def _trace_batch(scene: FlipperScene, positions, directions,
     n = len(P)
     # the cull workspace: u.c per live ray, [q, 1, |q|^2], |c - q|^2, mask
     uc_ws = np.empty((n, n_ext), np.float32)
-    d2_ws = np.empty((0, n_ext), np.float32)
+    d2_ws = np.empty((max(n, min(_CULL_ROWS, cap * n)), n_ext), np.float32)
+    keep_ws = np.empty(d2_ws.shape, bool)
+    q_ws = np.ones((len(d2_ws), 5), np.float32)
     rows = np.arange(n)  # original row of each live ray
     travelled = np.zeros(n)
     count = np.zeros(n, dtype=np.intp)
@@ -708,11 +703,7 @@ def _trace_batch(scene: FlipperScene, positions, directions,
         m = len(rows)
         if not m:
             break
-        depth = max(1, min(64 // math.isqrt(m), cap))
-        if len(d2_ws) < depth * m:
-            d2_ws = np.empty((depth * m, n_ext), np.float32)
-            keep_ws = np.empty(d2_ws.shape, bool)
-            q_ws = np.ones((depth * m, 5), np.float32)
+        depth = max(1, min(_CULL_ROWS // m, cap))
 
         starts, at, t_bound = _segments(P, U, travelled, depth, L, push)
         # a segment is flown only if the path budget is left at its start;

@@ -435,17 +435,26 @@ def _run_epr(p, seed, out: OutputBundle):
             f"setting pair ({i}, {j}) drew no sampled pairs, so its sampled "
             f"correlator is undefined, for {_named(p, 'n_pairs')}")
     s_hat, s_err = chsh_estimate(counts)
+    weights = global_epr_measure(a, ap, b, bp)
+    conds = {ij: epr_conditional_probabilities(weights, ij)
+             for ij in np.ndindex(2, 2)}
+    # the plug-in error is 0 when each setting pair's few draws all agree;
+    # the singlet measure's error for the same draws is not
+    exact_err = math.sqrt(sum((1.0 - correlator(c) ** 2) / drawn[ij]
+                              for ij, c in conds.items()))
+    if s_err == 0 < exact_err:
+        raise UnsupportedInputError(
+            f"every setting pair's sampled outcomes agree, so the sampled "
+            f"standard error of S reads 0 where the singlet measure's is "
+            f"{exact_err:.3g}, for {_named(p, 'n_pairs')}")
     det_max = max(abs(chsh_of_strategy(st)) for st in
                   deterministic_strategies())
 
-    weights = global_epr_measure(a, ap, b, bp)
     out.add_csv("cells.csv",
                 ("setting_a", "result_a", "setting_b", "result_b", "weight"),
                 [(i, 1 - 2 * ra, j, 1 - 2 * rb, float(weights[i, ra, j, rb]))
                  for i, ra, j, rb in np.ndindex(2, 2, 2, 2)])
 
-    conds = {ij: epr_conditional_probabilities(weights, ij)
-             for ij in np.ndindex(2, 2)}
     out.add_csv("conditionals.csv",
                 ("setting_a", "setting_b", "p_pp", "p_pm", "p_mp", "p_mm",
                  "correlator"), [(i, j, *c.ravel().tolist(), correlator(c))
@@ -688,7 +697,7 @@ _register(
         "n_centers": Param("int", 216, "centers per periodic cell", min=1,
                            max=16_384),
         "action_range": Param("float", 0.05, "hard-sphere radius r0"),
-        "scene_seed": Param("int", 3, "placement seed for the cell"),
+        "scene_seed": Param("int", 3, "placement seed for the cell", min=0),
         "n_traj": Param("int", 300, "trajectories in the ensemble", min=1,
                         max=2 ** 32),
         "n_encounters": Param("int", 20, "encounters followed per trajectory",

@@ -189,22 +189,25 @@ def test_criterion_07_decay_vertices():
         worst_eig = min(worst_eig, float(eigs.min()))
         worst_recover = max(worst_recover, abs(vertex.t_d - t_true))
     sym = DecayMasses(4.0, 1.5, 1.5)
-    sym_err = 0.0
+    sym_err = sym_rest = 0.0
     for d in (0.5, 1.0, 2.0):
         closed = symmetric_decay_time(sym, d, 10.0)
         boundary = DecayBoundary(x_a=np.zeros(3), t_a=0.0,
                                  x_b2=np.array([d, 0.0, 0.0]),
                                  x_b3=np.array([-d, 0.0, 0.0]), t_b=10.0)
-        sym_err = max(sym_err, abs(solve_decay_vertex(sym, boundary).t_d
-                                   - closed))
+        vertex = solve_decay_vertex(sym, boundary)
+        sym_err = max(sym_err, abs(vertex.t_d - closed))
+        # the parent stays at rest at the origin until it splits
+        sym_rest = max(sym_rest, float(np.abs(vertex.x_d).max()),
+                       float(np.abs(vertex.v1).max()))
     elapsed = time.perf_counter() - t0
     _gate(7, "least-action split vertices",
           f"100 boundaries: residuals<{worst_resid:.1e}, FD "
           f"grad<{worst_grad:.1e}, min eig={worst_eig:.1e}, closed "
-          f"form err={sym_err:.1e}", elapsed, 10.0,
-          conserved=worst_resid < 1e-9, stationary=worst_grad < 1e-6,
+          f"form err={sym_err:.1e}, at rest within {sym_rest:.1e}", elapsed,
+          10.0, conserved=worst_resid < 1e-9, stationary=worst_grad < 1e-6,
           minimum=worst_eig > -1e-8, recovered=worst_recover < 1e-9,
-          closed_form=sym_err < 1e-9)
+          closed_form=sym_err < 1e-9 and sym_rest < 1e-9)
 
 
 def test_criterion_08_indeterminism_witness():

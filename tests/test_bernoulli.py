@@ -40,9 +40,6 @@ class TestState:
 
 
 class TestOrbitRate:
-    def test_two_sevenths_is_one_third_exactly(self):
-        assert orbit_rate(Fraction(2, 7), 3000) == Fraction(1, 3)
-
     def test_rate_is_exact_fraction(self):
         # period-3 orbit: rate over any multiple of 3 steps is exactly 1/3
         for n in (3, 6, 300, 2997):

@@ -499,7 +499,7 @@ class TestFlipperScene:
             FlipperScene(4.0, [[1.0, 1.0, 1.0]], 1.0, action_range)
 
     def test_cell_of_1e310_spacings_checked(self):
-        # L / d overflows to inf; the grid stops at 2^20 cells a side
+        # L / d overflows to inf; two points leave one cell a side
         FlipperScene(1e300, [[0.0, 0.0, 0.0], [1e299, 0.0, 0.0]], 1.0, 1e-11)
         with pytest.raises(ValueError, match="spacing"):
             FlipperScene(1e300, [[0.0, 0.0, 0.0], [0.0, 1e-11, 0.0]],
@@ -508,7 +508,7 @@ class TestFlipperScene:
     @pytest.mark.parametrize("seed", range(40))
     def test_spacing_check_matches_every_pair(self, seed):
         # random centers and a spacing near their least min-image distance,
-        # on grids of 3 to 37 cells a side: the scene is refused exactly
+        # on grids of 1 to 4 cells a side: the scene is refused exactly
         # when one pair, compared as p_i - p_j for i < j, is too near
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
@@ -555,14 +555,16 @@ class TestFlipperScene:
         # L / d is just above 26. Cells exactly d wide (g = 26) put the
         # first point at x / (L / g) = 3.999..., cell 3, and the second at
         # 5.0, cell 5, so the pair would never be compared; the cells at
-        # least d (1 + 1e-9) wide (g = 25) make them neighbours
+        # least d (1 + 1e-9) wide (g = 25) make them neighbours. 9,000
+        # query points allow 26 cells a side, so only the margin gives 25
         L, d = 16.33266435968526, 0.628179398449433
         points = [(2.5127175937977317, 0.5, 0.5),
                   (3.140896992247165, 0.5, 0.5)]
         assert int(L / d) == 26
-        FlipperScene(L, points[:1], 1.0, d / 10)
-        with pytest.raises(ValueError, match="spacing"):
-            FlipperScene(L, points, 1.0, d / 10)
+        query = np.vstack([points[:1], stream(6).random((8999, 3)) * L])
+        assert int((2 * len(query) + 1) ** (1 / 3)) == 26
+        assert any(np.any((i == 0) & (j == 0)) for i, j, _ in
+                   scattering._near_pairs(query, np.array(points[1:]), L, d))
 
     @staticmethod
     def _reference_images(centers, L, r0):
@@ -634,8 +636,8 @@ class TestNeighbourPairs:
     @pytest.mark.parametrize("cells", [1, 2])
     def test_spacing_on_grids_of_one_and_two_cells(self, cells, seed):
         # 2 to 5 centers with a spacing near their least min-image
-        # distance, drawn until that spacing puts 1 or 2 cells on a side,
-        # where every cell is a neighbour of every other
+        # distance, drawn until that spacing and their count put 1 or 2
+        # cells on a side, where every cell is a neighbour of every other
         rng = np.random.default_rng(seed)
         L = 3.0
         while True:
@@ -645,7 +647,8 @@ class TestNeighbourPairs:
             r0 = math.sqrt(least) / scattering._MIN_SPACING
             r0 *= (1.0, 1.0 - 1e-15, 1.0 + 1e-15)[seed % 3]
             d = scattering._MIN_SPACING * r0
-            if int(L / (d * (1.0 + 1e-9))) == cells:
+            if int(min(L / (d * (1.0 + 1e-9)),
+                       (2 * len(c) + 1) ** (1 / 3))) == cells:
                 break
         if least < d ** 2:
             with pytest.raises(ValueError, match="spacing"):
@@ -723,9 +726,10 @@ class TestNeighbourPairs:
 
     @pytest.mark.parametrize("gap", [1.0, 1.0 - 1e-6], ids=["at", "below"])
     def test_one_crowded_cell_checked_in_bounded_memory(self, gap):
-        # a cell 2^24 spacings wide has cells 16 spacings wide, so a 10^3
-        # lattice at the spacing sits in one cell and its 10^6 pairs are
-        # all compared; at 2048 points a chunk they would take ~100 MB
+        # 10^3 points allow 12 cells a side, so in a cell 2^24 spacings
+        # wide a 10^3 lattice at the spacing sits in one cell and its 10^6
+        # pairs are all compared; at 2048 points a chunk they would take
+        # ~100 MB
         import tracemalloc
         centers = np.indices((10, 10, 10)).reshape(3, -1).T * gap
         tracemalloc.start()
@@ -1083,7 +1087,7 @@ class TestLockstepKernel:
         assert encounters[0].theta < math.pi
         assert short >= 2
 
-        # the same rays in one batch, with a shallower lookahead
+        # the same rays in one batch
         count, fields, log = _trace_batch(
             scene, np.array([r[0] for r in rays]),
             np.array([r[1] for r in rays]), 6, 100.0, True)
@@ -1109,31 +1113,34 @@ class TestLockstepKernel:
             assert np.array_equal(vertices, alone.vertices)
             assert encounters == alone.encounters
 
-    def test_widest_step_after_the_first(self):
-        # in the gate scene 36 live rays look 10 crossings ahead (360 rows
-        # of the cull) and 35 look 12 (420 rows), below the cap of 13. One
-        # ray meets its sphere within 10 crossings and leaves after the
-        # first step; the other 35 need 10 to 21, so the second step is
-        # the widest and still holds their hits
+    def test_steps_keep_to_the_row_budget(self, monkeypatch):
+        # in the gate scene 100 live rays look 10 crossings ahead (1000 rows
+        # of the cull), below a lone ray's 13, and 93 look 11 (1023 rows):
+        # a later step is wider than the first, and every row is still its
+        # lone trace
         scene = _gate_scene()
-        points = entry_measure(scene).sampler([stream(4)], 200)
-        alone = [trace_flipper(scene, p[:3], p[3:], 1) for p in points]
-        # the vertices are the start, the wall crossings, the closest
-        # approach and the exit from the sphere
-        crossings = [len(tr.vertices) - 3 if tr.encounters else -1
-                     for tr in alone]
-        quick = [i for i, n in enumerate(crossings) if 0 <= n < 10]
-        slow = [i for i, n in enumerate(crossings) if 10 <= n < 22]
-        pick = quick[:1] + slow[:35]
-        assert len(pick) == 36
-        count, fields, log = _trace_batch(scene, points[pick, :3],
-                                          points[pick, 3:], 1, None, True)
-        for i, j in enumerate(pick):
-            vertices = np.concatenate([p[rows == i] for rows, p in log])
+        points = entry_measure(scene).sampler([stream(4)], 100)
+        steps, segments = [], scattering._segments
+
+        def counted(P, U, travelled, depth, L, push):
+            steps.append((depth, len(P)))
+            return segments(P, U, travelled, depth, L, push)
+
+        monkeypatch.setattr(scattering, "_segments", counted)
+        count, fields, log = _trace_batch(scene, points[:, :3], points[:, 3:],
+                                          20, None, True)
+        rows = [depth * m for depth, m in steps]
+        assert steps[0] == (10, 100)
+        assert max(rows) == scattering._CULL_ROWS - 1 > rows[0]
+        steps.clear()
+        for i, point in enumerate(points):
+            alone = trace_flipper(scene, point[:3], point[3:], 20)
+            vertices = np.concatenate([p[r == i] for r, p in log])
             encounters = [EncounterRecord(*e) for e in zip(
                 *(f[i, :count[i]].tolist() for f in fields))]
-            assert np.array_equal(vertices, alone[j].vertices)
-            assert encounters == alone[j].encounters
+            assert np.array_equal(vertices, alone.vertices)
+            assert encounters == alone.encounters
+        assert set(steps) == {(13, 1)}
 
     def test_axis_aligned_batch_stays_finite(self):
         scene = random_scene(64, 0.05, 1.0, seed=2)
